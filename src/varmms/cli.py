@@ -46,7 +46,7 @@ def _load_space(spec, base_dir: str = ".") -> MetricMeasureSpace:
 
 
 def _exponents(space, spec: dict) -> dict:
-    return {name: field_from_spec(entry, space.n, name=name)
+    return {name: field_from_spec(entry, space.n, name=name, coords=space.coords)
             for name, entry in spec.items()}
 
 
@@ -55,6 +55,11 @@ def cmd_space_gen(args) -> int:
     write_atomic(args.out, canonical_json(space.to_json()) + "\n")
     print(f"wrote {args.out} (n={space.n})")
     return 0
+
+
+# the check ops that test a function u; counterexample and necessity build
+# their own test functions
+_FUNCTION_OPS = ("sobolev_local", "moser_local", "morrey_local", "local_embedding", "global")
 
 
 def _scenario_reports(scenario: dict, base_dir: str, tol: float, sigma: float,
@@ -73,8 +78,9 @@ def _scenario_reports(scenario: dict, base_dir: str, tol: float, sigma: float,
                                      scenario=label, tol=tol)
             reports.append(rep)
             continue
-        u = generate_function(space, check.get("function", scenario.get("function", {})))
         common = dict(scenario=label, tol=tol)
+        if op in _FUNCTION_OPS:
+            u = generate_function(space, check.get("function", scenario.get("function", {})))
         if op in ("sobolev_local", "moser_local", "morrey_local", "local_embedding"):
             b = check["ball"]
             loc = dict(center=int(b["center"]), radius=float(b["radius"]),

@@ -91,13 +91,13 @@ def exponent_values(p, n: int, allow_inf: bool = False) -> np.ndarray:
     return vals
 
 
-def field_from_spec(spec, n: int, name: str = "") -> ExponentField:
+def field_from_spec(spec, n: int, name: str = "", coords=None) -> ExponentField:
     """Expand a formula spec to a per-point field.
 
     Supported forms: {"constant": c}, {"values": [...]},
     {"formula": {"type": "two_zone", "inside": a, "outside": b, "zone": [...]}},
     {"formula": {"type": "affine", "axis": k, "intercept": a, "slope": b}}
-    (affine needs the caller to pass coords via spec["coords"]).
+    (affine reads the points' coordinates, ``coords``, an n x d array).
     """
     allow_inf = name in ("q", "q1", "q2")
     if isinstance(spec, (int, float)):
@@ -113,7 +113,9 @@ def field_from_spec(spec, n: int, name: str = "") -> ExponentField:
         vals[np.asarray(formula["zone"], dtype=int)] = float(formula["inside"])
         return ExponentField(vals, name=name, allow_inf=allow_inf)
     if kind == "affine":
-        coords = np.asarray(spec["coords"], dtype=float)
+        if coords is None:
+            raise ValueError(f"exponent {name!r}: affine formula needs a space with coordinates")
+        coords = np.asarray(coords, dtype=float)
         axis = int(formula.get("axis", 0))
         vals = float(formula["intercept"]) + float(formula["slope"]) * coords[:, axis]
         return ExponentField(vals, name=name, allow_inf=allow_inf)

@@ -78,6 +78,14 @@ def luxemburg(u, p, weight, tol: float = DEFAULT_TOL) -> NormValue:
     brackets the infimum; the unit-ball equivalence (modular <= 1 iff norm
     <= 1) is the stopping criterion.  Returns the upper bracket end, whose
     modular is certified <= 1.
+
+    The bracket is seeded from the modular sandwich: with umax = max|u| and
+    rho = modular(u/umax) the norm lies between umax rho**(1/p^+) and
+    umax rho**(1/p^-), with equality when p is constant.  Normalising by
+    umax keeps rho in (0, sum w], so nothing overflows.  Both ends are
+    checked against the modular before use (the upper one stepped up a few
+    ulps when rounding leaves it short); if either check fails, a doubling
+    and halving search finds the bracket instead.
     """
     u = np.asarray(u, dtype=float)
     if u.size == 0:
@@ -88,22 +96,24 @@ def luxemburg(u, p, weight, tol: float = DEFAULT_TOL) -> NormValue:
     umax = float(u_abs.max(initial=0.0))
     if umax == 0.0:
         return NormValue(0.0, 0.0)
-    p_minus = float(pv.min())
-    total = float(w.sum())
-    # this initial hi always has modular <= 1; the loops below are guards
-    hi = umax * max(1.0, total ** (1.0 / p_minus))
-    for _ in range(_MAX_BISECT):
-        if _modular_scaled(u_abs, pv, w, hi) <= 1.0:
-            break
-        hi *= 2.0
-    lo = 0.5 * hi
-    for _ in range(_MAX_BISECT):
-        if _modular_scaled(u_abs, pv, w, lo) > 1.0:
-            break
-        hi = lo
-        lo *= 0.5
-        if lo < 1e-300:
-            return NormValue(float(hi), float(hi))
+    bracket = _sandwich_bracket(u_abs, pv, w, umax)
+    if bracket is not None:
+        lo, hi = bracket
+    else:
+        # this initial hi always has modular <= 1; the loops below are guards
+        hi = umax * max(1.0, float(w.sum()) ** (1.0 / float(pv.min())))
+        for _ in range(_MAX_BISECT):
+            if _modular_scaled(u_abs, pv, w, hi) <= 1.0:
+                break
+            hi *= 2.0
+        lo = 0.5 * hi
+        for _ in range(_MAX_BISECT):
+            if _modular_scaled(u_abs, pv, w, lo) > 1.0:
+                break
+            hi = lo
+            lo *= 0.5
+            if lo < 1e-300:
+                return NormValue(float(hi), float(hi))
     for _ in range(_MAX_BISECT):
         if hi - lo <= tol * hi:
             break
@@ -113,6 +123,29 @@ def luxemburg(u, p, weight, tol: float = DEFAULT_TOL) -> NormValue:
         else:
             lo = mid
     return NormValue(float(hi), float(hi - lo))
+
+
+_ULP_STEPS = 4
+
+
+def _sandwich_bracket(u_abs, pv, w, umax: float):
+    """(lo, hi) from the modular sandwich with modular(u/lo) > 1 >=
+    modular(u/hi) verified, or None when rounding or underflow defeats it."""
+    rho = _modular_scaled(u_abs, pv, w, umax)
+    if not 0.0 < rho < np.inf:
+        return None
+    ends = (rho ** (1.0 / float(pv.min())), rho ** (1.0 / float(pv.max())))
+    hi = umax * max(ends)
+    for _ in range(_ULP_STEPS):
+        if _modular_scaled(u_abs, pv, w, hi) <= 1.0:
+            break
+        hi = float(np.nextafter(hi, np.inf))
+    else:
+        return None
+    lo = umax * min(ends) * (1.0 - 1e-12)
+    if not (lo > 0.0 and _modular_scaled(u_abs, pv, w, lo) > 1.0):
+        return None
+    return lo, hi
 
 
 def rel_sandwich_check(u, p, weight, tol: float = DEFAULT_TOL) -> dict:

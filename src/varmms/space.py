@@ -366,30 +366,28 @@ def uniform_perfectness(space: MetricMeasureSpace, epsilon: float,
     Finite spaces are never literally uniformly perfect below their minimum
     gap; ``epsilon`` restricts the quantifier and must be reported with the
     result.  Returns None if no grid value works.
+
+    The annulus B(x, r) \\ B(x, lambda r) is nonempty iff the largest
+    distance from x below r, ``far``, satisfies lambda r <= far.  One sorted
+    row per center gives ``far`` for every radius by ``searchsorted``, and
+    the test is the same float comparison as the membership test
+    ``row >= lambda r``, so the grid result is exact, not approximate.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if lambdas is None:
         lambdas = _LAMBDA_GRID
+    lambdas = np.sort(np.asarray(lambdas, dtype=float))
     radii = critical_radii(space)
     radii = radii[radii >= epsilon]
-    best = None
-    for lam in np.sort(lambdas):
-        ok = True
-        for x in range(space.n):
-            row = space.dist[x]
-            for r in radii:
-                inside = row < r
-                if inside.all():
-                    continue  # X \ B(x,r) empty: vacuous
-                if not np.any(inside & (row >= lam * r)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            best = float(lam)
-    return best
+    ok = np.ones(lambdas.size, dtype=bool)
+    for x in range(space.n):
+        row = np.sort(space.dist[x])
+        k = np.searchsorted(row, radii, side="left")  # |B(x, r)|
+        live = k < space.n  # k == n: X \ B(x, r) is empty, vacuous
+        far = row[k[live] - 1]  # row[0] = d(x, x) = 0 < r, so k >= 1
+        ok &= np.all(lambdas[:, None] * radii[live] <= far, axis=1)
+    return float(lambdas[ok][-1]) if ok.any() else None
 
 
 # -- measure-halving radius ------------------------------------------------

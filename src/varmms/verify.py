@@ -781,7 +781,6 @@ def necessity_run(space, s, p, q, gamma_or_alpha, mode: str, family: str = "M",
 
     positive = Q > 1e-12
     if positive.any():
-        prof = best_lower_constant(space, np.where(positive, Q, 1.0), r_max=1.0)
         # restrict the scan to centers with a genuinely positive exponent
         b_emp = np.inf
         witnesses = []

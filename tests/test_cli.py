@@ -140,6 +140,46 @@ def test_cmd_necessity(tmp_path):
     assert payload[0]["extras"]["b_empirical"] > 0
 
 
+def test_cmd_necessity_without_function(tmp_path):
+    scenario = {
+        "name": "necc_nofn",
+        "space": {"kind": "grid2d", "params": {"nx": 6}},
+        "exponents": {"s": {"constant": 0.5}, "p": {"constant": 1.5},
+                      "gamma": {"constant": 2.4}},
+        "checks": [{"op": "necessity", "mode": "sobolev_global"}],
+    }
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(scenario))
+    assert run(["--out", tmp_path / "out", "verify", path]) == 0
+    payload = json.loads((tmp_path / "out" / "necc_nofn.json").read_text())
+    assert payload[0]["extras"]["b_empirical"] > 0
+
+
+def test_cmd_verify_affine_exponent(tmp_path, capsys):
+    p_affine = {"formula": {"type": "affine", "axis": 0, "intercept": 1.4, "slope": 0.2}}
+    scenario = {
+        "name": "affine_p",
+        "space": {"kind": "grid2d", "params": {"nx": 6}},
+        "exponents": {"s": {"constant": 0.5}, "p": p_affine, "Q": {"constant": 2.0}},
+        "function": {"family": "coordinate", "axis": 0},
+        "checks": [{"op": "sobolev_local", "ball": {"center": 14, "radius": 0.3}}],
+    }
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(scenario))
+    assert run(["--out", tmp_path / "out", "verify", path]) == 0
+    payload = json.loads((tmp_path / "out" / "affine_p.json").read_text())
+    assert payload[0]["verdict"] == "pass"
+    # the same formula on a space without coordinates is a malformed scenario
+    space_file = tmp_path / "matrix.json"
+    space_file.write_text(json.dumps({"n": 2, "metric": {"type": "matrix",
+                                                          "values": [[0.0, 1.0], [1.0, 0.0]]},
+                                      "weights": [1.0, 1.0]}))
+    scenario["space"] = {"file": "matrix.json"}
+    path.write_text(json.dumps(scenario))
+    assert run(["--out", tmp_path / "out2", "verify", path]) == 1
+    assert "affine formula needs a space with coordinates" in capsys.readouterr().err
+
+
 def test_jobs_parallel_matches_sequential(tmp_path):
     def scenario(name, nx):
         return {

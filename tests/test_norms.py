@@ -46,6 +46,26 @@ def test_luxemburg_homogeneity(c, seed):
     assert scaled == pytest.approx(abs(c) * base, rel=1e-8, abs=1e-12)
 
 
+@given(st.sampled_from([-200, -100, 0, 100, 200]), st.floats(0.5, 50.0),
+       st.booleans(), st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_luxemburg_extreme_scales_and_exponents(exp10, p_max, constant, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 12))
+    scale = 10.0 ** exp10
+    v = rng.standard_normal(n)
+    w = rng.uniform(1e-3, 2.0, n)
+    p = np.full(n, p_max) if constant else rng.uniform(0.5, p_max, n)
+    u = scale * v
+    nrm = luxemburg(u, p, w).value
+    assert modular(u / nrm, p, w) <= 1.0
+    assert modular(u / (nrm * (1 - 1e-9)), p, w) > 1.0
+    if constant:
+        vmax = np.abs(v).max()
+        exact = scale * vmax * np.sum(w * (np.abs(v) / vmax) ** p_max) ** (1.0 / p_max)
+        assert nrm == pytest.approx(exact, rel=1e-12)
+
+
 def test_unit_ball_equivalence_random():
     rng = np.random.default_rng(10)
     for _ in range(50):

@@ -6,7 +6,7 @@ import pytest
 from varmms import (MetricMeasureSpace, SpaceValidationError, ball, critical_radii,
                     estimate_doubling, overlap_bound_check, phi, phi_iterates,
                     separated_net, uniform_perfectness)
-from varmms.generators import line_space
+from varmms.generators import cantor_space, grid1d, line_space, two_zone_glued
 from varmms.space import perfectness_resolution
 
 
@@ -178,6 +178,49 @@ def test_uniform_perfectness_vacuous_when_ball_is_everything():
     sp = MetricMeasureSpace.from_matrix([[0.0]], [1.0])
     # X \ B(x, r) is always empty: every candidate works, the largest returned
     assert uniform_perfectness(sp, epsilon=0.5) == pytest.approx(0.99)
+
+
+def _uniform_perfectness_brute(sp, epsilon, lambdas):
+    """Reference: test every grid lambda on every center and critical radius
+    by explicit ball membership."""
+    radii = critical_radii(sp)
+    radii = radii[radii >= epsilon]
+    best = None
+    for lam in np.sort(lambdas):
+        ok = True
+        for x in range(sp.n):
+            row = sp.dist[x]
+            for r in radii:
+                inside = row < r
+                if inside.all():
+                    continue  # X \ B(x,r) empty: vacuous
+                if not np.any(inside & (row >= lam * r)):
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            best = float(lam)
+    return best
+
+
+def test_uniform_perfectness_matches_brute_force(battery):
+    from varmms.space import _LAMBDA_GRID
+    spaces = dict(battery, cantor4=cantor_space(4), glued84=two_zone_glued(8, 4),
+                  grid1d64=grid1d(64))
+    for name, sp in spaces.items():
+        epsilons = [0.5] if sp.n < 2 else [perfectness_resolution(sp),
+                                           0.5 * sp.min_positive_distance()]
+        for eps in epsilons:
+            assert (uniform_perfectness(sp, eps)
+                    == _uniform_perfectness_brute(sp, eps, _LAMBDA_GRID)), (name, eps)
+    # a coarse, unsorted, non-default grid
+    lambdas = np.array([0.7, 0.05, 0.45, 0.3, 0.6, 0.15])
+    for name in ("line10", "cloud12", "glued"):
+        sp = spaces[name]
+        eps = perfectness_resolution(sp)
+        assert (uniform_perfectness(sp, eps, lambdas)
+                == _uniform_perfectness_brute(sp, eps, lambdas)), name
 
 
 def test_perfectness_resolution_positive(battery):
