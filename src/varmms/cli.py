@@ -57,11 +57,6 @@ def cmd_space_gen(args) -> int:
     return 0
 
 
-# the check ops that test a function u; counterexample and necessity build
-# their own test functions
-_FUNCTION_OPS = ("sobolev_local", "moser_local", "morrey_local", "local_embedding", "global")
-
-
 def _scenario_reports(scenario: dict, base_dir: str, tol: float, sigma: float,
                       epsilon: float | None):
     space = _load_space(scenario["space"], base_dir)
@@ -79,7 +74,7 @@ def _scenario_reports(scenario: dict, base_dir: str, tol: float, sigma: float,
             reports.append(rep)
             continue
         common = dict(scenario=label, tol=tol)
-        if op in _FUNCTION_OPS:
+        if op != "necessity":  # necessity builds its own test functions
             u = generate_function(space, check.get("function", scenario.get("function", {})))
         if op in ("sobolev_local", "moser_local", "morrey_local", "local_embedding"):
             b = check["ball"]

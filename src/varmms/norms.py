@@ -36,6 +36,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 _MAX_BISECT = 200
+_ULP_STEPS = 4
 
 
 def check_slack(rhs: float) -> float:
@@ -66,7 +67,7 @@ def modular(u, p, weight) -> float:
 
 
 def _modular_scaled(u_abs, pv, w, lam: float) -> float:
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         vals = w * (u_abs / lam) ** pv
     return float(np.sum(vals))
 
@@ -83,9 +84,11 @@ def luxemburg(u, p, weight, tol: float = DEFAULT_TOL) -> NormValue:
     rho = modular(u/umax) the norm lies between umax rho**(1/p^+) and
     umax rho**(1/p^-), with equality when p is constant.  Normalising by
     umax keeps rho in (0, sum w], so nothing overflows.  Both ends are
-    checked against the modular before use (the upper one stepped up a few
-    ulps when rounding leaves it short); if either check fails, a doubling
-    and halving search finds the bracket instead.
+    checked against the modular before use: the upper one is stepped up a
+    few ulps when rounding leaves it short, and by growing powers of 2 when
+    the ends underflow; the lower one is halved until its modular exceeds 1.
+    A lower end below 1e-300 returns the upper one with tolerance equal to
+    its value.
     """
     u = np.asarray(u, dtype=float)
     if u.size == 0:
@@ -96,24 +99,23 @@ def luxemburg(u, p, weight, tol: float = DEFAULT_TOL) -> NormValue:
     umax = float(u_abs.max(initial=0.0))
     if umax == 0.0:
         return NormValue(0.0, 0.0)
-    bracket = _sandwich_bracket(u_abs, pv, w, umax)
-    if bracket is not None:
-        lo, hi = bracket
-    else:
-        # this initial hi always has modular <= 1; the loops below are guards
-        hi = umax * max(1.0, float(w.sum()) ** (1.0 / float(pv.min())))
-        for _ in range(_MAX_BISECT):
-            if _modular_scaled(u_abs, pv, w, hi) <= 1.0:
-                break
-            hi *= 2.0
-        lo = 0.5 * hi
-        for _ in range(_MAX_BISECT):
-            if _modular_scaled(u_abs, pv, w, lo) > 1.0:
-                break
-            hi = lo
-            lo *= 0.5
-            if lo < 1e-300:
-                return NormValue(float(hi), float(hi))
+    rho = _modular_scaled(u_abs, pv, w, umax)
+    ends = (rho ** (1.0 / float(pv.min())), rho ** (1.0 / float(pv.max())))
+    hi = umax * max(ends)
+    for i in range(_MAX_BISECT):
+        if _modular_scaled(u_abs, pv, w, hi) <= 1.0:
+            break
+        # growing steps, so that a hi underflowed to 0 reaches any scale
+        hi = (float(np.nextafter(hi, np.inf)) if i < _ULP_STEPS
+              else hi * 2.0 ** (i - _ULP_STEPS + 1))
+    lo = umax * min(ends) * (1.0 - 1e-12)
+    for _ in range(_MAX_BISECT):
+        if lo < 1e-300:
+            return NormValue(float(hi), float(hi))
+        if _modular_scaled(u_abs, pv, w, lo) > 1.0:
+            break
+        hi = lo
+        lo *= 0.5
     for _ in range(_MAX_BISECT):
         if hi - lo <= tol * hi:
             break
@@ -123,29 +125,6 @@ def luxemburg(u, p, weight, tol: float = DEFAULT_TOL) -> NormValue:
         else:
             lo = mid
     return NormValue(float(hi), float(hi - lo))
-
-
-_ULP_STEPS = 4
-
-
-def _sandwich_bracket(u_abs, pv, w, umax: float):
-    """(lo, hi) from the modular sandwich with modular(u/lo) > 1 >=
-    modular(u/hi) verified, or None when rounding or underflow defeats it."""
-    rho = _modular_scaled(u_abs, pv, w, umax)
-    if not 0.0 < rho < np.inf:
-        return None
-    ends = (rho ** (1.0 / float(pv.min())), rho ** (1.0 / float(pv.max())))
-    hi = umax * max(ends)
-    for _ in range(_ULP_STEPS):
-        if _modular_scaled(u_abs, pv, w, hi) <= 1.0:
-            break
-        hi = float(np.nextafter(hi, np.inf))
-    else:
-        return None
-    lo = umax * min(ends) * (1.0 - 1e-12)
-    if not (lo > 0.0 and _modular_scaled(u_abs, pv, w, lo) > 1.0):
-        return None
-    return lo, hi
 
 
 def rel_sandwich_check(u, p, weight, tol: float = DEFAULT_TOL) -> dict:

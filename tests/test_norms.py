@@ -66,6 +66,17 @@ def test_luxemburg_extreme_scales_and_exponents(exp10, p_max, constant, seed):
         assert nrm == pytest.approx(exact, rel=1e-12)
 
 
+@pytest.mark.parametrize("u0, w0", [(1.0, 1e-300), (1e300, 1e-170)])
+def test_luxemburg_underflowed_sandwich_uses_guards(u0, w0):
+    # rho**(1/p) underflows to 0, so the upper end is grown from 0 and the
+    # lower end (also 0) returns it with tolerance equal to its value
+    u, w = np.array([u0]), np.array([w0])
+    nv = luxemburg(u, 0.5, w)
+    assert 0.0 < nv.value < np.inf
+    assert nv.tolerance == nv.value
+    assert modular(u / nv.value, 0.5, w) <= 1.0
+
+
 def test_unit_ball_equivalence_random():
     rng = np.random.default_rng(10)
     for _ in range(50):

@@ -190,14 +190,11 @@ def _uniform_perfectness_brute(sp, epsilon, lambdas):
         ok = True
         for x in range(sp.n):
             row = sp.dist[x]
-            for r in radii:
-                inside = row < r
-                if inside.all():
-                    continue  # X \ B(x,r) empty: vacuous
-                if not np.any(inside & (row >= lam * r)):
-                    ok = False
-                    break
-            if not ok:
+            inside = row[None, :] < radii[:, None]  # one ball per radius
+            live = ~inside.all(axis=1)  # X \ B(x,r) empty: vacuous
+            annulus = inside & (row[None, :] >= lam * radii[:, None])
+            if not annulus[live].any(axis=1).all():
+                ok = False
                 break
         if ok:
             best = float(lam)
