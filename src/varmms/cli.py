@@ -248,10 +248,9 @@ def main(argv=None) -> int:
     g.add_argument("params", help="JSON dict of generator parameters")
     g.set_defaults(out_default="space.json")
 
-    for name, help_text in [("verify", "run verification checks from scenario files"),
-                            ("necessity", "run necessity checks from scenario files")]:
-        v = sub.add_parser(name, help=help_text)
-        v.add_argument("scenario", nargs="+")
+    v = sub.add_parser("verify", aliases=["necessity"],
+                       help="run verification or necessity checks from scenario files")
+    v.add_argument("scenario", nargs="+")
 
     n = sub.add_parser("norm", help="evaluate a Lebesgue or mixed norm")
     n.add_argument("scenario")

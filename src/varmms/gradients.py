@@ -6,10 +6,11 @@ vector (dyadic) variant imposes the inequality on level k only for pairs
 with ``2**(-k-1) <= d < 2**(-k)``.  The associated quasi-norms are infima of
 Lebesgue / mixed-sequence norms over these polyhedra.
 
-Solver layout: an outer monotone bisection on the candidate norm level
-wraps an inner minimization of the separable modular over the constraint
-polyhedron.  The inner minimization is exact linear programming when the
-exponent is identically one; for min p >= 1 it is SLSQP on small instances
+Solver layout: an outer monotone search on the candidate norm level
+(``norms._bisect_level``, the bracket-and-bisect primitive shared with the
+Luxemburg and mixed norms) wraps an inner minimization of the separable
+modular over the constraint polyhedron.  The inner minimization is exact
+linear programming when the exponent is identically one; for min p >= 1 it is SLSQP on small instances
 and an accelerated dual projected-gradient method with duality-gap
 certificates on large smooth ones (trust-region as the fallback in the thin
 band 1 <= min p < 1.1); the nonconvex regime min p < 1 falls back to a
@@ -28,9 +29,9 @@ import scipy.sparse as sparse
 from scipy.optimize import Bounds, LinearConstraint, linprog, minimize
 
 from .exponents import exponent_values
-from .norms import (NormValue, SequenceSample, check_slack, luxemburg,
-                    mixed_norm_lp_lq, mixed_norm_lq_lp,
-                    mixed_norm_lq_lp_constant_q)
+from .norms import (NormValue, SequenceSample, _bisect_level, _level_infimum,
+                    _sandwich, check_slack, luxemburg, mixed_norm_lp_lq,
+                    mixed_norm_lq_lp, mixed_norm_lq_lp_constant_q)
 
 __all__ = [
     "GradientConstraintSystem",
@@ -385,38 +386,20 @@ def _min_norm_scalar(system, pv, w, tol):
         # constant exponent: the norm is a monotone function of the modular
         g = _min_modular(w, pv, rows, n)
         return g, luxemburg(g, pv, w, min(tol, 1e-10))
-    g0 = _repair(_feasible_point(n, *[rows[k] for k in (0, 1, 2)], rows[4]), *rows)
+    g0 = _repair(_feasible_point(n, *rows[:3], rows[4]), *rows)
     hi = luxemburg(g0, pv, w).value
-    g_hi = g0
-    state = {"x": g0}
+    g = g0
 
     def admissible(t):
-        c = w * t ** (-pv)
-        g = _min_modular(c, pv, rows, n, x0=state["x"])
-        state["x"] = g
-        val = float(np.sum(w * (g / t) ** pv))
-        return val <= 1.0, g
+        nonlocal g
+        if t >= hi:
+            # luxemburg certifies the warm start at its norm: no solve needed
+            return True, g0
+        g = _min_modular(w * t ** (-pv), pv, rows, n, x0=g)
+        return float(np.sum(w * (g / t) ** pv)) <= 1.0, g
 
-    lo = hi
-    for _ in range(120):
-        cand = lo * 0.5
-        ok, g = admissible(cand)
-        if not ok:
-            break
-        hi, g_hi, lo = cand, g, cand
-    else:
-        return g_hi, luxemburg(g_hi, pv, w, min(tol, 1e-10))
-    lo = hi * 0.5 if lo == hi else lo
-    for _ in range(200):
-        if hi - lo <= tol * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        ok, g = admissible(mid)
-        if ok:
-            hi, g_hi = mid, g
-        else:
-            lo = mid
-    return g_hi, luxemburg(g_hi, pv, w, min(tol, 1e-10))
+    _, _, g = _bisect_level(admissible, hi, 0.5 * hi, tol, ulp_steps=0)
+    return g, luxemburg(g, pv, w, min(tol, 1e-10))
 
 
 @dataclass(frozen=True)
@@ -478,30 +461,6 @@ def _assemble_sequence(space_levels, per_level_g, n) -> SequenceSample:
     for k, g in per_level_g.items():
         vals[k - k_lo] = g
     return SequenceSample(k_lo, vals)
-
-
-def _bisect_lambda(admissible, hi, tol, state_best):
-    lo = hi
-    for _ in range(120):
-        cand = lo * 0.5
-        if not admissible(cand):
-            break
-        hi = cand
-        state_best["at"] = cand
-        lo = cand
-    else:
-        return hi
-    lo = hi * 0.5 if lo == hi else lo
-    for _ in range(200):
-        if hi - lo <= tol * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if admissible(mid):
-            hi = mid
-            state_best["at"] = mid
-        else:
-            lo = mid
-    return hi
 
 
 def minimal_vector_gradient(space, u, s, p, q, scale: str = "lq_lp",
@@ -580,92 +539,49 @@ def _solve_modular_decoupled(system, pv, w, tol, lev_range):
     plain modulars, so one bisection over the norm level suffices."""
     n = system.n
     ks = [int(k) for k in np.unique(system.level)]
-    level_rows = {k: system.rows_for_level(k) for k in ks}
-    warm = {k: None for k in ks}
-    best = {}
+    level_rows = {k: _rows(system, system.rows_for_level(k)) for k in ks}
+    warm = dict.fromkeys(ks)
 
     def admissible(lam):
         total = 0.0
-        gs = {}
+        c = w * lam ** (-pv)
         for k in ks:
-            rows = _rows(system, level_rows[k])
-            c = w * lam ** (-pv)
-            g = _min_modular(c, pv, rows, n, x0=warm[k])
-            warm[k] = g
-            gs[k] = g
-            total += float(np.sum(w * (g / lam) ** pv))
+            warm[k] = _min_modular(c, pv, level_rows[k], n, x0=warm[k])
+            total += float(np.sum(w * (warm[k] / lam) ** pv))
             if total > 1.0:
-                return False
-        best.update(gs)
-        return True
+                return False, None
+        return True, dict(warm)
 
-    g0 = {k: _repair(_feasible_point(n, system.I[r], system.J[r], system.coef_i[r],
-                                     system.target[r]),
-                     *_rows(system, r))
-          for k, r in ((k, level_rows[k]) for k in ks)}
-    hi0 = float(np.sum([np.sum(w * g0[k] ** pv) for k in ks]))
-    hi = max(hi0 ** (1.0 / float(pv.min())), hi0 ** (1.0 / float(pv.max())), 1e-12)
-    while not admissible(hi):
-        hi *= 2.0
-    hi = _bisect_lambda(admissible, hi, tol, {})
+    hi0 = float(np.sum([np.sum(w * _repair(_feasible_point(n, *r[:3], r[4]), *r) ** pv)
+                        for r in level_rows.values()]))
+    hi = max(_sandwich(hi0, pv)[1], 1e-12)
+    _, _, best = _bisect_level(admissible, hi, 0.5 * hi, tol, ulp_steps=0)
     seq = _assemble_sequence(lev_range, best, n)
     value = mixed_norm_lq_lp(seq, pv, pv, w, min(tol, 1e-10))
     return seq, NormValue(value.value, value.tolerance, kind="mixed_lqp")
 
 
 def _level_weight(g, w, pv, qv, lam):
-    """inf{nu > 0 : modular(g / (lam nu**(1/q))) <= 1} with nu**(1/inf)=1.
+    """The level infimum of g / lam (``_level_infimum``) and its gradient in
+    g, by implicit differentiation of sum_i c_i nu**(-p_i/q_i) == 1 - fixed
+    with c = w (g/lam)**p and fixed the q-infinite part.
 
     Returns (nu, dnu/dg); infinity when the q-infinite part alone already
     exceeds one (then no nu is admissible).
     """
+    nu = _level_infimum(g / lam, pv, qv, w, 1e-12)
+    grad = np.zeros_like(g)
+    if nu == 0.0 or not np.isfinite(nu):
+        return nu, grad
+    e = np.where(np.isinf(qv), 0.0, pv / qv)
     with np.errstate(over="ignore"):
         c = w * (g / lam) ** pv
-    e = np.where(np.isinf(qv), 0.0, pv / qv)
-    fixed = float(np.sum(c[e == 0.0]))
-    var = (e > 0.0) & (c > 0.0)
-    grad = np.zeros_like(g)
-    if fixed > 1.0:
-        return np.inf, grad
-    budget = 1.0 - fixed
-    if not var.any():
-        return 0.0, grad
-    if budget <= 0.0:
-        return np.inf, grad
-    cv, ev = c[var], e[var]
-
-    def h(nu):
-        return float(np.sum(cv * nu ** (-ev)))
-
-    hi = 1.0
-    for _ in range(400):
-        if h(hi) <= budget:
-            break
-        hi *= 4.0
-    lo = hi
-    for _ in range(400):
-        if h(lo * 0.25) > budget:
-            lo *= 0.25
-            break
-        lo *= 0.25
-        if lo < 1e-280:
-            break
-    for _ in range(200):
-        if hi - lo <= 1e-12 * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if h(mid) <= budget:
-            hi = mid
-        else:
-            lo = mid
-    nu = hi
-    dh_dnu = -float(np.sum(cv * ev * nu ** (-ev - 1.0)))
+    dh_dnu = -float(np.sum(c * e * nu ** (-e - 1.0)))
     if dh_dnu == 0.0:
         return nu, grad
     gg = np.maximum(g, 1e-300)
     dh_dg = w * pv * gg ** (pv - 1.0) * lam ** (-pv) * nu ** (-e)
-    grad = -dh_dg / dh_dnu
-    return nu, grad
+    return nu, -dh_dg / dh_dnu
 
 
 def _solve_besov_general(system, pv, qv, w, tol, lev_range):
@@ -688,7 +604,6 @@ def _solve_besov_general(system, pv, qv, w, tol, lev_range):
         warm[k] = _repair(_feasible_point(n, system.I[r], system.J[r],
                                           system.coef_i[r], system.target[r]),
                           *_rows(system, r))
-    best = {}
 
     def level_min(k, lam):
         r = level_rows[k]
@@ -719,20 +634,15 @@ def _solve_besov_general(system, pv, qv, w, tol, lev_range):
         total = 0.0
         gs = {}
         for k in ks:
-            m_k, g = level_min(k, lam)
-            gs[k] = g
+            m_k, gs[k] = level_min(k, lam)
             total += m_k
             if total > 1.0:
-                return False
-        best.update(gs)
-        return True
+                return False, None
+        return True, gs
 
-    hi = 1e-9
-    for _ in range(200):
-        if admissible(hi):
-            break
-        hi *= 4.0
-    hi = _bisect_lambda(admissible, hi, max(tol, 1e-7), {})
+    # the warm start is feasible, so its norm is admissible
+    hi = mixed_norm_lq_lp(_assemble_sequence(lev_range, warm, n), pv, qv, w, tol).value
+    _, _, best = _bisect_level(admissible, hi, 0.5 * hi, max(tol, 1e-7), ulp_steps=0)
     seq = _assemble_sequence(lev_range, best, n)
     value = mixed_norm_lq_lp(seq, pv, qv, w, min(tol, 1e-10))
     return seq, NormValue(value.value, value.tolerance, kind="mixed_lqp")
@@ -780,13 +690,10 @@ def _solve_tl_joint(system, pv, qv, w, tol, lev_range):
         x0[pos[k]] = _repair(
             _feasible_point(n, system.I[r], system.J[r], system.coef_i[r], system.target[r]),
             *_rows(system, r))
-    state = {"x": x0.ravel()}
-
-    def norm_of(Xflat):
-        seq = SequenceSample(0, Xflat.reshape(L, n))
-        return mixed_norm_lp_lq(seq, pv, qv, w, 1e-10).value
+    x = x0.ravel()
 
     def admissible(lam):
+        nonlocal x
         c = w * lam ** (-pv)
 
         def fun(x):
@@ -808,7 +715,7 @@ def _solve_tl_joint(system, pv, qv, w, tol, lev_range):
         with warnings.catch_warnings():
             # quasi-Newton curvature updates stall on locally-linear pieces
             warnings.filterwarnings("ignore", message="delta_grad == 0.0")
-            res = minimize(fun, np.maximum(state["x"], 1e-12), jac=jac,
+            res = minimize(fun, np.maximum(x, 1e-12), jac=jac,
                            method="trust-constr",
                            constraints=[LinearConstraint(A_sp, system.target, np.inf)],
                            bounds=Bounds(0.0, np.inf),
@@ -819,41 +726,13 @@ def _solve_tl_joint(system, pv, qv, w, tol, lev_range):
             r = system.rows_for_level(k)
             X[pos[k]] = _repair(X[pos[k]], *_rows(system, r))
         x = X.ravel()
-        state["x"] = x
-        val = fun(x)
-        return val <= 1.0, x
+        return fun(x) <= 1.0, x
 
-    hi = max(norm_of(state["x"]), 1e-12)
-    best = {"x": state["x"].copy()}
-    ok, x = admissible(hi)
-    for _ in range(100):
-        if ok:
-            best["x"] = x
-            break
-        hi *= 2.0
-        ok, x = admissible(hi)
-    lo = hi * 0.5
-    for _ in range(120):
-        ok, x = admissible(lo)
-        if not ok:
-            break
-        hi, best["x"] = lo, x
-        lo *= 0.5
-        if lo < 1e-300:
-            break
-    for _ in range(200):
-        if hi - lo <= max(tol, 1e-7) * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        ok, x = admissible(mid)
-        if ok:
-            hi, best["x"] = mid, x
-        else:
-            lo = mid
-    X = best["x"].reshape(L, n)
+    hi = max(mixed_norm_lp_lq(SequenceSample(0, x0), pv, qv, w, 1e-10).value, 1e-12)
+    _, _, x = _bisect_level(admissible, hi, 0.5 * hi, max(tol, 1e-7), ulp_steps=0)
+    X = x.reshape(L, n)
     seq = _assemble_sequence(lev_range, {k: X[pos[k]] for k in ks}, n)
-    pv_full = pv
-    value = mixed_norm_lp_lq(seq, pv_full, qv, w, 1e-10)
+    value = mixed_norm_lp_lq(seq, pv, qv, w, 1e-10)
     return seq, NormValue(value.value, value.tolerance, kind="mixed_plq")
 
 

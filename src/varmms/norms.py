@@ -35,7 +35,10 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
-_MAX_BISECT = 200
+_MAX_GROWTH = 200  # growing powers of 2 cross the double range in ~65 steps
+# halving steps that take the largest double below 1e-300, or a bracket as
+# wide as the double range down to tol * hi
+_MAX_STEPS = 2100
 _ULP_STEPS = 4
 
 
@@ -72,6 +75,63 @@ def _modular_scaled(u_abs, pv, w, lam: float) -> float:
     return float(np.sum(vals))
 
 
+def _bisect_level(ok, hi: float, lo: float, tol: float, ulp_steps: int = _ULP_STEPS):
+    """Smallest level at which the monotone predicate ``ok`` turns true.
+
+    ``ok(lam)`` returns ``(holds, payload)`` and must hold at every level
+    above one where it holds.  ``hi`` is raised until ``ok(hi)`` holds: by
+    ``ulp_steps`` ulps first (rounding on a closed-form seed), then by
+    growing powers of 2, so that a seed underflowed to 0 reaches any scale.
+    ``lo`` is halved while ``ok(lo)`` holds, moving ``hi`` down to it; below
+    1e-300 the search stops with ``lo = 0``, also when the ``lo`` seed is
+    already there, so that ``hi - lo`` reports an unrefined ``hi``.  The
+    bracket is then bisected until ``hi - lo <= tol * hi``.
+
+    Returns ``(hi, lo, payload)`` with the payload of the evaluation at hi.
+    """
+    holds, best = ok(hi)
+    for i in range(_MAX_GROWTH):
+        if holds:
+            break
+        hi = (float(np.nextafter(hi, np.inf)) if i < ulp_steps
+              else hi * 2.0 ** (i - ulp_steps + 1))
+        holds, best = ok(hi)
+    for _ in range(_MAX_STEPS):
+        if lo < 1e-300:
+            return hi, 0.0, best
+        holds, payload = ok(lo)
+        if not holds:
+            break
+        hi, best = lo, payload
+        lo *= 0.5
+    for _ in range(_MAX_STEPS):
+        if hi - lo <= tol * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        holds, payload = ok(mid)
+        if holds:
+            hi, best = mid, payload
+        else:
+            lo = mid
+    return hi, lo, best
+
+
+def _sandwich(rho: float, e: np.ndarray) -> tuple[float, float]:
+    """Ends of the modular sandwich, in increasing order.
+
+    The level lam with sum_i a_i lam**(-e_i) == 1 lies between
+    rho**(1/e^-) and rho**(1/e^+), rho = sum_i a_i; both are lam when e is
+    constant.  An end that overflows is inf.
+    """
+    ends = []
+    for ex in (float(e.min()), float(e.max())):
+        try:
+            ends.append(rho ** (1.0 / ex))
+        except OverflowError:
+            ends.append(np.inf)
+    return min(ends), max(ends)
+
+
 def luxemburg(u, p, weight, tol: float = DEFAULT_TOL) -> NormValue:
     """Luxemburg quasi-norm inf{ lam > 0 : modular(u/lam) <= 1 }.
 
@@ -79,51 +139,31 @@ def luxemburg(u, p, weight, tol: float = DEFAULT_TOL) -> NormValue:
     brackets the infimum; the unit-ball equivalence (modular <= 1 iff norm
     <= 1) is the stopping criterion.  Returns the upper bracket end, whose
     modular is certified <= 1.
-
-    The bracket is seeded from the modular sandwich: with umax = max|u| and
-    rho = modular(u/umax) the norm lies between umax rho**(1/p^+) and
-    umax rho**(1/p^-), with equality when p is constant.  Normalising by
-    umax keeps rho in (0, sum w], so nothing overflows.  Both ends are
-    checked against the modular before use: the upper one is stepped up a
-    few ulps when rounding leaves it short, and by growing powers of 2 when
-    the ends underflow; the lower one is halved until its modular exceeds 1.
-    A lower end below 1e-300 returns the upper one with tolerance equal to
-    its value.
     """
     u = np.asarray(u, dtype=float)
     if u.size == 0:
         return NormValue(0.0, 0.0)
-    w = np.asarray(weight, dtype=float)
-    pv = exponent_values(p, u.size)
+    return _luxemburg(u, exponent_values(p, u.size), np.asarray(weight, dtype=float), tol)
+
+
+def _luxemburg(u: np.ndarray, pv: np.ndarray, w: np.ndarray, tol: float) -> NormValue:
+    """``luxemburg`` on an already validated exponent vector.
+
+    The bracket is seeded from the modular sandwich: with umax = max|u| and
+    rho = modular(u/umax) the norm lies between umax rho**(1/p^+) and
+    umax rho**(1/p^-), with equality when p is constant.  Normalising by
+    umax keeps rho in (0, sum w], so nothing overflows.  ``_bisect_level``
+    checks both ends against the modular before use; a lower end below
+    1e-300 returns the upper one with tolerance equal to its value.
+    """
     u_abs = np.abs(u)
     umax = float(u_abs.max(initial=0.0))
     if umax == 0.0:
         return NormValue(0.0, 0.0)
     rho = _modular_scaled(u_abs, pv, w, umax)
-    ends = (rho ** (1.0 / float(pv.min())), rho ** (1.0 / float(pv.max())))
-    hi = umax * max(ends)
-    for i in range(_MAX_BISECT):
-        if _modular_scaled(u_abs, pv, w, hi) <= 1.0:
-            break
-        # growing steps, so that a hi underflowed to 0 reaches any scale
-        hi = (float(np.nextafter(hi, np.inf)) if i < _ULP_STEPS
-              else hi * 2.0 ** (i - _ULP_STEPS + 1))
-    lo = umax * min(ends) * (1.0 - 1e-12)
-    for _ in range(_MAX_BISECT):
-        if lo < 1e-300:
-            return NormValue(float(hi), float(hi))
-        if _modular_scaled(u_abs, pv, w, lo) > 1.0:
-            break
-        hi = lo
-        lo *= 0.5
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= tol * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if _modular_scaled(u_abs, pv, w, mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = _sandwich(rho, pv)
+    hi, lo, _ = _bisect_level(lambda lam: (_modular_scaled(u_abs, pv, w, lam) <= 1.0, None),
+                              umax * hi, umax * lo * (1.0 - 1e-12), tol)
     return NormValue(float(hi), float(hi - lo))
 
 
@@ -235,34 +275,24 @@ def _level_infimum(u_k: np.ndarray, pv: np.ndarray, qv: np.ndarray, w: np.ndarra
     fin = ~inf_mask
     if not np.any(u_abs[fin] > 0):
         return 0.0
-    uf, pf, qf, wf = u_abs[fin], pv[fin], qv[fin], w[fin]
-
-    def phi(lam: float) -> float:
-        with np.errstate(over="ignore", divide="ignore"):
-            return fixed + float(np.sum(wf * uf ** pf * lam ** (-pf / qf)))
-
-    hi = 1.0
-    for _ in range(_MAX_BISECT):
-        if phi(hi) <= 1.0:
-            break
-        hi *= 4.0
-    else:
+    budget = 1.0 - fixed
+    if budget <= 0.0:
         return np.inf
-    lo = hi
-    for _ in range(_MAX_BISECT):
-        if phi(lo) > 1.0:
-            break
-        lo *= 0.25
-        if lo < 1e-300:
-            return 0.0
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= tol * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if phi(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
+    a = w[fin] * u_abs[fin] ** pv[fin]
+    e = pv[fin] / qv[fin]
+
+    def ok(lam: float):
+        with np.errstate(over="ignore", divide="ignore"):
+            return fixed + float(np.sum(a * lam ** (-e))) <= 1.0, None
+
+    lo, hi = _sandwich(float(np.sum(a)) / budget, e)
+    if lo == np.inf:
+        return np.inf  # the level is at least the lower end
+    # an upper end that overflows is grown from the lower one, and a lower
+    # end below the floor is replaced by walking down from the upper one
+    hi = hi if hi < np.inf else lo
+    lo = lo * (1.0 - 1e-12) if lo >= 1e-300 else 0.5 * hi
+    hi, _, _ = _bisect_level(ok, hi, lo, tol)
     return float(hi)
 
 
@@ -302,7 +332,7 @@ def mixed_modular_closed_form(seq: SequenceSample, p, q, weight,
         raise ValueError("closed form needs max q < inf")
     total = 0.0
     for row in seq.values:
-        total += luxemburg(np.abs(row) ** qv, pv / qv, w, tol).value
+        total += _luxemburg(np.abs(row) ** qv, pv / qv, w, tol).value
     return float(total)
 
 
@@ -313,39 +343,21 @@ def mixed_norm_lq_lp(seq: SequenceSample, p, q, weight, tol: float = DEFAULT_TOL
     qv = exponent_values(q, seq.n, allow_inf=True)
     if not np.abs(seq.values).any():
         return NormValue(0.0, 0.0, kind="mixed_lqp")
+    top = max(_luxemburg(row, pv, w, tol).value for row in seq.values)
     if np.all(np.isinf(qv)):
         # modular of the scaled family is 0/inf: the norm is the sup of the
         # per-level Lebesgue norms
-        worst = max(luxemburg(row, pv, w, tol).value for row in seq.values)
-        return NormValue(worst, tol * worst, kind="mixed_lqp")
+        return NormValue(top, tol * top, kind="mixed_lqp")
 
-    def mod(lam: float) -> float:
-        return mixed_modular_lq_lp(seq.scaled(1.0 / lam), pv, qv, w, tol=min(tol, 1e-12))
+    def ok(lam: float):
+        return mixed_modular_lq_lp(seq.scaled(1.0 / lam), pv, qv, w,
+                                   tol=min(tol, 1e-12)) <= 1.0, None
 
-    guess = max(luxemburg(row, pv, w, tol).value for row in seq.values)
-    hi = max(guess, 1e-12)
-    for _ in range(_MAX_BISECT):
-        if mod(hi) <= 1.0:
-            break
-        hi *= 2.0
-    lo = hi
-    for _ in range(_MAX_BISECT):
-        if mod(lo) > 1.0:
-            break
-        lo *= 0.5
-        if lo < 1e-300:
-            lo = 0.0
-            break
-    if lo == 0.0 and mod(max(lo, 1e-300)) <= 1.0:
-        return NormValue(0.0, 0.0, kind="mixed_lqp")
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= tol * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if mod(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
+    # below the largest level norm one level infimum alone exceeds 1; at
+    # that norm times L**(1/q^-) every one of the L levels has infimum <= 1/L
+    lo = max(top, 1e-12)
+    hi = lo * seq.values.shape[0] ** (1.0 / float(qv.min()))
+    hi, lo, _ = _bisect_level(ok, hi, lo, tol)
     return NormValue(float(hi), float(hi - lo), kind="mixed_lqp")
 
 
@@ -357,7 +369,8 @@ def mixed_norm_lq_lp_constant_q(seq: SequenceSample, p, q_const: float, weight,
     used internally when the level count is large.
     """
     w = np.asarray(weight, dtype=float)
-    per = np.array([luxemburg(row, p, w, tol).value for row in seq.values])
+    pv = exponent_values(p, seq.n)
+    per = np.array([_luxemburg(row, pv, w, tol).value for row in seq.values])
     if np.isinf(q_const):
         value = float(per.max(initial=0.0))
     else:

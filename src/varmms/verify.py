@@ -191,6 +191,13 @@ def _grad_norm(space, u, s, p, q, mode: str, subset, tol=1e-6):
     return sol
 
 
+def _lower_regularity(space, Qv, delta: float) -> float:
+    """Best lower-regularity constant b of the measure on radii (0, delta]."""
+    if space.n >= 2 and delta > 0:
+        return best_lower_constant(space, Qv, r_max=delta).b_lower
+    return float(space.weight[0]) if delta > 0 else 0.0
+
+
 def _log_hypotheses(space, subset, fields: dict) -> list[Hypothesis]:
     out = []
     for name, vals in fields.items():
@@ -229,12 +236,7 @@ def check_sobolev_local(space, center: int, radius: float, sigma: float, u, s, p
         hyp.extend(_log_hypotheses(space, sig.members, {"Q": Qv, "p": pv, "s": sv}))
     else:
         hyp.append(Hypothesis("sp_below_Q", False, "empty inflated ball"))
-    if space.n >= 2 and delta > 0:
-        b = best_lower_constant(space, Qv, r_max=delta).b_lower
-    elif delta > 0:
-        b = float(space.weight[0])
-    else:
-        b = 0.0
+    b = _lower_regularity(space, Qv, delta)
     hyp.append(Hypothesis("lower_regularity", b > 0, f"b = {b:.6g} on (0, {delta}]"))
     extras = {"b": b, "delta": delta, "mode": mode}
     if not all(h.holds for h in hyp):
@@ -295,12 +297,7 @@ def check_moser_trudinger_local(space, center: int, radius: float, sigma: float,
         hyp.extend(_log_hypotheses(space, sig.members, {"Q": Qv, "p": pv, "s": sv}))
     else:
         hyp.append(Hypothesis("sp_equals_Q", False, "empty inflated ball"))
-    if space.n >= 2 and delta > 0:
-        b = best_lower_constant(space, Qv, r_max=delta).b_lower
-    elif delta > 0:
-        b = float(space.weight[0])
-    else:
-        b = 0.0
+    b = _lower_regularity(space, Qv, delta)
     hyp.append(Hypothesis("lower_regularity", b > 0, f"b = {b:.6g}"))
     extras = {"b": b, "delta": delta, "mode": mode}
     if not all(h.holds for h in hyp):
@@ -350,12 +347,7 @@ def check_morrey_local(space, center: int, radius: float, sigma: float, u, s, p,
         hyp.extend(_log_hypotheses(space, sig.members, {"Q": Qv, "p": pv, "s": sv}))
     else:
         hyp.append(Hypothesis("sp_above_Q", False, "empty inflated ball"))
-    if space.n >= 2 and delta > 0:
-        b = best_lower_constant(space, Qv, r_max=delta).b_lower
-    elif delta > 0:
-        b = float(space.weight[0])
-    else:
-        b = 0.0
+    b = _lower_regularity(space, Qv, delta)
     hyp.append(Hypothesis("lower_regularity", b > 0, f"b = {b:.6g}"))
     extras = {"b": b, "delta": delta, "mode": mode}
     if not all(h.holds for h in hyp):
@@ -458,12 +450,7 @@ def check_global(space, u, s, p, Q, q=None, theorem: str = "bounded",
     tag = f"global_{theorem}[{mode}]"
     hyp = [Hypothesis("bounded_space", np.isfinite(space.diameter),
                       f"diam = {space.diameter:.6g}")]
-    if space.n >= 2 and delta > 0:
-        b = best_lower_constant(space, Qv, r_max=delta).b_lower
-    elif delta > 0:
-        b = float(space.weight[0])
-    else:
-        b = 0.0
+    b = _lower_regularity(space, Qv, delta)
     hyp.append(Hypothesis("lower_regularity", b > 0, f"b = {b:.6g} up to {delta}"))
     hyp.extend(_log_hypotheses(space, None, {"Q": Qv, "p": pv, "s": sv}))
     regime = _regime(sv, pv, Qv)

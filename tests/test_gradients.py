@@ -6,7 +6,7 @@ from varmms import (MetricMeasureSpace, active_levels, gradient_zero_implies_con
                     luxemburg, minimal_scalar_gradient, minimal_vector_gradient,
                     norm_convention_equivalence, oracle_scalar_gradient)
 from varmms.generators import annular_cutoff, grid2d, line_space
-from varmms.gradients import GradientConstraintSystem
+from varmms.gradients import GradientConstraintSystem, _level_weight
 
 
 def two_points(d=1.0, w=(1.0, 1.0)):
@@ -246,3 +246,25 @@ def test_heuristic_flag_for_subunit_exponent():
     # the subgradient fallback still returns the obvious optimum here:
     # minimize ||g||_{1/2} with g1 + g2 >= 1; concentrating mass is best
     assert sol.objective.value <= 1.0 + 1e-6
+
+
+@pytest.mark.parametrize("with_inf", [False, True])
+def test_level_weight_gradient_matches_finite_differences(with_inf):
+    rng = np.random.default_rng(17)
+    n = 6
+    g = rng.uniform(0.2, 1.0, n)
+    w = rng.uniform(0.05, 0.3, n)
+    p = rng.uniform(1.1, 2.5, n)
+    q = rng.uniform(1.0, 3.0, n)
+    if with_inf:
+        q[0] = np.inf
+    lam = 0.7
+    nu, grad = _level_weight(g, w, p, q, lam)
+    assert 0.0 < nu < np.inf
+    for i in range(n):
+        h = 1e-5 * g[i]
+        step = np.zeros(n)
+        step[i] = h
+        fd = (_level_weight(g + step, w, p, q, lam)[0]
+              - _level_weight(g - step, w, p, q, lam)[0]) / (2.0 * h)
+        assert grad[i] == pytest.approx(fd, rel=1e-5)

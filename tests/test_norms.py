@@ -10,6 +10,7 @@ from varmms import (SequenceSample, holder_inequality_check, holder_seminorm,
                     mixed_norm_lq_lp_constant_q, modular, monotonicity_check,
                     pointwise_lq, rel_sandwich_check)
 from varmms.generators import line_space
+from varmms.norms import _bisect_level, _level_infimum
 
 W2 = np.array([0.5, 0.5])
 
@@ -75,6 +76,88 @@ def test_luxemburg_underflowed_sandwich_uses_guards(u0, w0):
     assert 0.0 < nv.value < np.inf
     assert nv.tolerance == nv.value
     assert modular(u / nv.value, 0.5, w) <= 1.0
+
+
+@given(st.integers(-250, 250), st.sampled_from([1e-12, 1e-6]),
+       st.one_of(st.just(None), st.integers(-60, 60)),
+       st.one_of(st.sampled_from([0.0, 1e-310]), st.integers(-60, 60)))
+@settings(max_examples=300, deadline=None)
+def test_bisect_level_brackets_threshold(k, tol, hi_shift, lo_seed):
+    # seeds above, below or at t = 10**k; hi_shift None seeds hi = 0, and a
+    # float lo_seed lies below the 1e-300 floor
+    t = 10.0 ** k
+    hi0 = 0.0 if hi_shift is None else t * 2.0 ** hi_shift
+    lo0 = lo_seed if isinstance(lo_seed, float) else t * 2.0 ** lo_seed
+    calls = []
+
+    def ok(lam):
+        calls.append(lam)
+        return lam >= t, lam
+
+    hi, lo, payload = _bisect_level(ok, hi0, lo0, tol)
+    assert payload == hi
+    assert hi >= t
+    if lo0 < 1e-300:
+        # no lower seed: hi is the first level the guard found admissible
+        assert lo == 0.0
+        assert hi == next(lam for lam in calls if lam >= t)
+    else:
+        assert lo < t
+        assert hi - lo <= tol * hi
+        assert hi <= t * (1.0 + 2.0 * tol)
+
+
+@pytest.mark.parametrize("t", [1e-305, 1e-310, 5e-324])
+def test_bisect_level_floor(t):
+    # ok still holds below 1e-300: the halving stops there and reports lo = 0
+    hi, lo, payload = _bisect_level(lambda lam: (lam >= t, lam), 1.0, 0.5, 1e-12)
+    assert lo == 0.0
+    assert payload == hi
+    assert t <= hi < 2e-300
+
+
+@pytest.mark.parametrize("ulp_steps", [0, 4])
+def test_bisect_level_grows_missed_seed(ulp_steps):
+    calls = []
+
+    def ok(lam):
+        calls.append(lam)
+        return lam >= 3.0, lam
+
+    hi, lo, _ = _bisect_level(ok, 1.0, 0.5, 1e-9, ulp_steps=ulp_steps)
+    assert lo < 3.0 <= hi <= 3.0 * (1 + 1e-9)
+    # the seed, ulp_steps one-ulp nudges, then the first doubling
+    assert calls[:ulp_steps + 1] == [1.0 + k * 2.0 ** -52 for k in range(ulp_steps + 1)]
+    assert calls[ulp_steps + 1] == 2.0 * calls[ulp_steps]
+
+
+@pytest.mark.parametrize("ratio", [0.5, 1.0, 3.0])
+def test_level_infimum_constant_ratio_closed_form(ratio):
+    # p/q constant: sum w u**p lam**(-p/q) <= 1 solves to (sum w u**p)**(q/p)
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        n = int(rng.integers(1, 9))
+        u = rng.uniform(0.0, 3.0, n)
+        w = rng.uniform(0.1, 2.0, n)
+        p = rng.uniform(0.6, 4.0, n)
+        exact = float(np.sum(w * u ** p)) ** (1.0 / ratio)
+        got = _level_infimum(u, p, p / ratio, w, 1e-12)
+        assert got == pytest.approx(exact, rel=1e-12)
+
+
+@given(st.integers(1, 4), st.integers(-30, 30), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_level_infimum_matches_closed_form_across_scales(n, scale, seed):
+    # the level infimum of u is the Luxemburg norm of |u|**q with exponent
+    # p/q; exponent ratios from 1/10 to 10 push the sandwich ends apart
+    rng = np.random.default_rng(seed)
+    u = 10.0 ** (scale + rng.uniform(-3.0, 3.0, n))
+    w = rng.uniform(0.1, 2.0, n)
+    p = rng.uniform(0.5, 5.0, n)
+    q = rng.uniform(0.5, 5.0, n)
+    got = _level_infimum(u, p, q, w, 1e-12)
+    exact = luxemburg(u ** q, p / q, w, 1e-12).value
+    assert got == pytest.approx(exact, rel=1e-9)
 
 
 def test_unit_ball_equivalence_random():
@@ -207,6 +290,14 @@ def test_finite_q_closed_form_matches_definition():
         seq = SequenceSample(-2, rng.uniform(0, 2.0, (L, n)))
         assert mixed_modular_lq_lp(seq, p, q, w) == pytest.approx(
             mixed_modular_closed_form(seq, p, q, w), rel=1e-7, abs=1e-9)
+    # p/q from 1 to 1/50: the lower sandwich end of the first row underflows
+    # to 0, the upper end of the second overflows
+    p, q, w = np.ones(2), np.array([1.0, 50.0]), np.ones(2)
+    for row, size in (([1e-30, 1e-10], 1e-30), ([1e7, 1e-10], 1e7)):
+        seq = SequenceSample(0, np.array([row]))
+        direct = mixed_modular_lq_lp(seq, p, q, w)
+        assert direct == pytest.approx(mixed_modular_closed_form(seq, p, q, w), rel=1e-9)
+        assert direct == pytest.approx(size, rel=1e-6)
     with pytest.raises(ValueError):
         mixed_modular_closed_form(SequenceSample(0, np.ones((1, 2))),
                                   np.ones(2), np.full(2, np.inf), np.ones(2))
