@@ -9,17 +9,17 @@ Lebesgue / mixed-sequence norms over these polyhedra.
 Solver layout: an outer monotone search on the candidate norm level
 (``norms._bisect_level``, the bracket-and-bisect primitive shared with the
 Luxemburg and mixed norms) wraps an inner minimization of the separable
-modular over the constraint polyhedron.  The inner minimization is exact
-linear programming when the exponent is identically one; for min p >= 1 it is SLSQP on small instances
-and an accelerated dual projected-gradient method with duality-gap
-certificates on large smooth ones (trust-region as the fallback in the thin
-band 1 <= min p < 1.1); the nonconvex regime min p < 1 falls back to a
-projected-subgradient heuristic and the solution is flagged.  Every returned
-point is repaired to hard feasibility and its objective is re-evaluated from
-scratch, so certificates never rely on solver-internal tolerances.
+modular over the constraint polyhedron, chosen by the exponent alone: exact
+linear programming (HiGHS) when it is identically one; for min p >= 1, SLSQP
+on a working set of rows grown by delayed constraint generation, exact at
+every size; for the nonconvex regime min p < 1, a projected-subgradient
+heuristic whose solution is flagged.  Every returned point is repaired to hard
+feasibility against all rows and its objective is re-evaluated from scratch,
+so certificates never rely on solver-internal tolerances.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -180,14 +180,14 @@ def _repair(g, I, J, A, B, T) -> np.ndarray:
     return g
 
 
-_SMALL_N = 80
-_SMALL_M = 2000
+# delayed constraint generation in the convex solver: rows admitted per point
+# and round, and the relative violation above which a row is admitted
+_ROWS_PER_POINT = 2
+_GEN_TOL = 1e-10
 
 
 def _min_separable_modular(c, pv, I, J, A, B, T, n, x0=None):
     """min sum c_i g_i**p_i over the row polyhedron, min p >= 1 (convex)."""
-    if T.size == 0:
-        return np.zeros(n)
     if np.all(pv == 1.0):
         rows = np.tile(np.arange(T.size), 2)
         cols = np.concatenate([I, J])
@@ -197,11 +197,7 @@ def _min_separable_modular(c, pv, I, J, A, B, T, n, x0=None):
         if not res.success:
             raise RuntimeError(f"LP solve failed: {res.message}")
         return np.maximum(res.x, 0.0)
-    if n <= _SMALL_N and T.size <= _SMALL_M:
-        return _slsqp_modular(c, pv, I, J, A, B, T, n, x0)
-    if float(pv.min()) >= 1.1:
-        return _dual_ascent_modular(c, pv, I, J, A, B, T, n)
-    return _trust_region_modular(c, pv, I, J, A, B, T, n, x0)
+    return _slsqp_modular(c, pv, I, J, A, B, T, n, x0)
 
 
 def _constraint_dense(I, J, A, B, T, n):
@@ -211,12 +207,33 @@ def _constraint_dense(I, J, A, B, T, n):
     return M
 
 
+def _top_rows_per_point(score, I, J):
+    """Each point's (at most) ``_ROWS_PER_POINT`` incident rows of largest
+    positive score; the stable sort resolves ties by row index."""
+    cand = np.flatnonzero(score > 0)
+    rows = np.concatenate([cand, cand])
+    pts = np.concatenate([I[cand], J[cand]])
+    order = np.lexsort((-score[rows], pts))
+    pts, rows = pts[order], rows[order]
+    rank = np.arange(pts.size) - np.searchsorted(pts, pts)
+    return np.unique(rows[rank < _ROWS_PER_POINT])
+
+
 def _slsqp_modular(c, pv, I, J, A, B, T, n, x0=None):
+    """SLSQP on a working set of rows, grown by delayed constraint generation.
+
+    The set starts with each point's rows of largest t/(a+b), the violation
+    per unit of g at g = 0.  After each solve every row is checked; each
+    point's outside rows of largest violation/(a+b) join the set, until no
+    outside row is violated by more than ``_GEN_TOL * t``.  The relaxation's
+    optimum then satisfies every row, so it is
+    the full problem's optimum; each round adds a row, so the loop ends (at
+    worst with every row in the set).
+    """
     g0 = _feasible_point(n, I, J, A, T) if x0 is None else np.maximum(x0, 0.0)
     g0 = _repair(g0, I, J, A, B, T)
     scale = max(float(np.sum(c * g0 ** pv)), 1e-300)
     cn = c / scale
-    M = _constraint_dense(I, J, A, B, T, n)
 
     def fun(g):
         with np.errstate(over="ignore"):
@@ -226,114 +243,28 @@ def _slsqp_modular(c, pv, I, J, A, B, T, n, x0=None):
         gg = np.maximum(g, 1e-300)
         return cn * pv * gg ** (pv - 1.0)
 
-    res = minimize(fun, g0 * 1.0000001 + 1e-12, jac=jac, method="SLSQP",
-                   bounds=[(0.0, None)] * n,
-                   constraints=[{"type": "ineq", "fun": lambda g: M @ g - T,
-                                 "jac": lambda g: M}],
-                   options={"maxiter": 400, "ftol": 1e-14})
-    g = _repair(np.maximum(res.x, 0.0), I, J, A, B, T)
-    if fun(g) > fun(g0):
-        g = g0
-    return g
-
-
-def _trust_region_modular(c, pv, I, J, A, B, T, n, x0=None):
-    rows = np.tile(np.arange(T.size), 2)
-    cols = np.concatenate([I, J])
-    vals = np.concatenate([A, B])
-    A_sp = sparse.csr_matrix(sparse.coo_matrix((vals, (rows, cols)), shape=(T.size, n)))
-    g0 = _feasible_point(n, I, J, A, T) if x0 is None else np.maximum(x0, 0.0)
-    scale = max(float(np.sum(c * g0 ** pv)), 1e-300)
-    cn = c / scale
-
-    def fun(g):
-        with np.errstate(over="ignore"):
-            return float(np.sum(cn * np.abs(g) ** pv))
-
-    def jac(g):
-        gg = np.maximum(g, 1e-300)
-        return cn * pv * gg ** (pv - 1.0)
-
-    def hess(g):
-        gg = np.maximum(g, 1e-9)
-        return sparse.diags(cn * pv * (pv - 1.0) * gg ** (pv - 2.0))
-
-    res = minimize(fun, g0 * 1.0000001 + 1e-12, jac=jac, hess=hess,
-                   method="trust-constr",
-                   constraints=[LinearConstraint(A_sp, T, np.inf)],
-                   bounds=Bounds(0.0, np.inf),
-                   options={"gtol": 1e-10, "xtol": 1e-13, "maxiter": 2000})
-    g = np.maximum(res.x, 0.0)
-    # keep whichever of {solver point, start} is better after repair
+    AB = A + B
+    work = _top_rows_per_point(T / AB, I, J)
+    g = g0
+    while True:
+        M = _constraint_dense(I[work], J[work], A[work], B[work], T[work], n)
+        Tw = T[work]
+        res = minimize(fun, g * 1.0000001 + 1e-12, jac=jac, method="SLSQP",
+                       bounds=[(0.0, None)] * n,
+                       constraints=[{"type": "ineq", "fun": lambda g: M @ g - Tw,
+                                     "jac": lambda g: M}],
+                       options={"maxiter": 400, "ftol": 1e-14})
+        g = np.maximum(res.x, 0.0)
+        viol = T - (A * g[I] + B * g[J])
+        viol[work] = 0.0
+        viol[viol <= _GEN_TOL * T] = 0.0
+        if not viol.any():
+            break
+        work = np.union1d(work, _top_rows_per_point(viol / AB, I, J))
     g = _repair(g, I, J, A, B, T)
     if fun(g) > fun(g0):
         g = g0
     return g
-
-
-def _dual_ascent_modular(c, pv, I, J, A, B, T, n, gap_tol=1e-8, max_iter=60000):
-    """Large smooth instances (min p > 1): accelerated projected gradient on
-    the Lagrangian dual.
-
-    The inner minimization over g is closed-form coordinatewise, the dual is
-    concave with gradient T - M g(y), and the duality gap of the repaired
-    primal candidate certifies optimality.
-    """
-    m = T.size
-    rows = np.tile(np.arange(m), 2)
-    cols = np.concatenate([I, J])
-    vals = np.concatenate([A, B])
-    M = sparse.csr_matrix(sparse.coo_matrix((vals, (rows, cols)), shape=(m, n)))
-    Mt = M.T.tocsr()
-    scale = max(float(np.max(c)), 1e-300)
-    cs = c / scale
-    invexp = 1.0 / (pv - 1.0)
-    base = cs * pv
-
-    def g_of(y):
-        r = np.maximum(Mt @ y, 0.0)
-        with np.errstate(over="ignore"):
-            return (r / base) ** invexp
-
-    def dual_val(y, g):
-        return float(y @ T - np.sum(cs * (pv - 1.0) * g ** pv))
-
-    def primal_val(g):
-        return float(np.sum(cs * g ** pv))
-
-    y = np.zeros(m)
-    z = y.copy()
-    t_acc = 1.0
-    L = 1.0
-    best_g = _repair(g_of(y), I, J, A, B, T)
-    best_primal = primal_val(best_g)
-    d_y = dual_val(y, g_of(y))
-    for it in range(1, max_iter + 1):
-        gz = g_of(z)
-        grad = M @ gz - T  # gradient of -dual
-        f_z = -dual_val(z, gz)
-        for _ in range(60):
-            y_new = np.maximum(z - grad / L, 0.0)
-            diff = y_new - z
-            gy = g_of(y_new)
-            f_new = -dual_val(y_new, gy)
-            if f_new <= f_z + grad @ diff + 0.5 * L * float(diff @ diff) + 1e-18:
-                break
-            L *= 2.0
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
-        z = y_new + ((t_acc - 1.0) / t_next) * (y_new - y)
-        y, t_acc = y_new, t_next
-        L = max(L * 0.7, 1e-12)
-        if it % 40 == 0 or it == max_iter:
-            d_y = dual_val(y, g_of(y))
-            cand = _repair(g_of(y), I, J, A, B, T)
-            pv_val = primal_val(cand)
-            if pv_val < best_primal:
-                best_primal, best_g = pv_val, cand
-            gap = best_primal - d_y
-            if gap <= gap_tol * max(1.0, abs(best_primal)):
-                break
-    return best_g
 
 
 def _subgradient_modular(c, pv, I, J, A, B, T, n, x0=None):
@@ -605,16 +536,21 @@ def _solve_besov_general(system, pv, qv, w, tol, lev_range):
                                           system.coef_i[r], system.target[r]),
                           *_rows(system, r))
 
+    @functools.lru_cache(maxsize=1)
+    def level_weight(g_bytes, lam):
+        # SLSQP asks for fun and then jac at the same iterate: solve once
+        return _level_weight(np.frombuffer(g_bytes), w, pv, qv, lam)
+
     def level_min(k, lam):
         r = level_rows[k]
         M, T = dense[k], system.target[r]
 
         def fun(g):
-            nu, _ = _level_weight(g, w, pv, qv, lam)
+            nu, _ = level_weight(g.tobytes(), lam)
             return nu if np.isfinite(nu) else 1e9
 
         def jac(g):
-            _, grad = _level_weight(g, w, pv, qv, lam)
+            _, grad = level_weight(g.tobytes(), lam)
             return grad
 
         res = minimize(fun, warm[k] + 1e-12, jac=jac, method="SLSQP",

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from varmms import (MetricMeasureSpace, active_levels, gradient_zero_implies_constant,
                     geometric_iteration_check, level_of, lipschitz_cutoff_gradient,
@@ -221,22 +222,31 @@ def test_scalar_norm_homogeneity_in_u():
     assert scaled == pytest.approx(3.0 * base, rel=2e-4)
 
 
-def test_dual_ascent_matches_slsqp_midsize():
-    # the large-instance dual path agrees with the small-instance solver
-    from varmms.gradients import _dual_ascent_modular, _slsqp_modular
+@pytest.mark.parametrize("p", [2.0, 1.05])
+def test_scalar_gradient_matches_full_row_slsqp(p):
+    # the working-set solver against SLSQP over every pair row at once
     rng = np.random.default_rng(3)
     sp = grid2d(7)
-    u = rng.standard_normal(49)
+    u = rng.standard_normal(sp.n)
+    sol = minimal_scalar_gradient(sp, u, 0.7, p)
     system = GradientConstraintSystem.scalar(sp, u, 0.7)
-    c = sp.weight
-    pv = np.full(49, 2.0)
-    args = (c, pv, system.I, system.J, system.coef_i, system.coef_j,
-            system.target, 49)
-    f = lambda g: float(np.sum(c * g ** pv))
-    g_ref = _slsqp_modular(*args)
-    g_dual = _dual_ascent_modular(*args)
-    assert f(g_dual) == pytest.approx(f(g_ref), rel=1e-5)
-    assert system.violation(g_dual) <= 1e-9 * system.target.max()
+    n, m, w, T = system.n, system.m, sp.weight, system.target
+    M = np.zeros((m, n))
+    M[np.arange(m), system.I] += system.coef_i
+    M[np.arange(m), system.J] += system.coef_j
+    g0 = np.zeros(n)
+    np.maximum.at(g0, system.I, T / system.coef_i)
+    scale = float(np.sum(w * g0 ** p))
+    res = minimize(lambda g: float(np.sum(w * np.abs(g) ** p)) / scale, g0,
+                   jac=lambda g: w * p * np.maximum(g, 1e-300) ** (p - 1.0) / scale,
+                   method="SLSQP", bounds=[(0.0, None)] * n,
+                   constraints=[{"type": "ineq", "fun": lambda g: M @ g - T,
+                                 "jac": lambda g: M}],
+                   options={"maxiter": 1000, "ftol": 1e-15})
+    assert res.success, res.message
+    reference = (scale * res.fun) ** (1.0 / p)
+    assert sol.objective.value == pytest.approx(reference, rel=1e-9)
+    assert sol.certificate <= 1e-9 * T.max()
 
 
 def test_heuristic_flag_for_subunit_exponent():
