@@ -4,7 +4,8 @@ batch verification, necessity experiments.
 Outputs are deterministic: canonical JSON (sorted keys, shortest
 round-trip float formatting) written atomically.  Batch exit code is 0 iff
 every applicable check passes, 2 when an applicable check fails, 1 on bad
-input.
+input; a malformed scenario gets a one-line error and its siblings still
+write their reports.
 """
 from __future__ import annotations
 
@@ -134,43 +135,47 @@ def _emit_reports(reports, out_dir: str, fmt: str, stem: str, settings: dict) ->
 
 
 def _scenario_worker(task):
-    scenario, base_dir, tol, sigma, epsilon = task
-    return _scenario_reports(scenario, base_dir, tol, sigma, epsilon)
+    """Reports of one scenario, or a one-line error when it is malformed."""
+    path, scenario, base_dir, tol, sigma, epsilon = task
+    try:
+        return _scenario_reports(scenario, base_dir, tol, sigma, epsilon), None
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        return None, f"error: malformed scenario {path}: {type(exc).__name__}: {exc}"
 
 
 def _run_verify_like(args) -> int:
-    tasks = []
+    tasks, errors = [], []
     for path in args.scenario:
         try:
             with open(path, encoding="utf-8") as fh:
                 scenario = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read scenario {path}: {exc}", file=sys.stderr)
-            return 1
-        tasks.append((scenario, os.path.dirname(os.path.abspath(path)),
+            errors.append(f"error: cannot read scenario {path}: {exc}")
+            continue
+        tasks.append((path, scenario, os.path.dirname(os.path.abspath(path)),
                       args.tol, args.sigma, args.epsilon))
     # jobs is deliberately not embedded: parallel and sequential runs of the
     # same scenarios must produce byte-identical reports
     settings = {"tol": args.tol, "seed": args.seed, "sigma": args.sigma,
                 "epsilon": args.epsilon}
-    try:
-        if args.jobs > 1 and len(tasks) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                all_reports = list(pool.map(_scenario_worker, tasks))
-        else:
-            all_reports = [_scenario_worker(t) for t in tasks]
-    except (KeyError, ValueError) as exc:
-        print(f"error: malformed scenario: {exc}", file=sys.stderr)
-        return 1
+    if args.jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            results = list(pool.map(_scenario_worker, tasks))
+    else:
+        results = [_scenario_worker(t) for t in tasks]
     failed = False
-    for (scenario, *_), reports in zip(tasks, all_reports):
-        stem = scenario.get("name", "report")
-        _emit_reports(reports, args.out, args.format, stem, settings)
+    for (_, scenario, *_), (reports, error) in zip(tasks, results):
+        if error:
+            errors.append(error)
+            continue
+        _emit_reports(reports, args.out, args.format, scenario.get("name", "report"), settings)
         for r in reports:
             print(f"[{r.verdict}] {r.scenario} :: {r.theorem}")
         failed |= any(r.passed is False for r in reports)
-    return 2 if failed else 0
+    for error in errors:
+        print(error, file=sys.stderr)
+    return 1 if errors else 2 if failed else 0
 
 
 def cmd_norm(args) -> int:

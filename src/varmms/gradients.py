@@ -6,23 +6,27 @@ vector (dyadic) variant imposes the inequality on level k only for pairs
 with ``2**(-k-1) <= d < 2**(-k)``.  The associated quasi-norms are infima of
 Lebesgue / mixed-sequence norms over these polyhedra.
 
-Solver layout: an outer monotone search on the candidate norm level
-(``norms._bisect_level``, the bracket-and-bisect primitive shared with the
-Luxemburg and mixed norms) wraps an inner minimization of the separable
-modular over the constraint polyhedron, chosen by the exponent alone: exact
-linear programming (HiGHS) when it is identically one; for min p >= 1, SLSQP
-on a working set of rows grown by delayed constraint generation, exact at
-every size; for the nonconvex regime min p < 1, a projected-subgradient
-heuristic whose solution is flagged.  Every returned point is repaired to hard
-feasibility against all rows and its objective is re-evaluated from scratch,
-so certificates never rely on solver-internal tolerances.
+Solver layout.  A constant exponent makes the norm a monotone function of the
+separable modular: exact linear programming (HiGHS) when it is identically
+one, else for min p >= 1 SLSQP on a working set of rows grown by delayed
+constraint generation, exact at every size.  A variable exponent with a
+convex modular rho (min p >= 1, and min q >= 1 on the TL scale) takes one
+gauge solve on the same working set: the norm is the gauge of rho's unit
+ball, so its minimum is 1/max{mu : A h >= mu t, rho(h) <= 1}.  A bisection
+on the norm level (``norms._bisect_level``) remains for the nonconvex regimes
+(flagged heuristic; projected subgradient for min p < 1) and for general
+variable-q Besov norms.  Every returned point is repaired to hard feasibility
+against all rows and its objective is re-evaluated from scratch, so
+certificates never rely on solver-internal tolerances.
 """
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sparse
@@ -30,8 +34,8 @@ from scipy.optimize import Bounds, LinearConstraint, linprog, minimize
 
 from .exponents import exponent_values
 from .norms import (NormValue, SequenceSample, _bisect_level, _level_infimum,
-                    _sandwich, check_slack, luxemburg, mixed_norm_lp_lq,
-                    mixed_norm_lq_lp, mixed_norm_lq_lp_constant_q)
+                    check_slack, luxemburg, mixed_norm_lp_lq, mixed_norm_lq_lp,
+                    mixed_norm_lq_lp_constant_q, modular)
 
 __all__ = [
     "GradientConstraintSystem",
@@ -151,11 +155,11 @@ def _pair_rows(space, u, s, subset):
 
 # -- inner minimization ------------------------------------------------------
 
-def _feasible_point(n, I, J, A, T) -> np.ndarray:
+def _feasible_point(n, I, J, A, B, T) -> np.ndarray:
+    """Each row met by its first point alone, repaired against every row."""
     g = np.zeros(n)
-    if T.size:
-        np.maximum.at(g, I, T / A)
-    return g
+    np.maximum.at(g, I, T / A)
+    return _repair(g, I, J, A, B, T)
 
 
 def _repair(g, I, J, A, B, T) -> np.ndarray:
@@ -180,24 +184,52 @@ def _repair(g, I, J, A, B, T) -> np.ndarray:
     return g
 
 
-# delayed constraint generation in the convex solver: rows admitted per point
+# delayed constraint generation in the convex solvers: rows admitted per point
 # and round, and the relative violation above which a row is admitted
 _ROWS_PER_POINT = 2
 _GEN_TOL = 1e-10
 
+# solver paths in increasing precedence: a solve reports the highest it used
+_PATHS = ("none", "lp", "working-set", "subgradient", "gauge", "bisection")
+# (paths, SLSQP statuses) of the solve in progress, None outside a solve
+_RECORD = contextvars.ContextVar("gradient_record", default=None)
 
-def _min_separable_modular(c, pv, I, J, A, B, T, n, x0=None):
-    """min sum c_i g_i**p_i over the row polyhedron, min p >= 1 (convex)."""
-    if np.all(pv == 1.0):
-        rows = np.tile(np.arange(T.size), 2)
-        cols = np.concatenate([I, J])
-        vals = np.concatenate([A, B])
-        A_sp = sparse.coo_matrix((vals, (rows, cols)), shape=(T.size, n)).tocsr()
-        res = linprog(c=c, A_ub=-A_sp, b_ub=-T, bounds=(0, None), method="highs")
-        if not res.success:
-            raise RuntimeError(f"LP solve failed: {res.message}")
-        return np.maximum(res.x, 0.0)
-    return _slsqp_modular(c, pv, I, J, A, B, T, n, x0)
+
+def _note(path=None, status=0):
+    record = _RECORD.get()
+    if record is not None:
+        record[0].add(path)
+        record[1].add(int(status))
+
+
+@contextlib.contextmanager
+def _provenance(info):
+    """Collect the paths and non-zero SLSQP statuses of one solve into ``info``."""
+    token = _RECORD.set((set(), set()))
+    try:
+        yield
+        paths, statuses = _RECORD.get()
+        info["path"] = max(paths - {None}, key=_PATHS.index, default="none")
+        info["slsqp_status"] = sorted(statuses - {0})
+    finally:
+        _RECORD.reset(token)
+
+
+def _ineq(M, T):
+    return {"type": "ineq", "fun": lambda x: M @ x - T, "jac": lambda x: M}
+
+
+def _slsqp(fun, jac, x0, constraints, maxiter):
+    """One SLSQP solve over x >= 0; its exit status is recorded."""
+    res = minimize(fun, x0, jac=jac, method="SLSQP", bounds=[(0.0, None)] * x0.size,
+                   constraints=constraints, options={"maxiter": maxiter, "ftol": 1e-14})
+    _note(status=res.status)
+    return res.x
+
+
+def _constraint_sparse(I, J, A, B, T, n):
+    rows, cols = np.tile(np.arange(T.size), 2), np.concatenate([I, J])
+    return sparse.coo_matrix((np.concatenate([A, B]), (rows, cols)), shape=(T.size, n)).tocsr()
 
 
 def _constraint_dense(I, J, A, B, T, n):
@@ -219,19 +251,34 @@ def _top_rows_per_point(score, I, J):
     return np.unique(rows[rank < _ROWS_PER_POINT])
 
 
-def _slsqp_modular(c, pv, I, J, A, B, T, n, x0=None):
-    """SLSQP on a working set of rows, grown by delayed constraint generation.
+def _working_set(I, J, A, B, T, x, solve_round, point):
+    """Delayed constraint generation: ``solve_round(work, x)`` solves on the
+    rows ``work`` from state x; ``point(x)`` is the state's gradient.
 
     The set starts with each point's rows of largest t/(a+b), the violation
-    per unit of g at g = 0.  After each solve every row is checked; each
-    point's outside rows of largest violation/(a+b) join the set, until no
-    outside row is violated by more than ``_GEN_TOL * t``.  The relaxation's
-    optimum then satisfies every row, so it is
-    the full problem's optimum; each round adds a row, so the loop ends (at
-    worst with every row in the set).
+    per unit of g at g = 0; after each solve each point's outside rows of
+    largest violation/(a+b) join it, until no outside row is violated by more
+    than ``_GEN_TOL * t``.  That optimum satisfies every row, so it is the
+    full problem's; each round adds a row, so the loop ends.  Returns the
+    last gradient, not yet repaired.
     """
-    g0 = _feasible_point(n, I, J, A, T) if x0 is None else np.maximum(x0, 0.0)
-    g0 = _repair(g0, I, J, A, B, T)
+    AB = A + B
+    work = _top_rows_per_point(T / AB, I, J)
+    while True:
+        x = solve_round(work, x)
+        g = point(x)
+        viol = T - (A * g[I] + B * g[J])
+        viol[work] = 0.0
+        viol[viol <= _GEN_TOL * T] = 0.0
+        if not viol.any():
+            return g
+        work = np.union1d(work, _top_rows_per_point(viol / AB, I, J))
+
+
+def _slsqp_modular(c, pv, I, J, A, B, T, n, x0=None):
+    """SLSQP for the separable modular on ``_working_set``'s rows; the
+    better of its repaired point and the feasible warm start is kept."""
+    g0 = _feasible_point(n, I, J, A, B, T) if x0 is None else _repair(x0, I, J, A, B, T)
     scale = max(float(np.sum(c * g0 ** pv)), 1e-300)
     cn = c / scale
 
@@ -240,37 +287,45 @@ def _slsqp_modular(c, pv, I, J, A, B, T, n, x0=None):
             return float(np.sum(cn * np.abs(g) ** pv))
 
     def jac(g):
-        gg = np.maximum(g, 1e-300)
-        return cn * pv * gg ** (pv - 1.0)
+        return cn * pv * np.maximum(g, 1e-300) ** (pv - 1.0)
 
-    AB = A + B
-    work = _top_rows_per_point(T / AB, I, J)
-    g = g0
-    while True:
+    def solve_round(work, g):
         M = _constraint_dense(I[work], J[work], A[work], B[work], T[work], n)
-        Tw = T[work]
-        res = minimize(fun, g * 1.0000001 + 1e-12, jac=jac, method="SLSQP",
-                       bounds=[(0.0, None)] * n,
-                       constraints=[{"type": "ineq", "fun": lambda g: M @ g - Tw,
-                                     "jac": lambda g: M}],
-                       options={"maxiter": 400, "ftol": 1e-14})
-        g = np.maximum(res.x, 0.0)
-        viol = T - (A * g[I] + B * g[J])
-        viol[work] = 0.0
-        viol[viol <= _GEN_TOL * T] = 0.0
-        if not viol.any():
-            break
-        work = np.union1d(work, _top_rows_per_point(viol / AB, I, J))
+        return np.maximum(_slsqp(fun, jac, g * 1.0000001 + 1e-12, [_ineq(M, T[work])], 400), 0.0)
+
+    _note("working-set")
+    g = _repair(_working_set(I, J, A, B, T, g0, solve_round, lambda g: g), I, J, A, B, T)
+    return g0 if fun(g) > fun(g0) else g
+
+
+def _solve_gauge(I, J, A, B, T, N, rho, rho_jac, x0, hi):
+    """Smallest gauge inf{lam : rho(g/lam) <= 1} over the rows, rho convex.
+
+    With h = g/lam and mu = 1/lam this is one convex program, max{mu :
+    A h >= mu t, rho(h) <= 1, h >= 0}, solved by SLSQP on ``_working_set``'s
+    rows from the feasible warm start x0 at its gauge hi, (x0/hi, 1/hi), with
+    objective -mu hi.  Returns h/mu repaired, or x0 if that is not smaller.
+    """
+    def solve_round(work, z):
+        M = _constraint_dense(I[work], J[work], A[work], B[work], T[work], N)
+        ball = {"type": "ineq", "fun": lambda z: 1.0 - rho(z[:N]),
+                "jac": lambda z: np.append(-rho_jac(z[:N]), 0.0)}
+        x = _slsqp(lambda z: -z[N] * hi, lambda z: np.append(np.zeros(N), -hi), z,
+                   [_ineq(np.hstack([M, -T[work, None]]), 0.0), ball], 400)
+        # a failed round keeps its start: the rows it added stay in the set
+        return np.maximum(x, 0.0) if x[N] > 0 and np.isfinite(x).all() else z
+
+    _note("gauge")
+    g = _working_set(I, J, A, B, T, np.append(x0 / hi, 1.0 / hi), solve_round,
+                     lambda z: z[:N] / z[N])
     g = _repair(g, I, J, A, B, T)
-    if fun(g) > fun(g0):
-        g = g0
-    return g
+    return g if rho(g / hi) <= 1.0 else x0
 
 
 def _subgradient_modular(c, pv, I, J, A, B, T, n, x0=None):
     """Projected-subgradient heuristic for the nonconvex regime min p < 1."""
-    g = _feasible_point(n, I, J, A, T) if x0 is None else np.maximum(x0, 0.0)
-    g = _repair(g, I, J, A, B, T)
+    _note("subgradient")
+    g = _feasible_point(n, I, J, A, B, T) if x0 is None else _repair(x0, I, J, A, B, T)
 
     def fun(x):
         with np.errstate(over="ignore"):
@@ -278,8 +333,7 @@ def _subgradient_modular(c, pv, I, J, A, B, T, n, x0=None):
 
     best, best_val = g.copy(), fun(g)
     step0 = 0.5 * float(g.max(initial=0.0)) or 1.0
-    iters = 500 * n
-    for it in range(1, iters + 1):
+    for it in range(1, 500 * n + 1):
         gg = np.maximum(g, 1e-9)
         grad = c * pv * gg ** (pv - 1.0)
         g = np.maximum(g - (step0 / math.sqrt(it)) * grad, 0.0)
@@ -291,11 +345,20 @@ def _subgradient_modular(c, pv, I, J, A, B, T, n, x0=None):
 
 
 def _min_modular(c, pv, sysrows, n, x0=None):
+    """min sum c_i g_i**p_i over the row polyhedron: HiGHS when p == 1, the
+    working-set SLSQP for min p >= 1, the subgradient heuristic below."""
     I, J, A, B, T = sysrows
     if T.size == 0:
         return np.zeros(n)
-    if float(np.min(pv)) >= 1.0:
-        g = _min_separable_modular(c, pv, I, J, A, B, T, n, x0)
+    if np.all(pv == 1.0):
+        res = linprog(c=c, A_ub=-_constraint_sparse(*sysrows, n), b_ub=-T, bounds=(0, None),
+                      method="highs")
+        if not res.success:
+            raise RuntimeError(f"LP solve failed: {res.message}")
+        _note("lp")
+        g = np.maximum(res.x, 0.0)
+    elif float(np.min(pv)) >= 1.0:
+        g = _slsqp_modular(c, pv, I, J, A, B, T, n, x0)
     else:
         g = _subgradient_modular(c, pv, I, J, A, B, T, n, x0)
     return _repair(g, I, J, A, B, T)
@@ -317,8 +380,12 @@ def _min_norm_scalar(system, pv, w, tol):
         # constant exponent: the norm is a monotone function of the modular
         g = _min_modular(w, pv, rows, n)
         return g, luxemburg(g, pv, w, min(tol, 1e-10))
-    g0 = _repair(_feasible_point(n, *rows[:3], rows[4]), *rows)
+    g0 = _feasible_point(n, *rows)
     hi = luxemburg(g0, pv, w).value
+    if pv.min() >= 1.0:
+        g = _solve_gauge(*rows, n, lambda h: modular(h, pv, w),
+                         lambda h: w * pv * np.maximum(h, 1e-300) ** (pv - 1.0), g0, hi)
+        return g, luxemburg(g, pv, w, min(tol, 1e-10))
     g = g0
 
     def admissible(t):
@@ -329,12 +396,16 @@ def _min_norm_scalar(system, pv, w, tol):
         g = _min_modular(w * t ** (-pv), pv, rows, n, x0=g)
         return float(np.sum(w * (g / t) ** pv)) <= 1.0, g
 
+    _note("bisection")
     _, _, g = _bisect_level(admissible, hi, 0.5 * hi, tol, ulp_steps=0)
     return g, luxemburg(g, pv, w, min(tol, 1e-10))
 
 
 @dataclass(frozen=True)
 class GradientSolution:
+    """``info`` (not in ``to_json``) has the size, the outermost solver
+    ``path`` and the distinct non-zero ``slsqp_status`` values of the solve."""
+
     g: object  # ndarray (scalar) or SequenceSample (vector)
     objective: NormValue
     certificate: float
@@ -362,49 +433,37 @@ def minimal_scalar_gradient(space, u, s, p, tol: float = 1e-6,
     idx = system.idx
     w = space.weight[idx]
     pv = exponent_values(p, space.n)[idx]
-    g, nv = _min_norm_scalar(system, pv, w, tol)
+    info = {"n": system.n, "constraints": system.m}
+    with _provenance(info):
+        g, nv = _min_norm_scalar(system, pv, w, tol)
     cert = system.violation(g)
     if cert > _CERT_TOL * max(1.0, float(system.target.max(initial=0.0))):
         raise RuntimeError(f"infeasible solver output (violation {cert})")
     return GradientSolution(g=g, objective=nv, certificate=cert,
-                            heuristic=bool(pv.min() < 1.0),
-                            info={"n": system.n, "constraints": system.m})
-
-
-def _per_level_norm_solutions(system, pv, w, tol):
-    sols = {}
-    for k in np.unique(system.level):
-        rows = system.rows_for_level(int(k))
-        sub = GradientConstraintSystem(
-            n=system.n, idx=system.idx, I=system.I[rows], J=system.J[rows],
-            dist=system.dist[rows], coef_i=system.coef_i[rows],
-            coef_j=system.coef_j[rows], target=system.target[rows])
-        sols[int(k)] = _min_norm_scalar(sub, pv, w, tol)
-    return sols
+                            heuristic=bool(pv.min() < 1.0), info=info)
 
 
 def _assemble_sequence(space_levels, per_level_g, n) -> SequenceSample:
     k_min, k_max = space_levels
-    ks = sorted(per_level_g)
-    k_lo = min(k_min, ks[0]) if ks else k_min
-    k_hi = max(k_max, ks[-1]) if ks else k_max
+    k_lo, k_hi = min([k_min, *per_level_g]), max([k_max, *per_level_g])
     vals = np.zeros((k_hi - k_lo + 1, n))
     for k, g in per_level_g.items():
         vals[k - k_lo] = g
     return SequenceSample(k_lo, vals)
 
 
-def minimal_vector_gradient(space, u, s, p, q, scale: str = "lq_lp",
-                            tol: float = 1e-6, subset=None) -> GradientSolution:
+def minimal_vector_gradient(space, u, s, p, q, scale: str = "lq_lp", tol: float = 1e-6,
+                            subset=None, convention: str = "distance") -> GradientSolution:
     """Smallest mixed-norm of a vector gradient of u.
 
     ``scale="lq_lp"`` minimizes the level-sum (Besov) norm, which decomposes
     into independent per-level problems; ``scale="lp_lq"`` minimizes the
     pointwise-sequence (TL) norm, a joint problem over all levels.
+    ``convention`` picks the level weights (``GradientConstraintSystem.vector``).
     """
     if scale not in ("lq_lp", "lp_lq"):
         raise ValueError("scale must be 'lq_lp' or 'lp_lq'")
-    system = GradientConstraintSystem.vector(space, u, s, subset)
+    system = GradientConstraintSystem.vector(space, u, s, subset, convention)
     idx = system.idx
     w = space.weight[idx]
     pv = exponent_values(p, space.n)[idx]
@@ -420,45 +479,45 @@ def minimal_vector_gradient(space, u, s, p, q, scale: str = "lq_lp",
     if general_besov and np.any(qv > pv):
         heuristic = True  # level-weight objective convex only for q <= p
 
+    info = {"n": system.n, "constraints": system.m, "scale": scale}
     if system.m == 0:
         seq = SequenceSample(lev_range[0], np.zeros((lev_range[1] - lev_range[0] + 1, system.n)))
         kind = "mixed_lqp" if scale == "lq_lp" else "mixed_plq"
         return GradientSolution(g=seq, objective=NormValue(0.0, 0.0, kind=kind),
-                                certificate=0.0, heuristic=heuristic)
+                                certificate=0.0, heuristic=heuristic,
+                                info=dict(info, path="none", slsqp_status=[]))
 
-    if scale == "lq_lp":
-        seq, nv = _solve_besov(system, pv, qv, w, tol, lev_range)
-    else:
-        seq, nv = _solve_tl(system, pv, qv, w, tol, lev_range)
+    with _provenance(info):
+        solve = _solve_besov if scale == "lq_lp" else _solve_tl
+        seq, nv = solve(system, pv, qv, w, tol, lev_range)
 
     cert = _sequence_violation(system, seq)
     if cert > _CERT_TOL * max(1.0, float(system.target.max(initial=0.0))):
         raise RuntimeError(f"infeasible vector solution (violation {cert})")
     return GradientSolution(g=seq, objective=nv, certificate=cert, heuristic=heuristic,
-                            info={"n": system.n, "constraints": system.m, "scale": scale})
+                            info=info)
 
 
 def _sequence_violation(system, seq: SequenceSample) -> float:
-    worst = 0.0
-    for k in np.unique(system.level):
-        rows = system.rows_for_level(int(k))
-        worst = max(worst, system.violation(seq.level(int(k)), rows))
-    return worst
+    return max((system.violation(seq.level(int(k)), system.rows_for_level(int(k)))
+                for k in np.unique(system.level)), default=0.0)
 
 
 def _solve_besov(system, pv, qv, w, tol, lev_range):
-    n = system.n
     finite = np.isfinite(qv)
-    if not finite.any():
-        sols = _per_level_norm_solutions(system, pv, w, tol)
-        value = max(nv.value for _, nv in sols.values())
-        seq = _assemble_sequence(lev_range, {k: g for k, (g, _) in sols.items()}, n)
-        return seq, NormValue(value, tol * value, kind="mixed_lqp")
-    if finite.all() and np.ptp(qv) == 0:
+    if not finite.any() or (finite.all() and np.ptp(qv) == 0):
+        # constant q: the level norm of the per-level Lebesgue norms
+        sols = {}
+        for k in np.unique(system.level):
+            rows = system.rows_for_level(int(k))
+            sub = {f: getattr(system, f)[rows]
+                   for f in ("I", "J", "dist", "coef_i", "coef_j", "target")}
+            sols[int(k)] = _min_norm_scalar(replace(system, level=None, **sub), pv, w, tol)
+        norms = [nv.value for _, nv in sols.values()]
         qc = float(qv[0])
-        sols = _per_level_norm_solutions(system, pv, w, tol)
-        value = float(np.sum([nv.value ** qc for _, nv in sols.values()]) ** (1.0 / qc))
-        seq = _assemble_sequence(lev_range, {k: g for k, (g, _) in sols.items()}, n)
+        value = max(norms) if qc == np.inf else float(np.sum(
+            [v ** qc for v in norms]) ** (1.0 / qc))
+        seq = _assemble_sequence(lev_range, {k: g for k, (g, _) in sols.items()}, system.n)
         return seq, NormValue(value, tol * value, kind="mixed_lqp")
     if finite.all() and np.array_equal(qv, pv):
         return _solve_modular_decoupled(system, pv, w, tol, lev_range)
@@ -466,30 +525,17 @@ def _solve_besov(system, pv, qv, w, tol, lev_range):
 
 
 def _solve_modular_decoupled(system, pv, w, tol, lev_range):
-    """q == p pointwise: both mixed modulars reduce to a level sum of
-    plain modulars, so one bisection over the norm level suffices."""
+    """q == p pointwise: both mixed norms are the Lebesgue norm of the
+    level-stacked family, so this is the scalar problem on L*n variables
+    (level ks[r] in columns r*n .. r*n+n-1)."""
     n = system.n
-    ks = [int(k) for k in np.unique(system.level)]
-    level_rows = {k: _rows(system, system.rows_for_level(k)) for k in ks}
-    warm = dict.fromkeys(ks)
-
-    def admissible(lam):
-        total = 0.0
-        c = w * lam ** (-pv)
-        for k in ks:
-            warm[k] = _min_modular(c, pv, level_rows[k], n, x0=warm[k])
-            total += float(np.sum(w * (warm[k] / lam) ** pv))
-            if total > 1.0:
-                return False, None
-        return True, dict(warm)
-
-    hi0 = float(np.sum([np.sum(w * _repair(_feasible_point(n, *r[:3], r[4]), *r) ** pv)
-                        for r in level_rows.values()]))
-    hi = max(_sandwich(hi0, pv)[1], 1e-12)
-    _, _, best = _bisect_level(admissible, hi, 0.5 * hi, tol, ulp_steps=0)
-    seq = _assemble_sequence(lev_range, best, n)
-    value = mixed_norm_lq_lp(seq, pv, pv, w, min(tol, 1e-10))
-    return seq, NormValue(value.value, value.tolerance, kind="mixed_lqp")
+    ks, pos = np.unique(system.level, return_inverse=True)
+    L = ks.size
+    stacked = replace(system, n=L * n, idx=np.arange(L * n), I=system.I + pos * n,
+                      J=system.J + pos * n, level=None)
+    g, nv = _min_norm_scalar(stacked, np.tile(pv, L), np.tile(w, L), tol)
+    seq = _assemble_sequence(lev_range, dict(zip(ks.tolist(), g.reshape(L, n))), n)
+    return seq, replace(nv, kind="mixed_lqp")
 
 
 def _level_weight(g, w, pv, qv, lam):
@@ -526,15 +572,10 @@ def _solve_besov_general(system, pv, qv, w, tol, lev_range):
     n = system.n
     ks = [int(k) for k in np.unique(system.level)]
     level_rows = {k: system.rows_for_level(k) for k in ks}
-    dense = {}
-    warm = {}
+    dense, warm = {}, {}
     for k in ks:
-        r = level_rows[k]
-        dense[k] = _constraint_dense(system.I[r], system.J[r], system.coef_i[r],
-                                     system.coef_j[r], system.target[r], n)
-        warm[k] = _repair(_feasible_point(n, system.I[r], system.J[r],
-                                          system.coef_i[r], system.target[r]),
-                          *_rows(system, r))
+        dense[k] = _constraint_dense(*_rows(system, level_rows[k]), n)
+        warm[k] = _feasible_point(n, *_rows(system, level_rows[k]))
 
     @functools.lru_cache(maxsize=1)
     def level_weight(g_bytes, lam):
@@ -542,9 +583,6 @@ def _solve_besov_general(system, pv, qv, w, tol, lev_range):
         return _level_weight(np.frombuffer(g_bytes), w, pv, qv, lam)
 
     def level_min(k, lam):
-        r = level_rows[k]
-        M, T = dense[k], system.target[r]
-
         def fun(g):
             nu, _ = level_weight(g.tobytes(), lam)
             return nu if np.isfinite(nu) else 1e9
@@ -553,12 +591,8 @@ def _solve_besov_general(system, pv, qv, w, tol, lev_range):
             _, grad = level_weight(g.tobytes(), lam)
             return grad
 
-        res = minimize(fun, warm[k] + 1e-12, jac=jac, method="SLSQP",
-                       bounds=[(0.0, None)] * n,
-                       constraints=[{"type": "ineq", "fun": lambda g: M @ g - T,
-                                     "jac": lambda g: M}],
-                       options={"maxiter": 300, "ftol": 1e-14})
-        g = _repair(np.maximum(res.x, 0.0), *_rows(system, r))
+        x = _slsqp(fun, jac, warm[k] + 1e-12, [_ineq(dense[k], system.target[level_rows[k]])], 300)
+        g = _repair(x, *_rows(system, level_rows[k]))
         val = fun(g)
         base = fun(warm[k])
         if base < val:
@@ -578,6 +612,7 @@ def _solve_besov_general(system, pv, qv, w, tol, lev_range):
 
     # the warm start is feasible, so its norm is admissible
     hi = mixed_norm_lq_lp(_assemble_sequence(lev_range, warm, n), pv, qv, w, tol).value
+    _note("bisection")
     _, _, best = _bisect_level(admissible, hi, 0.5 * hi, max(tol, 1e-7), ulp_steps=0)
     seq = _assemble_sequence(lev_range, best, n)
     value = mixed_norm_lq_lp(seq, pv, qv, w, min(tol, 1e-10))
@@ -585,89 +620,74 @@ def _solve_besov_general(system, pv, qv, w, tol, lev_range):
 
 
 def _solve_tl(system, pv, qv, w, tol, lev_range):
-    n = system.n
     if not np.isfinite(qv).any():
         # pointwise sup norm: a single envelope function must satisfy every
         # level's constraints, i.e. the scalar problem over the same rows
-        flat = GradientConstraintSystem(
-            n=n, idx=system.idx, I=system.I, J=system.J, dist=system.dist,
-            coef_i=system.coef_i, coef_j=system.coef_j, target=system.target)
-        g, nv = _min_norm_scalar(flat, pv, w, tol)
-        ks = [int(k) for k in np.unique(system.level)]
-        seq = _assemble_sequence(lev_range, {k: g for k in ks}, n)
-        return seq, NormValue(nv.value, nv.tolerance, kind="mixed_plq")
+        g, nv = _min_norm_scalar(replace(system, level=None), pv, w, tol)
+        seq = _assemble_sequence(lev_range, dict.fromkeys(np.unique(system.level).tolist(), g),
+                                 system.n)
+        return seq, replace(nv, kind="mixed_plq")
     if np.array_equal(qv, pv):
         seq, nv = _solve_modular_decoupled(system, pv, w, tol, lev_range)
-        value = mixed_norm_lp_lq(seq, pv, qv, w, min(tol, 1e-10))
-        return seq, NormValue(value.value, value.tolerance, kind="mixed_plq")
+        return seq, replace(nv, kind="mixed_plq")
     if np.any(np.isinf(qv)):
         raise ValueError("TL scale supports q identically infinite or finite everywhere")
     return _solve_tl_joint(system, pv, qv, w, tol, lev_range)
 
 
 def _solve_tl_joint(system, pv, qv, w, tol, lev_range):
-    """Joint minimization across levels of the pointwise-sequence norm."""
+    """Joint minimization across levels of the pointwise-sequence norm: one
+    gauge solve when its modular is convex (min p >= 1 and min q >= 1), else
+    a bisection on the norm level around trust-constr (flagged heuristic)."""
     n = system.n
-    ks = [int(k) for k in np.unique(system.level)]
-    L = len(ks)
-    pos = {k: r for r, k in enumerate(ks)}
-    rows = np.arange(system.m)
+    ks, pos = np.unique(system.level, return_inverse=True)
+    L = ks.size
     # stacked variables x[r*n + i] for level ks[r]
-    col_i = np.array([pos[int(system.level[t])] * n + system.I[t] for t in rows])
-    col_j = np.array([pos[int(system.level[t])] * n + system.J[t] for t in rows])
-    A_sp = sparse.csr_matrix(sparse.coo_matrix(
-        (np.concatenate([system.coef_i, system.coef_j]),
-         (np.tile(rows, 2), np.concatenate([col_i, col_j]))),
-        shape=(system.m, L * n)))
+    rows = (system.I + pos * n, system.J + pos * n, system.coef_i, system.coef_j,
+            system.target)
+    x0 = _feasible_point(L * n, *rows)
 
-    x0 = np.zeros((L, n))
-    for k in ks:
-        r = system.rows_for_level(k)
-        x0[pos[k]] = _repair(
-            _feasible_point(n, system.I[r], system.J[r], system.coef_i[r], system.target[r]),
-            *_rows(system, r))
-    x = x0.ravel()
+    def modular(x, c):
+        X = np.abs(x.reshape(L, n))
+        with np.errstate(over="ignore"):
+            S = np.sum(X ** qv[None, :], axis=0)
+        return float(np.sum(c * S ** (pv / qv)))
 
-    def admissible(lam):
-        nonlocal x
-        c = w * lam ** (-pv)
+    def modular_grad(x, c):
+        X = np.maximum(x.reshape(L, n), 0.0)
+        with np.errstate(over="ignore"):
+            S = np.sum(X ** qv[None, :], axis=0)
+        outer = c * pv * np.maximum(S, 1e-300) ** (pv / qv - 1.0)
+        grad = outer[None, :] * np.maximum(X, 1e-300) ** (qv[None, :] - 1.0)
+        grad[:, S == 0.0] = 0.0
+        return grad.ravel()
 
-        def fun(x):
-            X = np.abs(x.reshape(L, n))
-            with np.errstate(over="ignore"):
-                S = np.sum(X ** qv[None, :], axis=0)
-            return float(np.sum(c * S ** (pv / qv)))
+    hi = max(mixed_norm_lp_lq(SequenceSample(0, x0.reshape(L, n)), pv, qv, w, 1e-10).value,
+             1e-12)
+    if min(pv.min(), qv.min()) >= 1.0:
+        x = _solve_gauge(*rows, L * n, lambda x: modular(x, w),
+                         lambda x: modular_grad(x, w), x0, hi)
+    else:
+        A_sp = _constraint_sparse(*rows, L * n)
+        x = x0
 
-        def jac(x):
-            X = np.maximum(x.reshape(L, n), 0.0)
-            with np.errstate(over="ignore"):
-                S = np.sum(X ** qv[None, :], axis=0)
-            Ssafe = np.maximum(S, 1e-300)
-            outer = c * pv * Ssafe ** (pv / qv - 1.0)
-            grad = outer[None, :] * np.maximum(X, 1e-300) ** (qv[None, :] - 1.0)
-            grad[:, S == 0.0] = 0.0
-            return grad.ravel()
+        def admissible(lam):
+            nonlocal x
+            c = w * lam ** (-pv)
+            with warnings.catch_warnings():
+                # quasi-Newton curvature updates stall on locally-linear pieces
+                warnings.filterwarnings("ignore", message="delta_grad == 0.0")
+                res = minimize(modular, np.maximum(x, 1e-12), args=(c,), jac=modular_grad,
+                               method="trust-constr",
+                               constraints=[LinearConstraint(A_sp, system.target, np.inf)],
+                               bounds=Bounds(0.0, np.inf),
+                               options={"gtol": 1e-9, "xtol": 1e-12, "maxiter": 1200})
+            x = _repair(res.x, *rows)
+            return modular(x, c) <= 1.0, x
 
-        with warnings.catch_warnings():
-            # quasi-Newton curvature updates stall on locally-linear pieces
-            warnings.filterwarnings("ignore", message="delta_grad == 0.0")
-            res = minimize(fun, np.maximum(x, 1e-12), jac=jac,
-                           method="trust-constr",
-                           constraints=[LinearConstraint(A_sp, system.target, np.inf)],
-                           bounds=Bounds(0.0, np.inf),
-                           options={"gtol": 1e-9, "xtol": 1e-12, "maxiter": 1200})
-        x = np.maximum(res.x, 0.0)
-        X = x.reshape(L, n)
-        for k in ks:
-            r = system.rows_for_level(k)
-            X[pos[k]] = _repair(X[pos[k]], *_rows(system, r))
-        x = X.ravel()
-        return fun(x) <= 1.0, x
-
-    hi = max(mixed_norm_lp_lq(SequenceSample(0, x0), pv, qv, w, 1e-10).value, 1e-12)
-    _, _, x = _bisect_level(admissible, hi, 0.5 * hi, max(tol, 1e-7), ulp_steps=0)
-    X = x.reshape(L, n)
-    seq = _assemble_sequence(lev_range, {k: X[pos[k]] for k in ks}, n)
+        _note("bisection")
+        _, _, x = _bisect_level(admissible, hi, 0.5 * hi, max(tol, 1e-7), ulp_steps=0)
+    seq = _assemble_sequence(lev_range, dict(zip(ks.tolist(), x.reshape(L, n))), n)
     value = mixed_norm_lp_lq(seq, pv, qv, w, 1e-10)
     return seq, NormValue(value.value, value.tolerance, kind="mixed_plq")
 
@@ -761,23 +781,13 @@ def oracle_scalar_gradient(space, u, s, p, step: float = 1e-3, subset=None,
         if collected[0].size > 2_000_000:
             raise ValueError("variable-exponent oracle lattice too large")
 
-        def min_mod(t):
+        def admissible(t):
             mod = sum(w[i] * (collected[i] / t) ** pv[i] for i in range(n))
-            return float(mod.min()), int(np.argmin(mod))
+            return float(mod.min()) <= 1.0, int(np.argmin(mod))
 
         t_hi = float(max(pt.max() for pt in collected)) * max(
             1.0, float(w.sum()) ** (1.0 / float(pv.min()))) + 1e-30
-        t_lo = t_hi * 2 ** -60
-        for _ in range(120):
-            if t_hi - t_lo <= 1e-11 * t_hi:
-                break
-            mid = 0.5 * (t_lo + t_hi)
-            v, _b = min_mod(mid)
-            if v <= 1.0:
-                t_hi = mid
-            else:
-                t_lo = mid
-        _, b = min_mod(t_hi)
+        t_hi, _, b = _bisect_level(admissible, t_hi, t_hi * 2 ** -60, 1e-11)
         return t_hi, np.array([pt[b] for pt in collected])
 
     if n <= 3:
@@ -800,22 +810,11 @@ def norm_convention_equivalence(space, u, s, p, q, scale: str = "lq_lp",
     never exceeds the distance variant, and conversely dominates it up to
     that factor.
     """
-    direct = minimal_vector_gradient(space, u, s, p, q, scale=scale, tol=tol, subset=subset)
-    system = GradientConstraintSystem.vector(space, u, s, subset, convention="dyadic")
-    idx = system.idx
-    w = space.weight[idx]
-    pv = exponent_values(p, space.n)[idx]
-    qv = exponent_values(q, space.n, allow_inf=True)[idx]
-    sub = space if subset is None else space.subspace(idx)
-    lev_range = active_levels(sub) if sub.n >= 2 else (0, 0)
-    if system.m == 0:
-        alt_val = 0.0
-    elif scale == "lq_lp":
-        _, nv = _solve_besov(system, pv, qv, w, tol, lev_range)
-        alt_val = nv.value
-    else:
-        _, nv = _solve_tl(system, pv, qv, w, tol, lev_range)
-        alt_val = nv.value
+    direct, alt = (minimal_vector_gradient(space, u, s, p, q, scale=scale, tol=tol,
+                                           subset=subset, convention=c)
+                   for c in ("distance", "dyadic"))
+    alt_val = alt.objective.value
+    idx = np.arange(space.n) if subset is None else np.asarray(subset, dtype=int)
     s_plus = float(exponent_values(s, space.n)[idx].max()) if idx.size else 0.0
     factor = 2.0 ** s_plus
     direct_val = direct.objective.value

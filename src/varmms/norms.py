@@ -70,9 +70,14 @@ def modular(u, p, weight) -> float:
 
 
 def _modular_scaled(u_abs, pv, w, lam: float) -> float:
+    """modular(u/lam); when the direct sum overflows (u/lam itself may, far
+    below max|u|) it is re-evaluated in log form, so finite sums keep their
+    bits."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        vals = w * (u_abs / lam) ** pv
-    return float(np.sum(vals))
+        total = float(np.sum(w * (u_abs / lam) ** pv))
+        if total == np.inf:
+            total = float(np.sum(np.exp(np.log(w) + pv * (np.log(u_abs) - np.log(lam)))))
+    return total
 
 
 def _bisect_level(ok, hi: float, lo: float, tol: float, ulp_steps: int = _ULP_STEPS):
@@ -152,18 +157,24 @@ def _luxemburg(u: np.ndarray, pv: np.ndarray, w: np.ndarray, tol: float) -> Norm
     The bracket is seeded from the modular sandwich: with umax = max|u| and
     rho = modular(u/umax) the norm lies between umax rho**(1/p^+) and
     umax rho**(1/p^-), with equality when p is constant.  Normalising by
-    umax keeps rho in (0, sum w], so nothing overflows.  ``_bisect_level``
-    checks both ends against the modular before use; a lower end below
-    1e-300 returns the upper one with tolerance equal to its value.
+    umax keeps rho in (0, sum w], so nothing overflows.  When the lower end
+    underflows below 1e-300, both ends are taken in log form.
+    ``_bisect_level`` checks both ends against the modular before use; a
+    lower end still below 1e-300 returns the upper one with tolerance equal
+    to its value.
     """
     u_abs = np.abs(u)
     umax = float(u_abs.max(initial=0.0))
     if umax == 0.0:
         return NormValue(0.0, 0.0)
     rho = _modular_scaled(u_abs, pv, w, umax)
-    lo, hi = _sandwich(rho, pv)
+    lo, hi = (umax * end for end in _sandwich(rho, pv))
+    if lo < 1e-300:  # rho**(1/p) underflowed, umax times it need not
+        with np.errstate(divide="ignore"):
+            ends = np.exp(np.log(umax) + np.log(rho) / np.array([pv.min(), pv.max()]))
+        lo, hi = float(ends.min()), float(ends.max())
     hi, lo, _ = _bisect_level(lambda lam: (_modular_scaled(u_abs, pv, w, lam) <= 1.0, None),
-                              umax * hi, umax * lo * (1.0 - 1e-12), tol)
+                              hi, lo * (1.0 - 1e-12), tol)
     return NormValue(float(hi), float(hi - lo))
 
 

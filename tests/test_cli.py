@@ -232,3 +232,38 @@ def test_malformed_scenario_exit_one(tmp_path):
     path2.write_text(json.dumps({"name": "x", "space": {"kind": "grid1d", "params": {"n": 4}},
                                  "checks": [{"op": "unknown_op"}]}))
     assert run(["verify", path2]) == 1
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_malformed_scenarios_do_not_stop_siblings(tmp_path, capsys, jobs):
+    good = {
+        "name": "good",
+        "space": {"kind": "grid2d", "params": {"nx": 5}},
+        "exponents": {"s": {"constant": 1.0}, "p": {"constant": 1.0},
+                      "Q": {"constant": 2.0}},
+        "function": {"family": "coordinate", "axis": 0},
+        "checks": [{"op": "sobolev_local", "ball": {"center": 6, "radius": 0.3}}],
+    }
+    bad = {
+        "checks_int": dict(good, name="checks_int", checks=5),
+        "bogus_param": dict(good, name="bogus_param",
+                            space={"kind": "grid2d", "params": {"nx": 5, "bogus": 3}}),
+        "far_center": dict(good, name="far_center",
+                           checks=[{"op": "sobolev_local",
+                                    "ball": {"center": 1e6, "radius": 0.3}}]),
+    }
+    paths = []
+    for name, scenario in [("checks_int", bad["checks_int"]), ("good", good),
+                           ("bogus_param", bad["bogus_param"]),
+                           ("far_center", bad["far_center"])]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(scenario))
+        paths.append(path)
+    out = tmp_path / "out"
+    assert run(["--out", out, "--jobs", jobs, "verify", *paths]) == 1
+    assert json.loads((out / "good.json").read_text())[0]["verdict"] == "pass"
+    assert sorted(p.name for p in out.iterdir()) == ["good.csv", "good.json"]
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 3
+    for name, line in zip(("checks_int", "bogus_param", "far_center"), err):
+        assert line.startswith("error: malformed scenario") and f"{name}.json" in line

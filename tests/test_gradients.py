@@ -278,3 +278,97 @@ def test_level_weight_gradient_matches_finite_differences(with_inf):
         fd = (_level_weight(g + step, w, p, q, lam)[0]
               - _level_weight(g - step, w, p, q, lam)[0]) / (2.0 * h)
         assert grad[i] == pytest.approx(fd, rel=1e-5)
+
+
+def _bisection_reference(system, pv, qv, w):
+    """min over the rows of the mixed norm with inner exponent q (q = p is
+    the plain Lebesgue norm of the level-stacked family), as a bisection at
+    tol 1e-10 on the norm level around full-row SLSQP on the modular."""
+    n = system.n
+    if system.level is None:
+        L, pos = 1, np.zeros(system.m, dtype=int)
+    else:
+        ks, pos = np.unique(system.level, return_inverse=True)
+        L = ks.size
+    m = system.m
+    M = np.zeros((m, L * n))
+    M[np.arange(m), system.I + pos * n] += system.coef_i
+    M[np.arange(m), system.J + pos * n] += system.coef_j
+    T = system.target
+    x0 = np.zeros(L * n)
+    np.maximum.at(x0, system.I + pos * n, T / system.coef_i)
+
+    def modular(x, lam):
+        S = np.sum(np.abs(x.reshape(L, n)) ** qv, axis=0)
+        return float(np.sum(w * lam ** -pv * S ** (pv / qv)))
+
+    def grad(x, lam):
+        X = np.maximum(x.reshape(L, n), 1e-300)
+        S = np.maximum(np.sum(X ** qv, axis=0), 1e-300)
+        return (w * lam ** -pv * pv * S ** (pv / qv - 1.0) * X ** (qv - 1.0)).ravel()
+
+    def admissible(lam):
+        s0 = modular(x0, lam)
+        res = minimize(lambda x: modular(x, lam) / s0, x0,
+                       jac=lambda x: grad(x, lam) / s0, method="SLSQP",
+                       bounds=[(0.0, None)] * x0.size,
+                       constraints=[{"type": "ineq", "fun": lambda x: M @ x - T,
+                                     "jac": lambda x: M}],
+                       options={"maxiter": 1000, "ftol": 1e-15})
+        x = np.maximum(res.x, 0.0)
+        lhs = M @ x
+        x *= max(1.0, float(np.max(T / lhs)))  # exact feasibility
+        return modular(x, lam) <= 1.0
+
+    hi = 1.0
+    while not admissible(hi):
+        hi *= 2.0
+    lo = 0.5 * hi
+    while admissible(lo):
+        hi, lo = lo, 0.5 * lo
+    while hi - lo > 1e-10 * hi:
+        mid = 0.5 * (lo + hi)
+        hi, lo = (mid, lo) if admissible(mid) else (hi, mid)
+    return hi
+
+
+@pytest.mark.parametrize("kind, amp", [("scalar", 0.1), ("scalar", 3.0), ("q=p", 0.1),
+                                       ("tl", 0.1), ("tl", 3.0)])
+def test_gauge_matches_bisection_reference(kind, amp):
+    # one gauge solve against a bisection on the norm level; amplitudes on
+    # both sides of norm one, where a missing 1/mu rescale would show
+    rng = np.random.default_rng(21)
+    n = 6 if kind == "scalar" else 5
+    sp = MetricMeasureSpace.from_points(rng.uniform(0, 1.5, (n, 2)), rng.uniform(0.3, 1.0, n))
+    u = amp * rng.standard_normal(n)
+    s = rng.uniform(0.4, 0.9, n)
+    p = rng.uniform(1.1, 2.0, n)
+    if kind == "scalar":
+        sol = minimal_scalar_gradient(sp, u, s, p)
+        system, q = GradientConstraintSystem.scalar(sp, u, s), p
+    else:
+        q = p if kind == "q=p" else np.full(n, 1.3)
+        sol = minimal_vector_gradient(sp, u, s, p, q, scale="lq_lp" if kind == "q=p" else "lp_lq")
+        system = GradientConstraintSystem.vector(sp, u, s)
+    assert sol.info["path"] == "gauge"
+    reference = _bisection_reference(system, p, q, sp.weight)
+    value = sol.objective.value
+    assert value == pytest.approx(reference, rel=1e-6)
+    assert value <= reference * (1.0 + 1e-9)
+
+
+def test_solution_info_names_solver_path():
+    sp = MetricMeasureSpace.from_points([[0.0], [0.6], [1.5]], [1.0, 0.5, 0.8])
+    u = [0.0, 1.0, 0.3]
+    cases = [(1.0, "lp"), (2.0, "working-set"), (0.5, "subgradient"),
+             ([1.2, 1.8, 1.5], "gauge"), ([0.7, 1.8, 1.5], "bisection")]
+    for p, path in cases:
+        info = minimal_scalar_gradient(sp, u, 0.5, p).info
+        assert info["path"] == path, (p, info)
+        assert info["slsqp_status"] == sorted(set(info["slsqp_status"]))
+        assert 0 not in info["slsqp_status"]
+    p = [1.2, 1.8, 1.5]
+    tl = minimal_vector_gradient(sp, u, 0.5, p, 1.3, scale="lp_lq").info
+    besov = minimal_vector_gradient(sp, u, 0.5, p, [1.1, 1.3, 1.2], scale="lq_lp").info
+    assert (tl["path"], besov["path"]) == ("gauge", "bisection")
+    assert minimal_scalar_gradient(sp, [1.0, 1.0, 1.0], 0.5, p).info["path"] == "none"

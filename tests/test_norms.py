@@ -69,13 +69,21 @@ def test_luxemburg_extreme_scales_and_exponents(exp10, p_max, constant, seed):
 
 @pytest.mark.parametrize("u0, w0", [(1.0, 1e-300), (1e300, 1e-170)])
 def test_luxemburg_underflowed_sandwich_uses_guards(u0, w0):
-    # rho**(1/p) underflows to 0, so the upper end is grown from 0 and the
-    # lower end (also 0) returns it with tolerance equal to its value
+    # rho**(1/p) underflows to 0.  The exact norm u0 w0**2 is 1e-600 in the
+    # first case: the upper end is grown from 0 and returned with tolerance
+    # equal to its value.  In the second it is 1e-40, far below u0 / 1.8e308,
+    # where u/lam overflows: the log-form ends and modular find it exactly.
     u, w = np.array([u0]), np.array([w0])
     nv = luxemburg(u, 0.5, w)
     assert 0.0 < nv.value < np.inf
-    assert nv.tolerance == nv.value
-    assert modular(u / nv.value, 0.5, w) <= 1.0
+    # log of the modular at the returned level: certified <= 1
+    assert np.log(w0) + 0.5 * (np.log(u0) - np.log(nv.value)) <= 1e-15
+    exact = np.exp(np.log(u0) + 2.0 * np.log(w0))
+    if exact < 1e-300:
+        assert nv.tolerance == nv.value
+    else:
+        assert nv.value == pytest.approx(exact, rel=1e-9)
+        assert nv.tolerance <= 1e-9 * nv.value
 
 
 @given(st.integers(-250, 250), st.sampled_from([1e-12, 1e-6]),
