@@ -58,6 +58,16 @@ def cmd_space_gen(args) -> int:
     return 0
 
 
+# local check ops: the check, its constant keys in the scenario, and whether
+# it takes a gradient mode and q
+_LOCAL_OPS = {
+    "sobolev_local": (check_sobolev_local, ("C",), True),
+    "moser_local": (check_moser_trudinger_local, ("C1", "C2"), True),
+    "morrey_local": (check_morrey_local, ("C_H",), True),
+    "local_embedding": (local_embedding_check, ("C_S",), False),
+}
+
+
 def _scenario_reports(scenario: dict, base_dir: str, tol: float, sigma: float,
                       epsilon: float | None):
     space = _load_space(scenario["space"], base_dir)
@@ -77,28 +87,15 @@ def _scenario_reports(scenario: dict, base_dir: str, tol: float, sigma: float,
         common = dict(scenario=label, tol=tol)
         if op != "necessity":  # necessity builds its own test functions
             u = generate_function(space, check.get("function", scenario.get("function", {})))
-        if op in ("sobolev_local", "moser_local", "morrey_local", "local_embedding"):
+        if op in _LOCAL_OPS:
+            fn, keys, modal = _LOCAL_OPS[op]
+            kw = {k: check.get(k) for k in keys}
+            if modal:
+                kw.update(mode=check.get("mode", "M"), q=fields.get("q"))
             b = check["ball"]
-            loc = dict(center=int(b["center"]), radius=float(b["radius"]),
-                       sigma=float(check.get("sigma", sigma)))
-            q = fields.get("q")
-            mode = check.get("mode", "M")
-            if op == "sobolev_local":
-                rep = check_sobolev_local(space, u=u, s=fields["s"], p=fields["p"],
-                                          Q=fields["Q"], mode=mode, q=q,
-                                          C=check.get("C"), **loc, **common)
-            elif op == "moser_local":
-                rep = check_moser_trudinger_local(space, u=u, s=fields["s"], p=fields["p"],
-                                                  Q=fields["Q"], mode=mode, q=q,
-                                                  C1=check.get("C1"), C2=check.get("C2"),
-                                                  **loc, **common)
-            elif op == "morrey_local":
-                rep = check_morrey_local(space, u=u, s=fields["s"], p=fields["p"],
-                                         Q=fields["Q"], mode=mode, q=q,
-                                         C_H=check.get("C_H"), **loc, **common)
-            else:
-                rep = local_embedding_check(space, u=u, s=fields["s"], p=fields["p"],
-                                     Q=fields["Q"], C_S=check.get("C_S"), **loc, **common)
+            rep = fn(space, center=int(b["center"]), radius=float(b["radius"]),
+                     sigma=float(check.get("sigma", sigma)), u=u, s=fields["s"],
+                     p=fields["p"], Q=fields["Q"], **kw, **common)
         elif op == "global":
             rep = check_global(space, u=u, s=fields["s"], p=fields["p"], Q=fields["Q"],
                                q=fields.get("q"), theorem=check.get("theorem", "bounded"),
@@ -156,8 +153,7 @@ def _run_verify_like(args) -> int:
                       args.tol, args.sigma, args.epsilon))
     # jobs is deliberately not embedded: parallel and sequential runs of the
     # same scenarios must produce byte-identical reports
-    settings = {"tol": args.tol, "seed": args.seed, "sigma": args.sigma,
-                "epsilon": args.epsilon}
+    settings = {"tol": args.tol, "sigma": args.sigma, "epsilon": args.epsilon}
     if args.jobs > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -237,7 +233,6 @@ def main(argv=None) -> int:
                                      description=__doc__.splitlines()[0])
     parser.add_argument("--tol", type=float, default=1e-6,
                         help="solver/bisection tolerance (default 1e-6)")
-    parser.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
     parser.add_argument("--sigma", type=float, default=2.0,
                         help="default ball inflation factor (default 2)")
     parser.add_argument("--epsilon", type=float, default=None,

@@ -3,7 +3,9 @@
 A space is a finite point set with a full distance matrix and strictly
 positive point weights (the measure).  All operations are pure; a space is
 immutable after construction.  Distance matrices are validated once when a
-space is built through one of the ``from_*`` constructors; internal
+space is built through one of the ``from_*`` constructors: ``from_matrix``
+checks the triangle inequality on every triple, ``from_points`` skips that
+check because Euclidean distances are a metric by construction.  Internal
 re-slicing (``subspace``) skips re-validation because restrictions of a
 metric stay metric.
 """
@@ -30,9 +32,6 @@ __all__ = [
     "phi_iterates",
 ]
 
-# exhaustive triangle check up to this size, random triples beyond
-_EXHAUSTIVE_TRIANGLE_LIMIT = 200
-_TRIANGLE_SAMPLES = 100_000
 _TRIANGLE_SLACK = 1e-9
 
 
@@ -70,6 +69,14 @@ class MetricMeasureSpace:
 
     @classmethod
     def from_matrix(cls, dist, weight, labels=None, coords=None, atoms=()):
+        space = cls._validated(dist, weight, labels, coords, atoms)
+        _check_triangle(space.dist)
+        return space
+
+    @classmethod
+    def _validated(cls, dist, weight, labels, coords, atoms):
+        """A space from a checked matrix and weights; the triangle inequality
+        is left to the caller."""
         dist = np.asarray(dist, dtype=float)
         weight = np.asarray(weight, dtype=float)
         _validate(dist, weight)
@@ -87,7 +94,8 @@ class MetricMeasureSpace:
         dist = np.sqrt((diff * diff).sum(axis=-1))
         dist = 0.5 * (dist + dist.T)
         np.fill_diagonal(dist, 0.0)
-        return cls.from_matrix(dist, weight, labels=labels, coords=coords, atoms=atoms)
+        # Euclidean distances are a metric by construction: no triangle check
+        return cls._validated(dist, weight, labels, coords, atoms)
 
     @classmethod
     def from_json(cls, payload):
@@ -159,32 +167,18 @@ def _validate(dist: np.ndarray, weight: np.ndarray) -> None:
     if n > 1 and np.any(dist[off] <= 0):
         i, j = np.argwhere((dist <= 0) & off)[0]
         raise SpaceValidationError(f"dist[{i}][{j}] = {dist[i, j]} must be > 0 for distinct points")
-    _check_triangle(dist)
 
 
 def _check_triangle(dist: np.ndarray) -> None:
-    n = dist.shape[0]
-    scale = max(1.0, float(dist.max(initial=0.0)))
-    slack = _TRIANGLE_SLACK * scale
-    if n <= _EXHAUSTIVE_TRIANGLE_LIMIT:
-        for k in range(n):
-            via = dist[:, k][:, None] + dist[k, :][None, :]
-            bad = dist > via + slack
-            if bad.any():
-                i, j = map(int, np.argwhere(bad)[0])
-                raise SpaceValidationError(
-                    f"triangle inequality fails for ({i}, {j}, {k}): "
-                    f"{dist[i, j]} > {dist[i, k]} + {dist[k, j]}")
-        return
-    rng = np.random.default_rng(0)
-    ii = rng.integers(0, n, _TRIANGLE_SAMPLES)
-    jj = rng.integers(0, n, _TRIANGLE_SAMPLES)
-    kk = rng.integers(0, n, _TRIANGLE_SAMPLES)
-    bad = dist[ii, jj] > dist[ii, kk] + dist[kk, jj] + slack
-    if bad.any():
-        t = int(np.argmax(bad))
-        raise SpaceValidationError(
-            f"triangle inequality fails for ({ii[t]}, {jj[t]}, {kk[t]})")
+    """Every triple, one intermediate point k at a time."""
+    slack = _TRIANGLE_SLACK * max(1.0, float(dist.max(initial=0.0)))
+    for k in range(dist.shape[0]):
+        bad = dist > dist[:, k][:, None] + dist[k, :][None, :] + slack
+        if bad.any():
+            i, j = map(int, np.argwhere(bad)[0])
+            raise SpaceValidationError(
+                f"triangle inequality fails for ({i}, {j}, {k}): "
+                f"{dist[i, j]} > {dist[i, k]} + {dist[k, j]}")
 
 
 # -- balls -----------------------------------------------------------------

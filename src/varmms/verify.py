@@ -7,10 +7,17 @@ an exception, because the necessity experiments deliberately break
 hypotheses.  Constants for which no closed form exists are measured
 empirically (the ratio of the two sides) and recorded for refinement-
 stability comparisons.
+
+The local checks share one pipeline: ``_local_setup`` tests the ball, the
+regime of s p against Q (one ``_REGIMES`` entry per check), log-Hoelder
+exponents and lower regularity, then solves the minimal gradient on sigma*B0;
+each check adds only its own inequality.  The necessity modes draw their test
+functions from one annular cut-off family, ``_cutoff_family``.
 """
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +29,8 @@ from .generators import annular_cutoff, ball_grid_with_atom, power_function
 from .gradients import lipschitz_cutoff_gradient, minimal_scalar_gradient, minimal_vector_gradient
 from .norms import check_slack, holder_seminorm, luxemburg
 from .regularity import best_lower_constant
-from .space import ball, uniform_perfectness
+from .space import (ball, critical_radii, estimate_doubling, perfectness_resolution, phi,
+                    uniform_perfectness)
 
 __all__ = [
     "Hypothesis",
@@ -106,12 +114,8 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
     return obj
 
 
@@ -124,6 +128,30 @@ def _na_report(theorem, scenario, hypotheses, extras=None) -> VerificationReport
 
 def _weighted_mean(u, w) -> float:
     return float(np.sum(u * w) / np.sum(w))
+
+
+def _ratio(num, den) -> float:
+    """num / den, read as 0 or inf when den is not positive."""
+    return num / den if den > 0 else (0.0 if num == 0 else np.inf)
+
+
+def _exp_average(u, w, C1: float, grad: float) -> float:
+    """Weighted mean of exp(C1 |u - mean u| / grad); 1 or inf when grad = 0."""
+    if grad == 0:
+        return 1.0 if np.ptp(u) == 0 else np.inf
+    return _weighted_mean(np.exp(C1 * np.abs(u - _weighted_mean(u, w)) / grad), w)
+
+
+def _bound_report(theorem, scenario, hyp, lhs, scale, c_emp, C, extras) -> VerificationReport:
+    """Report of lhs <= C * scale, or of the empirical constant when no C is given."""
+    if C is None:
+        rhs = c_emp * scale if np.isfinite(c_emp) else np.inf
+        C, provenance, passed = c_emp, "empirical", np.isfinite(c_emp)
+    else:
+        rhs = C * scale
+        provenance, passed = "supplied", lhs <= rhs + check_slack(rhs)
+    return VerificationReport(theorem, scenario, hyp, lhs, rhs, C, provenance, rhs - lhs,
+                              bool(passed), extras)
 
 
 def _golden_min(f, lo: float, hi: float, iters: int = 120):
@@ -143,8 +171,7 @@ def _golden_min(f, lo: float, hi: float, iters: int = 120):
             a, x1, f1 = x1, x2, f2
             x2 = a + phi * (b - a)
             f2 = f(x2)
-    xs = [(f1, x1), (f2, x2)]
-    fv, xv = min(xs)
+    fv, xv = min((f1, x1), (f2, x2))
     return xv, fv
 
 
@@ -163,32 +190,28 @@ def inf_centered_norm(u, p, w) -> tuple[float, float, bool]:
     def f(c):
         return luxemburg(u - c, pv, w).value
 
-    if pv.min() >= 1.0:
-        c_star, val = _golden_min(f, lo, hi)
-        return val, c_star, False
-    grid = np.linspace(lo, hi, 64)
-    vals = [f(c) for c in grid]
-    j = int(np.argmin(vals))
-    a = grid[max(j - 1, 0)]
-    b = grid[min(j + 1, 63)]
-    c_star, val = _golden_min(f, a, b)
-    return val, c_star, True
+    heuristic = bool(pv.min() < 1.0)
+    if heuristic:
+        grid = np.linspace(lo, hi, 64)
+        j = int(np.argmin([f(c) for c in grid]))
+        lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, 63)]
+    c_star, val = _golden_min(f, lo, hi)
+    return val, c_star, heuristic
 
 
-def _grad_norm(space, u, s, p, q, mode: str, subset, tol=1e-6):
+def _grad_norm(space, u, s, p, q, mode: str, subset, tol, extras) -> float:
+    """Minimal gradient norm of u in ``mode``, recorded in the extras."""
     if mode == "M":
         sol = minimal_scalar_gradient(space, u, s, p, tol=tol, subset=subset)
-    elif mode == "TL":
+    elif mode in ("TL", "Besov"):
         if q is None:
-            raise ValueError("TL mode needs q")
-        sol = minimal_vector_gradient(space, u, s, p, q, scale="lp_lq", tol=tol, subset=subset)
-    elif mode == "Besov":
-        if q is None:
-            raise ValueError("Besov mode needs q")
-        sol = minimal_vector_gradient(space, u, s, p, q, scale="lq_lp", tol=tol, subset=subset)
+            raise ValueError(f"{mode} mode needs q")
+        sol = minimal_vector_gradient(space, u, s, p, q, scale="lp_lq" if mode == "TL" else "lq_lp",
+                                      tol=tol, subset=subset)
     else:
         raise ValueError(f"unknown mode {mode!r}; use 'M', 'TL', or 'Besov'")
-    return sol
+    extras.update({"grad_norm": sol.objective.value, "heuristic_gradient": sol.heuristic})
+    return sol.objective.value
 
 
 def _lower_regularity(space, Qv, delta: float) -> float:
@@ -207,17 +230,38 @@ def _log_hypotheses(space, subset, fields: dict) -> list[Hypothesis]:
     return out
 
 
-def check_sobolev_local(space, center: int, radius: float, sigma: float, u, s, p, Q,
-                        mode: str = "M", q=None, C: float | None = None,
-                        delta: float | None = None, scenario: str = "",
-                        tol: float = 1e-6) -> VerificationReport:
-    """Local Poincare-type inequality on a ball in the subcritical regime.
+# The regime hypothesis of each local check on sigma*B0: the statistic of
+# (s, p, Q) it reads, when it holds, and its detail format.
+_REGIMES = {
+    "sp_below_Q": (lambda s, p, Q: np.min(Q - s * p), lambda v: v > 0,
+                   "min(Q - s p) = {:.6g} on sigma B0"),
+    "sp_equals_Q": (lambda s, p, Q: np.max(np.abs(s * p - Q)), lambda v: v <= 1e-9,
+                    "max |s p - Q| = {:.3g}"),
+    "sp_above_Q": (lambda s, p, Q: np.min(s * p - Q), lambda v: v > 0,
+                   "min(s p - Q) = {:.6g}"),
+}
 
-    LHS: inf over c of the conjugate-exponent norm of u - c on B0.
-    RHS: C * (mu(B0)/r0**Q(x0))**(1/gamma^-_B0) * minimal gradient norm on
-    the inflated ball.  With no supplied C the empirical ratio is recorded.
-    """
-    theorem = f"sobolev_local[{mode}]"
+
+def _regime(sv, pv, Qv) -> str:
+    """The regime of the whole exponent field, read from ``_REGIMES``."""
+    for regime, key in (("critical", "sp_equals_Q"), ("supercritical", "sp_above_Q"),
+                        ("subcritical", "sp_below_Q")):
+        stat, holds, _ = _REGIMES[key]
+        if holds(stat(sv, pv, Qv)):
+            return regime
+    return "mixed"
+
+
+# A ball whose local hypotheses hold: report fields, exponent values, B0 and
+# sigma*B0, u (also on B0), the weights on B0, the gradient norm on sigma*B0.
+_Local = namedtuple("_Local", "theorem hyp extras s p Q B0 sig u u_b0 w_b0 grad")
+
+
+def _local_setup(theorem, regime, space, center, radius, sigma, u, s, p, Q, mode, q,
+                 delta, scenario, tol):
+    """Hypotheses shared by the local checks (sigma > 1, B0 nonempty, r0 <=
+    delta/sigma, ``regime`` and log-Hoelder exponents on sigma*B0, lower
+    regularity up to delta): the n/a report, or the context with its gradient."""
     sv = exponent_values(s, space.n)
     pv = exponent_values(p, space.n)
     Qv = exponent_values(Q, space.n)
@@ -230,47 +274,57 @@ def check_sobolev_local(space, center: int, radius: float, sigma: float, u, s, p
         Hypothesis("r0_le_delta_over_sigma", radius <= delta / sigma + 1e-12,
                    f"r0 = {radius}, delta/sigma = {delta / sigma}"),
     ]
-    if sig.members.size:
-        gap = np.min((Qv - sv * pv)[sig.members])
-        hyp.append(Hypothesis("sp_below_Q", gap > 0, f"min(Q - s p) = {gap:.6g} on sigma B0"))
-        hyp.extend(_log_hypotheses(space, sig.members, {"Q": Qv, "p": pv, "s": sv}))
+    m = sig.members
+    if m.size:
+        stat, holds, detail = _REGIMES[regime]
+        value = stat(sv[m], pv[m], Qv[m])
+        hyp.append(Hypothesis(regime, holds(value), detail.format(value)))
+        hyp.extend(_log_hypotheses(space, m, {"Q": Qv, "p": pv, "s": sv}))
     else:
-        hyp.append(Hypothesis("sp_below_Q", False, "empty inflated ball"))
+        hyp.append(Hypothesis(regime, False, "empty inflated ball"))
     b = _lower_regularity(space, Qv, delta)
     hyp.append(Hypothesis("lower_regularity", b > 0, f"b = {b:.6g} on (0, {delta}]"))
     extras = {"b": b, "delta": delta, "mode": mode}
     if not all(h.holds for h in hyp):
         return _na_report(theorem, scenario, hyp, extras)
-
-    gamma = sobolev_conjugate(Qv[sig.members], sv[sig.members], pv[sig.members]).values
-    gamma_full = np.full(space.n, np.nan)
-    gamma_full[sig.members] = gamma
-    in_b0 = np.isin(sig.members, B0.members)
-    gamma_b0 = gamma[in_b0]
     uv = np.asarray(u, dtype=float)
-    w_b0 = space.weight[B0.members]
-    lhs, c_star, heur = inf_centered_norm(uv[B0.members], gamma_b0, w_b0)
-    sol = _grad_norm(space, uv, sv, pv, q, mode, sig.members, tol)
-    grad = sol.objective.value
-    core = (B0.measure / radius ** Qv[center]) ** (1.0 / float(gamma_b0.min())) * grad
-    extras.update({
-        "gamma_minus_B0": float(gamma_b0.min()),
-        "grad_norm": grad,
-        "core": core,
-        "center_shift": c_star,
-        "heuristic_inf": heur,
-        "heuristic_gradient": sol.heuristic,
-    })
-    c_emp = (lhs / core) if core > 0 else (0.0 if lhs == 0 else np.inf)
-    extras["empirical_constant"] = c_emp
-    if C is None:
-        rhs = c_emp * core if np.isfinite(c_emp) else np.inf
-        return VerificationReport(theorem, scenario, hyp, lhs, rhs, c_emp,
-                                  "empirical", rhs - lhs, bool(np.isfinite(c_emp)),
-                                  extras)
-    rhs = C * core
-    return VerificationReport(theorem, scenario, hyp, lhs, rhs, C, "supplied",
-                              rhs - lhs, bool(lhs <= rhs + check_slack(rhs)), extras)
+    grad = _grad_norm(space, uv, sv, pv, q, mode, m, tol, extras)
+    return _Local(theorem, hyp, extras, sv, pv, Qv, B0, sig, uv, uv[B0.members],
+                  space.weight[B0.members], grad)
+
+
+def _sobolev(ctx: _Local, center: int, radius: float):
+    """Centered conjugate-exponent norm of u on B0 and its empirical
+    constant, recorded in the extras.  Returns (lhs, core, gamma on B0,
+    ball factor (mu(B0)/r0**Q(x0))**(1/gamma^-_B0))."""
+    b0 = ctx.B0.members
+    gamma_b0 = sobolev_conjugate(ctx.Q[b0], ctx.s[b0], ctx.p[b0]).values
+    lhs, c_star, heur = inf_centered_norm(ctx.u_b0, gamma_b0, ctx.w_b0)
+    factor = (ctx.B0.measure / radius ** ctx.Q[center]) ** (1.0 / float(gamma_b0.min()))
+    core = factor * ctx.grad
+    ctx.extras.update({"gamma_minus_B0": float(gamma_b0.min()), "core": core,
+                       "center_shift": c_star, "heuristic_inf": heur,
+                       "empirical_constant": _ratio(lhs, core)})
+    return lhs, core, gamma_b0, factor
+
+
+def check_sobolev_local(space, center: int, radius: float, sigma: float, u, s, p, Q,
+                        mode: str = "M", q=None, C: float | None = None,
+                        delta: float | None = None, scenario: str = "",
+                        tol: float = 1e-6) -> VerificationReport:
+    """Local Poincare-type inequality on a ball in the subcritical regime.
+
+    LHS: inf over c of the conjugate-exponent norm of u - c on B0.
+    RHS: C * (mu(B0)/r0**Q(x0))**(1/gamma^-_B0) * minimal gradient norm on
+    the inflated ball.  With no supplied C the empirical ratio is recorded.
+    """
+    ctx = _local_setup(f"sobolev_local[{mode}]", "sp_below_Q", space, center, radius,
+                       sigma, u, s, p, Q, mode, q, delta, scenario, tol)
+    if isinstance(ctx, VerificationReport):
+        return ctx
+    lhs, core, _, _ = _sobolev(ctx, center, radius)
+    return _bound_report(ctx.theorem, scenario, ctx.hyp, lhs, core,
+                         ctx.extras["empirical_constant"], C, ctx.extras)
 
 
 def check_moser_trudinger_local(space, center: int, radius: float, sigma: float,
@@ -279,48 +333,19 @@ def check_moser_trudinger_local(space, center: int, radius: float, sigma: float,
                                 delta: float | None = None, scenario: str = "",
                                 tol: float = 1e-6) -> VerificationReport:
     """Exponential integrability on a ball in the critical regime Q = s p."""
-    theorem = f"moser_trudinger_local[{mode}]"
-    sv = exponent_values(s, space.n)
-    pv = exponent_values(p, space.n)
-    Qv = exponent_values(Q, space.n)
-    B0 = ball(space, center, radius)
-    sig = ball(space, center, sigma * radius)
-    delta = sigma * radius if delta is None else delta
-    hyp = [
-        Hypothesis("sigma_gt_1", sigma > 1, f"sigma = {sigma}"),
-        Hypothesis("ball_nonempty", B0.members.size > 0, f"|B0| = {B0.members.size}"),
-        Hypothesis("r0_le_delta_over_sigma", radius <= delta / sigma + 1e-12, ""),
-    ]
-    if sig.members.size:
-        dev = np.max(np.abs((sv * pv - Qv)[sig.members]))
-        hyp.append(Hypothesis("sp_equals_Q", dev <= 1e-9, f"max |s p - Q| = {dev:.3g}"))
-        hyp.extend(_log_hypotheses(space, sig.members, {"Q": Qv, "p": pv, "s": sv}))
-    else:
-        hyp.append(Hypothesis("sp_equals_Q", False, "empty inflated ball"))
-    b = _lower_regularity(space, Qv, delta)
-    hyp.append(Hypothesis("lower_regularity", b > 0, f"b = {b:.6g}"))
-    extras = {"b": b, "delta": delta, "mode": mode}
-    if not all(h.holds for h in hyp):
-        return _na_report(theorem, scenario, hyp, extras)
-
+    ctx = _local_setup(f"moser_trudinger_local[{mode}]", "sp_equals_Q", space, center,
+                       radius, sigma, u, s, p, Q, mode, q, delta, scenario, tol)
+    if isinstance(ctx, VerificationReport):
+        return ctx
     C1 = DEFAULT_MT_C1 if C1 is None else C1
     C2 = DEFAULT_MT_C2 if C2 is None else C2
-    uv = np.asarray(u, dtype=float)
-    w_b0 = space.weight[B0.members]
-    u_bar = _weighted_mean(uv[B0.members], w_b0)
-    sol = _grad_norm(space, uv, sv, pv, q, mode, sig.members, tol)
-    grad = sol.objective.value
-    if grad == 0.0:
-        osc = float(np.ptp(uv[B0.members]))
-        avg = 1.0 if osc == 0 else np.inf
-        extras["zero_gradient_nonconstant"] = osc > 0
-    else:
-        avg = _weighted_mean(np.exp(C1 * np.abs(uv[B0.members] - u_bar) / grad), w_b0)
-    extras.update({"grad_norm": grad, "average": avg, "C1": C1,
-                   "heuristic_gradient": sol.heuristic})
-    return VerificationReport(theorem, scenario, hyp, avg, C2, C1,
+    avg = _exp_average(ctx.u_b0, ctx.w_b0, C1, ctx.grad)
+    if ctx.grad == 0.0:
+        ctx.extras["zero_gradient_nonconstant"] = float(np.ptp(ctx.u_b0)) > 0
+    ctx.extras.update({"average": avg, "C1": C1})
+    return VerificationReport(ctx.theorem, scenario, ctx.hyp, avg, C2, C1,
                               "supplied" if C1 != DEFAULT_MT_C1 else "calibrated-default",
-                              C2 - avg, bool(avg <= C2 + check_slack(C2)), extras)
+                              C2 - avg, bool(avg <= C2 + check_slack(C2)), ctx.extras)
 
 
 def check_morrey_local(space, center: int, radius: float, sigma: float, u, s, p, Q,
@@ -329,62 +354,30 @@ def check_morrey_local(space, center: int, radius: float, sigma: float, u, s, p,
                        tol: float = 1e-6) -> VerificationReport:
     """Supercritical regime: sup-norm bound and the pointwise regularity
     bound with the derived quotient constant."""
-    theorem = f"morrey_local[{mode}]"
-    sv = exponent_values(s, space.n)
-    pv = exponent_values(p, space.n)
-    Qv = exponent_values(Q, space.n)
-    B0 = ball(space, center, radius)
-    sig = ball(space, center, sigma * radius)
-    delta = sigma * radius if delta is None else delta
-    hyp = [
-        Hypothesis("sigma_gt_1", sigma > 1, f"sigma = {sigma}"),
-        Hypothesis("ball_nonempty", B0.members.size > 0, f"|B0| = {B0.members.size}"),
-        Hypothesis("r0_le_delta_over_sigma", radius <= delta / sigma + 1e-12, ""),
-    ]
-    if sig.members.size:
-        gap = np.min((sv * pv - Qv)[sig.members])
-        hyp.append(Hypothesis("sp_above_Q", gap > 0, f"min(s p - Q) = {gap:.6g}"))
-        hyp.extend(_log_hypotheses(space, sig.members, {"Q": Qv, "p": pv, "s": sv}))
-    else:
-        hyp.append(Hypothesis("sp_above_Q", False, "empty inflated ball"))
-    b = _lower_regularity(space, Qv, delta)
-    hyp.append(Hypothesis("lower_regularity", b > 0, f"b = {b:.6g}"))
-    extras = {"b": b, "delta": delta, "mode": mode}
-    if not all(h.holds for h in hyp):
-        return _na_report(theorem, scenario, hyp, extras)
-
+    ctx = _local_setup(f"morrey_local[{mode}]", "sp_above_Q", space, center, radius,
+                       sigma, u, s, p, Q, mode, q, delta, scenario, tol)
+    if isinstance(ctx, VerificationReport):
+        return ctx
     alpha = np.full(space.n, np.nan)
-    alpha[sig.members] = (sv - Qv / pv)[sig.members]
-    uv = np.asarray(u, dtype=float)
-    w_b0 = space.weight[B0.members]
-    u_bar = _weighted_mean(uv[B0.members], w_b0)
-    sup_dev = float(np.max(np.abs(uv[B0.members] - u_bar)))
-    sol = _grad_norm(space, uv, sv, pv, q, mode, sig.members, tol)
-    grad = sol.objective.value
+    alpha[ctx.sig.members] = (ctx.s - ctx.Q / ctx.p)[ctx.sig.members]
+    sup_dev = float(np.max(np.abs(ctx.u_b0 - _weighted_mean(ctx.u_b0, ctx.w_b0))))
     alpha_center = float(alpha[center])
-    denom = radius ** alpha_center * grad
-    c_emp = sup_dev / denom if denom > 0 else (0.0 if sup_dev == 0 else np.inf)
+    denom = radius ** alpha_center * ctx.grad
+    c_emp = _ratio(sup_dev, denom)
     c_used = c_emp if C_H is None else C_H
-    alpha_plus = float(np.nanmax(alpha[sig.members]))
-    d_h = K.morrey_DH(c_used, alpha_plus, sigma, delta, radius)
-    semi = holder_seminorm(uv, np.where(np.isnan(alpha), 1.0, alpha), space, subset=B0.members)
-    lhs = semi
-    rhs = d_h * grad
-    extras.update({
-        "sup_deviation": sup_dev,
-        "sup_bound": c_used * denom,
-        "C_H": c_used,
-        "D_H": d_h,
-        "grad_norm": grad,
-        "alpha_center": alpha_center,
-        "empirical_constant": c_emp,
-        "heuristic_gradient": sol.heuristic,
-    })
+    d_h = K.morrey_DH(c_used, float(np.nanmax(alpha[ctx.sig.members])), sigma,
+                      ctx.extras["delta"], radius)
+    lhs = holder_seminorm(ctx.u, np.where(np.isnan(alpha), 1.0, alpha), space,
+                          subset=ctx.B0.members)
+    rhs = d_h * ctx.grad
+    ctx.extras.update({"sup_deviation": sup_dev, "sup_bound": c_used * denom,
+                       "C_H": c_used, "D_H": d_h, "alpha_center": alpha_center,
+                       "empirical_constant": c_emp})
     sup_ok = sup_dev <= c_used * denom + check_slack(c_used * denom)
     holder_ok = lhs <= rhs + check_slack(rhs)
-    return VerificationReport(theorem, scenario, hyp, lhs, rhs, c_used,
+    return VerificationReport(ctx.theorem, scenario, ctx.hyp, lhs, rhs, c_used,
                               "supplied" if C_H is not None else "empirical",
-                              rhs - lhs, bool(sup_ok and holder_ok), extras)
+                              rhs - lhs, bool(sup_ok and holder_ok), ctx.extras)
 
 
 def local_embedding_check(space, center: int, radius: float, sigma: float, u, s, p, Q,
@@ -392,44 +385,22 @@ def local_embedding_check(space, center: int, radius: float, sigma: float, u, s,
                    scenario: str = "", tol: float = 1e-6) -> VerificationReport:
     """Non-centered local embedding: full-norm bound with the explicit
     ball-geometry factor and the recorded Poincare constant."""
-    theorem = "local_embedding"
-    base = check_sobolev_local(space, center, radius, sigma, u, s, p, Q,
-                               mode="M", C=None, delta=delta,
-                               scenario=scenario, tol=tol)
-    if not base.applicable:
-        return _na_report(theorem, scenario, base.hypotheses, base.extras)
-    sv = exponent_values(s, space.n)
-    pv = exponent_values(p, space.n)
-    Qv = exponent_values(Q, space.n)
-    B0 = ball(space, center, radius)
-    uv = np.asarray(u, dtype=float)
-    w_b0 = space.weight[B0.members]
-    gamma_b0 = sobolev_conjugate(Qv[B0.members], sv[B0.members], pv[B0.members]).values
-    norm_one = luxemburg(np.ones(B0.members.size), gamma_b0, w_b0).value
-    lam = K.local_embedding_lambda(B0.measure, float(gamma_b0.min()), norm_one)
-    c_s = base.extras["empirical_constant"] if C_S is None else C_S
-    core = (B0.measure / radius ** Qv[center]) ** (1.0 / float(gamma_b0.min()))
-    grad = base.extras["grad_norm"]
-    lhs = luxemburg(uv[B0.members], gamma_b0, w_b0).value
-    norm_p = luxemburg(uv[B0.members], pv[B0.members], w_b0).value
-    rhs = (1.0 + lam) * c_s * core * grad + lam * norm_p
-    extras = dict(base.extras)
-    extras.update({"Lambda": lam, "norm_one_gamma": norm_one, "C_S": c_s,
-                   "norm_p_B0": norm_p})
-    return VerificationReport(theorem, scenario, base.hypotheses, lhs, rhs, c_s,
+    ctx = _local_setup("local_embedding", "sp_below_Q", space, center, radius, sigma,
+                       u, s, p, Q, "M", None, delta, scenario, tol)
+    if isinstance(ctx, VerificationReport):
+        return ctx
+    _, _, gamma_b0, factor = _sobolev(ctx, center, radius)
+    norm_one = luxemburg(np.ones(ctx.u_b0.size), gamma_b0, ctx.w_b0).value
+    lam = K.local_embedding_lambda(ctx.B0.measure, float(gamma_b0.min()), norm_one)
+    c_s = ctx.extras["empirical_constant"] if C_S is None else C_S
+    lhs = luxemburg(ctx.u_b0, gamma_b0, ctx.w_b0).value
+    norm_p = luxemburg(ctx.u_b0, ctx.p[ctx.B0.members], ctx.w_b0).value
+    rhs = (1.0 + lam) * c_s * factor * ctx.grad + lam * norm_p
+    ctx.extras.update({"Lambda": lam, "norm_one_gamma": norm_one, "C_S": c_s,
+                       "norm_p_B0": norm_p})
+    return VerificationReport(ctx.theorem, scenario, ctx.hyp, lhs, rhs, c_s,
                               "supplied" if C_S is not None else "empirical",
-                              rhs - lhs, bool(lhs <= rhs + check_slack(rhs)), extras)
-
-
-def _regime(sv, pv, Qv) -> str:
-    gap = sv * pv - Qv
-    if np.max(np.abs(gap)) <= 1e-9:
-        return "critical"
-    if np.min(gap) > 0:
-        return "supercritical"
-    if np.max(gap) < 0:
-        return "subcritical"
-    return "mixed"
+                              rhs - lhs, bool(lhs <= rhs + check_slack(rhs)), ctx.extras)
 
 
 def check_global(space, u, s, p, Q, q=None, theorem: str = "bounded",
@@ -456,7 +427,6 @@ def check_global(space, u, s, p, Q, q=None, theorem: str = "bounded",
     regime = _regime(sv, pv, Qv)
     extras = {"b": b, "regime": regime, "mode": mode}
     if theorem.startswith("doubling"):
-        from .space import estimate_doubling
         M = estimate_doubling(space)
         masses = [ball(space, x, delta).measure for x in range(space.n)]
         extras["doubling_estimate"] = M
@@ -475,11 +445,8 @@ def check_global(space, u, s, p, Q, q=None, theorem: str = "bounded",
     if not all(h.holds for h in hyp):
         return _na_report(tag, scenario, hyp, extras)
 
-    sol = _grad_norm(space, uv, sv, pv, q, mode, None, tol)
-    grad = sol.objective.value
-    norm_p = luxemburg(uv, pv, w).value
-    extras.update({"grad_norm": grad, "norm_p": norm_p,
-                   "heuristic_gradient": sol.heuristic})
+    grad = _grad_norm(space, uv, sv, pv, q, mode, None, tol, extras)
+    extras["norm_p"] = norm_p = luxemburg(uv, pv, w).value
     effective = regime if want is None else want
 
     if effective == "subcritical":
@@ -487,33 +454,20 @@ def check_global(space, u, s, p, Q, q=None, theorem: str = "bounded",
         lhs_centered, _, _ = inf_centered_norm(uv, gamma, w)
         lhs = luxemburg(uv, gamma, w).value
         denom = norm_p + grad
-        c_emp = lhs / denom if denom > 0 else (0.0 if lhs == 0 else np.inf)
         extras["centered_lhs"] = lhs_centered
-        extras["centered_constant"] = (lhs_centered / grad if grad > 0
-                                       else (0.0 if lhs_centered == 0 else np.inf))
+        extras["centered_constant"] = _ratio(lhs_centered, grad)
     elif effective == "critical":
-        u_bar = _weighted_mean(uv, w)
-        if grad == 0:
-            lhs = 1.0 if np.ptp(uv) == 0 else np.inf
-        else:
-            lhs = _weighted_mean(np.exp(DEFAULT_MT_C1 * np.abs(uv - u_bar) / grad), w)
+        lhs = _exp_average(uv, w, DEFAULT_MT_C1, grad)
         denom = 1.0
-        c_emp = lhs
         extras["C1"] = DEFAULT_MT_C1
     else:
         alpha = holder_exponent(Qv, sv, pv).values
-        lhs = float(np.max(np.abs(uv))) + holder_seminorm(uv, alpha, space)
-        denom = norm_p + grad
-        c_emp = lhs / denom if denom > 0 else (0.0 if lhs == 0 else np.inf)
         extras["holder_seminorm"] = holder_seminorm(uv, alpha, space)
-    extras["empirical_constant"] = c_emp
-    if C is None:
-        rhs = c_emp * denom if np.isfinite(c_emp) else np.inf
-        return VerificationReport(tag, scenario, hyp, lhs, rhs, c_emp, "empirical",
-                                  rhs - lhs, bool(np.isfinite(c_emp)), extras)
-    rhs = C * denom
-    return VerificationReport(tag, scenario, hyp, lhs, rhs, C, "supplied",
-                              rhs - lhs, bool(lhs <= rhs + check_slack(rhs)), extras)
+        lhs = float(np.max(np.abs(uv))) + extras["holder_seminorm"]
+        denom = norm_p + grad
+    extras["empirical_constant"] = _ratio(lhs, denom)
+    return _bound_report(tag, scenario, hyp, lhs, denom, extras["empirical_constant"], C,
+                         extras)
 
 
 def counterexample_run(n_dim: int, beta: float, p: float, theta: float,
@@ -542,15 +496,13 @@ def counterexample_run(n_dim: int, beta: float, p: float, theta: float,
         Qv[origin] = beta
         sol = minimal_scalar_gradient(space, uv, 1.0, p, tol=tol)
         m_norm = luxemburg(uv, p, space.weight).value + sol.objective.value
-        prof = best_lower_constant(space, Qv, r_max=1.0)
-        d0 = np.delete(space.dist[origin], origin)
-        h = float(d0.min())
         nearest = int(np.argmin(np.where(space.dist[origin] > 0, space.dist[origin], np.inf)))
+        h = float(space.dist[origin, nearest])
         quot = abs(uv[nearest] - uv[origin]) / h ** alpha0
         norms.append(m_norm)
         quotients.append(float(quot))
         gaps.append(h)
-        bs.append(prof.b_lower)
+        bs.append(best_lower_constant(space, Qv, r_max=1.0).b_lower)
     hyp = [Hypothesis("parameter_ranges", True,
                       f"beta in (0,{n_dim}), p > {n_dim}, theta in ({lo:.4g},{hi:.4g})")]
     growth_ok = True
@@ -577,17 +529,29 @@ def counterexample_run(n_dim: int, beta: float, p: float, theta: float,
 
 # -- necessity ----------------------------------------------------------------
 
-def _family_norm(space, support, L, s, p, q, family: str, u=None):
+def _family_norm(space, support, L, s, p, q, family: str, u=None) -> float:
     _, rep = lipschitz_cutoff_gradient(space, support, L, s, p, q, u=u)
-    if family == "M":
-        return rep["tl_norm"], rep
-    return rep["besov_norm"], rep
+    return rep["tl_norm"] if family == "M" else rep["besov_norm"]
 
 
-def _c_lip(space, s, q) -> float:
-    sv = exponent_values(s, space.n)
-    qv = exponent_values(q, space.n, allow_inf=True)
-    return K.lipschitz_constant(float(qv.min()), float(sv.min()), float(sv.max()))
+def _cutoff_family(space, centers, radii, j_max, s, p, q, family, local: bool):
+    """The proofs' annular cut-offs u_j, j <= j_max, as (x, r, B(x, r), u_j,
+    family norm) when that norm is positive.  ``local`` cuts off at phi(x, r)
+    and needs u_j nonconstant on B(x, r); otherwise at r, on the whole space."""
+    for x in centers:
+        for r in radii:
+            base = phi(space, x, r) if local else r
+            if base <= 0:
+                continue
+            Br = ball(space, x, r) if local else None
+            on = Br.members if local else slice(None)
+            for j in range(1, j_max + 1):
+                u_j, support, L = annular_cutoff(space, x, base, j)
+                if support.size == 0 or np.ptp(u_j[on]) == 0:
+                    continue
+                anorm = _family_norm(space, support, L, s, p, q, family, u=u_j)
+                if anorm > 0:
+                    yield x, r, Br, u_j, anorm
 
 
 def necessity_run(space, s, p, q, gamma_or_alpha, mode: str, family: str = "M",
@@ -603,12 +567,12 @@ def necessity_run(space, s, p, q, gamma_or_alpha, mode: str, family: str = "M",
     formula constant.  Modes: ``sobolev_global``, ``sobolev_local``,
     ``moser``, ``holder``.
     """
-    from .space import phi as phi_op
-
+    if mode not in ("sobolev_global", "sobolev_local", "moser", "holder"):
+        raise ValueError(f"unknown necessity mode {mode!r}")
     sv = exponent_values(s, space.n)
     pv = exponent_values(p, space.n)
     qv = exponent_values(q, space.n, allow_inf=True)
-    uv_field = np.asarray(gamma_or_alpha, dtype=float)
+    gamma = alpha = np.asarray(gamma_or_alpha, dtype=float)  # the mode's target field
     theorem = f"necessity_{mode}[{family}]"
     s_plus = float(sv.max())
     q_minus = float(qv.min())
@@ -616,14 +580,23 @@ def necessity_run(space, s, p, q, gamma_or_alpha, mode: str, family: str = "M",
                       s_plus < 1.0 or (s_plus == 1.0 and not np.isfinite(q_minus)),
                       f"max s = {s_plus}, min q = {q_minus}")]
     if epsilon is None:
-        from .space import perfectness_resolution
         epsilon = perfectness_resolution(space)
     lam = None
-    if mode in ("sobolev_local", "moser", "holder"):
+    if mode != "sobolev_global":
         lam = uniform_perfectness(space, epsilon)
         hyp.append(Hypothesis("uniformly_perfect", lam is not None,
                               f"lambda = {lam}, resolution epsilon = {epsilon}"))
     extras: dict = {"epsilon": epsilon, "lambda": lam, "family": family}
+    # the mode's own hypothesis and C_lip are read only on admissible spaces
+    if all(h.holds for h in hyp):
+        c_lip = extras["C_lip"] = K.lipschitz_constant(q_minus, float(sv.min()), s_plus)
+        if mode == "holder":
+            hyp.append(Hypothesis(
+                "s_dominates_alpha", bool(np.min(sv - alpha) >= -1e-12),
+                "necessity forces s >= alpha; violated means embedding impossible"))
+        elif mode != "moser":
+            hyp.append(Hypothesis("gamma_dominates_p", strictly_dominates(gamma, pv),
+                                  "gamma >> p"))
     if not all(h.holds for h in hyp):
         return _na_report(theorem, scenario, hyp, extras)
 
@@ -632,113 +605,10 @@ def necessity_run(space, s, p, q, gamma_or_alpha, mode: str, family: str = "M",
     if radii is None:
         top = min(1.0 / sigma, space.diameter * 0.75)
         radii = [top, top / 2.0]
-    c_lip = _c_lip(space, sv, qv)
-    extras["C_lip"] = c_lip
+    family_args = (space, centers, radii, j_max, sv, pv, qv, family)
+    s_range = dict(s_minus=float(sv.min()), s_plus=s_plus)
 
-    if mode == "sobolev_global":
-        gamma = uv_field
-        hyp.append(Hypothesis("gamma_dominates_p", strictly_dominates(gamma, pv),
-                              "gamma >> p"))
-        if not all(h.holds for h in hyp):
-            return _na_report(theorem, scenario, hyp, extras)
-        Q = gamma * sv * pv / (gamma - pv)
-        c_emp = 0.0
-        for x in centers:
-            for r in radii:
-                for j in range(1, j_max + 1):
-                    u_j, support, L = annular_cutoff(space, x, r, j)
-                    if support.size == 0 or np.ptp(u_j) == 0:
-                        continue
-                    anorm, _ = _family_norm(space, support, L, sv, pv, qv, family, u=u_j)
-                    num = luxemburg(u_j, gamma, space.weight).value
-                    if anorm > 0:
-                        c_emp = max(c_emp, num / anorm)
-        b_formula = K.necessity_b_global_sobolev(
-            c_emp, c_lip,
-            s_minus=float(sv.min()), s_plus=s_plus,
-            gamma_minus=float(gamma.min()), gamma_plus=float(gamma.max()),
-            Q_minus=float(Q.min()), Q_plus=float(Q.max()),
-            c_log_inv_gamma=log_holder_constant(1.0 / gamma, space),
-            c_log_gamma=log_holder_constant(gamma, space),
-            c_log_s=log_holder_constant(sv, space),
-            c_log_Q=log_holder_constant(Q, space))
-    elif mode == "sobolev_local":
-        gamma = uv_field
-        hyp.append(Hypothesis("gamma_dominates_p", strictly_dominates(gamma, pv),
-                              "gamma >> p"))
-        if not all(h.holds for h in hyp):
-            return _na_report(theorem, scenario, hyp, extras)
-        Q = gamma * sv * pv / (gamma - pv)
-        omega = 1.0 / float(gamma.min()) if omega is None else omega
-        extras["omega"] = omega
-        c_emp = 0.0
-        for x in centers:
-            for r in radii:
-                base = phi_op(space, x, r)
-                if base <= 0:
-                    continue
-                Br = ball(space, x, r)
-                for j in range(1, j_max + 1):
-                    u_j, support, L = annular_cutoff(space, x, base, j)
-                    if support.size == 0 or np.ptp(u_j[Br.members]) == 0:
-                        continue
-                    anorm, _ = _family_norm(space, support, L, sv, pv, qv, family, u=u_j)
-                    num, _, _ = inf_centered_norm(u_j[Br.members], gamma[Br.members],
-                                                  space.weight[Br.members])
-                    scale = (Br.measure / r ** Q[x]) ** omega
-                    if anorm > 0 and scale > 0:
-                        c_emp = max(c_emp, num / (scale * anorm))
-        b_formula = K.necessity_b_local_sobolev(
-            c_emp, c_lip, lam,
-            s_minus=float(sv.min()), s_plus=s_plus,
-            gamma_minus=float(gamma.min()), gamma_plus=float(gamma.max()),
-            Q_minus=float(Q.min()), Q_plus=float(Q.max()),
-            c_log_inv_gamma=log_holder_constant(1.0 / gamma, space),
-            c_log_gamma=log_holder_constant(gamma, space),
-            c_log_s=log_holder_constant(sv, space),
-            c_log_Q=log_holder_constant(Q, space))
-    elif mode == "moser":
-        if not all(h.holds for h in hyp):
-            return _na_report(theorem, scenario, hyp, extras)
-        Q = sv * pv
-        omega = 1.0 if omega is None else omega
-        C_MT1 = DEFAULT_MT_C1 if C_MT1 is None else C_MT1
-        extras["omega"] = omega
-        extras["C_MT1"] = C_MT1
-        c_mt2 = 1.0
-        for x in centers:
-            for r in radii:
-                base = phi_op(space, x, r)
-                if base <= 0:
-                    continue
-                Br = ball(space, x, r)
-                for j in range(1, j_max + 1):
-                    u_j, support, L = annular_cutoff(space, x, base, j)
-                    if support.size == 0 or np.ptp(u_j[Br.members]) == 0:
-                        continue
-                    anorm, _ = _family_norm(space, support, L, sv, pv, qv, family, u=u_j)
-                    if anorm <= 0:
-                        continue
-                    wb = space.weight[Br.members]
-
-                    def avg(c):
-                        return _weighted_mean(
-                            np.exp(C_MT1 * np.abs(u_j[Br.members] - c) / anorm) ** omega, wb)
-
-                    _, best = _golden_min(avg, float(u_j[Br.members].min()),
-                                          float(u_j[Br.members].max()))
-                    c_mt2 = max(c_mt2, best)
-        c_emp = c_mt2
-        b_formula = K.necessity_b_moser(
-            C_MT1, c_mt2, c_lip, lam, omega,
-            s_minus=float(sv.min()), s_plus=s_plus,
-            Q_minus=float(Q.min()), Q_plus=float(Q.max()))
-    elif mode == "holder":
-        alpha = uv_field
-        hyp.append(Hypothesis("s_dominates_alpha", bool(np.min(sv - alpha) >= -1e-12),
-                              "necessity forces s >= alpha; violated means embedding impossible"))
-        if not all(h.holds for h in hyp):
-            return _na_report(theorem, scenario, hyp, extras)
+    if mode == "holder":
         Q = pv * (sv - alpha)
         c_emp = 0.0
         for x in centers:
@@ -747,11 +617,9 @@ def necessity_run(space, s, p, q, gamma_or_alpha, mode: str, family: str = "M",
                 support = np.flatnonzero(space.dist[x] < lam * r)
                 if support.size == 0 or np.ptp(u_c) == 0:
                     continue
-                anorm, _ = _family_norm(space, support, 1.0 / (lam * r), sv, pv, qv,
-                                        family, u=u_c)
-                semi = holder_seminorm(u_c, alpha, space)
+                anorm = _family_norm(space, support, 1.0 / (lam * r), sv, pv, qv, family, u=u_c)
                 if anorm > 0:
-                    c_emp = max(c_emp, semi / anorm)
+                    c_emp = max(c_emp, holder_seminorm(u_c, alpha, space) / anorm)
         b_formula = K.necessity_b_holder(
             c_emp, c_lip, lam,
             p_minus=float(pv.min()), p_plus=float(pv.max()),
@@ -760,18 +628,55 @@ def necessity_run(space, s, p, q, gamma_or_alpha, mode: str, family: str = "M",
             c_log_alpha=log_holder_constant(alpha, space),
             c_log_p=log_holder_constant(pv, space))
         eq_pts = np.flatnonzero(np.abs(sv - alpha) <= 1e-12)
-        missing = [int(x) for x in eq_pts if int(x) not in space.atoms]
         extras["equality_points"] = [int(x) for x in eq_pts]
-        extras["atom_contradictions"] = missing
+        extras["atom_contradictions"] = [int(x) for x in eq_pts if int(x) not in space.atoms]
+    elif mode == "moser":
+        Q = sv * pv
+        omega = 1.0 if omega is None else omega
+        C_MT1 = DEFAULT_MT_C1 if C_MT1 is None else C_MT1
+        extras.update({"omega": omega, "C_MT1": C_MT1})
+
+        def score(x, r, Br, u_j, anorm):
+            ub, wb = u_j[Br.members], space.weight[Br.members]
+            return _golden_min(
+                lambda c: _weighted_mean(np.exp(C_MT1 * np.abs(ub - c) / anorm) ** omega, wb),
+                float(ub.min()), float(ub.max()))[1]
+
+        c_emp = max([1.0, *(score(*cut) for cut in _cutoff_family(*family_args, local=True))])
+        b_formula = K.necessity_b_moser(C_MT1, c_emp, c_lip, lam, omega, **s_range,
+                                        Q_minus=float(Q.min()), Q_plus=float(Q.max()))
     else:
-        raise ValueError(f"unknown necessity mode {mode!r}")
+        Q = gamma * sv * pv / (gamma - pv)
+        local = mode == "sobolev_local"
+        if local:
+            omega = 1.0 / float(gamma.min()) if omega is None else omega
+            extras["omega"] = omega
+
+        def score(x, r, Br, u_j, anorm):
+            if not local:
+                return luxemburg(u_j, gamma, space.weight).value / anorm
+            scale = (Br.measure / r ** Q[x]) ** omega
+            if not scale > 0:
+                return 0.0
+            num, _, _ = inf_centered_norm(u_j[Br.members], gamma[Br.members],
+                                          space.weight[Br.members])
+            return num / (scale * anorm)
+
+        c_emp = max([0.0, *(score(*cut) for cut in _cutoff_family(*family_args, local=local))])
+        shape = dict(s_range, gamma_minus=float(gamma.min()), gamma_plus=float(gamma.max()),
+                     Q_minus=float(Q.min()), Q_plus=float(Q.max()),
+                     c_log_inv_gamma=log_holder_constant(1.0 / gamma, space),
+                     c_log_gamma=log_holder_constant(gamma, space),
+                     c_log_s=log_holder_constant(sv, space),
+                     c_log_Q=log_holder_constant(Q, space))
+        b_formula = (K.necessity_b_local_sobolev(c_emp, c_lip, lam, **shape) if local
+                     else K.necessity_b_global_sobolev(c_emp, c_lip, **shape))
 
     positive = Q > 1e-12
     if positive.any():
         # restrict the scan to centers with a genuinely positive exponent
         b_emp = np.inf
         witnesses = []
-        from .space import critical_radii
         radii_scan = critical_radii(space, space.min_positive_distance(), 1.0)
         if radii_scan.size == 0:
             radii_scan = np.array([1.0])

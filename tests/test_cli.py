@@ -217,11 +217,13 @@ def test_reports_embed_settings(tmp_path):
     }
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(scenario))
-    assert run(["--out", tmp_path / "out", "--tol", 1e-5, "--seed", 7,
-                "verify", path]) == 0
+    with pytest.raises(SystemExit) as rejected:
+        run(["--out", tmp_path / "out", "--seed", 7, "verify", path])
+    assert rejected.value.code == 2
+    assert run(["--out", tmp_path / "out", "--tol", 1e-5, "verify", path]) == 0
     payload = json.loads((tmp_path / "out" / "withsettings.json").read_text())
     assert payload[0]["settings"]["tol"] == 1e-5
-    assert payload[0]["settings"]["seed"] == 7
+    assert "seed" not in payload[0]["settings"]
 
 
 def test_malformed_scenario_exit_one(tmp_path):

@@ -46,6 +46,16 @@ def test_validation_rejects_triangle_violation():
         MetricMeasureSpace.from_matrix(bad, [1, 1, 1])
 
 
+def test_large_matrix_triangle_violation_rejected():
+    # a 300-point line with one inflated distance: only the triples through
+    # the two neighbours k = 149 and k = 152 break the triangle inequality
+    x = np.arange(300.0)
+    d = np.abs(x[:, None] - x[None, :])
+    d[150, 151] = d[151, 150] = 3.5
+    with pytest.raises(SpaceValidationError, match=r"\(150, 151, 149\)"):
+        MetricMeasureSpace.from_matrix(d, np.ones(300))
+
+
 def test_validation_rejects_nonpositive_weight():
     with pytest.raises(SpaceValidationError, match="weight"):
         MetricMeasureSpace.from_matrix([[0, 1], [1, 0]], [1, 0])

@@ -123,6 +123,18 @@ def test_local_embedding(grid8, center8):
     assert repz.verdict == "pass" and repz.lhs == 0.0
 
 
+def test_local_embedding_carries_sobolev_extras(grid8, center8):
+    u = log_bump(grid8, center8)
+    for s, p in [(1.0, 1.0), (1.0, 2.5)]:  # applicable, then sp above Q
+        sob = check_sobolev_local(grid8, center8, 0.25, 2.0, u, s, p, 2.0)
+        emb = local_embedding_check(grid8, center8, 0.25, 2.0, u, s, p, 2.0)
+        assert sob.verdict == emb.verdict
+        assert sob.hypotheses == emb.hypotheses
+        for key, value in sob.extras.items():
+            assert emb.extras[key] == value, key
+    assert emb.verdict == "not_applicable"
+
+
 def test_check_global_regimes(grid8):
     u = coordinate_function(grid8, 0)
     sob = check_global(grid8, u, 0.5, 1.0, 2.0, theorem="bounded")
@@ -213,6 +225,19 @@ def test_necessity_modes_smoke(grid8):
     assert rep.verdict == "pass"
     assert rep.extras["b_empirical"] > 0
     assert rep.extras["b_empirical"] >= rep.extras["b_formula"]
+
+
+def test_necessity_all_modes_pass(grid8):
+    n = grid8.n
+    s = np.full(n, 0.5)
+    p = np.full(n, 1.5)
+    gamma = sobolev_conjugate(np.full(n, 2.0), s, p).values
+    for mode, target in [("sobolev_global", gamma), ("sobolev_local", gamma),
+                         ("moser", gamma), ("holder", np.full(n, 0.3))]:
+        rep = necessity_run(grid8, s, p, np.inf, target, mode=mode)
+        assert rep.verdict == "pass", mode
+        assert rep.extras["b_empirical"] >= rep.extras["b_formula"], mode
+        assert rep.extras["embedding_constant"] > 0, mode
 
 
 def test_necessity_atom_flagging(grid8):
