@@ -7,12 +7,14 @@ with ``2**(-k-1) <= d < 2**(-k)``.  The associated quasi-norms are infima of
 Lebesgue / mixed-sequence norms over these polyhedra.
 
 Solver layout.  A constant exponent makes the norm a monotone function of the
-separable modular: exact linear programming (HiGHS) when it is identically
-one, else for min p >= 1 SLSQP on a working set of rows grown by delayed
-constraint generation, exact at every size.  A variable exponent with a
-convex modular rho (min p >= 1, and min q >= 1 on the TL scale) takes one
-gauge solve on the same working set: the norm is the gauge of rho's unit
-ball, so its minimum is 1/max{mu : A h >= mu t, rho(h) <= 1}.  A bisection
+separable modular, minimized on a working set of rows grown by delayed
+constraint generation (``_working_set``), exact at every size: by linear
+programming (HiGHS) when the exponent is identically one, with a duality
+bracket on the optimum, else for min p >= 1 by SLSQP in variables scaled by
+one scalar to the modular's curvature.  A variable exponent with a convex
+modular rho (min p >= 1, and min q >= 1 on the TL scale) takes one gauge
+solve on the same working set: the norm is the gauge of rho's unit ball, so
+its minimum is 1/max{mu : A h >= mu t, rho(h) <= 1}.  A bisection
 on the norm level (``norms._bisect_level``) remains for the nonconvex regimes
 (flagged heuristic; projected subgradient for min p < 1) and for general
 variable-q Besov norms.  Every returned point is repaired to hard feasibility
@@ -24,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -188,29 +191,44 @@ def _repair(g, I, J, A, B, T) -> np.ndarray:
 # and round, and the relative violation above which a row is admitted
 _ROWS_PER_POINT = 2
 _GEN_TOL = 1e-10
+# relative duality gap of the modular at which an SLSQP round is optimal
+_GAP_TOL = 1e-10
 
 # solver paths in increasing precedence: a solve reports the highest it used
 _PATHS = ("none", "lp", "working-set", "subgradient", "gauge", "bisection")
-# (paths, SLSQP statuses) of the solve in progress, None outside a solve
+# provenance of the solve in progress (``_provenance``), None outside a solve
 _RECORD = contextvars.ContextVar("gradient_record", default=None)
 
 
-def _note(path=None, status=0):
+def _note(path=None, status=0, nit=0, rounds=0, rows=0, bracket=None):
     record = _RECORD.get()
     if record is not None:
-        record[0].add(path)
-        record[1].add(int(status))
+        record["paths"].add(path)
+        record["statuses"].add(int(status))
+        record["nit"] += int(nit)
+        record["rounds"] += rounds
+        record["rows"] += rows
+        if bracket is not None:
+            record["brackets"].append(bracket)
 
 
 @contextlib.contextmanager
 def _provenance(info):
-    """Collect the paths and non-zero SLSQP statuses of one solve into ``info``."""
-    token = _RECORD.set((set(), set()))
+    """Collect the provenance of one solve into ``info``: the highest solver
+    ``path``, the distinct non-zero ``slsqp_status`` values, the working-set
+    ``rounds`` and final ``rows`` and the SLSQP iterations ``nit``, each
+    summed over the solve's working-set solves, and the LP's ``bracket`` when
+    the solve was one LP."""
+    token = _RECORD.set({"paths": set(), "statuses": set(), "nit": 0, "rounds": 0,
+                         "rows": 0, "brackets": []})
     try:
         yield
-        paths, statuses = _RECORD.get()
-        info["path"] = max(paths - {None}, key=_PATHS.index, default="none")
-        info["slsqp_status"] = sorted(statuses - {0})
+        record = _RECORD.get()
+        info["path"] = max(record["paths"] - {None}, key=_PATHS.index, default="none")
+        info["slsqp_status"] = sorted(record["statuses"] - {0})
+        info.update({k: record[k] for k in ("rounds", "rows", "nit")})
+        if len(record["brackets"]) == 1:
+            info["bracket"] = record["brackets"][0]
     finally:
         _RECORD.reset(token)
 
@@ -220,11 +238,11 @@ def _ineq(M, T):
 
 
 def _slsqp(fun, jac, x0, constraints, maxiter):
-    """One SLSQP solve over x >= 0; its exit status is recorded."""
+    """One SLSQP solve over x >= 0; its exit status and iterations are recorded."""
     res = minimize(fun, x0, jac=jac, method="SLSQP", bounds=[(0.0, None)] * x0.size,
                    constraints=constraints, options={"maxiter": maxiter, "ftol": 1e-14})
-    _note(status=res.status)
-    return res.x
+    _note(status=res.status, nit=res.nit)
+    return res
 
 
 def _constraint_sparse(I, J, A, B, T, n):
@@ -237,6 +255,11 @@ def _constraint_dense(I, J, A, B, T, n):
     M[np.arange(T.size), I] += A
     M[np.arange(T.size), J] += B
     return M
+
+
+def _rows_transposed(I, J, A, B, y, n):
+    """A^T y: each point's sum of its row coefficients times the row values y."""
+    return np.bincount(I, A * y, n) + np.bincount(J, B * y, n)
 
 
 def _top_rows_per_point(score, I, J):
@@ -264,38 +287,95 @@ def _working_set(I, J, A, B, T, x, solve_round, point):
     """
     AB = A + B
     work = _top_rows_per_point(T / AB, I, J)
-    while True:
+    for rounds in itertools.count(1):
         x = solve_round(work, x)
         g = point(x)
         viol = T - (A * g[I] + B * g[J])
         viol[work] = 0.0
         viol[viol <= _GEN_TOL * T] = 0.0
         if not viol.any():
+            _note(rounds=rounds, rows=work.size)
             return g
         work = np.union1d(work, _top_rows_per_point(viol / AB, I, J))
 
 
+def _lp_modular(c, I, J, A, B, T, n):
+    """HiGHS for the modular c.g (p == 1) on ``_working_set``'s rows.
+
+    The last round's row duals y, zero off the set and scaled into
+    A^T y <= c, are feasible for the full dual max{t.y : A^T y <= c, y >= 0},
+    so t.y bounds the optimum from below; the repaired point's c.g bounds it
+    from above.  Both are noted as the solve's ``bracket``.
+    """
+    last = {}
+
+    def solve_round(work, g):
+        res = linprog(c, A_ub=-_constraint_sparse(I[work], J[work], A[work], B[work], T[work], n),
+                      b_ub=-T[work], bounds=(0, None), method="highs")
+        if not res.success:
+            raise RuntimeError(f"LP solve failed: {res.message}")
+        last.update(work=work, y=np.maximum(-res.ineqlin.marginals, 0.0))
+        return np.maximum(res.x, 0.0)
+
+    g = _repair(_working_set(I, J, A, B, T, np.zeros(n), solve_round, lambda g: g), I, J, A, B, T)
+    work, y = last["work"], last["y"]
+    load = _rows_transposed(I[work], J[work], A[work], B[work], y, n)
+    y = y * min(1.0, float(np.min(c[load > 0] / load[load > 0], initial=1.0)))
+    _note("lp", bracket=[float(T[work] @ y), float(c @ g)])
+    return g
+
+
 def _slsqp_modular(c, pv, I, J, A, B, T, n, x0=None):
     """SLSQP for the separable modular on ``_working_set``'s rows; the
-    better of its repaired point and the feasible warm start is kept."""
+    better of its repaired point and the feasible warm start is kept.
+
+    SLSQP solves in x = g / sigma, one scalar sigma per solve that makes the
+    modular's mean curvature at the warm start's mean positive entry one,
+    the curvature of SLSQP's initial identity quasi-Newton matrix (exact at
+    p == 2 with uniform weights).  SLSQP can report success short of the
+    optimum, so a round whose multipliers y leave a relative duality gap
+    above ``_GAP_TOL`` is restarted from its point, with a fresh
+    quasi-Newton matrix, while the restarts still lower the modular.
+    """
     g0 = _feasible_point(n, I, J, A, B, T) if x0 is None else _repair(x0, I, J, A, B, T)
     scale = max(float(np.sum(c * g0 ** pv)), 1e-300)
     cn = c / scale
+    with np.errstate(over="ignore", divide="ignore"):
+        curv = float(np.mean(cn * pv * (pv - 1.0) * np.mean(g0[g0 > 0]) ** (pv - 2.0)))
+    sigma = curv ** -0.5 if 0.0 < curv < np.inf else 1.0
 
-    def fun(g):
+    def rho(g):
         with np.errstate(over="ignore"):
             return float(np.sum(cn * np.abs(g) ** pv))
 
-    def jac(g):
-        return cn * pv * np.maximum(g, 1e-300) ** (pv - 1.0)
+    def jac(x):
+        return sigma * cn * pv * np.maximum(sigma * x, 1e-300) ** (pv - 1.0)
 
-    def solve_round(work, g):
-        M = _constraint_dense(I[work], J[work], A[work], B[work], T[work], n)
-        return np.maximum(_slsqp(fun, jac, g * 1.0000001 + 1e-12, [_ineq(M, T[work])], 400), 0.0)
+    def dual_bound(work, y):
+        # weak duality for y >= 0 on the rows: the minimum of rho is at
+        # least t.y - sum (p-1) cn (z+ / (p cn))**(p/(p-1)), z = A^T y
+        z = _rows_transposed(I[work], J[work], A[work], B[work], y, n)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            conj = (pv - 1.0) * cn * (np.maximum(z, 0.0) / (pv * cn)) ** (pv / (pv - 1.0))
+        return float(T[work] @ y - np.sum(conj))
+
+    def solve_round(work, x):
+        M = sigma * _constraint_dense(I[work], J[work], A[work], B[work], T[work], n)
+        best, f_best = x, np.inf
+        while True:
+            res = _slsqp(lambda x: rho(sigma * x), jac, x * 1.0000001 + 1e-12,
+                         [_ineq(M, T[work])], 400)
+            x = np.maximum(res.x, 0.0)
+            f = rho(sigma * x)
+            optimal = f - dual_bound(work, np.maximum(res.multipliers, 0.0)) <= _GAP_TOL * f
+            if optimal or f > f_best * (1.0 - _GAP_TOL):
+                return x if f <= f_best else best
+            best, f_best = x, f
 
     _note("working-set")
-    g = _repair(_working_set(I, J, A, B, T, g0, solve_round, lambda g: g), I, J, A, B, T)
-    return g0 if fun(g) > fun(g0) else g
+    g = _working_set(I, J, A, B, T, g0 / sigma, solve_round, lambda x: sigma * x)
+    g = _repair(g, I, J, A, B, T)
+    return g0 if rho(g) > rho(g0) else g
 
 
 def _solve_gauge(I, J, A, B, T, N, rho, rho_jac, x0, hi):
@@ -311,7 +391,7 @@ def _solve_gauge(I, J, A, B, T, N, rho, rho_jac, x0, hi):
         ball = {"type": "ineq", "fun": lambda z: 1.0 - rho(z[:N]),
                 "jac": lambda z: np.append(-rho_jac(z[:N]), 0.0)}
         x = _slsqp(lambda z: -z[N] * hi, lambda z: np.append(np.zeros(N), -hi), z,
-                   [_ineq(np.hstack([M, -T[work, None]]), 0.0), ball], 400)
+                   [_ineq(np.hstack([M, -T[work, None]]), 0.0), ball], 400).x
         # a failed round keeps its start: the rows it added stay in the set
         return np.maximum(x, 0.0) if x[N] > 0 and np.isfinite(x).all() else z
 
@@ -351,12 +431,7 @@ def _min_modular(c, pv, sysrows, n, x0=None):
     if T.size == 0:
         return np.zeros(n)
     if np.all(pv == 1.0):
-        res = linprog(c=c, A_ub=-_constraint_sparse(*sysrows, n), b_ub=-T, bounds=(0, None),
-                      method="highs")
-        if not res.success:
-            raise RuntimeError(f"LP solve failed: {res.message}")
-        _note("lp")
-        g = np.maximum(res.x, 0.0)
+        g = _lp_modular(c, I, J, A, B, T, n)
     elif float(np.min(pv)) >= 1.0:
         g = _slsqp_modular(c, pv, I, J, A, B, T, n, x0)
     else:
@@ -403,8 +478,9 @@ def _min_norm_scalar(system, pv, w, tol):
 
 @dataclass(frozen=True)
 class GradientSolution:
-    """``info`` (not in ``to_json``) has the size, the outermost solver
-    ``path`` and the distinct non-zero ``slsqp_status`` values of the solve."""
+    """``info`` (not in ``to_json``) has the size and the solve's provenance
+    (``_provenance``): ``path``, ``slsqp_status``, ``rounds``, ``rows``,
+    ``nit`` and, for one LP, the ``bracket`` [lower, upper] on its optimum."""
 
     g: object  # ndarray (scalar) or SequenceSample (vector)
     objective: NormValue
@@ -480,16 +556,14 @@ def minimal_vector_gradient(space, u, s, p, q, scale: str = "lq_lp", tol: float 
         heuristic = True  # level-weight objective convex only for q <= p
 
     info = {"n": system.n, "constraints": system.m, "scale": scale}
-    if system.m == 0:
-        seq = SequenceSample(lev_range[0], np.zeros((lev_range[1] - lev_range[0] + 1, system.n)))
-        kind = "mixed_lqp" if scale == "lq_lp" else "mixed_plq"
-        return GradientSolution(g=seq, objective=NormValue(0.0, 0.0, kind=kind),
-                                certificate=0.0, heuristic=heuristic,
-                                info=dict(info, path="none", slsqp_status=[]))
-
     with _provenance(info):
-        solve = _solve_besov if scale == "lq_lp" else _solve_tl
-        seq, nv = solve(system, pv, qv, w, tol, lev_range)
+        if system.m == 0:
+            seq = SequenceSample(lev_range[0],
+                                 np.zeros((lev_range[1] - lev_range[0] + 1, system.n)))
+            nv = NormValue(0.0, 0.0, kind="mixed_lqp" if scale == "lq_lp" else "mixed_plq")
+        else:
+            solve = _solve_besov if scale == "lq_lp" else _solve_tl
+            seq, nv = solve(system, pv, qv, w, tol, lev_range)
 
     cert = _sequence_violation(system, seq)
     if cert > _CERT_TOL * max(1.0, float(system.target.max(initial=0.0))):
@@ -591,7 +665,8 @@ def _solve_besov_general(system, pv, qv, w, tol, lev_range):
             _, grad = level_weight(g.tobytes(), lam)
             return grad
 
-        x = _slsqp(fun, jac, warm[k] + 1e-12, [_ineq(dense[k], system.target[level_rows[k]])], 300)
+        x = _slsqp(fun, jac, warm[k] + 1e-12,
+                   [_ineq(dense[k], system.target[level_rows[k]])], 300).x
         g = _repair(x, *_rows(system, level_rows[k]))
         val = fun(g)
         base = fun(warm[k])

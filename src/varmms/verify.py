@@ -216,9 +216,14 @@ def _grad_norm(space, u, s, p, q, mode: str, subset, tol, extras) -> float:
 
 def _lower_regularity(space, Qv, delta: float) -> float:
     """Best lower-regularity constant b of the measure on radii (0, delta]."""
-    if space.n >= 2 and delta > 0:
-        return best_lower_constant(space, Qv, r_max=delta).b_lower
-    return float(space.weight[0]) if delta > 0 else 0.0
+    if delta <= 0:
+        return 0.0
+    if space.n < 2:
+        return float(space.weight[0])
+    if delta < space.min_positive_distance():
+        # every ball of radius at most delta is its centre alone
+        return float(np.min(space.weight / delta ** Qv))
+    return best_lower_constant(space, Qv, r_max=delta).b_lower
 
 
 def _log_hypotheses(space, subset, fields: dict) -> list[Hypothesis]:
@@ -574,6 +579,9 @@ def necessity_run(space, s, p, q, gamma_or_alpha, mode: str, family: str = "M",
     qv = exponent_values(q, space.n, allow_inf=True)
     gamma = alpha = np.asarray(gamma_or_alpha, dtype=float)  # the mode's target field
     theorem = f"necessity_{mode}[{family}]"
+    if space.n < 2:
+        return _na_report(theorem, scenario, [Hypothesis("two_points", False,
+                                                         f"n = {space.n}")])
     s_plus = float(sv.max())
     q_minus = float(qv.min())
     hyp = [Hypothesis("s_plus_admissible",

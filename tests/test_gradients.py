@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.optimize import linprog, minimize
 
 from varmms import (MetricMeasureSpace, active_levels, gradient_zero_implies_constant,
                     geometric_iteration_check, level_of, lipschitz_cutoff_gradient,
                     luxemburg, minimal_scalar_gradient, minimal_vector_gradient,
                     norm_convention_equivalence, oracle_scalar_gradient)
-from varmms.generators import annular_cutoff, grid2d, line_space
+from varmms.generators import annular_cutoff, grid2d, line_space, log_bump
 from varmms.gradients import GradientConstraintSystem, _level_weight
 
 
@@ -222,12 +222,17 @@ def test_scalar_norm_homogeneity_in_u():
     assert scaled == pytest.approx(3.0 * base, rel=2e-4)
 
 
-@pytest.mark.parametrize("p", [2.0, 1.05])
-def test_scalar_gradient_matches_full_row_slsqp(p):
+@pytest.mark.parametrize("p, weighted", [pytest.param(2.0, False, id="2.0"),
+                                         pytest.param(1.05, False, id="1.05"),
+                                         pytest.param(1.5, False, id="1.5"),
+                                         pytest.param(2.0, True, id="2.0-weighted")])
+def test_scalar_gradient_matches_full_row_slsqp(p, weighted):
     # the working-set solver against SLSQP over every pair row at once
     rng = np.random.default_rng(3)
     sp = grid2d(7)
     u = rng.standard_normal(sp.n)
+    if weighted:
+        sp = MetricMeasureSpace.from_points(sp.coords, rng.uniform(0.5, 1.5, sp.n))
     sol = minimal_scalar_gradient(sp, u, 0.7, p)
     system = GradientConstraintSystem.scalar(sp, u, 0.7)
     n, m, w, T = system.n, system.m, sp.weight, system.target
@@ -247,6 +252,34 @@ def test_scalar_gradient_matches_full_row_slsqp(p):
     reference = (scale * res.fun) ** (1.0 / p)
     assert sol.objective.value == pytest.approx(reference, rel=1e-9)
     assert sol.certificate <= 1e-9 * T.max()
+
+
+@pytest.mark.parametrize("instance", ["grid12", "random"])
+def test_lp_working_set_matches_full_row_highs(instance):
+    # p == 1: the working-set LP against one HiGHS solve over every pair row
+    rng = np.random.default_rng(5)
+    if instance == "grid12":
+        sp, s = grid2d(12), 0.5
+        u = log_bump(sp, 78, 0.3)
+    else:
+        n = 60
+        sp = MetricMeasureSpace.from_points(rng.uniform(0, 1.5, (n, 2)), rng.uniform(0.2, 1.0, n))
+        u, s = rng.standard_normal(n), rng.uniform(0.3, 0.9, n)
+    sol = minimal_scalar_gradient(sp, u, s, 1.0)
+    system = GradientConstraintSystem.scalar(sp, u, s)
+    m = system.m
+    M = np.zeros((m, system.n))
+    M[np.arange(m), system.I] -= system.coef_i
+    M[np.arange(m), system.J] -= system.coef_j
+    res = linprog(sp.weight, A_ub=M, b_ub=-system.target, bounds=(0, None), method="highs")
+    assert res.success, res.message
+    assert sol.info["path"] == "lp" and sol.info["rounds"] > 1
+    assert sol.info["rows"] < m
+    assert sol.objective.value == pytest.approx(res.fun, rel=1e-12)
+    lower, upper = sol.info["bracket"]
+    assert lower <= upper
+    assert upper - lower <= 1e-9 * upper
+    assert lower <= sol.objective.value
 
 
 def test_heuristic_flag_for_subunit_exponent():
@@ -367,6 +400,10 @@ def test_solution_info_names_solver_path():
         assert info["path"] == path, (p, info)
         assert info["slsqp_status"] == sorted(set(info["slsqp_status"]))
         assert 0 not in info["slsqp_status"]
+        assert ("bracket" in info) == (path == "lp")
+        working_set = path in ("lp", "working-set", "gauge")
+        assert (info["rounds"] > 0, info["rows"] > 0) == (working_set, working_set)
+        assert (info["nit"] > 0) == (path in ("working-set", "gauge"))
     p = [1.2, 1.8, 1.5]
     tl = minimal_vector_gradient(sp, u, 0.5, p, 1.3, scale="lp_lq").info
     besov = minimal_vector_gradient(sp, u, 0.5, p, [1.1, 1.3, 1.2], scale="lq_lp").info

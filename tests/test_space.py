@@ -314,9 +314,9 @@ def test_product_cover_check(battery):
         product_cover_check(battery["line4"], 0.0)
 
 
-def test_large_space_uses_sampled_triangle_check():
-    # above the exhaustive-size limit validation samples triples; a Euclidean
-    # cloud passes and construction stays fast
+def test_large_point_cloud_builds():
+    # coordinate input skips the triangle check (Euclidean distances are a
+    # metric), so a 250-point cloud builds
     rng = np.random.default_rng(0)
     sp = MetricMeasureSpace.from_points(rng.uniform(0, 10, (250, 3)),
                                         rng.uniform(0.5, 1.5, 250))

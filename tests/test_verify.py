@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from varmms import (check_global, check_morrey_local, check_moser_trudinger_local,
-                    check_sobolev_local, counterexample_run, local_embedding_check,
-                    necessity_run, sobolev_conjugate)
+from varmms import (MetricMeasureSpace, check_global, check_morrey_local,
+                    check_moser_trudinger_local, check_sobolev_local, counterexample_run,
+                    local_embedding_check, necessity_run, sobolev_conjugate)
 from varmms.generators import (ball_grid_with_atom, coordinate_function, grid1d,
                                grid2d, log_bump)
 from varmms.verify import DEFAULT_MT_C1, inf_centered_norm
@@ -278,6 +278,28 @@ def test_necessity_hypothesis_gate(grid8):
                          np.full(2, 3.0), mode="sobolev_local", epsilon=0.1)
     assert rep3.verdict == "not_applicable"
     assert any(h.name == "uniformly_perfect" and not h.holds for h in rep3.hypotheses)
+
+
+def test_necessity_one_point_space_not_applicable():
+    one = MetricMeasureSpace.from_matrix([[0.0]], [1.0])
+    for mode in ("sobolev_global", "sobolev_local", "moser", "holder"):
+        rep = necessity_run(one, [0.5], [1.5], np.inf, [3.0], mode=mode)
+        assert rep.verdict == "not_applicable", mode
+        assert [(h.name, h.holds) for h in rep.hypotheses] == [("two_points", False)]
+
+
+def test_local_checks_with_delta_below_point_spacing(grid8):
+    # delta = 0.1 is below grid2d(8)'s spacing 1/8: every ball of radius at
+    # most delta is a singleton, so b = min over x of w(x) / delta**Q(x)
+    u = log_bump(grid8, 27, 0.3)
+    b = 1.0 / 64 / 0.1 ** 2
+    for check in (check_sobolev_local, check_moser_trudinger_local, check_morrey_local,
+                  local_embedding_check):
+        rep = check(grid8, 27, 0.25, 2.0, u, 1.0, 1.0, 2.0, delta=0.1)
+        assert rep.verdict == "not_applicable", check.__name__
+        assert rep.extras["b"] == pytest.approx(b, rel=1e-12)
+        holds = {h.name: h.holds for h in rep.hypotheses}
+        assert holds["lower_regularity"] and not holds["r0_le_delta_over_sigma"]
 
 
 def test_sobolev_local_empty_ball_gate(grid8, center8):
