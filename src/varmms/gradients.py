@@ -933,6 +933,46 @@ def gradient_zero_implies_constant(space, u, s, p, tol: float = 1e-9,
     }
 
 
+def _cutoff_sequence(space, support, L: float, sv, qv, u, tail_rel: float = 1e-9):
+    """The level family of ``lipschitz_cutoff_gradient`` on exponent vectors,
+    its k_L, and its largest violation of u's vector constraints (0 without
+    u or below two points)."""
+    if sv.max() > 1.0 or (sv.max() == 1.0 and np.isfinite(qv.min())):
+        raise ValueError("needs max s <= 1, with equality only for q identically infinite")
+    if L <= 0:
+        raise ValueError("L must be positive")
+    k_L = math.frexp(L)[1]  # exact: L = m 2**k_L with 1/2 <= m < 1
+    n = space.n
+    # truncation: both tails decay geometrically with the stated ratios
+    s_plus = float(sv.max())
+    if np.isfinite(qv.min()) or s_plus < 1.0:
+        up = k_L + max(8, math.ceil(-math.log2(tail_rel) / max(1.0 - s_plus, 1e-3)))
+    else:
+        up = k_L + 8
+    down = k_L - 1 - max(8, math.ceil(-math.log2(tail_rel) / max(float(sv.min()), 1e-3)))
+    if n >= 2:
+        a_lo, a_hi = active_levels(space)
+        down, up = min(down, a_lo), max(up, a_hi)
+    ks = np.arange(down, up + 1)[:, None]
+    chi = np.zeros(n)
+    chi[support] = 1.0
+    with np.errstate(over="ignore"):  # each branch is kept only where it applies
+        vals = np.where(ks >= k_L, L * 2.0 ** (ks * (sv - 1.0)), 2.0 ** ((ks + 1) * sv + 1.0)) * chi
+    seq = SequenceSample(down, vals)
+    cert = 0.0
+    if u is not None and n >= 2:
+        cert = _sequence_violation(GradientConstraintSystem.vector(space, u, sv), seq)
+    return seq, k_L, cert
+
+
+def _besov_norm(seq, pv, qv, w) -> float:
+    """Besov-scale norm of a family, by the level norm of the per-level
+    Lebesgue norms when q is constant."""
+    if np.all(qv == qv[0]):
+        return mixed_norm_lq_lp_constant_q(seq, pv, float(qv[0]), w).value
+    return mixed_norm_lq_lp(seq, pv, qv, w).value
+
+
 def lipschitz_cutoff_gradient(space, support, L: float, s, p, q, u=None,
                               tail_rel: float = 1e-9):
     """Explicit vector gradient for a [0,1]-valued L-Lipschitz function
@@ -952,83 +992,34 @@ def lipschitz_cutoff_gradient(space, support, L: float, s, p, q, u=None,
     sv = exponent_values(s, n)
     pv = exponent_values(p, n)
     qv = exponent_values(q, n, allow_inf=True)
-    q_minus = float(qv.min())
-    s_plus_global = float(sv.max())
-    s_minus_global = float(sv.min())
-    if s_plus_global > 1.0 or (s_plus_global == 1.0 and np.isfinite(q_minus)):
-        raise ValueError("needs max s <= 1, with equality only for q identically infinite")
-    if L <= 0:
-        raise ValueError("L must be positive")
-    k_L = math.floor(math.log2(L)) + 1
-    if L >= 2.0 ** k_L:  # guard float edges
-        k_L += 1
-    elif L < 2.0 ** (k_L - 1):
-        k_L -= 1
-
+    seq, k_L, cert = _cutoff_sequence(space, support, L, sv, qv, u, tail_rel)
     if support.size == 0:
-        seq = SequenceSample(k_L, np.zeros((1, n)))
         report = {"tl_norm": 0.0, "besov_norm": 0.0, "tl_bound": 0.0,
                   "besov_bound": 0.0, "certificate": 0.0, "k_L": k_L, "ok": True}
         return seq, report
 
-    # truncation: both tails decay geometrically with the stated ratios
-    if np.isfinite(q_minus) or s_plus_global < 1.0:
-        up = k_L + max(8, math.ceil(-math.log2(tail_rel) / max(1.0 - s_plus_global, 1e-3)))
-    else:
-        up = k_L + 8
-    down = k_L - 1 - max(8, math.ceil(-math.log2(tail_rel) / max(s_minus_global, 1e-3)))
-    if space.n >= 2:
-        a_lo, a_hi = active_levels(space)
-        down, up = min(down, a_lo), max(up, a_hi)
-    ks = np.arange(down, up + 1)
+    w = space.weight
     chi = np.zeros(n)
     chi[support] = 1.0
-    vals = np.zeros((ks.size, n))
-    for r, k in enumerate(ks):
-        if k >= k_L:
-            vals[r] = L * 2.0 ** (k * (sv - 1.0)) * chi
-        else:
-            vals[r] = 2.0 ** ((k + 1) * sv + 1.0) * chi
-    seq = SequenceSample(int(ks[0]), vals)
-
-    w = space.weight
     s_B_minus, s_B_plus = float(sv[support].min()), float(sv[support].max())
     l_factor = max(L ** s_B_plus, L ** s_B_minus)
     norm_chi = luxemburg(chi, pv, w).value
     tl_norm = mixed_norm_lp_lq(seq, pv, qv, w).value
-    if np.all(qv == qv[0]):
-        besov_norm = mixed_norm_lq_lp_constant_q(seq, pv, float(qv[0]), w).value
-    else:
-        besov_norm = mixed_norm_lq_lp(seq, pv, qv, w).value
+    besov_norm = _besov_norm(seq, pv, qv, w)
+    q_minus, s_minus, s_plus = float(qv.min()), float(sv.min()), float(sv.max())
     if np.isfinite(q_minus):
-        a1 = K.lipschitz_A1(q_minus, s_minus_global, s_plus_global)
-        a2 = K.lipschitz_A2(q_minus, s_minus_global, s_plus_global)
+        a1 = K.lipschitz_A1(q_minus, s_minus, s_plus)
+        a2 = K.lipschitz_A2(q_minus, s_minus, s_plus)
     else:
         a1, a2 = 4.0, 5.0
     tl_bound = a1 * l_factor * norm_chi
     besov_bound = a2 * l_factor * norm_chi
 
-    cert = 0.0
-    if u is not None and space.n >= 2:
-        system = GradientConstraintSystem.vector(space, u, sv)
-        cert = _sequence_violation(system, seq)
-
-    report = {
-        "k_L": k_L,
-        "A1": a1,
-        "A2": a2,
-        "l_factor": l_factor,
-        "chi_norm": norm_chi,
-        "tl_norm": tl_norm,
-        "tl_bound": tl_bound,
-        "besov_norm": besov_norm,
-        "besov_bound": besov_bound,
-        "certificate": cert,
-        "ok": bool(tl_norm <= tl_bound + check_slack(tl_bound)
-                   and besov_norm <= besov_bound + check_slack(besov_bound)
-                   and cert <= _CERT_TOL),
-    }
-    return seq, report
+    ok = (tl_norm <= tl_bound + check_slack(tl_bound)
+          and besov_norm <= besov_bound + check_slack(besov_bound) and cert <= _CERT_TOL)
+    return seq, {"k_L": k_L, "A1": a1, "A2": a2, "l_factor": l_factor, "chi_norm": norm_chi,
+                 "tl_norm": tl_norm, "tl_bound": tl_bound, "besov_norm": besov_norm,
+                 "besov_bound": besov_bound, "certificate": cert, "ok": bool(ok)}
 
 
 def geometric_iteration_check(a, p: float, q: float, rho: float, tau: float) -> dict:

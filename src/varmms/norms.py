@@ -40,6 +40,7 @@ _MAX_GROWTH = 200  # growing powers of 2 cross the double range in ~65 steps
 # wide as the double range down to tol * hi
 _MAX_STEPS = 2100
 _ULP_STEPS = 4
+_TINY = float(np.finfo(float).tiny)  # smallest normal double
 
 
 def check_slack(rhs: float) -> float:
@@ -69,12 +70,14 @@ def modular(u, p, weight) -> float:
         return float(np.sum(w * np.abs(u) ** pv))
 
 
-def _modular_scaled(u_abs, pv, w, lam: float) -> float:
-    """modular(u/lam); when the direct sum overflows (u/lam itself may, far
-    below max|u|) it is re-evaluated in log form, so finite sums keep their
-    bits."""
+def _modular_scaled(u_abs, pv, w, lam: float, log_above: float) -> float:
+    """modular(u/lam), re-evaluated in log form when the direct sum overflows
+    (u/lam itself may, far below max|u|) or when lam exceeds ``log_above``,
+    the level at which the smallest nonzero |u|/lam falls below the smallest
+    normal double, so that an underflowed u/lam cannot hide a large term;
+    otherwise finite sums keep their bits."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        total = float(np.sum(w * (u_abs / lam) ** pv))
+        total = float(np.sum(w * (u_abs / lam) ** pv)) if lam <= log_above else np.inf
         if total == np.inf:
             total = float(np.sum(np.exp(np.log(w) + pv * (np.log(u_abs) - np.log(lam)))))
     return total
@@ -156,25 +159,30 @@ def _luxemburg(u: np.ndarray, pv: np.ndarray, w: np.ndarray, tol: float) -> Norm
 
     The bracket is seeded from the modular sandwich: with umax = max|u| and
     rho = modular(u/umax) the norm lies between umax rho**(1/p^+) and
-    umax rho**(1/p^-), with equality when p is constant.  Normalising by
-    umax keeps rho in (0, sum w], so nothing overflows.  When the lower end
-    underflows below 1e-300, both ends are taken in log form.
-    ``_bisect_level`` checks both ends against the modular before use; a
-    lower end still below 1e-300 returns the upper one with tolerance equal
-    to its value.
+    umax rho**(1/p^-), with equality when p is constant.  When the lower end
+    underflows below 1e-300, both ends are taken in log form.  An end that
+    overflows is replaced as in ``_level_infimum``, and ``_bisect_level``
+    checks both ends against the modular before use.
     """
     u_abs = np.abs(u)
     umax = float(u_abs.max(initial=0.0))
     if umax == 0.0:
         return NormValue(0.0, 0.0)
-    rho = _modular_scaled(u_abs, pv, w, umax)
+    log_above = float(u_abs[u_abs > 0].min()) / _TINY
+    rho = _modular_scaled(u_abs, pv, w, umax, log_above)
     lo, hi = (umax * end for end in _sandwich(rho, pv))
     if lo < 1e-300:  # rho**(1/p) underflowed, umax times it need not
         with np.errstate(divide="ignore"):
             ends = np.exp(np.log(umax) + np.log(rho) / np.array([pv.min(), pv.max()]))
         lo, hi = float(ends.min()), float(ends.max())
-    hi, lo, _ = _bisect_level(lambda lam: (_modular_scaled(u_abs, pv, w, lam) <= 1.0, None),
-                              hi, lo * (1.0 - 1e-12), tol)
+    # a lower end that overflows means rho > 1, so the norm exceeds umax; an
+    # upper end that overflows is grown from the lower one, and a lower end
+    # below the floor is replaced by walking down from the upper one
+    lo = umax if lo == np.inf else lo
+    hi = hi if hi < np.inf else lo
+    lo = lo * (1.0 - 1e-12) if lo >= 1e-300 else 0.5 * hi
+    hi, lo, _ = _bisect_level(
+        lambda lam: (_modular_scaled(u_abs, pv, w, lam, log_above) <= 1.0, None), hi, lo, tol)
     return NormValue(float(hi), float(hi - lo))
 
 

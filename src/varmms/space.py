@@ -12,6 +12,7 @@ metric stay metric.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -404,9 +405,16 @@ def phi(space: MetricMeasureSpace, x: int, r: float) -> float:
     mass_at = np.cumsum(mass_at)  # mu of the closed ball of radius levels[j]
     # mu(B(x, s)) = mass_at[j-1] for s in (levels[j-1], levels[j]], so the
     # condition mu(B(x, s)) <= target holds exactly up to the first level
-    # whose closed-ball mass exceeds the target.
-    exceeding = np.flatnonzero(mass_at > target)
-    sup = r if exceeding.size == 0 else float(levels[exceeding[0]])
+    # whose closed-ball mass exceeds the target.  Rounding decides only clear
+    # cases: a near-tie takes the sign of mu(closed ball) - mu(B(x, r))/2
+    # from one correctly rounded math.fsum, which is the exact sign.
+    near = 1e-9 * target
+    sup = r
+    for j in np.flatnonzero(mass_at > target - near):
+        if mass_at[j] > target + near or math.fsum(np.concatenate(
+                [space.weight[row <= levels[j]], -0.5 * space.weight[row < r]])) > 0:
+            sup = float(levels[j])
+            break
     return float(min(sup, r))
 
 

@@ -11,8 +11,10 @@ stability comparisons.
 The local checks share one pipeline: ``_local_setup`` tests the ball, the
 regime of s p against Q (one ``_REGIMES`` entry per check), log-Hoelder
 exponents and lower regularity, then solves the minimal gradient on sigma*B0;
-each check adds only its own inequality.  The necessity modes draw their test
-functions from one annular cut-off family, ``_cutoff_family``.
+each check adds only its own inequality.  The four necessity modes draw their
+test functions from one cut-off loop, ``_cutoff_family`` (annular cut-offs, or
+one cone for the Hoelder mode), and read the lower growth from one mass
+profile per center.
 """
 from __future__ import annotations
 
@@ -26,9 +28,10 @@ from . import constants as K
 from .exponents import (exponent_values, holder_exponent, log_holder_constant,
                         sobolev_conjugate, strictly_dominates)
 from .generators import annular_cutoff, ball_grid_with_atom, power_function
-from .gradients import lipschitz_cutoff_gradient, minimal_scalar_gradient, minimal_vector_gradient
-from .norms import check_slack, holder_seminorm, luxemburg
-from .regularity import best_lower_constant
+from .gradients import (_CERT_TOL, _besov_norm, _cutoff_sequence, minimal_scalar_gradient,
+                        minimal_vector_gradient)
+from .norms import check_slack, holder_seminorm, luxemburg, mixed_norm_lp_lq
+from .regularity import _mass_profile, best_lower_constant
 from .space import (ball, critical_radii, estimate_doubling, perfectness_resolution, phi,
                     uniform_perfectness)
 
@@ -534,15 +537,22 @@ def counterexample_run(n_dim: int, beta: float, p: float, theta: float,
 
 # -- necessity ----------------------------------------------------------------
 
-def _family_norm(space, support, L, s, p, q, family: str, u=None) -> float:
-    _, rep = lipschitz_cutoff_gradient(space, support, L, s, p, q, u=u)
-    return rep["tl_norm"] if family == "M" else rep["besov_norm"]
+def _family_norm(space, support, L, s, p, q, family: str, u) -> float:
+    """The family's norm (TL for "M", Besov for "N") of the explicit
+    gradient of ``lipschitz_cutoff_gradient``, which must be a gradient of u."""
+    seq, _, cert = _cutoff_sequence(space, support, L, s, q, u)
+    if cert > _CERT_TOL:
+        raise RuntimeError(f"cut-off family is not a gradient (violation {cert})")
+    if family == "M":
+        return mixed_norm_lp_lq(seq, p, q, space.weight).value
+    return _besov_norm(seq, p, q, space.weight)
 
 
-def _cutoff_family(space, centers, radii, j_max, s, p, q, family, local: bool):
-    """The proofs' annular cut-offs u_j, j <= j_max, as (x, r, B(x, r), u_j,
-    family norm) when that norm is positive.  ``local`` cuts off at phi(x, r)
-    and needs u_j nonconstant on B(x, r); otherwise at r, on the whole space."""
+def _cutoff_family(space, centers, radii, cutoffs, s, p, q, family, local: bool):
+    """The proofs' test functions as (x, r, B(x, r), u, family norm) when that
+    norm is positive; ``cutoffs(x, base)`` yields each (u, support, L) at a
+    center and base radius.  ``local`` takes base phi(x, r) and needs u
+    nonconstant on B(x, r); otherwise base r, on the whole space."""
     for x in centers:
         for r in radii:
             base = phi(space, x, r) if local else r
@@ -550,13 +560,12 @@ def _cutoff_family(space, centers, radii, j_max, s, p, q, family, local: bool):
                 continue
             Br = ball(space, x, r) if local else None
             on = Br.members if local else slice(None)
-            for j in range(1, j_max + 1):
-                u_j, support, L = annular_cutoff(space, x, base, j)
-                if support.size == 0 or np.ptp(u_j[on]) == 0:
+            for u, support, L in cutoffs(x, base):
+                if support.size == 0 or np.ptp(u[on]) == 0:
                     continue
-                anorm = _family_norm(space, support, L, s, p, q, family, u=u_j)
+                anorm = _family_norm(space, support, L, s, p, q, family, u)
                 if anorm > 0:
-                    yield x, r, Br, u_j, anorm
+                    yield x, r, Br, u, anorm
 
 
 def necessity_run(space, s, p, q, gamma_or_alpha, mode: str, family: str = "M",
@@ -570,10 +579,13 @@ def necessity_run(space, s, p, q, gamma_or_alpha, mode: str, family: str = "M",
     family, derives the dimension field the theorem predicts, and verifies
     the measure's lower growth bound with both the empirical and the
     formula constant.  Modes: ``sobolev_global``, ``sobolev_local``,
-    ``moser``, ``holder``.
+    ``moser``, ``holder``.  ``family`` picks the norm the test functions are
+    measured in: ``"M"`` the TL scale, ``"N"`` the Besov scale.
     """
     if mode not in ("sobolev_global", "sobolev_local", "moser", "holder"):
         raise ValueError(f"unknown necessity mode {mode!r}")
+    if family not in ("M", "N"):
+        raise ValueError(f"unknown necessity family {family!r}; use 'M' or 'N'")
     sv = exponent_values(s, space.n)
     pv = exponent_values(p, space.n)
     qv = exponent_values(q, space.n, allow_inf=True)
@@ -613,21 +625,20 @@ def necessity_run(space, s, p, q, gamma_or_alpha, mode: str, family: str = "M",
     if radii is None:
         top = min(1.0 / sigma, space.diameter * 0.75)
         radii = [top, top / 2.0]
-    family_args = (space, centers, radii, j_max, sv, pv, qv, family)
+
+    def cutoffs(x, base):  # the annular u_j, j = 1..j_max, or one cone 1 - d/(lam r)
+        if mode != "holder":
+            return (annular_cutoff(space, x, base, j) for j in range(1, j_max + 1))
+        d, R = space.dist[x], lam * base
+        return [(np.clip(1.0 - d / R, 0.0, 1.0), np.flatnonzero(d < R), 1.0 / R)]
+
+    family_args = (space, centers, radii, cutoffs, sv, pv, qv, family)
     s_range = dict(s_minus=float(sv.min()), s_plus=s_plus)
 
     if mode == "holder":
         Q = pv * (sv - alpha)
-        c_emp = 0.0
-        for x in centers:
-            for r in radii:
-                u_c = np.clip(1.0 - space.dist[x] / (lam * r), 0.0, 1.0)
-                support = np.flatnonzero(space.dist[x] < lam * r)
-                if support.size == 0 or np.ptp(u_c) == 0:
-                    continue
-                anorm = _family_norm(space, support, 1.0 / (lam * r), sv, pv, qv, family, u=u_c)
-                if anorm > 0:
-                    c_emp = max(c_emp, holder_seminorm(u_c, alpha, space) / anorm)
+        c_emp = max([0.0, *(holder_seminorm(u, alpha, space) / anorm
+                            for _, _, _, u, anorm in _cutoff_family(*family_args, local=False))])
         b_formula = K.necessity_b_holder(
             c_emp, c_lip, lam,
             p_minus=float(pv.min()), p_plus=float(pv.max()),
@@ -680,25 +691,20 @@ def necessity_run(space, s, p, q, gamma_or_alpha, mode: str, family: str = "M",
         b_formula = (K.necessity_b_local_sobolev(c_emp, c_lip, lam, **shape) if local
                      else K.necessity_b_global_sobolev(c_emp, c_lip, **shape))
 
-    positive = Q > 1e-12
-    if positive.any():
-        # restrict the scan to centers with a genuinely positive exponent
-        b_emp = np.inf
-        witnesses = []
+    b_emp = np.inf
+    positive = np.flatnonzero(Q > 1e-12)  # centers with a genuinely positive exponent
+    if positive.size:
         radii_scan = critical_radii(space, space.min_positive_distance(), 1.0)
         if radii_scan.size == 0:
             radii_scan = np.array([1.0])
-        for x in np.flatnonzero(positive):
-            row = space.dist[x]
-            for rr in radii_scan:
-                mass = float(space.weight[row < rr].sum())
-                ratio = mass / rr ** Q[x]
-                if ratio < b_emp:
-                    b_emp = ratio
-                    witnesses = [(int(x), float(rr))]
+        witnesses = []
+        for x in positive:
+            ratios = _mass_profile(space, x, radii_scan) / radii_scan ** Q[x]
+            j = int(np.argmin(ratios))
+            if ratios[j] < b_emp:  # the first witness of the minimum is kept
+                b_emp = ratios[j]
+                witnesses = [(int(x), float(radii_scan[j]))]
         extras["witnesses"] = witnesses
-    else:
-        b_emp = np.inf
     extras.update({"Q_derived": Q, "b_empirical": b_emp, "b_formula": b_formula,
                    "embedding_constant": c_emp})
     ok = bool(b_emp > 0 and b_emp >= b_formula - check_slack(b_formula))

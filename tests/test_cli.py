@@ -269,3 +269,19 @@ def test_malformed_scenarios_do_not_stop_siblings(tmp_path, capsys, jobs):
     assert len(err) == 3
     for name, line in zip(("checks_int", "bogus_param", "far_center"), err):
         assert line.startswith("error: malformed scenario") and f"{name}.json" in line
+
+
+def test_cmd_necessity_unknown_family_is_one_error_line(tmp_path, capsys):
+    scenario = {
+        "name": "necc_family",
+        "space": {"kind": "grid2d", "params": {"nx": 6}},
+        "exponents": {"s": {"constant": 0.5}, "p": {"constant": 1.5},
+                      "gamma": {"constant": 2.4}},
+        "checks": [{"op": "necessity", "mode": "sobolev_global", "family": "Besov"}],
+    }
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(scenario))
+    assert run(["--out", tmp_path / "out", "verify", path]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: malformed scenario")
+    assert "family" in err[0]

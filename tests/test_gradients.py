@@ -7,7 +7,8 @@ from varmms import (MetricMeasureSpace, active_levels, gradient_zero_implies_con
                     luxemburg, minimal_scalar_gradient, minimal_vector_gradient,
                     norm_convention_equivalence, oracle_scalar_gradient)
 from varmms.generators import annular_cutoff, grid2d, line_space, log_bump
-from varmms.gradients import GradientConstraintSystem, _level_weight
+from varmms.gradients import GradientConstraintSystem, _feasible_point, _level_weight
+from varmms.norms import SequenceSample, mixed_norm_lp_lq
 
 
 def two_points(d=1.0, w=(1.0, 1.0)):
@@ -168,6 +169,11 @@ def test_lipschitz_feasibility_certificate_annular():
     seq, rep = lipschitz_cutoff_gradient(sp, support, L, 0.6, 1.5, 2.5, u=u)
     assert rep["certificate"] <= 1e-9
     assert rep["ok"], rep
+    # the level values, one level at a time as the docstring states them
+    chi, sv = np.isin(np.arange(sp.n), support).astype(float), np.full(sp.n, 0.6)
+    for r, k in enumerate(range(seq.k_min, seq.k_max + 1)):
+        level = L * 2.0 ** (k * (sv - 1.0)) if k >= rep["k_L"] else 2.0 ** ((k + 1) * sv + 1.0)
+        assert np.array_equal(seq.values[r], level * chi), k
 
 
 def test_geometric_iteration_cases():
@@ -409,3 +415,21 @@ def test_solution_info_names_solver_path():
     besov = minimal_vector_gradient(sp, u, 0.5, p, [1.1, 1.3, 1.2], scale="lq_lp").info
     assert (tl["path"], besov["path"]) == ("gauge", "bisection")
     assert minimal_scalar_gradient(sp, [1.0, 1.0, 1.0], 0.5, p).info["path"] == "none"
+
+
+def test_nonconvex_tl_bisection_improves_on_its_warm_start():
+    # min q < 1 makes the TL modular nonconvex: the norm-level bisection
+    # around trust-constr runs, flagged heuristic
+    sp = MetricMeasureSpace.from_points([[0.0], [0.6], [1.5]], [1.0, 0.5, 0.8])
+    u, s, p, q = [0.0, 1.0, 0.3], 0.5, 1.5, 0.8
+    sol = minimal_vector_gradient(sp, u, s, p, q, scale="lp_lq")
+    assert sol.heuristic
+    assert sol.info["path"] == "bisection"
+    assert sol.certificate <= 1e-9
+    # the solver's feasible warm start on the level-stacked rows
+    system = GradientConstraintSystem.vector(sp, u, s)
+    ks, pos = np.unique(system.level, return_inverse=True)
+    x0 = _feasible_point(ks.size * sp.n, system.I + pos * sp.n, system.J + pos * sp.n,
+                         system.coef_i, system.coef_j, system.target)
+    warm = mixed_norm_lp_lq(SequenceSample(0, x0.reshape(ks.size, sp.n)), p, q, sp.weight)
+    assert sol.objective.value <= warm.value

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from varmms import (SequenceSample, holder_inequality_check, holder_seminorm,
@@ -47,12 +47,43 @@ def test_luxemburg_homogeneity(c, seed):
     assert scaled == pytest.approx(abs(c) * base, rel=1e-8, abs=1e-12)
 
 
+def _log_modular(u, p, w, log_lam):
+    """log of modular(u / lam), evaluated in log form."""
+    nz = u != 0
+    t = np.log(w[nz]) + p[nz] * (np.log(np.abs(u[nz])) - log_lam)
+    return t.max() + np.log(np.sum(np.exp(t - t.max())))
+
+
+def _log_norm(u, p, w):
+    """log of the Luxemburg norm, by bisection on the log level."""
+    lo, hi = -1000.0, 1000.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _log_modular(u, p, w, mid) > 0 else (lo, mid)
+    return hi
+
+
 @given(st.sampled_from([-200, -100, 0, 100, 200]), st.floats(0.5, 50.0),
-       st.booleans(), st.integers(0, 10_000))
+       st.booleans(), st.integers(0, 10_000), st.booleans())
+@example(0, 1.0, False, 99, True)   # exact norm about 1e280: the upper end overflows
+@example(0, 1.0, False, 65, True)   # about 1e-266: the lower end lies below 1e-300
+@example(0, 1.0, False, 115, True)  # u/lam underflows to 0 where w (u/lam)**p is about 1e56
 @settings(max_examples=150, deadline=None)
-def test_luxemburg_extreme_scales_and_exponents(exp10, p_max, constant, seed):
+def test_luxemburg_extreme_scales_and_exponents(exp10, p_max, constant, seed, spread):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 12))
+    if spread:
+        # u and w spread across 1e+-300 independently, p in [0.5, 4]
+        u = rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, n)
+        w = 10.0 ** rng.uniform(-300, 300, n)
+        p = rng.uniform(0.5, 4.0, n)
+        exact = _log_norm(u, p, w)
+        assume(abs(exact) < 300 * np.log(10.0))
+        nv = luxemburg(u, p, w)
+        assert np.log(nv.value) == pytest.approx(exact, abs=1e-9)
+        assert nv.tolerance <= 1e-9 * nv.value
+        assert _log_modular(u, p, w, np.log(nv.value)) <= 1e-12  # log-form rounding
+        return
     scale = 10.0 ** exp10
     v = rng.standard_normal(n)
     w = rng.uniform(1e-3, 2.0, n)

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from varmms import (MetricMeasureSpace, SpaceValidationError, ball, critical_radii,
                     estimate_doubling, overlap_bound_check, phi, phi_iterates,
                     separated_net, uniform_perfectness)
-from varmms.generators import cantor_space, grid1d, line_space, two_zone_glued
+from varmms.generators import (ball_grid_with_atom, cantor_space, grid1d, grid2d, line_space,
+                               two_zone_glued)
 from varmms.space import perfectness_resolution
 
 
@@ -251,6 +253,29 @@ def test_phi_zero_radius():
 def test_phi_monotone_spot():
     sp = line_space(5)
     assert phi(sp, 0, 1.0) <= phi(sp, 0, 2.0)
+
+
+def _phi_exact(sp, x, r):
+    """phi from exact rational ball masses."""
+    row, w = sp.dist[x], [Fraction(float(v)) for v in sp.weight]
+    target = sum((w[i] for i in range(sp.n) if row[i] < r), Fraction(0)) / 2
+    for level in np.unique(row):
+        if sum((w[i] for i in range(sp.n) if row[i] <= level), Fraction(0)) > target:
+            return float(min(level, r))
+    return float(r)
+
+
+def test_phi_exact_half_mass_ties():
+    # at both levels the closed-ball mass equals half the ball's mass exactly,
+    # which rounded sums put on either side
+    assert phi(grid2d(12), 0, 0.4714045207910317) == 0.3333333333333333
+    assert phi(ball_grid_with_atom(1, 61), 0, 0.3606557377049181) == 0.19672131147540983
+    rng = np.random.default_rng(1)
+    for sp in (grid2d(12), ball_grid_with_atom(1, 61)):
+        radii = critical_radii(sp, 0.0, 1.0)
+        for _ in range(60):
+            x, r = int(rng.integers(sp.n)), float(rng.choice(radii))
+            assert phi(sp, x, r) == _phi_exact(sp, x, r), (sp.n, x, r)
 
 
 def _ball_mass(sp, x, r, closed=False):

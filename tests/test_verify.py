@@ -4,9 +4,10 @@ import pytest
 from varmms import (MetricMeasureSpace, check_global, check_morrey_local,
                     check_moser_trudinger_local, check_sobolev_local, counterexample_run,
                     local_embedding_check, necessity_run, sobolev_conjugate)
-from varmms.generators import (ball_grid_with_atom, coordinate_function, grid1d,
-                               grid2d, log_bump)
-from varmms.verify import DEFAULT_MT_C1, inf_centered_norm
+from varmms.generators import (annular_cutoff, ball_grid_with_atom, coordinate_function,
+                               grid1d, grid2d, log_bump)
+from varmms.gradients import lipschitz_cutoff_gradient
+from varmms.verify import DEFAULT_MT_C1, _family_norm, inf_centered_norm
 
 
 @pytest.fixture(scope="module")
@@ -333,3 +334,23 @@ def test_report_serialization_shapes(grid8, center8):
             "margin", "extras"} <= set(payload)
     row = rep.csv_row()
     assert len(row) == 7
+
+
+def test_necessity_family_validated_and_besov_family_runs(grid8):
+    n = grid8.n
+    s, p = np.full(n, 0.5), np.full(n, 1.5)
+    gamma = sobolev_conjugate(np.full(n, 2.0), s, p).values
+    with pytest.raises(ValueError, match="family"):
+        necessity_run(grid8, s, p, np.inf, gamma, mode="sobolev_global", family="B")
+    rep = necessity_run(grid8, s, p, np.inf, gamma, mode="sobolev_global", family="N")
+    assert rep.theorem == "necessity_sobolev_global[N]" and rep.verdict == "pass"
+    assert rep.extras["embedding_constant"] > 0
+    # the family norm is the matching norm of lipschitz_cutoff_gradient's report
+    u, support, L = annular_cutoff(grid8, 27, 0.4, 2)
+    for q in (np.full(n, np.inf), np.full(n, 2.5)):
+        _, cut = lipschitz_cutoff_gradient(grid8, support, L, s, p, q, u=u)
+        assert _family_norm(grid8, support, L, s, p, q, "M", u) == cut["tl_norm"]
+        assert _family_norm(grid8, support, L, s, p, q, "N", u) == cut["besov_norm"]
+    # a family built for a smaller Lipschitz constant is no gradient of u
+    with pytest.raises(RuntimeError, match="not a gradient"):
+        _family_norm(grid8, support, L / 100, s, p, q, "M", u)
