@@ -214,15 +214,18 @@ def critical_radii(space: MetricMeasureSpace, r_min: float = 0.0,
     Ball membership is piecewise constant in r, so "for all r" checks
     quantify over this finite set.
     """
-    if space.n < 2:
-        return np.array([])
-    off = space.dist[np.triu_indices(space.n, k=1)]
-    vals = np.unique(off[off > 0])
+    vals = _distances(space)
     if vals.size == 0:
         return np.array([])
     mids = 0.5 * (vals[:-1] + vals[1:])
     out = np.unique(np.concatenate([vals, mids]))
     return out[(out >= r_min) & (out <= r_max)]
+
+
+def _distances(space: MetricMeasureSpace) -> np.ndarray:
+    """Sorted distinct positive pairwise distances."""
+    off = space.dist[np.triu_indices(space.n, k=1)]
+    return np.unique(off[off > 0])
 
 
 # -- nets and covering -----------------------------------------------------
@@ -235,11 +238,12 @@ def separated_net(space: MetricMeasureSpace, r: float) -> list[int]:
     """
     if r <= 0:
         raise ValueError("r must be positive")
-    sep = r / 2.0
+    blocked = np.zeros(space.n, dtype=bool)  # within r/2 of the net so far
     net: list[int] = []
     for i in range(space.n):
-        if all(space.dist[i, s] >= sep for s in net):
+        if not blocked[i]:
             net.append(i)
+            blocked |= space.dist[i] < r / 2.0
     return net
 
 
@@ -248,22 +252,17 @@ def product_cover_check(space: MetricMeasureSpace, delta: float) -> dict:
     jointly contain every pair at distance below delta/4.
 
     Returns the net and the worst pair diagnostics (the global regularity
-    harness reduces small-separation pairs to inflated net balls this way).
+    harness reduces small-separation pairs to inflated net balls this way);
+    ``witness`` is the last uncovered pair in row-major order.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     net = separated_net(space, delta / 4.0)
-    ok = True
-    witness = None
-    net_dist = space.dist[:, net]
-    for x in range(space.n):
-        close = np.flatnonzero((space.dist[x] < delta / 4.0) & (space.dist[x] > 0))
-        for y in close:
-            covered = (net_dist[x] < delta / 2.0) & (net_dist[y] < delta / 2.0)
-            if not covered.any():
-                ok = False
-                witness = (int(x), int(y))
-    return {"net": net, "ok": ok, "witness": witness, "delta": float(delta)}
+    near = (space.dist[:, net] < delta / 2.0).astype(np.int64)
+    close = (space.dist < delta / 4.0) & (space.dist > 0)
+    bad = np.argwhere(close & (near @ near.T == 0))
+    witness = tuple(map(int, bad[-1])) if bad.size else None
+    return {"net": net, "ok": witness is None, "witness": witness, "delta": float(delta)}
 
 
 def estimate_doubling(space: MetricMeasureSpace) -> int:
@@ -274,39 +273,37 @@ def estimate_doubling(space: MetricMeasureSpace) -> int:
     r/2 centered at points of B(x, r); return the worst cover size.  Greedy
     order is farthest-point, seeded at the lowest index, ties to the lowest
     index, so the result is deterministic.
+
+    One radius per ball suffices.  A point is uncovered iff its distance to
+    the chosen centers is at least r/2, so while any point is uncovered the
+    farthest points are all uncovered and the visiting order does not
+    depend on r; the cover size of a fixed ball can only fall as r grows.
+    Each center therefore takes each distinct ball at the smallest critical
+    radius that produces it and runs all those covers in lockstep, one row
+    per ball, non-members at -inf.
     """
     if space.n == 1:
         return 1
-    off = space.dist[np.triu_indices(space.n, k=1)]
-    base = np.unique(off[off > 0])
+    base = _distances(space)
     radii = np.unique(np.concatenate([base, 2.0 * base]))
     worst = 1
     for x in range(space.n):
         row = space.dist[x]
-        for r in radii:
-            members = np.flatnonzero(row < r)
-            if members.size <= worst:
-                continue
-            worst = max(worst, _greedy_cover_size(space, members, r / 2.0))
+        levels, counts = np.unique(row, return_counts=True)
+        levels = levels[np.cumsum(counts) > worst]  # a ball's cover has at most |ball| centers
+        half = radii[np.searchsorted(radii, levels, side="right")] / 2.0
+        far = np.where(row <= levels[:, None], np.inf, -np.inf)  # to the chosen centers
+        picks = 0
+        while True:
+            nxt = far.argmax(axis=1)
+            live = far[np.arange(nxt.size), nxt] >= half
+            if not live.any():
+                break
+            far, half = far[live], half[live]
+            np.minimum(far, space.dist[nxt[live]], out=far)
+            picks += 1
+        worst = max(worst, picks)
     return worst
-
-
-def _greedy_cover_size(space: MetricMeasureSpace, members: np.ndarray, radius: float) -> int:
-    d = space.dist[np.ix_(members, members)]
-    m = members.size
-    covered = np.zeros(m, dtype=bool)
-    # distance from each point to the chosen center set
-    dist_to_centers = np.full(m, np.inf)
-    count = 0
-    nxt = 0  # lowest index first
-    while True:
-        covered |= d[nxt] < radius
-        count += 1
-        if covered.all():
-            return count
-        np.minimum(dist_to_centers, d[nxt], out=dist_to_centers)
-        cand = np.where(covered, -np.inf, dist_to_centers)
-        nxt = int(np.argmax(cand))
 
 
 def overlap_bound_check(space: MetricMeasureSpace, r: float, R: float,

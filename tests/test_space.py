@@ -131,6 +131,108 @@ def test_estimate_doubling_unit_grid8(battery):
     assert estimate_doubling(battery["unit_grid8"]) >= 4
 
 
+def _doubling_oracle(sp):
+    """Reference: a fresh farthest-point greedy cover for every center and
+    every critical radius."""
+    if sp.n == 1:
+        return 1
+    off = sp.dist[np.triu_indices(sp.n, k=1)]
+    base = np.unique(off[off > 0])
+    worst = 1
+    for x in range(sp.n):
+        for r in np.unique(np.concatenate([base, 2.0 * base])):
+            members = np.flatnonzero(sp.dist[x] < r)
+            if members.size <= worst:
+                continue
+            d = sp.dist[np.ix_(members, members)]
+            covered = np.zeros(members.size, dtype=bool)
+            dist_to_centers = np.full(members.size, np.inf)
+            count, nxt = 0, 0
+            while True:
+                covered |= d[nxt] < r / 2.0
+                count += 1
+                if covered.all():
+                    break
+                np.minimum(dist_to_centers, d[nxt], out=dist_to_centers)
+                nxt = int(np.argmax(np.where(covered, -np.inf, dist_to_centers)))
+            worst = max(worst, count)
+    return worst
+
+
+def _integer_metric(n, seed):
+    """Shortest-path closure of a random {1, 2, 3} matrix: many tied distances."""
+    rng = np.random.default_rng(seed)
+    d = rng.integers(1, 4, (n, n)).astype(float)
+    d = np.minimum(d, d.T)
+    np.fill_diagonal(d, 0.0)
+    for k in range(n):
+        d = np.minimum(d, d[:, [k]] + d[[k], :])
+    return MetricMeasureSpace.from_matrix(d, np.ones(n))
+
+
+def _tie_heavy():
+    return {f"int{n}_{seed}": _integer_metric(n, seed)
+            for seed, n in enumerate([4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17,
+                                      18, 19, 19, 12, 15, 19])}
+
+
+def test_estimate_doubling_matches_greedy_scan(battery):
+    spaces = dict(battery, ball_grid_atom=ball_grid_with_atom(2, 9), **_tie_heavy())
+    for name, sp in spaces.items():
+        assert estimate_doubling(sp) == _doubling_oracle(sp), name
+
+
+def test_estimate_doubling_grid2d_12():
+    assert estimate_doubling(grid2d(12)) == 13
+
+
+def _net_oracle(sp, r):
+    net = []
+    for i in range(sp.n):
+        if all(sp.dist[i, s] >= r / 2.0 for s in net):
+            net.append(i)
+    return net
+
+
+def _product_cover_oracle(sp, delta):
+    net = _net_oracle(sp, delta / 4.0)
+    ok, witness = True, None
+    net_dist = sp.dist[:, net]
+    for x in range(sp.n):
+        for y in np.flatnonzero((sp.dist[x] < delta / 4.0) & (sp.dist[x] > 0)):
+            if not ((net_dist[x] < delta / 2.0) & (net_dist[y] < delta / 2.0)).any():
+                ok, witness = False, (int(x), int(y))
+    return {"net": net, "ok": ok, "witness": witness, "delta": float(delta)}
+
+
+def _semimetric(n, seed):
+    """Symmetric positive distances without the triangle inequality, built
+    past validation: product covers can fail on these."""
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(0.1, 3.0, (n, n))
+    d = np.minimum(d, d.T)
+    np.fill_diagonal(d, 0.0)
+    return MetricMeasureSpace(dist=d, weight=np.ones(n))
+
+
+def test_separated_net_and_product_cover_match_loops(battery):
+    from varmms import product_cover_check
+    spaces = dict(battery, **_tie_heavy(),
+                  **{f"semi{seed}": _semimetric(9 + seed, seed) for seed in range(6)})
+    failed = 0
+    for name, sp in spaces.items():
+        for r in critical_radii(sp)[::2] if sp.n > 1 else [1.0]:
+            assert separated_net(sp, r) == _net_oracle(sp, r), (name, r)
+            rep = product_cover_check(sp, 4.0 * r)
+            assert rep == _product_cover_oracle(sp, 4.0 * r), (name, r)
+            failed += not rep["ok"]
+    assert failed > 0
+    # two net points with close, uncovered neighbours: (1, 3) and (3, 1) fail
+    d = np.array([[0, 0.5, 5, 5], [0.5, 0, 5, 1], [5, 5, 0, 0.5], [5, 1, 0.5, 0]])
+    rep = product_cover_check(MetricMeasureSpace(dist=d, weight=np.ones(4)), 8.0)
+    assert rep["net"] == [0, 2] and rep["witness"] == (3, 1) and not rep["ok"]
+
+
 def test_overlap_bound_line10():
     sp = line_space(10)
     rep = overlap_bound_check(sp, r=1.0, R=2.0)
