@@ -14,9 +14,10 @@ bracket on the optimum, else for min p >= 1 by SLSQP in variables scaled by
 one scalar to the modular's curvature.  A variable exponent with a convex
 modular rho (min p >= 1, and min q >= 1 on the TL scale) takes one gauge
 solve on the same working set: the norm is the gauge of rho's unit ball, so
-its minimum is 1/max{mu : A h >= mu t, rho(h) <= 1}.  A bisection
-on the norm level (``norms._bisect_level``) remains for the nonconvex regimes
-(flagged heuristic; projected subgradient for min p < 1) and for general
+its minimum is 1/max{mu : A h >= mu t, rho(h) <= 1}.  A nonconvex modular
+(min p < 1, or min q < 1 on the TL scale; flagged heuristic) is minimized by
+majorize-minimize over these convex solves (``_majorize_minimize``); a
+bisection on the norm level (``norms._bisect_level``) remains for general
 variable-q Besov norms.  Every returned point is repaired to hard feasibility
 against all rows and its objective is re-evaluated from scratch, so
 certificates never rely on solver-internal tolerances.
@@ -28,12 +29,11 @@ import contextvars
 import functools
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.optimize import Bounds, LinearConstraint, linprog, minimize
+from scipy.optimize import linprog, minimize
 
 from .exponents import exponent_values
 from .norms import (NormValue, SequenceSample, _bisect_level, _level_infimum,
@@ -195,7 +195,7 @@ _GEN_TOL = 1e-10
 _GAP_TOL = 1e-10
 
 # solver paths in increasing precedence: a solve reports the highest it used
-_PATHS = ("none", "lp", "working-set", "subgradient", "gauge", "bisection")
+_PATHS = ("none", "lp", "working-set", "gauge", "mm", "bisection")
 # provenance of the solve in progress (``_provenance``), None outside a solve
 _RECORD = contextvars.ContextVar("gradient_record", default=None)
 
@@ -217,8 +217,8 @@ def _provenance(info):
     """Collect the provenance of one solve into ``info``: the highest solver
     ``path``, the distinct non-zero ``slsqp_status`` values, the working-set
     ``rounds`` and final ``rows`` and the SLSQP iterations ``nit``, each
-    summed over the solve's working-set solves, and the LP's ``bracket`` when
-    the solve was one LP."""
+    summed over the solve's working-set solves (a majorize-minimize solve's
+    path is ``mm``), and the LP's ``bracket`` when the solve was one LP."""
     token = _RECORD.set({"paths": set(), "statuses": set(), "nit": 0, "rounds": 0,
                          "rows": 0, "brackets": []})
     try:
@@ -227,7 +227,7 @@ def _provenance(info):
         info["path"] = max(record["paths"] - {None}, key=_PATHS.index, default="none")
         info["slsqp_status"] = sorted(record["statuses"] - {0})
         info.update({k: record[k] for k in ("rounds", "rows", "nit")})
-        if len(record["brackets"]) == 1:
+        if info["path"] == "lp" and len(record["brackets"]) == 1:
             info["bracket"] = record["brackets"][0]
     finally:
         _RECORD.reset(token)
@@ -325,7 +325,7 @@ def _lp_modular(c, I, J, A, B, T, n):
     return g
 
 
-def _slsqp_modular(c, pv, I, J, A, B, T, n, x0=None):
+def _slsqp_modular(c, pv, I, J, A, B, T, n):
     """SLSQP for the separable modular on ``_working_set``'s rows; the
     better of its repaired point and the feasible warm start is kept.
 
@@ -337,7 +337,7 @@ def _slsqp_modular(c, pv, I, J, A, B, T, n, x0=None):
     above ``_GAP_TOL`` is restarted from its point, with a fresh
     quasi-Newton matrix, while the restarts still lower the modular.
     """
-    g0 = _feasible_point(n, I, J, A, B, T) if x0 is None else _repair(x0, I, J, A, B, T)
+    g0 = _feasible_point(n, I, J, A, B, T)
     scale = max(float(np.sum(c * g0 ** pv)), 1e-300)
     cn = c / scale
     with np.errstate(over="ignore", divide="ignore"):
@@ -402,41 +402,43 @@ def _solve_gauge(I, J, A, B, T, N, rho, rho_jac, x0, hi):
     return g if rho(g / hi) <= 1.0 else x0
 
 
-def _subgradient_modular(c, pv, I, J, A, B, T, n, x0=None):
-    """Projected-subgradient heuristic for the nonconvex regime min p < 1."""
-    _note("subgradient")
-    g = _feasible_point(n, I, J, A, B, T) if x0 is None else _repair(x0, I, J, A, B, T)
-
-    def fun(x):
-        with np.errstate(over="ignore"):
-            return float(np.sum(c * x ** pv))
-
-    best, best_val = g.copy(), fun(g)
-    step0 = 0.5 * float(g.max(initial=0.0)) or 1.0
-    for it in range(1, 500 * n + 1):
-        gg = np.maximum(g, 1e-9)
-        grad = c * pv * gg ** (pv - 1.0)
-        g = np.maximum(g - (step0 / math.sqrt(it)) * grad, 0.0)
-        g = _repair(g, I, J, A, B, T)
-        val = fun(g)
-        if val < best_val:
-            best, best_val = g.copy(), val
-    return best
+_MM_STARTS, _MM_FINAL, _MM_TOL = (1e-1, 1e-2), 1e-5, 1e-6
 
 
-def _min_modular(c, pv, sysrows, n, x0=None):
-    """min sum c_i g_i**p_i over the row polyhedron: HiGHS when p == 1, the
-    working-set SLSQP for min p >= 1, the subgradient heuristic below."""
-    I, J, A, B, T = sysrows
-    if T.size == 0:
-        return np.zeros(n)
-    if np.all(pv == 1.0):
-        g = _lp_modular(c, I, J, A, B, T, n)
-    elif float(np.min(pv)) >= 1.0:
-        g = _slsqp_modular(c, pv, I, J, A, B, T, n, x0)
-    else:
-        g = _subgradient_modular(c, pv, I, J, A, B, T, n, x0)
-    return _repair(g, I, J, A, B, T)
+def _majorize_minimize(x0, norm, w, pv, inner, solve):
+    """Majorize-minimize on the gauge of a modular sum_i w_i t_i(x)**p_i,
+    nonconvex through its inner values t_i or its exponents p < 1.
+
+    A step at the iterate x of norm lam and a = max(x, floor * max x) / lam
+    majorizes each p < 1 by its tangent at the inner value alpha = inner(a),
+    w t**p <= w (1-p) alpha**p + w p alpha**(p-1) t; with b the sum of the
+    constants, ``solve(a, wt)`` minimizes over the rows the gauge with outer
+    exponents max(p, 1), weights wt = (w p alpha**(p-1) where p < 1, else w)
+    / (1 - b) and inner values majorized tightly at a (empty once b >= 1).
+    That unit ball lies in the modular's, so the step's norm is at most its
+    gauge, at most lam while no entry is floored.  From x0, each start's
+    floor and then ``_MM_FINAL`` run until a step lowers the norm by less
+    than the relative ``_MM_TOL``; returns the iterate of least norm.
+    """
+    _note("mm")
+    lin = pv < 1.0
+    runs = [(norm(x0), x0)]
+    for start in _MM_STARTS:
+        lam, x = runs[0]
+        for floor in (start, _MM_FINAL):
+            prev = np.inf
+            while lam < prev * (1.0 - _MM_TOL):
+                a = np.maximum(x, floor * x.max()) / lam
+                alpha = inner(a)
+                b = float(np.sum(w[lin] * (1.0 - pv[lin]) * alpha[lin] ** pv[lin]))
+                if b >= 1.0:
+                    break
+                y = solve(a, np.where(lin, w * pv * alpha ** (pv - 1.0), w) / (1.0 - b))
+                prev, lam_y = lam, norm(y)
+                if lam_y < lam:
+                    lam, x = lam_y, y
+        runs.append((lam, x))
+    return min(runs, key=lambda run: run[0])[1]
 
 
 def _rows(system, rows=None):
@@ -446,33 +448,28 @@ def _rows(system, rows=None):
 
 
 def _min_norm_scalar(system, pv, w, tol):
-    """Minimize the Lebesgue quasi-norm of g over a scalar system."""
+    """Minimize the Lebesgue quasi-norm of g over a scalar system: HiGHS for
+    p == 1 and the working-set SLSQP for constant p > 1 (the norm is a
+    monotone function of the modular), one gauge solve for variable p >= 1,
+    and majorize-minimize over these for min p < 1."""
     n = system.n
     if system.m == 0:
         return np.zeros(n), NormValue(0.0, 0.0)
     rows = _rows(system)
-    if np.ptp(pv) == 0:
-        # constant exponent: the norm is a monotone function of the modular
-        g = _min_modular(w, pv, rows, n)
-        return g, luxemburg(g, pv, w, min(tol, 1e-10))
-    g0 = _feasible_point(n, *rows)
-    hi = luxemburg(g0, pv, w).value
-    if pv.min() >= 1.0:
+    if pv.min() < 1.0:
+        g = _majorize_minimize(
+            _feasible_point(n, *rows), lambda g: luxemburg(g, pv, w, 1e-10).value, w, pv,
+            lambda a: a,
+            lambda a, wt: _min_norm_scalar(system, np.maximum(pv, 1.0), wt, tol)[0])
+    elif np.all(pv == 1.0):
+        g = _lp_modular(w, *rows, n)
+    elif np.ptp(pv) == 0:
+        g = _slsqp_modular(w, pv, *rows, n)
+    else:
+        g0 = _feasible_point(n, *rows)
         g = _solve_gauge(*rows, n, lambda h: modular(h, pv, w),
-                         lambda h: w * pv * np.maximum(h, 1e-300) ** (pv - 1.0), g0, hi)
-        return g, luxemburg(g, pv, w, min(tol, 1e-10))
-    g = g0
-
-    def admissible(t):
-        nonlocal g
-        if t >= hi:
-            # luxemburg certifies the warm start at its norm: no solve needed
-            return True, g0
-        g = _min_modular(w * t ** (-pv), pv, rows, n, x0=g)
-        return float(np.sum(w * (g / t) ** pv)) <= 1.0, g
-
-    _note("bisection")
-    _, _, g = _bisect_level(admissible, hi, 0.5 * hi, tol, ulp_steps=0)
+                         lambda h: w * pv * np.maximum(h, 1e-300) ** (pv - 1.0), g0,
+                         luxemburg(g0, pv, w).value)
     return g, luxemburg(g, pv, w, min(tol, 1e-10))
 
 
@@ -558,8 +555,7 @@ def minimal_vector_gradient(space, u, s, p, q, scale: str = "lq_lp", tol: float 
     info = {"n": system.n, "constraints": system.m, "scale": scale}
     with _provenance(info):
         if system.m == 0:
-            seq = SequenceSample(lev_range[0],
-                                 np.zeros((lev_range[1] - lev_range[0] + 1, system.n)))
+            seq = _assemble_sequence(lev_range, {}, system.n)
             nv = NormValue(0.0, 0.0, kind="mixed_lqp" if scale == "lq_lp" else "mixed_plq")
         else:
             solve = _solve_besov if scale == "lq_lp" else _solve_tl
@@ -598,17 +594,21 @@ def _solve_besov(system, pv, qv, w, tol, lev_range):
     return _solve_besov_general(system, pv, qv, w, tol, lev_range)
 
 
+def _stack(system):
+    """The level-stacked scalar system of a vector system, level ks[r] in
+    columns r*n .. r*n+n-1; returns (ks, stacked)."""
+    ks, pos = np.unique(system.level, return_inverse=True)
+    n, N = system.n, ks.size * system.n
+    return ks, replace(system, n=N, idx=np.arange(N), I=system.I + pos * n,
+                       J=system.J + pos * n, level=None)
+
+
 def _solve_modular_decoupled(system, pv, w, tol, lev_range):
     """q == p pointwise: both mixed norms are the Lebesgue norm of the
-    level-stacked family, so this is the scalar problem on L*n variables
-    (level ks[r] in columns r*n .. r*n+n-1)."""
-    n = system.n
-    ks, pos = np.unique(system.level, return_inverse=True)
-    L = ks.size
-    stacked = replace(system, n=L * n, idx=np.arange(L * n), I=system.I + pos * n,
-                      J=system.J + pos * n, level=None)
-    g, nv = _min_norm_scalar(stacked, np.tile(pv, L), np.tile(w, L), tol)
-    seq = _assemble_sequence(lev_range, dict(zip(ks.tolist(), g.reshape(L, n))), n)
+    level-stacked family, so this is the scalar problem on L*n variables."""
+    ks, stacked = _stack(system)
+    g, nv = _min_norm_scalar(stacked, np.tile(pv, ks.size), np.tile(w, ks.size), tol)
+    seq = _assemble_sequence(lev_range, dict(zip(ks.tolist(), g.reshape(ks.size, -1))), system.n)
     return seq, replace(nv, kind="mixed_lqp")
 
 
@@ -707,64 +707,61 @@ def _solve_tl(system, pv, qv, w, tol, lev_range):
         return seq, replace(nv, kind="mixed_plq")
     if np.any(np.isinf(qv)):
         raise ValueError("TL scale supports q identically infinite or finite everywhere")
-    return _solve_tl_joint(system, pv, qv, w, tol, lev_range)
+    ks, stacked = _stack(system)
+    x = _min_tl(stacked, ks.size, pv, qv, w, tol)
+    seq = _assemble_sequence(lev_range, dict(zip(ks.tolist(), x.reshape(ks.size, -1))), system.n)
+    value = mixed_norm_lp_lq(seq, pv, qv, w, 1e-10)
+    return seq, NormValue(value.value, value.tolerance, kind="mixed_plq")
 
 
-def _solve_tl_joint(system, pv, qv, w, tol, lev_range):
-    """Joint minimization across levels of the pointwise-sequence norm: one
-    gauge solve when its modular is convex (min p >= 1 and min q >= 1), else
-    a bisection on the norm level around trust-constr (flagged heuristic)."""
-    n = system.n
-    ks, pos = np.unique(system.level, return_inverse=True)
-    L = ks.size
-    # stacked variables x[r*n + i] for level ks[r]
-    rows = (system.I + pos * n, system.J + pos * n, system.coef_i, system.coef_j,
-            system.target)
+def _min_tl(stacked, L, pv, qv, w, tol):
+    """Minimizer over the level-stacked rows of the pointwise-sequence norm,
+    the gauge of sum_i w_i ||x_i||_q_i**p_i with x_i point i's L levels: one
+    gauge solve when the modular is convex (min p >= 1 and min q >= 1), the
+    scalar problem when moreover q == p, else majorize-minimize over these."""
+    n = pv.size
+    rows = _rows(stacked)
     x0 = _feasible_point(L * n, *rows)
 
-    def modular(x, c):
+    def norm(x):
+        return mixed_norm_lp_lq(SequenceSample(0, x.reshape(L, n)), pv, qv, w, 1e-10).value
+
+    if min(pv.min(), qv.min()) < 1.0:
+        lin = qv < 1.0
+
+        def inner(a):
+            with np.errstate(over="ignore"):
+                return np.sum(a.reshape(L, n) ** qv, axis=0) ** (1.0 / qv)
+
+        def solve(a, wt):
+            # ||x_i||_q <= gamma_i . x_i for q_i < 1, as ||.||_q is concave and
+            # 1-homogeneous there (tight at a_i): y = gamma x has inner exponent 1
+            gamma = np.where(lin, (a.reshape(L, n) / inner(a)) ** (qv - 1.0), 1.0).ravel()
+            sub = replace(stacked, coef_i=stacked.coef_i / gamma[stacked.I],
+                          coef_j=stacked.coef_j / gamma[stacked.J])
+            y = _min_tl(sub, L, np.maximum(pv, 1.0), np.where(lin, 1.0, qv), wt, tol)
+            return _repair(y / gamma, *rows)
+
+        return _majorize_minimize(x0, norm, w, pv, inner, solve)
+    if np.array_equal(pv, qv):
+        return _min_norm_scalar(stacked, np.tile(pv, L), np.tile(w, L), tol)[0]
+
+    def modular(x):
         X = np.abs(x.reshape(L, n))
         with np.errstate(over="ignore"):
             S = np.sum(X ** qv[None, :], axis=0)
-        return float(np.sum(c * S ** (pv / qv)))
+        return float(np.sum(w * S ** (pv / qv)))
 
-    def modular_grad(x, c):
+    def modular_grad(x):
         X = np.maximum(x.reshape(L, n), 0.0)
         with np.errstate(over="ignore"):
             S = np.sum(X ** qv[None, :], axis=0)
-        outer = c * pv * np.maximum(S, 1e-300) ** (pv / qv - 1.0)
+        outer = w * pv * np.maximum(S, 1e-300) ** (pv / qv - 1.0)
         grad = outer[None, :] * np.maximum(X, 1e-300) ** (qv[None, :] - 1.0)
         grad[:, S == 0.0] = 0.0
         return grad.ravel()
 
-    hi = max(mixed_norm_lp_lq(SequenceSample(0, x0.reshape(L, n)), pv, qv, w, 1e-10).value,
-             1e-12)
-    if min(pv.min(), qv.min()) >= 1.0:
-        x = _solve_gauge(*rows, L * n, lambda x: modular(x, w),
-                         lambda x: modular_grad(x, w), x0, hi)
-    else:
-        A_sp = _constraint_sparse(*rows, L * n)
-        x = x0
-
-        def admissible(lam):
-            nonlocal x
-            c = w * lam ** (-pv)
-            with warnings.catch_warnings():
-                # quasi-Newton curvature updates stall on locally-linear pieces
-                warnings.filterwarnings("ignore", message="delta_grad == 0.0")
-                res = minimize(modular, np.maximum(x, 1e-12), args=(c,), jac=modular_grad,
-                               method="trust-constr",
-                               constraints=[LinearConstraint(A_sp, system.target, np.inf)],
-                               bounds=Bounds(0.0, np.inf),
-                               options={"gtol": 1e-9, "xtol": 1e-12, "maxiter": 1200})
-            x = _repair(res.x, *rows)
-            return modular(x, c) <= 1.0, x
-
-        _note("bisection")
-        _, _, x = _bisect_level(admissible, hi, 0.5 * hi, max(tol, 1e-7), ulp_steps=0)
-    seq = _assemble_sequence(lev_range, dict(zip(ks.tolist(), x.reshape(L, n))), n)
-    value = mixed_norm_lp_lq(seq, pv, qv, w, 1e-10)
-    return seq, NormValue(value.value, value.tolerance, kind="mixed_plq")
+    return _solve_gauge(*rows, L * n, modular, modular_grad, x0, max(norm(x0), 1e-12))
 
 
 # -- independent oracle ------------------------------------------------------
@@ -776,12 +773,14 @@ def oracle_scalar_gradient(space, u, s, p, step: float = 1e-3, subset=None,
     Grids all coordinates except the last on a lattice of the given step
     over [0, m_i] (m_i = the single-sided cover bound, which always contains
     a minimizer), and sets the last coordinate to its exact minimal feasible
-    value.  For n == 4 a coarse pass (``coarse_step``) locates the optimum
-    and a second pass refines a local box at the requested step; the local
-    refinement is justified for convex instances (min p >= 1), which is the
-    only regime the oracle is used in.  Variable exponents are handled by a
-    shared bisection on the norm level over the fixed feasible lattice.
-    Completely independent of the solvers.
+    value.  Each value is the norm of a point feasible within 1e-12, so it
+    bounds the minimum from above, nonconvex instances (min p < 1) included;
+    for n <= 3 the lattice is exhaustive.  For n == 4 a coarse pass
+    (``coarse_step``) locates the optimum and a second pass refines a local
+    box at the requested step, which is justified for convex instances (min
+    p >= 1).  Variable exponents are handled by a shared bisection on the
+    norm level over the fixed feasible lattice.  Completely independent of
+    the solvers.
     """
     idx = np.arange(space.n) if subset is None else np.asarray(subset, dtype=int)
     n = idx.size

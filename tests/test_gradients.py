@@ -292,8 +292,8 @@ def test_heuristic_flag_for_subunit_exponent():
     sp = two_points()
     sol = minimal_scalar_gradient(sp, [0.0, 1.0], 1.0, 0.5)
     assert sol.heuristic
-    # the subgradient fallback still returns the obvious optimum here:
-    # minimize ||g||_{1/2} with g1 + g2 >= 1; concentrating mass is best
+    # majorize-minimize returns the obvious optimum here: minimize
+    # ||g||_{1/2} with g1 + g2 >= 1; concentrating mass is best
     assert sol.objective.value <= 1.0 + 1e-6
 
 
@@ -396,20 +396,40 @@ def test_gauge_matches_bisection_reference(kind, amp):
     assert value <= reference * (1.0 + 1e-9)
 
 
+THREE_POINTS = (MetricMeasureSpace.from_points([[0.0], [0.6], [1.5]], [1.0, 0.5, 0.8]),
+                [0.0, 1.0, 0.3])
+
+
+def _cloud(seed, n=None):
+    """A random 1-D cloud: n points U(0, 2) (n from integers(3, 13) if not
+    given), weights U(0.3, 1.5), u standard normal; returns the generator too."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 13)) if n is None else n
+    sp = MetricMeasureSpace.from_points(rng.uniform(0, 2, (n, 1)), rng.uniform(0.3, 1.5, n))
+    return rng, sp, rng.standard_normal(n)
+
+
+def _nonconvex_scalar_case(seed):
+    rng, sp, u = _cloud(seed)
+    p = rng.uniform(0.5, 1.8, sp.n)
+    p[0] = 0.7
+    return sp, u, p
+
+
 def test_solution_info_names_solver_path():
-    sp = MetricMeasureSpace.from_points([[0.0], [0.6], [1.5]], [1.0, 0.5, 0.8])
-    u = [0.0, 1.0, 0.3]
-    cases = [(1.0, "lp"), (2.0, "working-set"), (0.5, "subgradient"),
-             ([1.2, 1.8, 1.5], "gauge"), ([0.7, 1.8, 1.5], "bisection")]
+    sp, u = THREE_POINTS
+    cases = [(1.0, "lp"), (2.0, "working-set"), (0.5, "mm"),
+             ([1.2, 1.8, 1.5], "gauge"), ([0.7, 1.8, 1.5], "mm")]
     for p, path in cases:
         info = minimal_scalar_gradient(sp, u, 0.5, p).info
         assert info["path"] == path, (p, info)
         assert info["slsqp_status"] == sorted(set(info["slsqp_status"]))
         assert 0 not in info["slsqp_status"]
+        # an mm solve's inner LPs bracket their majorants, not the norm
         assert ("bracket" in info) == (path == "lp")
-        working_set = path in ("lp", "working-set", "gauge")
-        assert (info["rounds"] > 0, info["rows"] > 0) == (working_set, working_set)
-        assert (info["nit"] > 0) == (path in ("working-set", "gauge"))
+        assert info["rounds"] > 0 and info["rows"] > 0
+        # SLSQP runs iff some (majorant) exponent exceeds one
+        assert (info["nit"] > 0) == (np.max(p) > 1.0)
     p = [1.2, 1.8, 1.5]
     tl = minimal_vector_gradient(sp, u, 0.5, p, 1.3, scale="lp_lq").info
     besov = minimal_vector_gradient(sp, u, 0.5, p, [1.1, 1.3, 1.2], scale="lq_lp").info
@@ -417,15 +437,42 @@ def test_solution_info_names_solver_path():
     assert minimal_scalar_gradient(sp, [1.0, 1.0, 1.0], 0.5, p).info["path"] == "none"
 
 
-def test_nonconvex_tl_bisection_improves_on_its_warm_start():
-    # min q < 1 makes the TL modular nonconvex: the norm-level bisection
-    # around trust-constr runs, flagged heuristic
-    sp = MetricMeasureSpace.from_points([[0.0], [0.6], [1.5]], [1.0, 0.5, 0.8])
-    u, s, p, q = [0.0, 1.0, 0.3], 0.5, 1.5, 0.8
+def test_nonconvex_scalar_battery_majorize_minimize():
+    # min p < 1 on 30 random clouds and the three-point space; a projected
+    # subgradient overflowed and raised on seeds 6, 10, 15 and 25
+    cases = [_nonconvex_scalar_case(seed) for seed in range(30)]
+    cases.append((*THREE_POINTS, np.array([0.7, 1.8, 1.5])))
+    for sp, u, p in cases:
+        sol = minimal_scalar_gradient(sp, u, 0.5, p)
+        system = GradientConstraintSystem.scalar(sp, u, 0.5)
+        assert sol.heuristic and sol.info["path"] == "mm"
+        assert sol.certificate <= 1e-9 * system.target.max()
+        rows = (system.I, system.J, system.coef_i, system.coef_j, system.target)
+        warm = luxemburg(_feasible_point(sp.n, *rows), p, sp.weight, 1e-10)
+        assert sol.objective.value <= warm.value
+        if sp.n <= 3:
+            # the lattice is exhaustive at n <= 3: it bounds the minimum from above
+            oracle = oracle_scalar_gradient(sp, u, 0.5, p, step=1e-2)
+            assert sol.objective.value <= oracle * (1.0 + 1e-9), (sp.n, u)
+
+
+@pytest.mark.parametrize("case, p, q, bound", [
+    pytest.param("three", 1.5, 0.8, 0.8276680738632253, id="three-1.5-0.8"),
+    pytest.param("six", 0.8, 1.5, 19.619508786010652, id="six-0.8-1.5"),
+    pytest.param("six", 0.7, 0.9, 49.4670807076395, id="six-0.7-0.9"),
+    pytest.param("six", np.linspace(0.6, 1.6, 6), np.linspace(0.7, 1.4, 6), 48.24686340015347,
+                 id="six-variable")])
+def test_nonconvex_tl_majorize_minimize_improves_on_its_warm_start(case, p, q, bound):
+    # min(p, q) < 1 makes the TL modular nonconvex: majorize-minimize runs,
+    # flagged heuristic; ``bound`` is what a norm-level bisection around
+    # trust-constr reached
+    sp, u = THREE_POINTS if case == "three" else _cloud(5, 6)[1:]
+    s = 0.5
     sol = minimal_vector_gradient(sp, u, s, p, q, scale="lp_lq")
     assert sol.heuristic
-    assert sol.info["path"] == "bisection"
+    assert sol.info["path"] == "mm"
     assert sol.certificate <= 1e-9
+    assert sol.objective.value <= bound * (1.0 + 1e-6)
     # the solver's feasible warm start on the level-stacked rows
     system = GradientConstraintSystem.vector(sp, u, s)
     ks, pos = np.unique(system.level, return_inverse=True)
