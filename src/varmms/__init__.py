@@ -13,9 +13,8 @@ from .gradients import (GradientConstraintSystem, GradientSolution, active_level
 from .norms import (NormValue, SequenceSample, holder_inequality_check, holder_seminorm,
                     interpolation_splitting_check, lebesgue_embedding_constant,
                     luxemburg, median, median_bound_check, mixed_modular_closed_form,
-                    mixed_modular_lq_lp, mixed_norm_lp_lq, mixed_norm_lq_lp,
-                    mixed_norm_lq_lp_constant_q, modular, monotonicity_check,
-                    pointwise_lq, rel_sandwich_check)
+                    mixed_modular_lq_lp, mixed_norm_lp_lq, mixed_norm_lq_lp, modular,
+                    monotonicity_check, pointwise_lq, rel_sandwich_check)
 from .regularity import (RegularityProfile, best_lower_constant, best_upper_constant,
                          estimate_Q, rescale_threshold)
 from .space import (Ball, MetricMeasureSpace, SpaceValidationError, ball,

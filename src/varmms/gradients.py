@@ -18,9 +18,10 @@ its minimum is 1/max{mu : A h >= mu t, rho(h) <= 1}.  A nonconvex modular
 (min p < 1, or min q < 1 on the TL scale; flagged heuristic) is minimized by
 majorize-minimize over these convex solves (``_majorize_minimize``); a
 bisection on the norm level (``norms._bisect_level``) remains for general
-variable-q Besov norms.  Every returned point is repaired to hard feasibility
-against all rows and its objective is re-evaluated from scratch, so
-certificates never rely on solver-internal tolerances.
+variable-q Besov norms, whose per-level weight is ``norms._level_roots``.
+Every returned point is repaired to hard feasibility against all rows and
+its objective is re-evaluated from scratch, so certificates never rely on
+solver-internal tolerances.
 """
 from __future__ import annotations
 
@@ -36,9 +37,8 @@ import scipy.sparse as sparse
 from scipy.optimize import linprog, minimize
 
 from .exponents import exponent_values
-from .norms import (NormValue, SequenceSample, _bisect_level, _level_infimum,
-                    check_slack, luxemburg, mixed_norm_lp_lq, mixed_norm_lq_lp,
-                    mixed_norm_lq_lp_constant_q, modular)
+from .norms import (NormValue, SequenceSample, _bisect_level, _level_roots, check_slack,
+                    luxemburg, mixed_norm_lp_lq, mixed_norm_lq_lp)
 
 __all__ = [
     "GradientConstraintSystem",
@@ -467,7 +467,12 @@ def _min_norm_scalar(system, pv, w, tol):
         g = _slsqp_modular(w, pv, *rows, n)
     else:
         g0 = _feasible_point(n, *rows)
-        g = _solve_gauge(*rows, n, lambda h: modular(h, pv, w),
+
+        def modular(h):  # norms.modular on the validated exponents
+            with np.errstate(over="ignore"):
+                return float(np.sum(w * np.abs(h) ** pv))
+
+        g = _solve_gauge(*rows, n, modular,
                          lambda h: w * pv * np.maximum(h, 1e-300) ** (pv - 1.0), g0,
                          luxemburg(g0, pv, w).value)
     return g, luxemburg(g, pv, w, min(tol, 1e-10))
@@ -613,26 +618,12 @@ def _solve_modular_decoupled(system, pv, w, tol, lev_range):
 
 
 def _level_weight(g, w, pv, qv, lam):
-    """The level infimum of g / lam (``_level_infimum``) and its gradient in
-    g, by implicit differentiation of sum_i c_i nu**(-p_i/q_i) == 1 - fixed
-    with c = w (g/lam)**p and fixed the q-infinite part.
-
-    Returns (nu, dnu/dg); infinity when the q-infinite part alone already
-    exceeds one (then no nu is admissible).
-    """
-    nu = _level_infimum(g / lam, pv, qv, w, 1e-12)
-    grad = np.zeros_like(g)
-    if nu == 0.0 or not np.isfinite(nu):
-        return nu, grad
-    e = np.where(np.isinf(qv), 0.0, pv / qv)
-    with np.errstate(over="ignore"):
-        c = w * (g / lam) ** pv
-    dh_dnu = -float(np.sum(c * e * nu ** (-e - 1.0)))
-    if dh_dnu == 0.0:
-        return nu, grad
-    gg = np.maximum(g, 1e-300)
-    dh_dg = w * pv * gg ** (pv - 1.0) * lam ** (-pv) * nu ** (-e)
-    return nu, -dh_dg / dh_dnu
+    """(nu, dnu/dg): the level infimum of g / lam (``norms._level_roots``),
+    infinite when the q-infinite part alone exceeds one, and its gradient
+    nu p pi / g (zero where g is) with pi the root's term weights."""
+    nu, pi = _level_roots(np.abs(g / lam)[None, :], pv, pv / qv, w)
+    nu = float(nu[0])
+    return nu, (nu * pv * pi[0] / np.maximum(g, 1e-300) if 0.0 < nu < np.inf else np.zeros_like(g))
 
 
 def _solve_besov_general(system, pv, qv, w, tol, lev_range):
@@ -964,14 +955,6 @@ def _cutoff_sequence(space, support, L: float, sv, qv, u, tail_rel: float = 1e-9
     return seq, k_L, cert
 
 
-def _besov_norm(seq, pv, qv, w) -> float:
-    """Besov-scale norm of a family, by the level norm of the per-level
-    Lebesgue norms when q is constant."""
-    if np.all(qv == qv[0]):
-        return mixed_norm_lq_lp_constant_q(seq, pv, float(qv[0]), w).value
-    return mixed_norm_lq_lp(seq, pv, qv, w).value
-
-
 def lipschitz_cutoff_gradient(space, support, L: float, s, p, q, u=None,
                               tail_rel: float = 1e-9):
     """Explicit vector gradient for a [0,1]-valued L-Lipschitz function
@@ -1004,7 +987,7 @@ def lipschitz_cutoff_gradient(space, support, L: float, s, p, q, u=None,
     l_factor = max(L ** s_B_plus, L ** s_B_minus)
     norm_chi = luxemburg(chi, pv, w).value
     tl_norm = mixed_norm_lp_lq(seq, pv, qv, w).value
-    besov_norm = _besov_norm(seq, pv, qv, w)
+    besov_norm = mixed_norm_lq_lp(seq, pv, qv, w).value
     q_minus, s_minus, s_plus = float(qv.min()), float(sv.min()), float(sv.max())
     if np.isfinite(q_minus):
         a1 = K.lipschitz_A1(q_minus, s_minus, s_plus)

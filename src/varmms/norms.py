@@ -8,6 +8,7 @@ lambda**(1/inf) == 1 and pointwise sup for the inner sequence norm.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,11 +41,13 @@ _MAX_GROWTH = 200  # growing powers of 2 cross the double range in ~65 steps
 # wide as the double range down to tol * hi
 _MAX_STEPS = 2100
 _ULP_STEPS = 4
+_MAX_NEWTON = 100
+_EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)  # smallest normal double
 
 
 def check_slack(rhs: float) -> float:
-    """Additive slack for <= assertions: nested bisections compound error."""
+    """Additive slack for <= assertions: chained level solves compound error."""
     return 1e-8 + 1e-6 * abs(rhs)
 
 
@@ -161,8 +164,8 @@ def _luxemburg(u: np.ndarray, pv: np.ndarray, w: np.ndarray, tol: float) -> Norm
     rho = modular(u/umax) the norm lies between umax rho**(1/p^+) and
     umax rho**(1/p^-), with equality when p is constant.  When the lower end
     underflows below 1e-300, both ends are taken in log form.  An end that
-    overflows is replaced as in ``_level_infimum``, and ``_bisect_level``
-    checks both ends against the modular before use.
+    overflows is replaced from the other one, and ``_bisect_level`` checks
+    both ends against the modular before use.
     """
     u_abs = np.abs(u)
     umax = float(u_abs.max(initial=0.0))
@@ -278,72 +281,79 @@ class SequenceSample:
         return SequenceSample(self.k_min, self.values * factor)
 
 
-def _level_infimum(u_k: np.ndarray, pv: np.ndarray, qv: np.ndarray, w: np.ndarray,
-                   tol: float) -> float:
-    """inf{ lam > 0 : modular(u_k / lam**(1/q(.))) <= 1 } with lam**(1/inf)=1.
+def _level_roots(u_abs: np.ndarray, pv: np.ndarray, ev: np.ndarray, w: np.ndarray):
+    """Per row of ``u_abs`` (levels x n) the level infimum
+    nu = inf{ nu > 0 : sum_i a_i nu**(-e_i) <= 1 }, a = w u**p, e = p/q (e = 0
+    for q = inf: a fixed part), and the weights pi = a' / (e . a') of the
+    terms a' = a nu**(-e); so d nu / d a_i = nu pi_i / a_i, and the row
+    u / lam has d log nu / d log lam = -pi . p.
 
-    Returns inf (possibly 0) or numpy.inf when no lam is admissible.
+    A fixed part above one (or at one beside a term with e > 0) gives inf, no
+    such term 0.  Else t = log nu solves log sum_{e>0} exp(log a - e t) =
+    log(1 - fixed), convex and decreasing in t: Newton from the left end
+    max_i (log a_i - log(1 - fixed)) / e_i rises monotonically to the root,
+    for all rows at once and at any scale.  exp(t) is then raised by factors
+    growing from one ulp until the direct sum is at most one, so every nu is
+    a certified upper end.
     """
-    u_abs = np.abs(np.asarray(u_k, dtype=float))
-    if not u_abs.any():
-        return 0.0
-    inf_mask = np.isinf(qv)
-    fixed = float(np.sum(w[inf_mask] * u_abs[inf_mask] ** pv[inf_mask])) if inf_mask.any() else 0.0
-    if fixed > 1.0:
-        return np.inf
-    fin = ~inf_mask
-    if not np.any(u_abs[fin] > 0):
-        return 0.0
-    budget = 1.0 - fixed
-    if budget <= 0.0:
-        return np.inf
-    a = w[fin] * u_abs[fin] ** pv[fin]
-    e = pv[fin] / qv[fin]
+    with np.errstate(over="ignore", divide="ignore"):
+        a = w * u_abs ** pv
+        log_a = np.log(w) + pv * np.log(u_abs)
+    fin = ev > 0
+    fixed = a[:, ~fin].sum(axis=1)
+    pos = (log_a[:, fin] > -np.inf).any(axis=1)
+    nu = np.where(fixed > 1.0, np.inf, np.where(~pos, 0.0, np.where(fixed < 1.0, np.nan, np.inf)))
+    pi = np.zeros_like(a)
+    rows = np.flatnonzero(np.isnan(nu))
+    if not rows.size:
+        return nu, pi
+    a, log_a, lb = a[rows], log_a[rows], np.log(1.0 - fixed[rows])
+    la, e = log_a[:, fin], ev[fin]
+    t = np.max((la - lb[:, None]) / e, axis=1)
+    live = np.arange(rows.size)
+    for _ in range(_MAX_NEWTON):
+        z = la[live] - e * t[live, None]
+        zmax = z.max(axis=1)
+        ez = np.exp(z - zmax[:, None])
+        s = ez.sum(axis=1)
+        step = (zmax + np.log(s) - lb[live]) * s / (ez @ e)
+        t[live] += step
+        # a step that is not positive is rounding at the root
+        live = live[step > 4.0 * _EPS * np.maximum(1.0, np.abs(t[live]))]
+        if not live.size:
+            break
+    live = np.arange(rows.size)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        root = np.exp(t)
+        for i in range(_MAX_GROWTH):
+            total = np.sum(a[live] * root[live, None] ** -ev, axis=1)
+            bad = ~np.isfinite(total)  # overflow or inf * 0: the sum in log form
+            total[bad] = np.sum(np.exp(log_a[live[bad]] - ev * np.log(root[live[bad], None])),
+                                axis=1)
+            live = live[total > 1.0]
+            if not live.size:
+                break
+            root[live] *= 1.0 + 2.0 ** (i - 52)
+        nu[rows] = root
+        z = log_a - ev * np.log(root[:, None])
+        terms = np.exp(z - z.max(axis=1, keepdims=True))
+        pi[rows] = terms / (terms @ ev)[:, None]
+    return nu, pi
 
-    def ok(lam: float):
-        with np.errstate(over="ignore", divide="ignore"):
-            return fixed + float(np.sum(a * lam ** (-e))) <= 1.0, None
 
-    lo, hi = _sandwich(float(np.sum(a)) / budget, e)
-    if lo == np.inf:
-        return np.inf  # the level is at least the lower end
-    # an upper end that overflows is grown from the lower one, and a lower
-    # end below the floor is replaced by walking down from the upper one
-    hi = hi if hi < np.inf else lo
-    lo = lo * (1.0 - 1e-12) if lo >= 1e-300 else 0.5 * hi
-    hi, _, _ = _bisect_level(ok, hi, lo, tol)
-    return float(hi)
-
-
-def mixed_modular_lq_lp(seq: SequenceSample, p, q, weight, tol: float = 1e-12,
-                        cross_check: bool = False) -> float:
-    """Sequence-space semimodular: sum over levels of the per-level infima.
-
-    With ``cross_check`` and finite q everywhere, the closed form (level sum
-    of Luxemburg norms of |u_k|**q with exponent p/q) is also evaluated and
-    must agree within 10 * tol relative.
-    """
+def mixed_modular_lq_lp(seq: SequenceSample, p, q, weight) -> float:
+    """Sequence-space semimodular: the level sum of certified per-level
+    infima (``_level_roots``); inf when some level admits none."""
     w = np.asarray(weight, dtype=float)
     pv = exponent_values(p, seq.n)
-    qv = exponent_values(q, seq.n, allow_inf=True)
-    total = 0.0
-    for row in seq.values:
-        total += _level_infimum(row, pv, qv, w, tol)
-        if np.isinf(total):
-            return np.inf
-    if cross_check and np.all(np.isfinite(qv)):
-        other = mixed_modular_closed_form(seq, pv, qv, w, max(tol, 1e-12))
-        if abs(total - other) > 10.0 * max(tol, 1e-8) * max(1.0, abs(total)):
-            raise AssertionError(
-                f"semimodular cross-check failed: {total} vs closed form {other}")
-    return float(total)
+    ev = pv / exponent_values(q, seq.n, allow_inf=True)
+    return float(_level_roots(np.abs(seq.values), pv, ev, w)[0].sum())
 
 
 def mixed_modular_closed_form(seq: SequenceSample, p, q, weight,
                               tol: float = DEFAULT_TOL) -> float:
     """Closed form of the sequence semimodular for finite q: sum over levels
-    of the Luxemburg norm of |u_k|**q(.) with exponent p(.)/q(.).
-    """
+    of the Luxemburg norm of |u_k|**q(.) with exponent p(.)/q(.)."""
     w = np.asarray(weight, dtype=float)
     pv = exponent_values(p, seq.n)
     qv = exponent_values(q, seq.n, allow_inf=True)
@@ -356,45 +366,51 @@ def mixed_modular_closed_form(seq: SequenceSample, p, q, weight,
 
 
 def mixed_norm_lq_lp(seq: SequenceSample, p, q, weight, tol: float = DEFAULT_TOL) -> NormValue:
-    """Outer Luxemburg norm of the sequence semimodular (Besov scale)."""
-    w = np.asarray(weight, dtype=float)
-    pv = exponent_values(p, seq.n)
-    qv = exponent_values(q, seq.n, allow_inf=True)
-    if not np.abs(seq.values).any():
-        return NormValue(0.0, 0.0, kind="mixed_lqp")
-    top = max(_luxemburg(row, pv, w, tol).value for row in seq.values)
-    if np.all(np.isinf(qv)):
-        # modular of the scaled family is 0/inf: the norm is the sup of the
-        # per-level Lebesgue norms
-        return NormValue(top, tol * top, kind="mixed_lqp")
+    """Outer Luxemburg norm of the sequence semimodular (Besov scale): the
+    smallest lam tried whose level sum of certified infima of u / lam
+    (``_level_roots``) is at most one; the tolerance is the bracket width.
 
-    def ok(lam: float):
-        return mixed_modular_lq_lp(seq.scaled(1.0 / lam), pv, qv, w,
-                                   tol=min(tol, 1e-12)) <= 1.0, None
-
-    # below the largest level norm one level infimum alone exceeds 1; at
-    # that norm times L**(1/q^-) every one of the L levels has infimum <= 1/L
-    lo = max(top, 1e-12)
-    hi = lo * seq.values.shape[0] ** (1.0 / float(qv.min()))
-    hi, lo, _ = _bisect_level(ok, hi, lo, tol)
-    return NormValue(float(hi), float(hi - lo), kind="mixed_lqp")
-
-
-def mixed_norm_lq_lp_constant_q(seq: SequenceSample, p, q_const: float, weight,
-                                tol: float = DEFAULT_TOL) -> NormValue:
-    """Constant-q shortcut: the level norm of the per-level Lebesgue norms.
-
-    Agrees with the definitional bisection (cross-checked in the tests);
-    used internally when the level count is large.
+    Newton on log sum_k nu_k in x = log lam (linear for constant q) starts
+    at top L**(1/q^-), top the largest level's Lebesgue norm, where each of
+    the L levels is at most 1/L.  A step out of the bracket of probes, or a
+    sum of 0 or inf, bisects, or doubles away from the one end found.
+    Probes overshoot Newton's root by tol/16, so that converged steps close
+    the bracket from both sides.
     """
     w = np.asarray(weight, dtype=float)
     pv = exponent_values(p, seq.n)
-    per = np.array([_luxemburg(row, pv, w, tol).value for row in seq.values])
-    if np.isinf(q_const):
-        value = float(per.max(initial=0.0))
-    else:
-        value = float(np.sum(per ** q_const) ** (1.0 / q_const))
-    return NormValue(value, tol * value, kind="mixed_lqp")
+    qv = exponent_values(q, seq.n, allow_inf=True)
+    ev = pv / qv
+    u_abs = np.abs(seq.values)
+    if not u_abs.any():
+        return NormValue(0.0, 0.0, kind="mixed_lqp")
+
+    def lam_at(x: float) -> float:
+        with np.errstate(over="ignore"):
+            return float(np.exp(x))
+
+    def probe(x: float):
+        """The level sum at lam = e**x and the derivative of its log in x."""
+        nu, pi = _level_roots(np.abs(seq.values * (1.0 / lam_at(x))), pv, ev, w)
+        total = float(nu.sum())
+        with np.errstate(invalid="ignore"):
+            return total, -float(nu @ (pi @ pv)) / total if 0.0 < total < np.inf else np.nan
+
+    width = -math.log1p(-tol)
+    lo, hi = -np.inf, np.inf
+    x = (math.log(float(_level_roots(u_abs, pv, pv, w)[0].max()))
+         + math.log(u_abs.shape[0]) / float(qv.min()))
+    for i in range(_MAX_STEPS):
+        s, d = probe(x)
+        lo, hi = (lo, x) if s <= 1.0 else (x, hi)
+        if hi - lo <= width:
+            break
+        shift = width / 16.0 if s > 1.0 else -width / 16.0
+        nx = x - math.log(s) / d + shift if 0.0 < s < np.inf and d < 0.0 else np.nan
+        if not lo < nx < hi:
+            nx = 0.5 * (lo + hi) if np.isfinite(lo + hi) else x + 16.0 * shift * 2.0 ** i
+        x = nx
+    return NormValue(lam_at(hi), lam_at(hi) - lam_at(lo), kind="mixed_lqp")
 
 
 def pointwise_lq(seq: SequenceSample, q) -> np.ndarray:

@@ -28,9 +28,9 @@ from . import constants as K
 from .exponents import (exponent_values, holder_exponent, log_holder_constant,
                         sobolev_conjugate, strictly_dominates)
 from .generators import annular_cutoff, ball_grid_with_atom, power_function
-from .gradients import (_CERT_TOL, _besov_norm, _cutoff_sequence, minimal_scalar_gradient,
+from .gradients import (_CERT_TOL, _cutoff_sequence, minimal_scalar_gradient,
                         minimal_vector_gradient)
-from .norms import check_slack, holder_seminorm, luxemburg, mixed_norm_lp_lq
+from .norms import check_slack, holder_seminorm, luxemburg, mixed_norm_lp_lq, mixed_norm_lq_lp
 from .regularity import _mass_profile, best_lower_constant
 from .space import (ball, critical_radii, estimate_doubling, perfectness_resolution, phi,
                     uniform_perfectness)
@@ -545,7 +545,7 @@ def _family_norm(space, support, L, s, p, q, family: str, u) -> float:
         raise RuntimeError(f"cut-off family is not a gradient (violation {cert})")
     if family == "M":
         return mixed_norm_lp_lq(seq, p, q, space.weight).value
-    return _besov_norm(seq, p, q, space.weight)
+    return mixed_norm_lq_lp(seq, p, q, space.weight).value
 
 
 def _cutoff_family(space, centers, radii, cutoffs, s, p, q, family, local: bool):

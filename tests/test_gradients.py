@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog, minimize
 
 from varmms import (MetricMeasureSpace, active_levels, gradient_zero_implies_constant,
@@ -7,7 +9,7 @@ from varmms import (MetricMeasureSpace, active_levels, gradient_zero_implies_con
                     luxemburg, minimal_scalar_gradient, minimal_vector_gradient,
                     norm_convention_equivalence, oracle_scalar_gradient)
 from varmms.generators import annular_cutoff, grid2d, line_space, log_bump
-from varmms.gradients import GradientConstraintSystem, _feasible_point, _level_weight
+from varmms.gradients import _CERT_TOL, GradientConstraintSystem, _feasible_point, _level_weight
 from varmms.norms import SequenceSample, mixed_norm_lp_lq
 
 
@@ -454,6 +456,36 @@ def test_nonconvex_scalar_battery_majorize_minimize():
             # the lattice is exhaustive at n <= 3: it bounds the minimum from above
             oracle = oracle_scalar_gradient(sp, u, 0.5, p, step=1e-2)
             assert sol.objective.value <= oracle * (1.0 + 1e-9), (sp.n, u)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_subunit_exponent_majorize_minimize_property(seed, n, tl):
+    # min p < 1 on the scalar problem, or some q < 1 on the TL scale: the
+    # solve raises nothing, keeps its certificate, is flagged heuristic and
+    # improves on its feasible warm start
+    rng = np.random.default_rng(seed)
+    sp = MetricMeasureSpace.from_points(rng.uniform(0, 2, (n, 1)), rng.uniform(0.3, 1.5, n))
+    u = rng.standard_normal(n)
+    p = rng.uniform(0.3, 2.0, n)
+    if tl:
+        q = rng.uniform(0.3, 2.0, n)
+        q[0] = min(q[0], 0.9)
+        sol = minimal_vector_gradient(sp, u, 0.5, p, q, scale="lp_lq")
+        system = GradientConstraintSystem.vector(sp, u, 0.5)
+        ks, pos = np.unique(system.level, return_inverse=True)
+        x0 = _feasible_point(ks.size * n, system.I + pos * n, system.J + pos * n,
+                             system.coef_i, system.coef_j, system.target)
+        warm = mixed_norm_lp_lq(SequenceSample(0, x0.reshape(ks.size, n)), p, q, sp.weight)
+    else:
+        p[0] = min(p[0], 0.9)
+        sol = minimal_scalar_gradient(sp, u, 0.5, p)
+        system = GradientConstraintSystem.scalar(sp, u, 0.5)
+        rows = (system.I, system.J, system.coef_i, system.coef_j, system.target)
+        warm = luxemburg(_feasible_point(n, *rows), p, sp.weight, 1e-10)
+    assert sol.heuristic
+    assert sol.certificate <= _CERT_TOL
+    assert sol.objective.value <= warm.value
 
 
 @pytest.mark.parametrize("case, p, q, bound", [

@@ -6,11 +6,16 @@ from hypothesis import strategies as st
 from varmms import (SequenceSample, holder_inequality_check, holder_seminorm,
                     lebesgue_embedding_constant, luxemburg, median,
                     median_bound_check, mixed_modular_closed_form,
-                    mixed_modular_lq_lp, mixed_norm_lp_lq, mixed_norm_lq_lp,
-                    mixed_norm_lq_lp_constant_q, modular, monotonicity_check,
-                    pointwise_lq, rel_sandwich_check)
+                    mixed_modular_lq_lp, mixed_norm_lp_lq, mixed_norm_lq_lp, modular,
+                    monotonicity_check, pointwise_lq, rel_sandwich_check)
 from varmms.generators import line_space
-from varmms.norms import _bisect_level, _level_infimum
+from varmms.norms import _bisect_level, _level_roots
+
+
+def _level_infimum(u, p, q, w):
+    """The level infimum of one row u."""
+    return float(_level_roots(np.abs(u)[None, :], p, p / q, w)[0][0])
+
 
 W2 = np.array([0.5, 0.5])
 
@@ -180,7 +185,7 @@ def test_level_infimum_constant_ratio_closed_form(ratio):
         w = rng.uniform(0.1, 2.0, n)
         p = rng.uniform(0.6, 4.0, n)
         exact = float(np.sum(w * u ** p)) ** (1.0 / ratio)
-        got = _level_infimum(u, p, p / ratio, w, 1e-12)
+        got = _level_infimum(u, p, p / ratio, w)
         assert got == pytest.approx(exact, rel=1e-12)
 
 
@@ -194,7 +199,7 @@ def test_level_infimum_matches_closed_form_across_scales(n, scale, seed):
     w = rng.uniform(0.1, 2.0, n)
     p = rng.uniform(0.5, 5.0, n)
     q = rng.uniform(0.5, 5.0, n)
-    got = _level_infimum(u, p, q, w, 1e-12)
+    got = _level_infimum(u, p, q, w)
     exact = luxemburg(u ** q, p / q, w, 1e-12).value
     assert got == pytest.approx(exact, rel=1e-9)
 
@@ -304,7 +309,9 @@ def test_constant_q_norm_formula_cross_check():
         p = rng.uniform(0.8, 2.5, n)
         seq = SequenceSample(-1, rng.uniform(0, 1.5, (L, n)))
         defn = mixed_norm_lq_lp(seq, p, q_const, w).value
-        formula = mixed_norm_lq_lp_constant_q(seq, p, q_const, w).value
+        # constant q: the level norm of the per-level Lebesgue norms
+        per = np.array([luxemburg(row, p, w).value for row in seq.values])
+        formula = float(np.sum(per ** q_const) ** (1.0 / q_const))
         assert defn == pytest.approx(formula, rel=1e-7, abs=1e-9)
 
 
@@ -315,8 +322,36 @@ def test_mixed_modular_self_cross_check_flag():
     p = rng.uniform(0.8, 2.5, n)
     q = rng.uniform(0.9, 3.0, n)
     seq = SequenceSample(0, rng.uniform(0, 2.0, (L, n)))
-    val = mixed_modular_lq_lp(seq, p, q, w, cross_check=True)
+    val = mixed_modular_lq_lp(seq, p, q, w)
+    other = mixed_modular_closed_form(seq, p, q, w)
     assert np.isfinite(val)
+    assert abs(val - other) <= 1e-7 * max(1.0, abs(val))
+
+
+@given(st.integers(1, 6), st.integers(1, 8), st.integers(-30, 30), st.integers(0, 2**32 - 1),
+       st.booleans(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_mixed_norm_lq_lp_is_certified_upper_end(L, n, scale, seed, with_inf, with_zero):
+    # the returned norm v is an upper end: the level sum of certified infima
+    # of u / v is at most one; with finite q the independent closed form
+    # agrees and exceeds one just below v
+    rng = np.random.default_rng(seed)
+    u = 10.0 ** (scale + rng.uniform(-3.0, 3.0, (L, n)))
+    if with_zero and L > 1:
+        u[rng.integers(L)] = 0.0
+    w = rng.uniform(0.1, 2.0, n)
+    p = rng.uniform(0.5, 5.0, n)
+    q = rng.uniform(0.5, 5.0, n)
+    if with_inf:
+        q[rng.random(n) < 0.4] = np.inf
+    seq = SequenceSample(0, u)
+    nv = mixed_norm_lq_lp(seq, p, q, w)
+    v = nv.value
+    assert 0.0 < v < np.inf and 0.0 <= nv.tolerance <= 1e-10 * v
+    assert mixed_modular_lq_lp(seq.scaled(1.0 / v), p, q, w) <= 1.0
+    if np.all(np.isfinite(q)):
+        assert mixed_modular_closed_form(seq.scaled(1.0 / v), p, q, w) <= 1.0 + 1e-9
+        assert mixed_modular_closed_form(seq.scaled(1.0 / (v * (1.0 - 1e-8))), p, q, w) > 1.0
 
 
 def test_finite_q_closed_form_matches_definition():

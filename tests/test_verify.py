@@ -347,7 +347,7 @@ def test_necessity_family_validated_and_besov_family_runs(grid8):
     assert rep.extras["embedding_constant"] > 0
     # the family norm is the matching norm of lipschitz_cutoff_gradient's report
     u, support, L = annular_cutoff(grid8, 27, 0.4, 2)
-    for q in (np.full(n, np.inf), np.full(n, 2.5)):
+    for q in (np.full(n, np.inf), np.full(n, 2.5), np.linspace(1.5, 3.0, n)):
         _, cut = lipschitz_cutoff_gradient(grid8, support, L, s, p, q, u=u)
         assert _family_norm(grid8, support, L, s, p, q, "M", u) == cut["tl_norm"]
         assert _family_norm(grid8, support, L, s, p, q, "N", u) == cut["besov_norm"]
