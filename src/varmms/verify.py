@@ -23,6 +23,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import constants as K
 from .exponents import (exponent_values, holder_exponent, log_holder_constant,
@@ -158,13 +159,14 @@ def _bound_report(theorem, scenario, hyp, lhs, scale, c_emp, C, extras) -> Verif
 
 
 def _golden_min(f, lo: float, hi: float, iters: int = 120):
+    """Golden-section minimum (x, f(x)) of f on [lo, hi] inside [0, 1], to 1e-12."""
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     x1 = b - phi * (b - a)
     x2 = a + phi * (b - a)
     f1, f2 = f(x1), f(x2)
     for _ in range(iters):
-        if b - a <= 1e-12 * max(1.0, abs(a) + abs(b)):
+        if b - a <= 1e-12:
             break
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
@@ -178,28 +180,77 @@ def _golden_min(f, lo: float, hi: float, iters: int = 120):
     return xv, fv
 
 
-def inf_centered_norm(u, p, w) -> tuple[float, float, bool]:
-    """inf over shifts c of the Lebesgue norm of u - c.
+def _unit(u):
+    """u mapped affinely onto [0, 1]: (v, min u, max u - min u)."""
+    lo = float(u.min())
+    span = float(u.max()) - lo
+    return (u - lo) / span, lo, span
 
-    Golden-section over [min u, max u] (the map is convex for min p >= 1);
-    below that a 64-point grid plus local refinement, flagged heuristic.
+
+def _slope_root(v, log_terms) -> float:
+    """The shift t in [0, 1] where the slope -sum_i sgn(d_i) exp(L_i) of a
+    convex function of t changes sign, d = v - t.  ``log_terms(d, on)``
+    gives the L_i on the entries ``on`` where d != 0.  The terms are summed
+    relative to the largest, so the slope cannot overflow; v spans [0, 1],
+    so it is negative at 0 and positive at 1 and the root is bracketed."""
+    def slope(t):
+        d = v - t
+        on = d != 0
+        L = log_terms(d, on)
+        return -float(np.dot(np.sign(d[on]), np.exp(L - L.max())))
+
+    return brentq(slope, 0.0, 1.0, xtol=1e-14)
+
+
+def _exp_shift(u, w, k: float) -> float:
+    """The shift c minimising the weighted mean of exp(k |u - c|), k > 0, for
+    nonconstant u: the root of its slope -sum w exp(k |u - c|) sgn(u - c)."""
+    v, lo, span = _unit(u)
+    log_w = np.log(w)
+    return lo + span * _slope_root(v, lambda d, on: log_w[on] + k * span * np.abs(d[on]))
+
+
+def inf_centered_norm(u, p, w) -> tuple[float, float, bool]:
+    """inf over shifts c of the Lebesgue norm of u - c: (value, c, heuristic).
+
+    The work is done on v = (u - min u)/(max u - min u), so the result is
+    scale-invariant.  For min p >= 1 the norm lam(c) is convex in c, and by
+    implicit differentiation dlam/dc has the sign of
+    -sum w p |(u - c)/lam|**(p-1) sgn(u - c); c is the root of that slope
+    (a weighted median at p = 1).  A slope evaluation needs one Luxemburg
+    norm for variable p and none for constant p, where lam factors out.
+    Below p = 1 a 64-point grid plus golden-section refinement, flagged
+    heuristic.
     """
     u = np.asarray(u, dtype=float)
+    w = np.broadcast_to(np.asarray(w, dtype=float), u.shape)
     pv = exponent_values(p, u.size)
-    lo, hi = float(u.min()), float(u.max())
-    if lo == hi:
-        return 0.0, lo, False
+    if u.min() == u.max():
+        return 0.0, float(u.min()), False
+    v, lo, span = _unit(u)
 
-    def f(c):
-        return luxemburg(u - c, pv, w).value
+    def f(t):
+        return luxemburg(v - t, pv, w).value
 
     heuristic = bool(pv.min() < 1.0)
     if heuristic:
-        grid = np.linspace(lo, hi, 64)
-        j = int(np.argmin([f(c) for c in grid]))
-        lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, 63)]
-    c_star, val = _golden_min(f, lo, hi)
-    return val, c_star, heuristic
+        grid = np.linspace(0.0, 1.0, 64)
+        on_grid = [f(t) for t in grid]
+        j = int(np.argmin(on_grid))
+        t_star, val = _golden_min(f, grid[max(j - 1, 0)], grid[min(j + 1, 63)])
+        if on_grid[j] <= val:  # a cusp at a grid point beats its refinement
+            t_star, val = grid[j], on_grid[j]
+    else:
+        log_wp = np.log(w) + np.log(pv)
+        constant = np.ptp(pv) == 0
+
+        def log_terms(d, on):
+            log_lam = 0.0 if constant else math.log(luxemburg(d, pv, w).value)
+            return log_wp[on] + (pv[on] - 1.0) * (np.log(np.abs(d[on])) - log_lam)
+
+        t_star = _slope_root(v, log_terms)
+        val = f(t_star)
+    return span * val, lo + t_star * span, heuristic
 
 
 def _grad_norm(space, u, s, p, q, mode: str, subset, tol, extras) -> float:
@@ -657,9 +708,9 @@ def necessity_run(space, s, p, q, gamma_or_alpha, mode: str, family: str = "M",
 
         def score(x, r, Br, u_j, anorm):
             ub, wb = u_j[Br.members], space.weight[Br.members]
-            return _golden_min(
-                lambda c: _weighted_mean(np.exp(C_MT1 * np.abs(ub - c) / anorm) ** omega, wb),
-                float(ub.min()), float(ub.max()))[1]
+            c = _exp_shift(ub, wb, omega * C_MT1 / anorm)
+            with np.errstate(over="ignore"):  # a score past the double range reads inf
+                return _weighted_mean(np.exp(C_MT1 * np.abs(ub - c) / anorm) ** omega, wb)
 
         c_emp = max([1.0, *(score(*cut) for cut in _cutoff_family(*family_args, local=True))])
         b_formula = K.necessity_b_moser(C_MT1, c_emp, c_lip, lam, omega, **s_range,

@@ -1,13 +1,19 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from varmms import (MetricMeasureSpace, check_global, check_morrey_local,
                     check_moser_trudinger_local, check_sobolev_local, counterexample_run,
-                    local_embedding_check, necessity_run, sobolev_conjugate)
+                    local_embedding_check, necessity_run, sobolev_conjugate, verify)
 from varmms.generators import (annular_cutoff, ball_grid_with_atom, coordinate_function,
                                grid1d, grid2d, log_bump)
 from varmms.gradients import lipschitz_cutoff_gradient
-from varmms.verify import DEFAULT_MT_C1, _family_norm, inf_centered_norm
+from varmms.norms import luxemburg
+from varmms.verify import DEFAULT_MT_C1, _exp_shift, _family_norm, inf_centered_norm
 
 
 @pytest.fixture(scope="module")
@@ -26,12 +32,60 @@ def test_inf_centered_norm_constant_and_minimizer():
     assert val == 0.0 and c == 3.0 and not heur
     u = np.array([0.0, 1.0, 2.0, 3.0])
     val2, c2, _ = inf_centered_norm(u, 2.0, w)
-    # constant-exponent L2 minimizer is the weighted mean; the shift is only
-    # located to ~1e-4 (norm evaluations carry bisection noise) but the
-    # infimum value is second-order accurate in that error
-    assert c2 == pytest.approx(1.5, abs=1e-4)
+    # constant-exponent L2 minimizer is the weighted mean; the shift is the
+    # root of the exact slope, located to the root finder's tolerance
+    assert c2 == pytest.approx(1.5, abs=1e-12)
     ref = np.sqrt(np.sum(w * (u - 1.5) ** 2))
     assert val2 == pytest.approx(ref, rel=1e-8)
+    # at p = 1 the minimizers are the weighted medians, here the single point 2
+    w1 = np.array([0.1, 0.2, 0.4, 0.3])
+    val1, c1, heur1 = inf_centered_norm(u, 1.0, w1)
+    assert c1 == pytest.approx(2.0, abs=1e-12) and not heur1
+    assert val1 == pytest.approx(np.sum(w1 * np.abs(u - 2.0)), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [3.0, np.linspace(1.0, 20.0, 4)], ids=["constant", "variable"])
+def test_inf_centered_norm_is_scale_invariant(p):
+    u = np.array([0.0, 1.0, 2.0, 7.0])
+    w = np.full(4, 0.25)
+    base, c0, _ = inf_centered_norm(u, p, w)
+    for scale in (1e-200, 1e-13, 1e200):
+        val, c, _ = inf_centered_norm(scale * u, p, w)
+        assert val == pytest.approx(scale * base, rel=1e-9, abs=0.0), scale
+        assert c == pytest.approx(scale * c0, rel=1e-9, abs=0.0), scale
+    # a spread of about 1e-13 riding on an offset of 1; the step 2**-43 keeps
+    # every shifted value an exact double
+    step = 2.0 ** -43
+    val, c, _ = inf_centered_norm(1.0 + step * u, p, w)
+    assert val == pytest.approx(step * base, rel=1e-9, abs=0.0)
+    assert abs(c - (1.0 + step * c0)) <= 2 * np.spacing(1.0)  # c itself rounds near 1
+
+
+@given(st.integers(2, 40), st.booleans(), st.booleans(), st.integers(-50, 50),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_inf_centered_norm_beats_every_shift(n, variable, at_one, scale, seed):
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=n) * 10.0 ** scale
+    assume(np.ptp(u) > 0)
+    w = rng.uniform(0.1, 2.0, n)
+    p = rng.uniform(1.0, 6.0, n) if variable else np.full(n, rng.uniform(1.0, 6.0))
+    if at_one:  # some exponents exactly 1 (all of them when p is constant)
+        p = np.where(rng.random(n) < 0.5, 1.0, p) if variable else np.ones(n)
+    val, c, heur = inf_centered_norm(u, p, w)
+    assert not heur
+    assert u.min() <= c <= u.max()
+    for shift in np.linspace(u.min(), u.max(), 65):
+        assert val <= luxemburg(u - shift, p, w).value * (1.0 + 1e-9)
+
+
+def test_inf_centered_norm_subunit_exponent_is_heuristic():
+    u = np.array([0.0, 1.0, 2.0, 7.0])
+    w = np.full(4, 0.25)
+    val, c, heur = inf_centered_norm(u, 0.5, w)
+    assert heur and u.min() <= c <= u.max()
+    for shift in np.linspace(u.min(), u.max(), 64):  # the heuristic's own grid
+        assert val <= luxemburg(u - shift, 0.5, w).value * (1.0 + 1e-9)
 
 
 def test_sobolev_local_pass_and_constant(grid8, center8):
@@ -239,6 +293,63 @@ def test_necessity_all_modes_pass(grid8):
         assert rep.verdict == "pass", mode
         assert rep.extras["b_empirical"] >= rep.extras["b_formula"], mode
         assert rep.extras["embedding_constant"] > 0, mode
+
+
+def _golden_exp_shift(u, w, k):
+    """The golden-section scorer that the slope root replaced: 120 steps over
+    [min u, max u], stopping at a bracket of 1e-12 * max(1, |a| + |b|)."""
+    def f(c):
+        return np.sum(w * np.exp(k * np.abs(u - c))) / np.sum(w)
+
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = float(u.min()), float(u.max())
+    x1, x2 = b - phi * (b - a), a + phi * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(120):
+        if b - a <= 1e-12 * max(1.0, abs(a) + abs(b)):
+            break
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - phi * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + phi * (b - a)
+            f2 = f(x2)
+    return min((f1, x1), (f2, x2))[1]
+
+
+def test_moser_necessity_score_matches_golden_section(grid8, monkeypatch):
+    n = grid8.n
+    s, p = np.full(n, 0.5), np.full(n, 1.5)
+    gamma = sobolev_conjugate(np.full(n, 2.0), s, p).values
+    for omega, c1 in ((None, None), (0.5, 3.0)):
+        rep = necessity_run(grid8, s, p, np.inf, gamma, mode="moser", omega=omega, C_MT1=c1)
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_exp_shift", _golden_exp_shift)
+            ref = necessity_run(grid8, s, p, np.inf, gamma, mode="moser", omega=omega,
+                                C_MT1=c1)
+        assert ref.extras["embedding_constant"] > 1.0  # not the floor of the max
+        assert rep.extras["embedding_constant"] == pytest.approx(
+            ref.extras["embedding_constant"], rel=1e-9)
+
+
+def test_moser_shift_past_the_exp_range(grid8):
+    # exponent arguments k |u - c| up to 1e4, far past exp's overflow at 710:
+    # the slope is summed relative to its largest term, so nothing overflows
+    u, _, _ = annular_cutoff(grid8, 27, 0.5, 1)
+    span = float(np.ptp(u))
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        c = _exp_shift(u, grid8.weight, 1e4 / span)
+        # the whole Moser run: its scores read inf, and nothing warns
+        n = grid8.n
+        rep = necessity_run(grid8, np.full(n, 0.5), np.full(n, 1.5), np.inf, np.full(n, 3.0),
+                            mode="moser", C_MT1=1e4)
+    assert u.min() <= c <= u.max()
+    # the largest deviation dominates: the minimizer is the midrange
+    assert c == pytest.approx(0.5 * (u.min() + u.max()), abs=1e-3 * span)
+    assert rep.extras["embedding_constant"] == np.inf
 
 
 def test_necessity_atom_flagging(grid8):
