@@ -16,9 +16,12 @@ modular rho (min p >= 1, and min q >= 1 on the TL scale) takes one gauge
 solve on the same working set: the norm is the gauge of rho's unit ball, so
 its minimum is 1/max{mu : A h >= mu t, rho(h) <= 1}.  A nonconvex modular
 (min p < 1, or min q < 1 on the TL scale; flagged heuristic) is minimized by
-majorize-minimize over these convex solves (``_majorize_minimize``); a
-bisection on the norm level (``norms._bisect_level``) remains for general
-variable-q Besov norms, whose per-level weight is ``norms._level_roots``.
+majorize-minimize over these convex solves (``_majorize_minimize``).  A Besov
+norm with finite variable q and min(p, q) >= 1 is one gauge solve on the
+level-stacked rows, whose modular is the level sum of ``norms._level_roots``;
+a bisection on the norm level (``norms._bisect_level``) remains only for
+variable-q Besov norms with min(p, q) < 1 or q infinite at some points but
+not all.
 Every returned point is repaired to hard feasibility against all rows and
 its objective is re-evaluated from scratch, so certificates never rely on
 solver-internal tolerances.
@@ -617,23 +620,75 @@ def _solve_modular_decoupled(system, pv, w, tol, lev_range):
     return seq, replace(nv, kind="mixed_lqp")
 
 
+def _level_sum(X, pv, ev, w):
+    """(sum_k nu_k, d/dX): the level sum of the level infima of the rows of
+    X >= 0 (``norms._level_roots``, e = p/q) and its gradient nu_k p pi_k / X_k
+    with pi the roots' term weights, zero where X is and on rows whose
+    infimum is infinite."""
+    nu, pi = _level_roots(X, pv, ev, w)
+    finite = np.where(np.isfinite(nu), nu, 0.0)
+    return float(nu.sum()), finite[:, None] * pv * pi / np.maximum(X, 1e-300)
+
+
 def _level_weight(g, w, pv, qv, lam):
-    """(nu, dnu/dg): the level infimum of g / lam (``norms._level_roots``),
-    infinite when the q-infinite part alone exceeds one, and its gradient
-    nu p pi / g (zero where g is) with pi the root's term weights."""
-    nu, pi = _level_roots(np.abs(g / lam)[None, :], pv, pv / qv, w)
-    nu = float(nu[0])
-    return nu, (nu * pv * pi[0] / np.maximum(g, 1e-300) if 0.0 < nu < np.inf else np.zeros_like(g))
+    """(nu, dnu/dg): the level infimum of g / lam (``_level_sum`` on one
+    row), infinite when the q-infinite part alone exceeds one."""
+    nu, grad = _level_sum(np.abs(g / lam)[None, :], pv, pv / qv, w)
+    return nu, grad[0] / lam
 
 
 def _solve_besov_general(system, pv, qv, w, tol, lev_range):
-    """Fully variable q: one outer bisection on the norm level; per level the
-    partial modular is minimized directly over the polyhedron with the level
-    weight nu(g) as an implicitly-differentiated objective.
+    """Fully variable q.  For finite q with min(p, q) >= 1 one gauge solve
+    on the level-stacked rows (``_besov_gauge``); the bisection on the norm
+    level (``_besov_bisection``) serves min(p, q) < 1 and q infinite at
+    some points but not all, where the gauge is not known to hold.
 
     Convex (hence certified) only for 1 <= q <= p pointwise; the caller
     flags other regimes heuristic.
     """
+    if np.isfinite(qv).all() and min(pv.min(), qv.min()) >= 1.0:
+        seq = _besov_gauge(system, pv, qv, w, tol, lev_range)
+    else:
+        seq = _besov_bisection(system, pv, qv, w, tol, lev_range)
+    value = mixed_norm_lq_lp(seq, pv, qv, w, min(tol, 1e-10))
+    return seq, NormValue(value.value, value.tolerance, kind="mixed_lqp")
+
+
+def _besov_gauge(system, pv, qv, w, tol, lev_range):
+    """The Besov norm as the gauge of the level sum rho(x) = sum_k nu_k(x_k)
+    of the level infima over the stacked levels x_k (``norms._level_roots``
+    on the whole (L x n) array), with gradient nu_k p pi_k / x_k: one
+    ``_solve_gauge`` from the feasible point scaled by its mixed norm, and
+    restarts from its result only where q > p somewhere."""
+    ks, stacked = _stack(system)
+    L, n, ev = ks.size, system.n, pv / qv
+
+    @functools.lru_cache(maxsize=1)
+    def level_sum(x_bytes):
+        # SLSQP asks for the ball and then its jac at the same iterate: solve once
+        return _level_sum(np.abs(np.frombuffer(x_bytes).reshape(L, n)), pv, ev, w)
+
+    def norm(x):
+        return mixed_norm_lq_lp(SequenceSample(0, x.reshape(L, n)), pv, qv, w, tol).value
+
+    rows = _rows(stacked)
+    x = _feasible_point(L * n, *rows)
+    lam = norm(x)
+    while True:
+        x = _solve_gauge(*rows, L * n, lambda x: level_sum(x.tobytes())[0],
+                         lambda x: level_sum(x.tobytes())[1].ravel(), x, lam)
+        prev, lam = lam, norm(x)
+        # q > p somewhere: the level sum is not convex and SLSQP can stop
+        # short of a local minimum, so restart from its point while that helps
+        if not (np.any(qv > pv) and lam < prev * (1.0 - _MM_TOL)):
+            break
+    return _assemble_sequence(lev_range, dict(zip(ks.tolist(), x.reshape(L, n))), n)
+
+
+def _besov_bisection(system, pv, qv, w, tol, lev_range):
+    """One outer bisection on the norm level; per level the partial modular
+    is minimized directly over the polyhedron with the level weight nu(g) as
+    an implicitly-differentiated objective."""
     n = system.n
     ks = [int(k) for k in np.unique(system.level)]
     level_rows = {k: system.rows_for_level(k) for k in ks}
@@ -680,9 +735,7 @@ def _solve_besov_general(system, pv, qv, w, tol, lev_range):
     hi = mixed_norm_lq_lp(_assemble_sequence(lev_range, warm, n), pv, qv, w, tol).value
     _note("bisection")
     _, _, best = _bisect_level(admissible, hi, 0.5 * hi, max(tol, 1e-7), ulp_steps=0)
-    seq = _assemble_sequence(lev_range, best, n)
-    value = mixed_norm_lq_lp(seq, pv, qv, w, min(tol, 1e-10))
-    return seq, NormValue(value.value, value.tolerance, kind="mixed_lqp")
+    return _assemble_sequence(lev_range, best, n)
 
 
 def _solve_tl(system, pv, qv, w, tol, lev_range):

@@ -219,8 +219,12 @@ def inf_centered_norm(u, p, w) -> tuple[float, float, bool]:
     -sum w p |(u - c)/lam|**(p-1) sgn(u - c); c is the root of that slope
     (a weighted median at p = 1).  A slope evaluation needs one Luxemburg
     norm for variable p and none for constant p, where lam factors out.
-    Below p = 1 a 64-point grid plus golden-section refinement, flagged
-    heuristic.
+    Below p = 1, flagged heuristic, the least of the norms at the data
+    values and, unless max p <= 1, of a 64-point grid and its golden-section
+    refinement.  With max p <= 1 that least is the infimum: between data
+    values each |u - c|**p is concave in c, so the modular at a fixed level
+    is, and the set of shifts where it is at most one contains an end of
+    any interval on which it contains a point.
     """
     u = np.asarray(u, dtype=float)
     w = np.broadcast_to(np.asarray(w, dtype=float), u.shape)
@@ -234,12 +238,16 @@ def inf_centered_norm(u, p, w) -> tuple[float, float, bool]:
 
     heuristic = bool(pv.min() < 1.0)
     if heuristic:
-        grid = np.linspace(0.0, 1.0, 64)
-        on_grid = [f(t) for t in grid]
-        j = int(np.argmin(on_grid))
-        t_star, val = _golden_min(f, grid[max(j - 1, 0)], grid[min(j + 1, 63)])
-        if on_grid[j] <= val:  # a cusp at a grid point beats its refinement
-            t_star, val = grid[j], on_grid[j]
+        candidates = [(t, f(t)) for t in np.unique(v)]
+        if pv.max() > 1.0:
+            grid = np.linspace(0.0, 1.0, 64)
+            on_grid = [f(t) for t in grid]
+            j = int(np.argmin(on_grid))
+            # a cusp at a grid point beats its refinement on a tie
+            candidates = [(grid[j], on_grid[j]),
+                          _golden_min(f, grid[max(j - 1, 0)], grid[min(j + 1, 63)]),
+                          *candidates]
+        t_star, val = min(candidates, key=lambda c: c[1])
     else:
         log_wp = np.log(w) + np.log(pv)
         constant = np.ptp(pv) == 0
