@@ -9,7 +9,8 @@ Lebesgue / mixed-sequence norms over these polyhedra.
 Solver layout.  A constant exponent makes the norm a monotone function of the
 separable modular, minimized on a working set of rows grown by delayed
 constraint generation (``_working_set``), exact at every size: by linear
-programming (HiGHS) when the exponent is identically one, with a duality
+programming (HiGHS) when the exponent is identically one, on one model that
+grows by rows while dual simplex restarts from its last basis, with a duality
 bracket on the optimum, else for min p >= 1 by SLSQP in variables scaled by
 one scalar to the modular's curvature.  A variable exponent with a convex
 modular rho (min p >= 1, and min q >= 1 on the TL scale) takes one gauge
@@ -36,8 +37,9 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sparse
-from scipy.optimize import linprog, minimize
+# ``linprog`` is not called here; the benchmark tracer wraps it by this name
+from scipy.optimize import linprog, minimize  # noqa: F401
+from scipy.optimize._highspy import _core as _highs
 
 from .exponents import exponent_values
 from .norms import (NormValue, SequenceSample, _bisect_level, _level_roots, check_slack,
@@ -248,11 +250,6 @@ def _slsqp(fun, jac, x0, constraints, maxiter):
     return res
 
 
-def _constraint_sparse(I, J, A, B, T, n):
-    rows, cols = np.tile(np.arange(T.size), 2), np.concatenate([I, J])
-    return sparse.coo_matrix((np.concatenate([A, B]), (rows, cols)), shape=(T.size, n)).tocsr()
-
-
 def _constraint_dense(I, J, A, B, T, n):
     M = np.zeros((T.size, n))
     M[np.arange(T.size), I] += A
@@ -267,14 +264,22 @@ def _rows_transposed(I, J, A, B, y, n):
 
 def _top_rows_per_point(score, I, J):
     """Each point's (at most) ``_ROWS_PER_POINT`` incident rows of largest
-    positive score; the stable sort resolves ties by row index."""
+    positive score.  Ties go to the earlier entry of [rows as i, rows as j],
+    so a row met as i beats a tied row met as j.  One pass per rank: each
+    point's best remaining score, then its first remaining entry with it."""
     cand = np.flatnonzero(score > 0)
     rows = np.concatenate([cand, cand])
     pts = np.concatenate([I[cand], J[cand]])
-    order = np.lexsort((-score[rows], pts))
-    pts, rows = pts[order], rows[order]
-    rank = np.arange(pts.size) - np.searchsorted(pts, pts)
-    return np.unique(rows[rank < _ROWS_PER_POINT])
+    val, n = score[rows], int(pts.max(initial=-1)) + 1
+    left = np.ones(pts.size, dtype=bool)
+    for _ in range(_ROWS_PER_POINT):
+        best = np.full(n, -np.inf)
+        np.maximum.at(best, pts[left], val[left])
+        tied = np.flatnonzero(left & (val == best[pts]))
+        first = np.full(n, pts.size)
+        np.minimum.at(first, pts[tied], tied)
+        left[first[first < pts.size]] = False
+    return np.unique(rows[~left])
 
 
 def _working_set(I, J, A, B, T, x, solve_round, point):
@@ -305,26 +310,43 @@ def _working_set(I, J, A, B, T, x, solve_round, point):
 def _lp_modular(c, I, J, A, B, T, n):
     """HiGHS for the modular c.g (p == 1) on ``_working_set``'s rows.
 
-    The last round's row duals y, zero off the set and scaled into
-    A^T y <= c, are feasible for the full dual max{t.y : A^T y <= c, y >= 0},
-    so t.y bounds the optimum from below; the repaired point's c.g bounds it
-    from above.  Both are noted as the solve's ``bracket``.
+    One model holds the rows admitted so far: each round adds only the new
+    rows, which keeps the last basis dual feasible, and dual simplex
+    restarts from it.  The last round's row duals y, zero off the set and
+    scaled into A^T y <= c, are feasible for the full dual
+    max{t.y : A^T y <= c, y >= 0}, so t.y bounds the optimum from below; the
+    repaired point's c.g bounds it from above.  Both are noted as the
+    solve's ``bracket``.
     """
-    last = {}
+    lp = _highs._Highs()
+    lp.setOptionValue("output_flag", False)
+    # at HiGHS's default 1e-7 a basis may stop up to 1e-7 short of a row,
+    # which _repair turns into a uniform scale-up of g; 1e-10 is the floor
+    lp.setOptionValue("primal_feasibility_tolerance", 1e-10)
+    inf = _highs.kHighsInf
+    lp.addCols(n, np.asarray(c, dtype=float), np.zeros(n), np.full(n, inf), 0,
+               np.zeros(n, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0))
+    model = np.zeros(0, dtype=int)  # working-set rows in the model's row order
 
     def solve_round(work, g):
-        res = linprog(c, A_ub=-_constraint_sparse(I[work], J[work], A[work], B[work], T[work], n),
-                      b_ub=-T[work], bounds=(0, None), method="highs")
-        if not res.success:
-            raise RuntimeError(f"LP solve failed: {res.message}")
-        last.update(work=work, y=np.maximum(-res.ineqlin.marginals, 0.0))
-        return np.maximum(res.x, 0.0)
+        nonlocal model
+        new = np.setdiff1d(work, model)
+        k = new.size
+        lp.addRows(k, T[new], np.full(k, inf), 2 * k, np.arange(0, 2 * k, 2, dtype=np.int32),
+                   np.column_stack([I[new], J[new]]).astype(np.int32).ravel(),
+                   np.column_stack([A[new], B[new]]).ravel())
+        model = np.concatenate([model, new])
+        lp.run()
+        status = lp.getModelStatus()
+        if status != _highs.HighsModelStatus.kOptimal:
+            raise RuntimeError(f"LP solve failed: {lp.modelStatusToString(status)}")
+        return np.maximum(np.asarray(lp.getSolution().col_value), 0.0)
 
     g = _repair(_working_set(I, J, A, B, T, np.zeros(n), solve_round, lambda g: g), I, J, A, B, T)
-    work, y = last["work"], last["y"]
-    load = _rows_transposed(I[work], J[work], A[work], B[work], y, n)
+    y = np.maximum(np.asarray(lp.getSolution().row_dual), 0.0)
+    load = _rows_transposed(I[model], J[model], A[model], B[model], y, n)
     y = y * min(1.0, float(np.min(c[load > 0] / load[load > 0], initial=1.0)))
-    _note("lp", bracket=[float(T[work] @ y), float(c @ g)])
+    _note("lp", bracket=[float(T[model] @ y), float(c @ g)])
     return g
 
 

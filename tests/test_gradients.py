@@ -9,8 +9,9 @@ from varmms import (MetricMeasureSpace, active_levels, gradient_zero_implies_con
                     luxemburg, minimal_scalar_gradient, minimal_vector_gradient,
                     norm_convention_equivalence, oracle_scalar_gradient)
 from varmms.generators import annular_cutoff, grid2d, line_space, log_bump
-from varmms.gradients import (_CERT_TOL, GradientConstraintSystem, _besov_bisection,
-                              _feasible_point, _level_sum, _level_weight)
+from varmms.gradients import (_CERT_TOL, _ROWS_PER_POINT, GradientConstraintSystem,
+                              _besov_bisection, _feasible_point, _highs, _level_sum,
+                              _level_weight, _top_rows_per_point)
 from varmms.norms import SequenceSample, mixed_norm_lp_lq, mixed_norm_lq_lp
 
 
@@ -289,6 +290,64 @@ def test_lp_working_set_matches_full_row_highs(instance):
     assert lower <= upper
     assert upper - lower <= 1e-9 * upper
     assert lower <= sol.objective.value
+
+
+@pytest.mark.parametrize("nx, center, s", [(16, 3, 0.55), (20, 188, 0.5151)])
+def test_lp_restarts_keep_the_bracket_tight(nx, center, s):
+    # at HiGHS's default primal tolerance (1e-7) the last basis of these
+    # instances stops short on a row, and the repair's uniform scale-up
+    # opens the bracket to 2.4e-7 and 1.4e-7 relative
+    sp = grid2d(nx)
+    sol = minimal_scalar_gradient(sp, log_bump(sp, center, 0.3), s, 1.0)
+    lower, upper = sol.info["bracket"]
+    assert sol.info["path"] == "lp"
+    assert lower <= upper <= lower * (1.0 + 1e-12)
+
+
+def _top_rows_by_lexsort(score, I, J):
+    # reference selection: one stable sort over every (row, point) entry
+    cand = np.flatnonzero(score > 0)
+    rows = np.concatenate([cand, cand])
+    pts = np.concatenate([I[cand], J[cand]])
+    order = np.lexsort((-score[rows], pts))
+    pts, rows = pts[order], rows[order]
+    rank = np.arange(pts.size) - np.searchsorted(pts, pts)
+    return np.unique(rows[rank < _ROWS_PER_POINT])
+
+
+def test_top_rows_per_point_matches_lexsort():
+    # integer scores in {-2, ..., 3} make ties common
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        I, J = np.triu_indices(int(rng.integers(1, 31)), k=1)
+        score = rng.integers(-2, 4, I.size).astype(float)
+        np.testing.assert_array_equal(_top_rows_per_point(score, I, J),
+                                      _top_rows_by_lexsort(score, I, J))
+    # four points, rows (0,1) (0,2) (0,3) (1,2) (1,3) (2,3): point 2 meets the
+    # tied rows 1 and 3 as j and row 5 as i, so it keeps rows 5 and 1; row 3
+    # is no other point's pick, so a tie broken by row index would add it
+    I, J = np.triu_indices(4, k=1)
+    score = np.array([2.0, 1.0, 0.0, 1.0, 2.0, 1.0])
+    assert _ROWS_PER_POINT == 2
+    np.testing.assert_array_equal(_top_rows_per_point(score, I, J), [0, 1, 4, 5])
+    np.testing.assert_array_equal(_top_rows_by_lexsort(score, I, J), [0, 1, 4, 5])
+
+
+def test_lp_highs_binding_and_repeatability():
+    # every piece of scipy's private HiGHS binding that _lp_modular uses
+    for name in ("setOptionValue", "addCols", "addRows", "run", "getModelStatus",
+                 "modelStatusToString", "getSolution"):
+        assert callable(getattr(_highs._Highs, name)), name
+    assert _highs.kHighsInf == np.inf
+    assert hasattr(_highs.HighsModelStatus, "kOptimal")
+    assert {"col_value", "row_dual"} <= set(dir(_highs.HighsSolution))
+    # one instance solved twice gives bit-identical gradients and brackets
+    sp = grid2d(8)
+    u = log_bump(sp, 27, 0.3)
+    first, second = (minimal_scalar_gradient(sp, u, 0.5, 1.0) for _ in range(2))
+    assert first.info["path"] == "lp" and first.info["rounds"] > 1
+    assert np.array_equal(first.g, second.g)
+    assert first.info["bracket"] == second.info["bracket"]
 
 
 def test_heuristic_flag_for_subunit_exponent():
