@@ -6,26 +6,20 @@ vector (dyadic) variant imposes the inequality on level k only for pairs
 with ``2**(-k-1) <= d < 2**(-k)``.  The associated quasi-norms are infima of
 Lebesgue / mixed-sequence norms over these polyhedra.
 
-Solver layout.  A constant exponent makes the norm a monotone function of the
-separable modular, minimized on a working set of rows grown by delayed
-constraint generation (``_working_set``), exact at every size: by linear
-programming (HiGHS) when the exponent is identically one, on one model that
-grows by rows while dual simplex restarts from its last basis, with a duality
-bracket on the optimum, else for min p >= 1 by SLSQP in variables scaled by
-one scalar to the modular's curvature.  A variable exponent with a convex
-modular rho (min p >= 1, and min q >= 1 on the TL scale) takes one gauge
-solve on the same working set: the norm is the gauge of rho's unit ball, so
-its minimum is 1/max{mu : A h >= mu t, rho(h) <= 1}.  A nonconvex modular
-(min p < 1, or min q < 1 on the TL scale; flagged heuristic) is minimized by
-majorize-minimize over these convex solves (``_majorize_minimize``).  A Besov
-norm with finite variable q and min(p, q) >= 1 is one gauge solve on the
-level-stacked rows, whose modular is the level sum of ``norms._level_roots``;
-a bisection on the norm level (``norms._bisect_level``) remains only for
-variable-q Besov norms with min(p, q) < 1 or q infinite at some points but
-not all.
-Every returned point is repaired to hard feasibility against all rows and
-its objective is re-evaluated from scratch, so certificates never rely on
-solver-internal tolerances.
+Solver layout (README "Solvers").  A constant exponent p >= 1 makes the norm
+a monotone function of the separable modular, minimized exactly on a working
+set of rows grown by delayed constraint generation (``_working_set``) on one
+HiGHS model grown by rows (``_highs_modular``: an LP at p = 1, Newton steps
+of HiGHS's QP solver above), with a duality bracket.  A variable exponent
+with a convex modular rho (min p >= 1, and min q >= 1 on the TL scale), and
+a Besov norm with finite variable q and min(p, q) >= 1 on the level-stacked
+rows, take one gauge solve, 1/max{mu : A h >= mu t, rho(h) <= 1}
+(``_solve_gauge``).  A nonconvex modular (flagged heuristic) is minimized by
+majorize-minimize over these (``_majorize_minimize``); a norm-level
+bisection remains for variable-q Besov norms with min(p, q) < 1 or q
+infinite at some points but not all.  Every returned point is repaired to
+hard feasibility against all rows and re-evaluated from scratch, so
+certificates never rely on solver-internal tolerances.
 """
 from __future__ import annotations
 
@@ -196,23 +190,26 @@ def _repair(g, I, J, A, B, T) -> np.ndarray:
 # and round, and the relative violation above which a row is admitted
 _ROWS_PER_POINT = 2
 _GEN_TOL = 1e-10
-# relative duality gap of the modular at which an SLSQP round is optimal
+# relative duality gap of the modular at which a HiGHS round is optimal
 _GAP_TOL = 1e-10
 
 # solver paths in increasing precedence: a solve reports the highest it used
-_PATHS = ("none", "lp", "working-set", "gauge", "mm", "bisection")
+_PATHS = ("none", "lp", "qp", "gauge", "mm", "bisection")
 # provenance of the solve in progress (``_provenance``), None outside a solve
 _RECORD = contextvars.ContextVar("gradient_record", default=None)
 
 
-def _note(path=None, status=0, nit=0, rounds=0, rows=0, bracket=None):
+def _note(path=None, status=0, nit=0, rounds=0, rows=0, bracket=None, highs=None,
+          opened=False):
     record = _RECORD.get()
     if record is not None:
         record["paths"].add(path)
         record["statuses"].add(int(status))
+        record["highs"] += [highs] if highs else []
         record["nit"] += int(nit)
         record["rounds"] += rounds
         record["rows"] += rows
+        record["open"] += opened
         if bracket is not None:
             record["brackets"].append(bracket)
 
@@ -220,19 +217,23 @@ def _note(path=None, status=0, nit=0, rounds=0, rows=0, bracket=None):
 @contextlib.contextmanager
 def _provenance(info):
     """Collect the provenance of one solve into ``info``: the highest solver
-    ``path``, the distinct non-zero ``slsqp_status`` values, the working-set
-    ``rounds`` and final ``rows`` and the SLSQP iterations ``nit``, each
-    summed over the solve's working-set solves (a majorize-minimize solve's
-    path is ``mm``), and the LP's ``bracket`` when the solve was one LP."""
-    token = _RECORD.set({"paths": set(), "statuses": set(), "nit": 0, "rounds": 0,
-                         "rows": 0, "brackets": []})
+    ``path``, the distinct non-zero ``slsqp_status`` values, the sorted
+    ``highs_status`` of every HiGHS run that was not optimal, the
+    working-set ``rounds`` and final ``rows``, ``nit``, the SLSQP iterations
+    plus the HiGHS runs, and ``open``, the ``_highs_modular`` calls whose
+    bracket stayed open, each summed over the solve's working-set solves (a
+    majorize-minimize solve's path is ``mm``), and the ``bracket`` of the
+    modular when the solve was one ``_highs_modular`` call."""
+    token = _RECORD.set({"paths": set(), "statuses": set(), "highs": [], "nit": 0,
+                         "rounds": 0, "rows": 0, "open": 0, "brackets": []})
     try:
         yield
         record = _RECORD.get()
         info["path"] = max(record["paths"] - {None}, key=_PATHS.index, default="none")
         info["slsqp_status"] = sorted(record["statuses"] - {0})
-        info.update({k: record[k] for k in ("rounds", "rows", "nit")})
-        if info["path"] == "lp" and len(record["brackets"]) == 1:
+        info["highs_status"] = sorted(record["highs"])
+        info.update({k: record[k] for k in ("rounds", "rows", "nit", "open")})
+        if info["path"] in ("lp", "qp") and len(record["brackets"]) == 1:
             info["bracket"] = record["brackets"][0]
     finally:
         _RECORD.reset(token)
@@ -307,100 +308,184 @@ def _working_set(I, J, A, B, T, x, solve_round, point):
         work = np.union1d(work, _top_rows_per_point(viol / AB, I, J))
 
 
-def _lp_modular(c, I, J, A, B, T, n):
-    """HiGHS for the modular c.g (p == 1) on ``_working_set``'s rows.
-
-    One model holds the rows admitted so far: each round adds only the new
-    rows, which keeps the last basis dual feasible, and dual simplex
-    restarts from it.  The last round's row duals y, zero off the set and
-    scaled into A^T y <= c, are feasible for the full dual
-    max{t.y : A^T y <= c, y >= 0}, so t.y bounds the optimum from below; the
-    repaired point's c.g bounds it from above.  Both are noted as the
-    solve's ``bracket``.
-    """
-    lp = _highs._Highs()
-    lp.setOptionValue("output_flag", False)
-    # at HiGHS's default 1e-7 a basis may stop up to 1e-7 short of a row,
-    # which _repair turns into a uniform scale-up of g; 1e-10 is the floor
-    lp.setOptionValue("primal_feasibility_tolerance", 1e-10)
-    inf = _highs.kHighsInf
-    lp.addCols(n, np.asarray(c, dtype=float), np.zeros(n), np.full(n, inf), 0,
-               np.zeros(n, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0))
-    model = np.zeros(0, dtype=int)  # working-set rows in the model's row order
-
-    def solve_round(work, g):
-        nonlocal model
-        new = np.setdiff1d(work, model)
-        k = new.size
-        lp.addRows(k, T[new], np.full(k, inf), 2 * k, np.arange(0, 2 * k, 2, dtype=np.int32),
-                   np.column_stack([I[new], J[new]]).astype(np.int32).ravel(),
-                   np.column_stack([A[new], B[new]]).ravel())
-        model = np.concatenate([model, new])
-        lp.run()
-        status = lp.getModelStatus()
-        if status != _highs.HighsModelStatus.kOptimal:
-            raise RuntimeError(f"LP solve failed: {lp.modelStatusToString(status)}")
-        return np.maximum(np.asarray(lp.getSolution().col_value), 0.0)
-
-    g = _repair(_working_set(I, J, A, B, T, np.zeros(n), solve_round, lambda g: g), I, J, A, B, T)
-    y = np.maximum(np.asarray(lp.getSolution().row_dual), 0.0)
-    load = _rows_transposed(I[model], J[model], A[model], B[model], y, n)
-    y = y * min(1.0, float(np.min(c[load > 0] / load[load > 0], initial=1.0)))
-    _note("lp", bracket=[float(T[model] @ y), float(c @ g)])
-    return g
+# Newton steps at p > 1: the Hessian's floor on g / max g where p < 2 (the
+# curvature of g**p is unbounded at 0), the gradient's last floor, the QP's
+# Hessian at the largest entry, steps per round, halvings per step, the
+# relative decrease of the modular at or below which a step stalls, and the
+# QP solver's iterations per column and model row
+_HESS_FLOOR, _GRAD_FLOOR, _QP_CURVATURE = 1e-3, 1e-12, 1e3
+_STEPS, _HALVINGS, _STALL, _QP_ITERATIONS = 60, 53, 1e-12, 10
 
 
-def _slsqp_modular(c, pv, I, J, A, B, T, n):
-    """SLSQP for the separable modular on ``_working_set``'s rows; the
-    better of its repaired point and the feasible warm start is kept.
+def _highs_modular(c, p, I, J, A, B, T, n):
+    """HiGHS for the modular rho(g) = c.g**p, constant p >= 1, on one model
+    that holds ``_working_set``'s rows admitted so far; each round adds only
+    its new rows.
 
-    SLSQP solves in x = g / sigma, one scalar sigma per solve that makes the
-    modular's mean curvature at the warm start's mean positive entry one,
-    the curvature of SLSQP's initial identity quasi-Newton matrix (exact at
-    p == 2 with uniform weights).  SLSQP can report success short of the
-    optimum, so a round whose multipliers y leave a relative duality gap
-    above ``_GAP_TOL`` is restarted from its point, with a fresh
-    quasi-Newton matrix, while the restarts still lower the modular.
+    At p == 1 a round is one LP run, which dual simplex restarts from the
+    last basis.  At p > 1 a round takes Newton steps, each one run of
+    HiGHS's QP solver on rho's Hessian at g floored at ``_HESS_FLOOR`` max g
+    (where p < 2) and rho's gradient at g floored at a floor that drops
+    1e3-fold, down to ``_GRAD_FLOOR``, at each stalled step.  The first step
+    of a round takes the QP point, since g can miss the new rows; later
+    steps halve towards it while rho rises.  A step stalls when it lowers
+    rho by at most ``_STALL`` relative or 1e-3 of the gap to the best D(y).
+    A round stops once rho is within ``_GAP_TOL`` of the best D(y) of the
+    solve; after ``_STEPS`` steps or a stall on the last floor it ends with
+    one Newton step on the KKT system of the rows g meets.
+
+    Any row duals y >= 0 on the model's rows (zero off them) are feasible
+    for the full dual, so D(y) = t.y - rho*(A^T y) bounds the optimum from
+    below (at p == 1, t.y for y scaled into A^T y <= c).  The best D(y) and
+    rho at the better of the repaired point and the feasible start are the
+    solve's ``bracket``; a gap above ``EPS_OPT`` is noted as open.
     """
     g0 = _feasible_point(n, I, J, A, B, T)
-    scale = max(float(np.sum(c * g0 ** pv)), 1e-300)
-    cn = c / scale
-    with np.errstate(over="ignore", divide="ignore"):
-        curv = float(np.mean(cn * pv * (pv - 1.0) * np.mean(g0[g0 > 0]) ** (pv - 2.0)))
-    sigma = curv ** -0.5 if 0.0 < curv < np.inf else 1.0
+    # HiGHS's QP solver meets rows and judges improvements to absolute
+    # tolerances, so at p > 1 the model works in x = g / max g0 on rows
+    # divided by t, with c normalized by rho(g0) and the Hessian by its value
+    # at the largest entry: rows of small t gave "Solve error", and a small
+    # objective false optima
+    if p > 1:
+        sigma, rs, scale = float(g0.max()), T, max(float(c @ g0 ** p), 1e-300)
+    else:
+        sigma, rs, scale = 1.0, np.ones_like(T), 1.0
+    c = c / scale
+    cols = np.arange(n + 1, dtype=np.int32)
+    model = np.zeros(0, dtype=int)  # working-set rows in the model's row order
+    best = -np.inf  # the best dual bound D(y) of the solve
+    floor = _HESS_FLOOR if p < 2 else _GRAD_FLOOR  # the gradient's floor
 
     def rho(g):
         with np.errstate(over="ignore"):
-            return float(np.sum(cn * np.abs(g) ** pv))
+            return float(c @ g ** p)
 
-    def jac(x):
-        return sigma * cn * pv * np.maximum(sigma * x, 1e-300) ** (pv - 1.0)
+    def add_rows(q, rows, order):
+        col = np.argsort(order)  # q's column of each of g's
+        q.addRows(rows.size, T[rows] / rs[rows], np.full(rows.size, _highs.kHighsInf),
+                  2 * rows.size, np.arange(0, 2 * rows.size, 2, dtype=np.int32),
+                  np.column_stack([col[I[rows]], col[J[rows]]]).astype(np.int32).ravel(),
+                  (sigma * np.column_stack([A[rows], B[rows]]) / rs[rows, None]).ravel())
+        return q
 
-    def dual_bound(work, y):
-        # weak duality for y >= 0 on the rows: the minimum of rho is at
-        # least t.y - sum (p-1) cn (z+ / (p cn))**(p/(p-1)), z = A^T y
-        z = _rows_transposed(I[work], J[work], A[work], B[work], y, n)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            conj = (pv - 1.0) * cn * (np.maximum(z, 0.0) / (pv * cn)) ** (pv / (pv - 1.0))
-        return float(T[work] @ y - np.sum(conj))
+    def build(order):
+        q = _highs._Highs()
+        q.setOptionValue("output_flag", False)
+        # at HiGHS's default 1e-7 a solve may stop up to 1e-7 short of a row,
+        # which _repair turns into a uniform scale-up of g; 1e-10 is the floor
+        q.setOptionValue("primal_feasibility_tolerance", 1e-10)
+        q.addCols(n, c[order], np.zeros(n), np.full(n, _highs.kHighsInf), 0,
+                  np.zeros(n, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0))
+        return add_rows(q, model, order)
 
-    def solve_round(work, x):
-        M = sigma * _constraint_dense(I[work], J[work], A[work], B[work], T[work], n)
-        best, f_best = x, np.inf
-        while True:
-            res = _slsqp(lambda x: rho(sigma * x), jac, x * 1.0000001 + 1e-12,
-                         [_ineq(M, T[work])], 400)
-            x = np.maximum(res.x, 0.0)
-            f = rho(sigma * x)
-            optimal = f - dual_bound(work, np.maximum(res.multipliers, 0.0)) <= _GAP_TOL * f
-            if optimal or f > f_best * (1.0 - _GAP_TOL):
-                return x if f <= f_best else best
-            best, f_best = x, f
+    def bound(y):
+        # D(y) for duals y >= 0 on the model's rows, kept if the best so far
+        nonlocal best
+        z = _rows_transposed(I[model], J[model], A[model], B[model], y, n)
+        if p == 1:  # rho* is 0 on z <= c
+            y = y * min(1.0, float(np.min(c[z > 0] / z[z > 0], initial=1.0)))
+            conj = 0.0
+        else:
+            with np.errstate(over="ignore"):
+                conj = float(np.sum((p - 1.0) * c * (z / (p * c)) ** (p / (p - 1.0))))
+        best = max(best, float(T[model] @ y) - conj)
 
-    _note("working-set")
-    g = _working_set(I, J, A, B, T, g0 / sigma, solve_round, lambda x: sigma * x)
-    g = _repair(g, I, J, A, B, T)
-    return g0 if rho(g) > rho(g0) else g
+    def polish(g):
+        # the QP solver judges optimality to an absolute tolerance, which can
+        # leave small entries off their optimum and their rows' duals short:
+        # one Newton step of rho on the KKT system of the rows g meets, with
+        # entries no such row touches at 0, and D(y) for its multipliers
+        on = A[model] * g[I[model]] + B[model] * g[J[model]] <= T[model] * (1.0 + 1e-9)
+        rows = model[on]
+        pos = np.intersect1d(np.flatnonzero(g > 0), np.concatenate([I[rows], J[rows]]))
+        if pos.size == 0:
+            return g
+        M = _constraint_dense(I[rows], J[rows], A[rows], B[rows], T[rows], n)[:, pos]
+        h = c[pos] * p * (p - 1.0) * g[pos] ** (p - 2.0)
+        grad = c[pos] * p * g[pos] ** (p - 1.0)
+        y = np.linalg.lstsq((M / h) @ M.T, T[rows] - M @ g[pos] + (M / h) @ grad,
+                            rcond=None)[0]
+        duals = np.zeros(model.size)
+        duals[on] = np.maximum(y, 0.0)
+        bound(duals)
+        step = np.zeros(n)
+        step[pos] = g[pos] + (M.T @ y - grad) / h
+        feasible = np.all(A[model] * step[I[model]] + B[model] * step[J[model]] >= T[model])
+        return step if step.min() >= 0.0 and feasible and rho(step) < rho(g) else g
+
+    def run(q, order, g=None, clip=0.0):
+        # q's point, at p > 1 on the Newton model at g with its Hessian clipped
+        # below at ``clip`` times the largest entry's, and D(y) for its duals;
+        # q's columns hold g's in ``order``
+        weight = 1.0
+        if p > 1:
+            gl = np.maximum(g, floor * g.max())
+            h = c * p * (p - 1.0) * np.maximum(g, (p < 2) * _HESS_FLOOR * g.max()) ** (p - 2.0)
+            href = h[np.argmax(g)]
+            h = np.maximum(h, clip * href)
+            weight = _QP_CURVATURE / (sigma ** 2 * href)
+            lin = c * p * gl ** (p - 1.0) - h * gl
+            q.changeColsCost(n, cols[:-1], weight * sigma * lin[order])
+            q.passHessian(n, n, _highs.HessianFormat.kTriangular, cols, cols[:-1],
+                          weight * sigma ** 2 * h[order])
+            # the QP solver can cycle without end on a degenerate model: a
+            # limit of _QP_ITERATIONS per column and row makes that a failure
+            q.setOptionValue("qp_iteration_limit", _QP_ITERATIONS * (n + model.size))
+        q.run()
+        status = q.getModelStatus()
+        optimal = status == _highs.HighsModelStatus.kOptimal
+        _note(nit=1, highs=None if optimal else q.modelStatusToString(status))
+        if not optimal:
+            if p == 1:
+                raise RuntimeError(f"LP solve failed: {q.modelStatusToString(status)}")
+            return None
+        sol = q.getSolution()
+        bound(np.maximum(np.asarray(sol.row_dual), 0.0) / (weight * rs[model]))
+        x = np.empty(n)
+        x[order] = sigma * np.maximum(np.asarray(sol.col_value), 0.0)
+        return x
+
+    qp, ident = build(np.arange(n)), np.arange(n)
+
+    def solve_round(work, g):
+        nonlocal model, floor
+        new = np.setdiff1d(work, model)
+        add_rows(qp, new, ident)
+        model = np.concatenate([model, new])
+        if p == 1:
+            return run(qp, ident)
+        first = True  # the first step takes the QP point: g can miss the new rows
+        for _ in range(_STEPS):
+            # HiGHS's QP solver fails on some models in one column order and
+            # solves them in another: a QP that is not optimal is noted and
+            # rerun on fresh models, the columns reversed and then rotated, the
+            # Hessian clipped; failing every time, the step counts as stalled
+            x = run(qp, ident, g)
+            for order in (ident[::-1], np.roll(ident, 1)):
+                if x is None:
+                    x = run(build(order), order, g, 1e-3)
+            stalled = x is None
+            if not stalled:  # later steps halve towards the QP point while rho rises
+                f, d = rho(g), x - g
+                t = 1.0 if first else next(
+                    (t for t in 0.5 ** np.arange(_HALVINGS) if rho(g + t * d) <= f), 0.0)
+                stalled = not first and f - rho(g + t * d) <= max(_STALL * f, 1e-3 * (f - best))
+                g, first = g + t * d, False
+                f = rho(g)
+                if f - best <= _GAP_TOL * f:
+                    return g
+            if stalled:
+                if floor <= _GRAD_FLOOR:
+                    return polish(g)
+                floor = max(floor * 1e-3, _GRAD_FLOOR)
+        return polish(g)
+
+    g = _repair(_working_set(I, J, A, B, T, g0, solve_round, lambda g: g), I, J, A, B, T)
+    g = g0 if rho(g0) < rho(g) else g
+    upper = rho(g)
+    _note("lp" if p == 1 else "qp", bracket=[best * scale, upper * scale],
+          opened=upper - best > EPS_OPT * upper)
+    return g
 
 
 def _solve_gauge(I, J, A, B, T, N, rho, rho_jac, x0, hi):
@@ -473,10 +558,10 @@ def _rows(system, rows=None):
 
 
 def _min_norm_scalar(system, pv, w, tol):
-    """Minimize the Lebesgue quasi-norm of g over a scalar system: HiGHS for
-    p == 1 and the working-set SLSQP for constant p > 1 (the norm is a
-    monotone function of the modular), one gauge solve for variable p >= 1,
-    and majorize-minimize over these for min p < 1."""
+    """Minimize the Lebesgue quasi-norm of g over a scalar system: one
+    HiGHS model for constant p >= 1 (the norm is a monotone function of the
+    modular), one gauge solve for variable p >= 1, and majorize-minimize
+    over these for min p < 1."""
     n = system.n
     if system.m == 0:
         return np.zeros(n), NormValue(0.0, 0.0)
@@ -486,10 +571,8 @@ def _min_norm_scalar(system, pv, w, tol):
             _feasible_point(n, *rows), lambda g: luxemburg(g, pv, w, 1e-10).value, w, pv,
             lambda a: a,
             lambda a, wt: _min_norm_scalar(system, np.maximum(pv, 1.0), wt, tol)[0])
-    elif np.all(pv == 1.0):
-        g = _lp_modular(w, *rows, n)
     elif np.ptp(pv) == 0:
-        g = _slsqp_modular(w, pv, *rows, n)
+        g = _highs_modular(w, float(pv[0]), *rows, n)
     else:
         g0 = _feasible_point(n, *rows)
 
@@ -506,8 +589,12 @@ def _min_norm_scalar(system, pv, w, tol):
 @dataclass(frozen=True)
 class GradientSolution:
     """``info`` (not in ``to_json``) has the size and the solve's provenance
-    (``_provenance``): ``path``, ``slsqp_status``, ``rounds``, ``rows``,
-    ``nit`` and, for one LP, the ``bracket`` [lower, upper] on its optimum."""
+    (``_provenance``): ``path``, ``slsqp_status``, ``highs_status``,
+    ``rounds``, ``rows``, ``nit``, ``open`` and, when the solve was one
+    constant-exponent HiGHS solve (the scalar norm, and on the TL scale
+    q == p and the q == inf envelope), the ``bracket`` [lower, upper] on its
+    minimal modular sum w g**p.  A constant-q Besov norm takes one solve per
+    level, so it reports none over several levels."""
 
     g: object  # ndarray (scalar) or SequenceSample (vector)
     objective: NormValue
@@ -530,7 +617,8 @@ def minimal_scalar_gradient(space, u, s, p, tol: float = 1e-6,
     """Smallest Lebesgue quasi-norm of a scalar gradient of u.
 
     Certified within EPS_OPT relative for min p >= 1 (exact LP when p is
-    identically one); flagged heuristic otherwise.
+    identically one); flagged heuristic otherwise, and where a HiGHS
+    solve's bracket stays open (``info["open"]``).
     """
     system = GradientConstraintSystem.scalar(space, u, s, subset)
     idx = system.idx
@@ -543,7 +631,7 @@ def minimal_scalar_gradient(space, u, s, p, tol: float = 1e-6,
     if cert > _CERT_TOL * max(1.0, float(system.target.max(initial=0.0))):
         raise RuntimeError(f"infeasible solver output (violation {cert})")
     return GradientSolution(g=g, objective=nv, certificate=cert,
-                            heuristic=bool(pv.min() < 1.0), info=info)
+                            heuristic=bool(pv.min() < 1.0 or info["open"]), info=info)
 
 
 def _assemble_sequence(space_levels, per_level_g, n) -> SequenceSample:
@@ -594,8 +682,8 @@ def minimal_vector_gradient(space, u, s, p, q, scale: str = "lq_lp", tol: float 
     cert = _sequence_violation(system, seq)
     if cert > _CERT_TOL * max(1.0, float(system.target.max(initial=0.0))):
         raise RuntimeError(f"infeasible vector solution (violation {cert})")
-    return GradientSolution(g=seq, objective=nv, certificate=cert, heuristic=heuristic,
-                            info=info)
+    return GradientSolution(g=seq, objective=nv, certificate=cert,
+                            heuristic=bool(heuristic or info["open"]), info=info)
 
 
 def _sequence_violation(system, seq: SequenceSample) -> float:

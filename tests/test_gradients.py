@@ -1,8 +1,14 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog, minimize
+from scipy.sparse import csr_matrix
 
 from varmms import (MetricMeasureSpace, active_levels, gradient_zero_implies_constant,
                     geometric_iteration_check, level_of, lipschitz_cutoff_gradient,
@@ -264,13 +270,18 @@ def test_scalar_gradient_matches_full_row_slsqp(p, weighted):
     assert sol.certificate <= 1e-9 * T.max()
 
 
-@pytest.mark.parametrize("instance", ["grid12", "random"])
+@pytest.mark.parametrize("instance", ["grid12", "random", "grid20"])
 def test_lp_working_set_matches_full_row_highs(instance):
-    # p == 1: the working-set LP against one HiGHS solve over every pair row
+    # p == 1: the working-set LP against one HiGHS solve over every pair row,
+    # at the solver's primal tolerance: at HiGHS's default 1e-7 the grid20
+    # oracle returned a point 6.5e-8 infeasible and 9.9e-10 below the optimum
     rng = np.random.default_rng(5)
     if instance == "grid12":
         sp, s = grid2d(12), 0.5
         u = log_bump(sp, 78, 0.3)
+    elif instance == "grid20":
+        sp, s = grid2d(20), 0.45
+        u = log_bump(sp, 3, 0.3)
     else:
         n = 60
         sp = MetricMeasureSpace.from_points(rng.uniform(0, 1.5, (n, 2)), rng.uniform(0.2, 1.0, n))
@@ -278,10 +289,11 @@ def test_lp_working_set_matches_full_row_highs(instance):
     sol = minimal_scalar_gradient(sp, u, s, 1.0)
     system = GradientConstraintSystem.scalar(sp, u, s)
     m = system.m
-    M = np.zeros((m, system.n))
-    M[np.arange(m), system.I] -= system.coef_i
-    M[np.arange(m), system.J] -= system.coef_j
-    res = linprog(sp.weight, A_ub=M, b_ub=-system.target, bounds=(0, None), method="highs")
+    M = csr_matrix((-np.concatenate([system.coef_i, system.coef_j]),
+                    (np.tile(np.arange(m), 2), np.concatenate([system.I, system.J]))),
+                   shape=(m, system.n))
+    res = linprog(sp.weight, A_ub=M, b_ub=-system.target, bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10})
     assert res.success, res.message
     assert sol.info["path"] == "lp" and sol.info["rounds"] > 1
     assert sol.info["rows"] < m
@@ -334,12 +346,13 @@ def test_top_rows_per_point_matches_lexsort():
 
 
 def test_lp_highs_binding_and_repeatability():
-    # every piece of scipy's private HiGHS binding that _lp_modular uses
+    # every piece of scipy's private HiGHS binding that _highs_modular uses
     for name in ("setOptionValue", "addCols", "addRows", "run", "getModelStatus",
-                 "modelStatusToString", "getSolution"):
+                 "modelStatusToString", "getSolution", "changeColsCost", "passHessian"):
         assert callable(getattr(_highs._Highs, name)), name
     assert _highs.kHighsInf == np.inf
     assert hasattr(_highs.HighsModelStatus, "kOptimal")
+    assert hasattr(_highs.HessianFormat, "kTriangular")
     assert {"col_value", "row_dual"} <= set(dir(_highs.HighsSolution))
     # one instance solved twice gives bit-identical gradients and brackets
     sp = grid2d(8)
@@ -348,6 +361,92 @@ def test_lp_highs_binding_and_repeatability():
     assert first.info["path"] == "lp" and first.info["rounds"] > 1
     assert np.array_equal(first.g, second.g)
     assert first.info["bracket"] == second.info["bracket"]
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.floats(1.0, 6.0, exclude_min=True))
+@settings(max_examples=30, deadline=None)
+def test_constant_p_bracket_closes_below_the_oracle(seed, n, p):
+    # every constant p > 1 is one HiGHS model: its bracket on the modular
+    # closes, and its dual bound stays below the lattice oracle's norm (a
+    # feasible point's, so at least the minimum at any lattice step)
+    _, sp, u = _cloud(seed, n)
+    sol = minimal_scalar_gradient(sp, u, 0.5, p)
+    lower, upper = sol.info["bracket"]
+    assert sol.info["path"] == "qp"
+    # at the optimum both ends agree up to their rounding, which put lower
+    # 2.1e-15 above upper on one of 6,000 random clouds
+    assert lower <= upper * (1.0 + 1e-13)
+    assert upper - lower <= 1e-9 * upper
+    assert sol.objective.value == pytest.approx(upper ** (1.0 / p), rel=1e-9)
+    # the oracle's points meet the rows to 1e-12, so it may read that far low
+    oracle = oracle_scalar_gradient(sp, u, 0.5, p, step=2e-2, coarse_step=0.1)
+    assert lower ** (1.0 / p) <= oracle * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("p", [1.02, 1.2])
+def test_near_one_bracket_closes_on_grid20(p):
+    # near p = 1 the modular's curvature is unbounded at 0, where the Newton
+    # steps floor g; the bracket still closes on a 400-point grid
+    sp = grid2d(20)
+    u = np.random.default_rng(3).standard_normal(sp.n)
+    sol = minimal_scalar_gradient(sp, u, 0.7, p)
+    lower, upper = sol.info["bracket"]
+    assert sol.info["path"] == "qp" and sol.info["rounds"] > 1
+    assert lower <= upper and upper - lower <= 1e-9 * upper
+    assert sol.certificate == 0.0
+
+
+def test_constant_p_is_independent_of_blas_threads():
+    # one solve in two interpreters, under one and two OpenBLAS threads
+    code = ("from varmms import minimal_scalar_gradient\n"
+            "from varmms.generators import grid2d, log_bump\n"
+            "sp = grid2d(10)\n"
+            "sol = minimal_scalar_gradient(sp, log_bump(sp, 55, 0.3), 0.5, 2.0)\n"
+            "print(sol.objective.value.hex(), sol.info['path'])\n")
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = [subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": k}).stdout
+           for k in ("1", "2")]
+    assert out[0].split()[1] == "qp"
+    assert out[0] == out[1]
+
+
+class _FailingHighs(_highs._Highs):
+    """A HiGHS model whose every run reports "Solve error"."""
+
+    def getModelStatus(self):
+        return _highs.HighsModelStatus.kSolveError
+
+
+def test_failed_highs_runs_are_reported(monkeypatch):
+    # every QP step fails: each failure and its two reruns are recorded, the
+    # feasible start is kept and the open bracket flags the solve heuristic
+    monkeypatch.setattr(_highs, "_Highs", _FailingHighs)
+    sp = grid2d(5)
+    u = log_bump(sp, 12, 0.3)
+    sol = minimal_scalar_gradient(sp, u, 0.5, 2.0)
+    lower, upper = sol.info["bracket"]
+    assert sol.heuristic and sol.info["open"] == 1 and sol.certificate == 0.0
+    assert sol.info["highs_status"] == ["Solve error"] * sol.info["nit"]
+    assert upper - lower > 1e-4 * upper
+    assert sol.objective.value == pytest.approx(upper ** 0.5, rel=1e-9)
+    # the LP at p == 1 raises
+    with pytest.raises(RuntimeError, match="LP solve failed: Solve error"):
+        minimal_scalar_gradient(sp, u, 0.5, 1.0)
+    monkeypatch.undo()
+    assert not minimal_scalar_gradient(sp, u, 0.5, 2.0).heuristic
+
+
+def test_cycling_qp_run_is_cut_off():
+    # HiGHS's QP solver cycled without end on one Newton step of this grid
+    # solve; its iteration limit ends that run, a rerun solves the step
+    sp = grid2d(12)
+    sol = minimal_scalar_gradient(sp, log_bump(sp, 119, 0.3), 0.3250871690283073,
+                                  3.48518904951099)
+    lower, upper = sol.info["bracket"]
+    assert "Iteration limit reached" in sol.info["highs_status"]
+    assert not sol.heuristic and upper - lower <= 1e-9 * upper
 
 
 def test_heuristic_flag_for_subunit_exponent():
@@ -534,18 +633,24 @@ def _nonconvex_scalar_case(seed):
 
 def test_solution_info_names_solver_path():
     sp, u = THREE_POINTS
-    cases = [(1.0, "lp"), (2.0, "working-set"), (0.5, "mm"),
+    cases = [(1.0, "lp"), (2.0, "qp"), (0.5, "mm"),
              ([1.2, 1.8, 1.5], "gauge"), ([0.7, 1.8, 1.5], "mm")]
     for p, path in cases:
         info = minimal_scalar_gradient(sp, u, 0.5, p).info
         assert info["path"] == path, (p, info)
         assert info["slsqp_status"] == sorted(set(info["slsqp_status"]))
         assert 0 not in info["slsqp_status"]
-        # an mm solve's inner LPs bracket their majorants, not the norm
-        assert ("bracket" in info) == (path == "lp")
+        # one entry per HiGHS run that was not optimal; every bracket closed
+        assert info["highs_status"] == sorted(info["highs_status"])
+        assert "Optimal" not in info["highs_status"]
+        assert info["open"] == 0
+        # an mm solve's inner HiGHS solves bracket their majorants, not the norm
+        assert ("bracket" in info) == (path in ("lp", "qp"))
         assert info["rounds"] > 0 and info["rows"] > 0
-        # SLSQP runs iff some (majorant) exponent exceeds one
-        assert (info["nit"] > 0) == (np.max(p) > 1.0)
+        # nit counts SLSQP iterations and HiGHS runs, one LP run per round
+        assert info["nit"] > 0
+        if path == "lp":
+            assert info["nit"] == info["rounds"]
     p = [1.2, 1.8, 1.5]
     tl = minimal_vector_gradient(sp, u, 0.5, p, 1.3, scale="lp_lq").info
     besov = minimal_vector_gradient(sp, u, 0.5, p, [1.1, 1.3, 1.2], scale="lq_lp").info
