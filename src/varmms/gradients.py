@@ -413,10 +413,11 @@ def _highs_modular(c, p, I, J, A, B, T, n):
         feasible = np.all(A[model] * step[I[model]] + B[model] * step[J[model]] >= T[model])
         return step if step.min() >= 0.0 and feasible and rho(step) < rho(g) else g
 
-    def run(q, order, g=None, clip=0.0):
+    def run(q, order, g=None, clip=0.0, linear=False):
         # q's point, at p > 1 on the Newton model at g with its Hessian clipped
-        # below at ``clip`` times the largest entry's, and D(y) for its duals;
-        # q's columns hold g's in ``order``
+        # below at ``clip`` times the largest entry's (``linear``: on rho's
+        # gradient at g alone), and D(y) for its duals; q's columns hold g's
+        # in ``order``
         weight = 1.0
         if p > 1:
             gl = np.maximum(g, floor * g.max())
@@ -424,10 +425,13 @@ def _highs_modular(c, p, I, J, A, B, T, n):
             href = h[np.argmax(g)]
             h = np.maximum(h, clip * href)
             weight = _QP_CURVATURE / (sigma ** 2 * href)
-            lin = c * p * gl ** (p - 1.0) - h * gl
+            lin = c * p * gl ** (p - 1.0) - (not linear) * h * gl
+            if linear:
+                weight = 1.0 / float(np.max(sigma * lin))
             q.changeColsCost(n, cols[:-1], weight * sigma * lin[order])
-            q.passHessian(n, n, _highs.HessianFormat.kTriangular, cols, cols[:-1],
-                          weight * sigma ** 2 * h[order])
+            if not linear:
+                q.passHessian(n, n, _highs.HessianFormat.kTriangular, cols, cols[:-1],
+                              weight * sigma ** 2 * h[order])
             # the QP solver can cycle without end on a degenerate model: a
             # limit of _QP_ITERATIONS per column and row makes that a failure
             q.setOptionValue("qp_iteration_limit", _QP_ITERATIONS * (n + model.size))
@@ -459,11 +463,14 @@ def _highs_modular(c, p, I, J, A, B, T, n):
             # HiGHS's QP solver fails on some models in one column order and
             # solves them in another: a QP that is not optimal is noted and
             # rerun on fresh models, the columns reversed and then rotated, the
-            # Hessian clipped; failing every time, the step counts as stalled
+            # Hessian clipped; failing every time, the step goes to the LP
+            # point of rho's gradient at g, which meets the model's rows
             x = run(qp, ident, g)
             for order in (ident[::-1], np.roll(ident, 1)):
                 if x is None:
                     x = run(build(order), order, g, 1e-3)
+            if x is None:
+                x = run(build(ident), ident, g, linear=True)
             stalled = x is None
             if not stalled:  # later steps halve towards the QP point while rho rises
                 f, d = rho(g), x - g

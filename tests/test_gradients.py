@@ -420,8 +420,9 @@ class _FailingHighs(_highs._Highs):
 
 
 def test_failed_highs_runs_are_reported(monkeypatch):
-    # every QP step fails: each failure and its two reruns are recorded, the
-    # feasible start is kept and the open bracket flags the solve heuristic
+    # every HiGHS run fails: each QP, its two reruns and the LP step are
+    # recorded, the feasible start is kept and the open bracket flags the
+    # solve heuristic
     monkeypatch.setattr(_highs, "_Highs", _FailingHighs)
     sp = grid2d(5)
     u = log_bump(sp, 12, 0.3)
@@ -447,6 +448,18 @@ def test_cycling_qp_run_is_cut_off():
     lower, upper = sol.info["bracket"]
     assert "Iteration limit reached" in sol.info["highs_status"]
     assert not sol.heuristic and upper - lower <= 1e-9 * upper
+
+
+def test_qp_step_failing_in_every_order_takes_the_lp_step():
+    # every QP run of this solve's first Newton step ends in "Solve error";
+    # the LP step on the modular's gradient meets the rows and the solve
+    # closes on the value the removed SLSQP solver gave, 0.7703751409517477
+    sp = grid2d(10)
+    sol = minimal_scalar_gradient(sp, log_bump(sp, 44, 0.3), 0.4829, 2.0022)
+    lower, upper = sol.info["bracket"]
+    assert "Solve error" in sol.info["highs_status"]
+    assert not sol.heuristic and upper - lower <= 1e-9 * upper
+    assert sol.objective.value == pytest.approx(0.7703751409517477, rel=1e-9)
 
 
 def test_heuristic_flag_for_subunit_exponent():
