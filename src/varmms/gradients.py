@@ -28,6 +28,8 @@ import contextvars
 import functools
 import itertools
 import math
+import os
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,6 +40,7 @@ from scipy.optimize._highspy import _core as _highs
 from .exponents import exponent_values
 from .norms import (NormValue, SequenceSample, _bisect_level, _level_roots, check_slack,
                     luxemburg, mixed_norm_lp_lq, mixed_norm_lq_lp)
+from .space import level_of
 
 __all__ = [
     "GradientConstraintSystem",
@@ -55,21 +58,6 @@ __all__ = [
 
 EPS_OPT = 1e-4  # relative optimality contract of the solvers
 _CERT_TOL = 1e-9
-
-
-def level_of(d) -> np.ndarray:
-    """Dyadic level k with 2**(-k-1) <= d < 2**(-k).
-
-    Ties d == 2**(-k) belong to level k-1 (the upper bound is strict); the
-    computed log is snapped to integers to make the tie rule robust.
-    """
-    d = np.asarray(d, dtype=float)
-    if np.any(d <= 0):
-        raise ValueError("levels are defined for positive distances")
-    x = -np.log2(d)
-    snapped = np.rint(x)
-    x = np.where(np.abs(x - snapped) < 1e-12, snapped, x)
-    return np.ceil(x).astype(int) - 1
 
 
 def active_levels(space) -> tuple[int, int]:
@@ -317,6 +305,21 @@ _HESS_FLOOR, _GRAD_FLOOR, _QP_CURVATURE = 1e-3, 1e-12, 1e3
 _STEPS, _HALVINGS, _STALL, _QP_ITERATIONS = 60, 53, 1e-12, 10
 
 
+@contextlib.contextmanager
+def _stdout_to_devnull():
+    """File descriptor 1 on ``os.devnull``, restored on exit: HiGHS's QP
+    solver prints "dimension mismatch" there whatever its output options."""
+    sys.stdout.flush()
+    saved, null = os.dup(1), os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(null, 1)
+        yield
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
+        os.close(null)
+
+
 def _highs_modular(c, p, I, J, A, B, T, n):
     """HiGHS for the modular rho(g) = c.g**p, constant p >= 1, on one model
     that holds ``_working_set``'s rows admitted so far; each round adds only
@@ -487,7 +490,9 @@ def _highs_modular(c, p, I, J, A, B, T, n):
                 floor = max(floor * 1e-3, _GRAD_FLOOR)
         return polish(g)
 
-    g = _repair(_working_set(I, J, A, B, T, g0, solve_round, lambda g: g), I, J, A, B, T)
+    with _stdout_to_devnull() if p > 1 else contextlib.nullcontext():
+        g = _working_set(I, J, A, B, T, g0, solve_round, lambda g: g)
+    g = _repair(g, I, J, A, B, T)
     g = g0 if rho(g0) < rho(g) else g
     upper = rho(g)
     _note("lp" if p == 1 else "qp", bracket=[best * scale, upper * scale],
@@ -1096,7 +1101,14 @@ def gradient_zero_implies_constant(space, u, s, p, tol: float = 1e-9,
 def _cutoff_sequence(space, support, L: float, sv, qv, u, tail_rel: float = 1e-9):
     """The level family of ``lipschitz_cutoff_gradient`` on exponent vectors,
     its k_L, and its largest violation of u's vector constraints (0 without
-    u or below two points)."""
+    u or below two points).
+
+    The level values are evaluated on the support's columns only (zero
+    elsewhere).  The violation is one gather over the space's pair table
+    (``MetricMeasureSpace.pairs``, cached on the space): each pair with
+    t = |u(x) - u(y)| > 0 against d**s(x) g_k(x) + d**s(y) g_k(y) at its
+    level k, the same float operations as
+    ``GradientConstraintSystem.vector(space, u, sv).violation`` per level."""
     if sv.max() > 1.0 or (sv.max() == 1.0 and np.isfinite(qv.min())):
         raise ValueError("needs max s <= 1, with equality only for q identically infinite")
     if L <= 0:
@@ -1114,15 +1126,23 @@ def _cutoff_sequence(space, support, L: float, sv, qv, u, tail_rel: float = 1e-9
         a_lo, a_hi = active_levels(space)
         down, up = min(down, a_lo), max(up, a_hi)
     ks = np.arange(down, up + 1)[:, None]
-    chi = np.zeros(n)
-    chi[support] = 1.0
+    cols = np.unique(np.asarray(support, dtype=int))
+    sc = sv[cols]
+    vals = np.zeros((ks.size, n))
     with np.errstate(over="ignore"):  # each branch is kept only where it applies
-        vals = np.where(ks >= k_L, L * 2.0 ** (ks * (sv - 1.0)), 2.0 ** ((ks + 1) * sv + 1.0)) * chi
-    seq = SequenceSample(down, vals)
+        vals[:, cols] = np.where(ks >= k_L, L * 2.0 ** (ks * (sc - 1.0)),
+                                 2.0 ** ((ks + 1) * sc + 1.0))
     cert = 0.0
     if u is not None and n >= 2:
-        cert = _sequence_violation(GradientConstraintSystem.vector(space, u, sv), seq)
-    return seq, k_L, cert
+        pairs = space.pairs
+        uv = np.asarray(u, dtype=float)
+        t = np.abs(uv[pairs.I] - uv[pairs.J])
+        rows = np.flatnonzero(t > 0)
+        I, J, d = pairs.I[rows], pairs.J[rows], pairs.dist[rows]
+        r = pairs.level[rows] - down  # every level lies in [down, up]: active_levels
+        lhs = d ** sv[I] * vals[r, I] + d ** sv[J] * vals[r, J]
+        cert = float(np.max(t[rows] - lhs, initial=0.0))
+    return SequenceSample(down, vals), k_L, cert
 
 
 def lipschitz_cutoff_gradient(space, support, L: float, s, p, q, u=None,

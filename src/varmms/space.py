@@ -2,7 +2,8 @@
 
 A space is a finite point set with a full distance matrix and strictly
 positive point weights (the measure).  All operations are pure; a space is
-immutable after construction.  Distance matrices are validated once when a
+immutable after construction, and its pair table (``MetricMeasureSpace.pairs``)
+is built once, on first use.  Distance matrices are validated once when a
 space is built through one of the ``from_*`` constructors: ``from_matrix``
 checks the triangle inequality on every triple, ``from_points`` skips that
 check because Euclidean distances are a metric by construction.  Internal
@@ -11,6 +12,7 @@ metric stay metric.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -20,9 +22,11 @@ import numpy as np
 __all__ = [
     "SpaceValidationError",
     "MetricMeasureSpace",
+    "PairTable",
     "Ball",
     "ball",
     "critical_radii",
+    "level_of",
     "separated_net",
     "product_cover_check",
     "overlap_bound_check",
@@ -40,8 +44,41 @@ class SpaceValidationError(ValueError):
     """Raised when a distance matrix or weight vector fails validation."""
 
 
+def level_of(d) -> np.ndarray:
+    """Dyadic level k with 2**(-k-1) <= d < 2**(-k).
+
+    Ties d == 2**(-k) belong to level k-1 (the upper bound is strict); the
+    computed log is snapped to integers to make the tie rule robust.
+    """
+    d = np.asarray(d, dtype=float)
+    if np.any(d <= 0):
+        raise ValueError("levels are defined for positive distances")
+    x = -np.log2(d)
+    snapped = np.rint(x)
+    x = np.where(np.abs(x - snapped) < 1e-12, snapped, x)
+    return np.ceil(x).astype(int) - 1
+
+
+@dataclass(frozen=True)
+class PairTable:
+    """Every unordered pair i < j of a space (``np.triu_indices`` order):
+    its points, its distance and its dyadic level."""
+
+    I: np.ndarray
+    J: np.ndarray
+    dist: np.ndarray
+    level: np.ndarray
+
+
 @dataclass(frozen=True)
 class MetricMeasureSpace:
+    """A finite metric measure space.
+
+    ``pairs``, the pair table, and ``min_positive_distance()`` are computed
+    from ``dist`` on first use and cached on the instance, so they live as
+    long as the space; ``dist`` must not be mutated after construction.
+    """
+
     dist: np.ndarray
     weight: np.ndarray
     labels: tuple[str, ...] | None = None
@@ -61,10 +98,24 @@ class MetricMeasureSpace:
         return float(self.dist.max()) if self.n > 1 else 0.0
 
     def min_positive_distance(self) -> float:
+        return self._min_positive_distance
+
+    @functools.cached_property
+    def _min_positive_distance(self) -> float:
+        # not read off ``pairs``: the global checks need this number alone,
+        # and a table at n = 400 would stay in memory through their solves
         if self.n < 2:
             raise ValueError("need at least two points")
-        off = self.dist[~np.eye(self.n, dtype=bool)]
-        return float(off.min())
+        return float(self.dist[~np.eye(self.n, dtype=bool)].min())
+
+    @functools.cached_property
+    def pairs(self) -> PairTable:
+        """The pair table, built once per space (needs two points)."""
+        if self.n < 2:
+            raise ValueError("need at least two points")
+        I, J = np.triu_indices(self.n, k=1)
+        d = self.dist[I, J]
+        return PairTable(I=I, J=J, dist=d, level=level_of(d))
 
     # -- constructors ------------------------------------------------------
 

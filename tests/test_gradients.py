@@ -1,3 +1,4 @@
+import math
 import os
 import pathlib
 import subprocess
@@ -13,11 +14,15 @@ from scipy.sparse import csr_matrix
 from varmms import (MetricMeasureSpace, active_levels, gradient_zero_implies_constant,
                     geometric_iteration_check, level_of, lipschitz_cutoff_gradient,
                     luxemburg, minimal_scalar_gradient, minimal_vector_gradient,
-                    norm_convention_equivalence, oracle_scalar_gradient)
-from varmms.generators import annular_cutoff, grid2d, line_space, log_bump
+                    norm_convention_equivalence, oracle_scalar_gradient, sobolev_conjugate)
+from varmms import space as space_module
+from varmms import verify as verify_module
+from varmms.generators import (annular_cutoff, cantor_space, grid1d, grid2d, line_space,
+                               log_bump, two_zone_glued)
 from varmms.gradients import (_CERT_TOL, _ROWS_PER_POINT, GradientConstraintSystem,
-                              _besov_bisection, _feasible_point, _highs, _level_sum,
-                              _level_weight, _top_rows_per_point)
+                              _besov_bisection, _cutoff_sequence, _feasible_point, _highs,
+                              _level_sum, _level_weight, _sequence_violation,
+                              _top_rows_per_point)
 from varmms.norms import SequenceSample, mixed_norm_lp_lq, mixed_norm_lq_lp
 
 
@@ -184,6 +189,124 @@ def test_lipschitz_feasibility_certificate_annular():
     for r, k in enumerate(range(seq.k_min, seq.k_max + 1)):
         level = L * 2.0 ** (k * (sv - 1.0)) if k >= rep["k_L"] else 2.0 ** ((k + 1) * sv + 1.0)
         assert np.array_equal(seq.values[r], level * chi), k
+
+
+def _cutoff_sequence_reference(space, support, L, sv, qv, u, tail_rel=1e-9):
+    """``_cutoff_sequence`` as it was before the pair table: the level
+    values on every column times the support's indicator, and the violation
+    of u's whole vector system, one level at a time."""
+    k_L = math.frexp(L)[1]
+    n = space.n
+    s_plus = float(sv.max())
+    if np.isfinite(qv.min()) or s_plus < 1.0:
+        up = k_L + max(8, math.ceil(-math.log2(tail_rel) / max(1.0 - s_plus, 1e-3)))
+    else:
+        up = k_L + 8
+    down = k_L - 1 - max(8, math.ceil(-math.log2(tail_rel) / max(float(sv.min()), 1e-3)))
+    if n >= 2:
+        off = space.dist[~np.eye(n, dtype=bool)]
+        down = min(down, math.floor(-math.log2(float(space.dist.max()))) - 1)
+        up = max(up, math.ceil(-math.log2(float(off.min()))))
+    ks = np.arange(down, up + 1)[:, None]
+    chi = np.zeros(n)
+    chi[support] = 1.0
+    with np.errstate(over="ignore"):
+        vals = np.where(ks >= k_L, L * 2.0 ** (ks * (sv - 1.0)), 2.0 ** ((ks + 1) * sv + 1.0)) * chi
+    seq = SequenceSample(down, vals)
+    cert = 0.0
+    if u is not None and n >= 2:
+        cert = _sequence_violation(GradientConstraintSystem.vector(space, u, sv), seq)
+    return seq, k_L, cert
+
+
+def _random_metric(n, seed):
+    """Shortest-path closure of random positive edge lengths: a metric."""
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(0.05, 1.5, (n, n))
+    d = np.minimum(d, d.T)
+    np.fill_diagonal(d, 0.0)
+    for k in range(n):
+        d = np.minimum(d, d[:, k][:, None] + d[k, :][None, :])
+    return MetricMeasureSpace.from_matrix(d, rng.uniform(0.5, 2.0, n))
+
+
+_PAIR_SPACES = {
+    "grid2d": lambda k, seed: grid2d(k + 1),
+    "grid1d": lambda k, seed: grid1d(2 * k + 1),
+    "cantor": lambda k, seed: cantor_space(k),
+    "two_zone_glued": lambda k, seed: two_zone_glued(k + 1, k),
+    "random": lambda k, seed: _random_metric(2 * k, seed),
+}
+
+
+@given(st.sampled_from(sorted(_PAIR_SPACES)), st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.sampled_from(["constant", "variable", "one"]), st.booleans(),
+       st.sampled_from(["random", "empty", "full"]), st.floats(1e-3, 1e3),
+       st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_cutoff_sequence_matches_full_vector_system(kind, k, seed, s_kind, q_finite,
+                                                   support_kind, L, with_u):
+    sp = _PAIR_SPACES[kind](k, seed)
+    n = sp.n
+    rng = np.random.default_rng(seed)
+    if s_kind == "one":  # s = 1 somewhere is admissible only for q identically infinite
+        sv, q_finite = np.where(rng.random(n) < 0.5, 1.0, rng.uniform(0.05, 1.0, n)), False
+    elif s_kind == "constant":
+        sv = np.full(n, rng.uniform(0.05, 0.95))
+    else:
+        sv = rng.uniform(0.05, 0.95, n)
+    qv = rng.uniform(1.0, 4.0, n) if q_finite else np.full(n, np.inf)
+    if support_kind == "random":  # duplicates included
+        support = rng.integers(0, n, rng.integers(1, 2 * n + 1))
+    else:
+        support = np.arange(n) if support_kind == "full" else np.zeros(0, dtype=int)
+    # a few distinct values on the support, 0 off it: ties give t = 0, and
+    # every violated pair has a support point, so the certificate reads the
+    # level values of the pairs' own levels
+    u = rng.integers(0, 4, n) / 3.0 * np.isin(np.arange(n), support) if with_u else None
+    seq, k_L, cert = _cutoff_sequence(sp, support, L, sv, qv, u)
+    ref, ref_k_L, ref_cert = _cutoff_sequence_reference(sp, support, L, sv, qv, u)
+    assert seq.k_min == ref.k_min and np.array_equal(seq.values, ref.values)
+    assert k_L == ref_k_L and cert == ref_cert
+    # the pair table and what is cached from it, against the matrix itself
+    off = sp.dist[~np.eye(n, dtype=bool)]
+    assert sp.min_positive_distance() == float(off.min())
+    assert sp.diameter == float(sp.dist.max())
+    assert active_levels(sp) == (math.floor(-math.log2(float(sp.dist.max()))) - 1,
+                                 math.ceil(-math.log2(float(off.min()))))
+    iu = np.triu_indices(n, k=1)
+    assert np.array_equal(sp.pairs.I, iu[0]) and np.array_equal(sp.pairs.J, iu[1])
+    assert np.array_equal(sp.pairs.dist, sp.dist[iu])
+    assert np.array_equal(sp.pairs.level, level_of(sp.dist[iu]))
+
+
+def test_pair_table_built_once_per_space_in_necessity_run(monkeypatch):
+    from varmms import necessity_run
+    sp = grid2d(6)
+    builds, certified = [], []
+    table = space_module.PairTable
+    monkeypatch.setattr(space_module, "PairTable",
+                        lambda **kw: builds.append(1) or table(**kw))
+    cutoff = verify_module._cutoff_sequence
+    monkeypatch.setattr(verify_module, "_cutoff_sequence",
+                        lambda *a: certified.append(1) or cutoff(*a))
+    monkeypatch.setattr(GradientConstraintSystem, "vector",
+                        classmethod(lambda cls, *a, **kw: pytest.fail("vector system built")))
+    n = sp.n
+    s, p = np.full(n, 0.5), np.full(n, 1.5)
+    gamma = sobolev_conjugate(np.full(n, 2.0), s, p).values
+    rep = necessity_run(sp, s, p, np.inf, gamma, mode="sobolev_global")
+    assert rep.verdict == "pass" and len(certified) > 1 and len(builds) == 1
+    assert sp.pairs is sp.pairs and len(builds) == 1
+
+
+def test_qp_solver_writes_nothing_to_stdout(capfd):
+    sp = grid2d(8)
+    u = np.log1p(np.maximum(0.3 - sp.dist[7], 0.0) / 0.3)
+    sol = minimal_scalar_gradient(sp, u, 0.5682497658774521, 2.0413463650465253)
+    assert sol.info["path"] == "qp" and sol.certificate <= _CERT_TOL
+    out, _ = capfd.readouterr()
+    assert out == ""
 
 
 def test_geometric_iteration_cases():
