@@ -6,20 +6,23 @@ vector (dyadic) variant imposes the inequality on level k only for pairs
 with ``2**(-k-1) <= d < 2**(-k)``.  The associated quasi-norms are infima of
 Lebesgue / mixed-sequence norms over these polyhedra.
 
-Solver layout (README "Solvers").  A constant exponent p >= 1 makes the norm
-a monotone function of the separable modular, minimized exactly on a working
-set of rows grown by delayed constraint generation (``_working_set``) on one
-HiGHS model grown by rows (``_highs_modular``: an LP at p = 1, Newton steps
-of HiGHS's QP solver above), with a duality bracket.  A variable exponent
-with a convex modular rho (min p >= 1, and min q >= 1 on the TL scale), and
-a Besov norm with finite variable q and min(p, q) >= 1 on the level-stacked
-rows, take one gauge solve, 1/max{mu : A h >= mu t, rho(h) <= 1}
-(``_solve_gauge``).  A nonconvex modular (flagged heuristic) is minimized by
+Solver layout (README "Solvers").  Every convex modular rho is minimized
+on a working set of rows grown by delayed constraint generation
+(``_working_set``) on one HiGHS model grown by rows (``_highs_modular``),
+with a duality bracket where rho has a closed-form conjugate.  A constant
+exponent p >= 1 makes the norm a monotone function of the separable
+modular, minimized itself: an LP at p = 1, Newton steps of HiGHS's QP
+solver above.  Every other convex modular, a variable exponent (min p >= 1,
+and min q >= 1 on the TL scale), the TL joint problem, and a Besov norm
+with finite variable q and min(p, q) >= 1 on the level-stacked rows, takes
+the same Newton steps on rho(mu g) with its block-diagonal Hessian, while
+the level mu takes Newton steps towards the gauge, phi(mu) = min rho(mu g)
+= 1.  A nonconvex modular (flagged heuristic) is minimized by
 majorize-minimize over these (``_majorize_minimize``); a norm-level
-bisection remains for variable-q Besov norms with min(p, q) < 1 or q
-infinite at some points but not all.  Every returned point is repaired to
-hard feasibility against all rows and re-evaluated from scratch, so
-certificates never rely on solver-internal tolerances.
+bisection around SLSQP remains for variable-q Besov norms with
+min(p, q) < 1 or q infinite at some points but not all.  Every returned
+point is repaired to hard feasibility against all rows and re-evaluated
+from scratch, so certificates never rely on solver-internal tolerances.
 """
 from __future__ import annotations
 
@@ -178,11 +181,13 @@ def _repair(g, I, J, A, B, T) -> np.ndarray:
 # and round, and the relative violation above which a row is admitted
 _ROWS_PER_POINT = 2
 _GEN_TOL = 1e-10
-# relative duality gap of the modular at which a HiGHS round is optimal
-_GAP_TOL = 1e-10
+# relative duality gap of the modular at which a HiGHS round is optimal, and
+# the step of log mu at which a gauge's level is settled: at the optimum the
+# norm is stationary in the level, so a level step d moves it by O(d**2)
+_GAP_TOL, _LEVEL_TOL = 1e-10, 1e-5
 
 # solver paths in increasing precedence: a solve reports the highest it used
-_PATHS = ("none", "lp", "qp", "gauge", "mm", "bisection")
+_PATHS = ("none", "lp", "qp", "qp_gauge", "mm", "bisection")
 # provenance of the solve in progress (``_provenance``), None outside a solve
 _RECORD = contextvars.ContextVar("gradient_record", default=None)
 
@@ -221,7 +226,7 @@ def _provenance(info):
         info["slsqp_status"] = sorted(record["statuses"] - {0})
         info["highs_status"] = sorted(record["highs"])
         info.update({k: record[k] for k in ("rounds", "rows", "nit", "open")})
-        if info["path"] in ("lp", "qp") and len(record["brackets"]) == 1:
+        if info["path"] in ("lp", "qp", "qp_gauge") and len(record["brackets"]) == 1:
             info["bracket"] = record["brackets"][0]
     finally:
         _RECORD.reset(token)
@@ -296,8 +301,8 @@ def _working_set(I, J, A, B, T, x, solve_round, point):
         work = np.union1d(work, _top_rows_per_point(viol / AB, I, J))
 
 
-# Newton steps at p > 1: the Hessian's floor on g / max g where p < 2 (the
-# curvature of g**p is unbounded at 0), the gradient's last floor, the QP's
+# Newton steps: the Hessian's floor on g / max g where the curvature is
+# unbounded at 0 (g**p with p < 2), the gradient's last floor, the QP's
 # Hessian at the largest entry, steps per round, halvings per step, the
 # relative decrease of the modular at or below which a step stalls, and the
 # QP solver's iterations per column and model row
@@ -320,92 +325,294 @@ def _stdout_to_devnull():
         os.close(null)
 
 
-def _highs_modular(c, p, I, J, A, B, T, n):
-    """HiGHS for the modular rho(g) = c.g**p, constant p >= 1, on one model
-    that holds ``_working_set``'s rows admitted so far; each round adds only
-    its new rows.
+@dataclass(frozen=True)
+class _Modular:
+    """A convex modular rho on x >= 0 for ``_highs_modular``.
 
-    At p == 1 a round is one LP run, which dual simplex restarts from the
-    last basis.  At p > 1 a round takes Newton steps, each one run of
-    HiGHS's QP solver on rho's Hessian at g floored at ``_HESS_FLOOR`` max g
-    (where p < 2) and rho's gradient at g floored at a floor that drops
-    1e3-fold, down to ``_GRAD_FLOOR``, at each stalled step.  The first step
-    of a round takes the QP point, since g can miss the new rows; later
-    steps halve towards it while rho rises.  A step stalls when it lowers
-    rho by at most ``_STALL`` relative or 1e-3 of the gap to the best D(y).
-    A round stops once rho is within ``_GAP_TOL`` of the best D(y) of the
-    solve; after ``_STEPS`` steps or a stall on the last floor it ends with
-    one Newton step on the KKT system of the rows g meets.
+    ``value``, ``grad`` and ``hess`` evaluate rho, its gradient and its
+    block-diagonal Hessian (idx, H): H[b] on the entries idx[b], every entry
+    in one block.  A separable rho's Hessian is taken at x floored at
+    ``_HESS_FLOOR`` max x where ``floored``, and any floored entry starts
+    the gradient's floor at ``_HESS_FLOOR``.  ``conj(z)`` is (s, rho*(s z))
+    for the largest s <= 1 that puts s z in the domain of the conjugate
+    rho*, or None where rho* has no closed form.  A separable rho = c.x**p
+    also keeps c and p (a float when constant)."""
 
-    Any row duals y >= 0 on the model's rows (zero off them) are feasible
-    for the full dual, so D(y) = t.y - rho*(A^T y) bounds the optimum from
-    below (at p == 1, t.y for y scaled into A^T y <= c).  The best D(y) and
-    rho at the better of the repaired point and the feasible start are the
-    solve's ``bracket``; a gap above ``EPS_OPT`` is noted as open.
-    """
-    g0 = _feasible_point(n, I, J, A, B, T)
-    # HiGHS's QP solver meets rows and judges improvements to absolute
-    # tolerances, so at p > 1 the model works in x = g / max g0 on rows
-    # divided by t, with c normalized by rho(g0) and the Hessian by its value
-    # at the largest entry: rows of small t gave "Solve error", and a small
-    # objective false optima
-    if p > 1:
-        sigma, rs, scale = float(g0.max()), T, max(float(c @ g0 ** p), 1e-300)
-    else:
-        sigma, rs, scale = 1.0, np.ones_like(T), 1.0
-    c = c / scale
-    cols = np.arange(n + 1, dtype=np.int32)
-    model = np.zeros(0, dtype=int)  # working-set rows in the model's row order
-    best = -np.inf  # the best dual bound D(y) of the solve
-    floor = _HESS_FLOOR if p < 2 else _GRAD_FLOOR  # the gradient's floor
+    value: object
+    grad: object
+    hess: object
+    conj: object
+    floored: object
+    c: np.ndarray | None = None
+    p: object = None
 
-    def rho(g):
+
+def _separable(c, p):
+    """rho(g) = c.g**p for p >= 1, a float or one exponent per entry;
+    entries with p == 1 are linear, so rho* is finite only on z <= c there."""
+    lin = np.asarray(p) == 1.0
+    some, every = bool(lin.any()), bool(lin.all())
+    diag = np.arange(c.size)[:, None]
+
+    def value(g):
         with np.errstate(over="ignore"):
             return float(c @ g ** p)
 
-    def add_rows(q, rows, order):
+    def conj(z):
+        s = 1.0
+        if some:
+            on = lin & (z > 0)
+            s = min(1.0, float(np.min(c[on] / z[on], initial=1.0)))
+        if every:
+            return s, 0.0
+        cc, pp, zz = (c[~lin], p[~lin], s * z[~lin]) if some else (c, p, s * z)
+        with np.errstate(over="ignore"):
+            return s, float(np.sum((pp - 1.0) * cc * (zz / (pp * cc)) ** (pp / (pp - 1.0))))
+
+    return _Modular(value, lambda g: c * p * g ** (p - 1.0),
+                    lambda g: (diag, (c * p * (p - 1.0) * g ** (p - 2.0))[:, None, None]),
+                    conj, p < 2, c, p)
+
+
+def _tl_modular(L, pv, qv, w):
+    """rho(x) = sum_i w_i ||x_i||_q_i**p_i, x_i point i's L stacked levels,
+    with per point the L x L Hessian block w p (q-1) S**(r-1) diag(x**(q-2))
+    + w p (p-q) S**(r-2) v v^T (S = sum x**q, r = p/q, v = x**(q-1); zero
+    entries get zero rows and columns, the Hessian on the positive entries)
+    and rho*(z) = sum_i (p-1) w (||z_i||_q'/(p w))**(p/(p-1)), 1/q + 1/q' = 1
+    (at p == 1: finite only on ||z_i||_q' <= w, and 0 there)."""
+    n = pv.size
+    r, lin = pv / qv, pv == 1.0
+    idx = np.arange(L)[None, :] * n + np.arange(n)[:, None]
+    k = np.arange(L)
+    with np.errstate(divide="ignore"):
+        qd = qv / (qv - 1.0)
+
+    def sums(x):
+        X = x.reshape(L, n)
+        with np.errstate(over="ignore"):
+            return X, np.sum(X ** qv, axis=0)
+
+    def value(x):
+        with np.errstate(over="ignore"):
+            return float(np.sum(w * sums(x)[1] ** r))
+
+    def grad(x):
+        X, S = sums(x)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            G = w * pv * S ** (r - 1.0) * X ** (qv - 1.0)
+        G[:, S == 0.0] = 0.0
+        return G.ravel()
+
+    def hess(x):
+        X, S = sums(x)
+        on, live = X > 0, S > 0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            V = np.where(on, X ** (qv - 1.0), 0.0).T
+            outer = np.where(live, w * pv * (pv - qv) * S ** (r - 2.0), 0.0)
+            diag = (np.where(live, w * pv * (qv - 1.0) * S ** (r - 1.0), 0.0)
+                    * np.where(on, X ** (qv - 2.0), 0.0))
+        H = outer[:, None, None] * V[:, :, None] * V[:, None, :]
+        H[:, k, k] += diag.T
+        return idx, H
+
+    def conj(z):
+        Z = z.reshape(L, n)
+        top = Z.max(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+            ratio = np.where(top > 0, Z / top, 0.0)
+            dual = np.where(qv == 1.0, top, top * np.sum(ratio ** qd, axis=0) ** (1.0 / qd))
+        on = lin & (dual > 0)
+        s = min(1.0, float(np.min(w[on] / dual[on], initial=1.0)))
+        pp, ww, dd = pv[~lin], w[~lin], s * dual[~lin]
+        with np.errstate(over="ignore"):
+            return s, float(np.sum((pp - 1.0) * ww * (dd / (pp * ww)) ** (pp / (pp - 1.0))))
+
+    return _Modular(value, grad, hess, conj, True)
+
+
+def _level_sum_hessian(X, pv, ev, w, psd=False):
+    """The n x n Hessian blocks nu (grad^2 log nu + g g^T) of the level
+    infima nu of the rows of X >= 0 (``norms._level_roots``, e = p/q), with
+    g = grad log nu = p pi / X and grad^2 log nu = diag(p (p-1) pi / X**2)
+    - (e g) g^T - g (e g)^T + (e**2 . pi) g g^T, pi the roots' term weights;
+    zero entries get zero rows and columns (the Hessian on the positive
+    entries), and zero rows zero blocks.  ``psd``: each block clipped to its
+    positive semidefinite part."""
+    nu, pi = _level_roots(X, pv, ev, w)
+    on = pi > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        G = np.where(on, pv * pi / X, 0.0)
+        D = np.where(on, pv * (pv - 1.0) * pi / X / X, 0.0)
+    eG = ev * G
+    H = ((np.sum(pi * ev ** 2, axis=1) + 1.0)[:, None, None] * G[:, :, None] * G[:, None, :]
+         - eG[:, :, None] * G[:, None, :] - G[:, :, None] * eG[:, None, :])
+    k = np.arange(X.shape[1])
+    H[:, k, k] += D
+    H *= np.where(np.isfinite(nu), nu, 0.0)[:, None, None]
+    if psd:
+        vals, vecs = np.linalg.eigh(H)
+        H = np.einsum("bik,bk,bjk->bij", vecs, np.maximum(vals, 0.0), vecs)
+    return H
+
+
+def _level_sum_modular(L, pv, qv, w):
+    """rho(x) = sum_k nu_k(x_k), the level sum of the level infima of the
+    stacked levels x_k (``_level_sum``), with one n x n Hessian block per
+    level (``_level_sum_hessian``), clipped positive semidefinite where
+    q > p somewhere (rho is convex only for q <= p); rho* has no closed form."""
+    n, ev = pv.size, pv / qv
+    idx = np.arange(L * n).reshape(L, n)
+    return _Modular(lambda x: float(_level_roots(x.reshape(L, n), pv, ev, w)[0].sum()),
+                    lambda x: _level_sum(x.reshape(L, n), pv, ev, w)[1].ravel(),
+                    lambda x: (idx, _level_sum_hessian(x.reshape(L, n), pv, ev, w,
+                                                       bool(np.any(qv > pv)))),
+                    None, True)
+
+
+def _block_dot(idx, H, x):
+    """H x for the block-diagonal matrix with blocks H[b] on the entries idx[b]."""
+    out = np.empty(x.size)
+    out[idx] = np.einsum("bij,bj->bi", H, x[idx])
+    return out
+
+
+def _lower_csc(idx, H, order):
+    """The lower triangle of the block-diagonal matrix (idx, H) as HiGHS's
+    triangular CSC arrays (start, index, value), column j holding entry
+    order[j]."""
+    col = np.argsort(order)[idx]
+    r = np.broadcast_to(col[:, :, None], H.shape)
+    c = np.broadcast_to(col[:, None, :], H.shape)
+    keep = r >= c
+    r, c, v = r[keep], c[keep], H[keep]
+    o = np.lexsort((r, c))
+    start = np.concatenate([[0], np.cumsum(np.bincount(c, minlength=order.size))])
+    return start.astype(np.int32), r[o].astype(np.int32), v[o]
+
+
+def _level(rho, g, t):
+    """One Newton step on log rho(e**t g) = 0 in t = log mu; its slope is the
+    envelope slope <grad rho(x), x> / rho(x) at x = e**t g."""
+    x = math.exp(t) * g
+    f = rho.value(x)
+    return t - math.log(f) * f / float(rho.grad(x) @ x)
+
+
+def _highs_modular(rho, I, J, A, B, T, n, g0=None):
+    """HiGHS for a convex modular rho (``_Modular``) on one model that holds
+    ``_working_set``'s rows admitted so far; each round adds only its new
+    rows.  Starts from g0, by default ``_feasible_point``.
+
+    A separable rho with one exponent p is minimized itself.  Any other rho
+    is minimized through its gauge: the least norm inf{lam : rho(g/lam) <= 1}
+    over the rows is 1/mu at the level mu where phi(mu) = min over the rows
+    of rho(mu g) is one.  mu starts at g0's gauge and takes a Newton step
+    on log phi (``_level``) after every Newton step on g; at one exponent
+    that step is exact.
+
+    At p == 1 a round is one LP run, which dual simplex restarts from the
+    last basis.  Otherwise a round takes Newton steps on rho(mu g), each one
+    run of HiGHS's QP solver on the Hessian at g floored at ``_HESS_FLOOR``
+    max g (where ``floored``; a block Hessian at the gradient's point) and
+    the gradient at g floored at a floor that drops 1e3-fold, down to
+    ``_GRAD_FLOOR``, at each stalled step.  The
+    first step of a round takes the QP point, since g can miss the new rows;
+    later steps halve towards it while rho(mu g) rises.  A step stalls when
+    it lowers rho(mu g) by at most ``_STALL`` relative or 1e-3 of the gap to
+    the best D(y).  A round stops once rho(mu g) is within ``_GAP_TOL`` of
+    the best D(y) at a settled level (a level step of at most ``_LEVEL_TOL``);
+    after ``_STEPS`` steps or a stall on the last floor it ends, a separable
+    rho with one Newton step on the KKT system of the rows g meets.
+
+    Any row duals y >= 0 on the model's rows (zero off them) are feasible
+    for the full dual, so D(y) = t.y - rho*(A^T y / mu) bounds the optimum
+    at mu from below (y scaled into rho*'s domain first).  The best D(y) at
+    the last level and rho(mu g) at the better of the repaired point and g0
+    are the solve's ``bracket``; a gap above ``EPS_OPT``, or a level not
+    settled to ``EPS_OPT``, is noted as open.  Without a closed-form rho*
+    the rounds stop only on a stall (the first drops the gradient's floor
+    straight to ``_GRAD_FLOOR``), and the solve has no bracket.
+    """
+    g0 = _feasible_point(n, I, J, A, B, T) if g0 is None else g0
+    gauge = rho.c is None or np.ndim(rho.p) > 0
+    linear = not gauge and rho.p == 1
+    # HiGHS's QP solver meets rows and judges improvements to absolute
+    # tolerances, so at p > 1 the model works in x = g / max g0 on rows
+    # divided by t, with rho normalized to one at g0 (by its value, or by
+    # the level) and the Hessian by its value at the largest entry: rows of
+    # small t gave "Solve error", and a small objective false optima
+    if linear:
+        sigma, rs, scale = 1.0, np.ones_like(T), 1.0
+    else:
+        sigma, rs = float(g0.max()), T
+        scale = 1.0 if gauge else max(rho.value(g0), 1e-300)
+    if not gauge:
+        rho = _separable(rho.c / scale, rho.p)
+    t_mu = -math.log(g0.max()) if gauge else 0.0  # log mu
+    for _ in range(_STEPS if gauge else 0):
+        t_mu, prev = _level(rho, g0, t_mu), t_mu
+        if abs(t_mu - prev) <= _GAP_TOL:
+            break
+    mu = mu0 = math.exp(t_mu)
+    cols = np.arange(n + 1, dtype=np.int32)
+    model = np.zeros(0, dtype=int)  # working-set rows in the model's row order
+    best = -np.inf  # the best dual bound D(y) at the level mu
+    floor = _HESS_FLOOR if np.any(rho.floored) else _GRAD_FLOOR  # the gradient's floor
+
+    def phi(g, level=None):  # rho at the level mu
+        return rho.value((mu if level is None else level) * g)
+
+    def add_rows(q, rows, order, cs=None):
+        # cs: each of g's columns scaled by cs, x = cs g / sigma
         col = np.argsort(order)  # q's column of each of g's
+        coef = sigma * np.column_stack([A[rows], B[rows]]) / rs[rows, None]
+        if cs is not None:
+            coef = coef / np.column_stack([cs[I[rows]], cs[J[rows]]])
         q.addRows(rows.size, T[rows] / rs[rows], np.full(rows.size, _highs.kHighsInf),
                   2 * rows.size, np.arange(0, 2 * rows.size, 2, dtype=np.int32),
                   np.column_stack([col[I[rows]], col[J[rows]]]).astype(np.int32).ravel(),
-                  (sigma * np.column_stack([A[rows], B[rows]]) / rs[rows, None]).ravel())
+                  coef.ravel())
         return q
 
-    def build(order):
+    def build(order, cs=None):
         q = _highs._Highs()
         q.setOptionValue("output_flag", False)
         # at HiGHS's default 1e-7 a solve may stop up to 1e-7 short of a row,
         # which _repair turns into a uniform scale-up of g; 1e-10 is the floor
         q.setOptionValue("primal_feasibility_tolerance", 1e-10)
-        q.addCols(n, c[order], np.zeros(n), np.full(n, _highs.kHighsInf), 0,
+        cost = np.zeros(n) if rho.c is None else rho.c
+        q.addCols(n, cost[order], np.zeros(n), np.full(n, _highs.kHighsInf), 0,
                   np.zeros(n, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0))
-        return add_rows(q, model, order)
+        return add_rows(q, model, order, cs)
 
     def bound(y):
-        # D(y) for duals y >= 0 on the model's rows, kept if the best so far
+        # D(y) at mu for duals y >= 0 on the model's rows, kept if the best so far
         nonlocal best
-        z = _rows_transposed(I[model], J[model], A[model], B[model], y, n)
-        if p == 1:  # rho* is 0 on z <= c
-            y = y * min(1.0, float(np.min(c[z > 0] / z[z > 0], initial=1.0)))
-            conj = 0.0
-        else:
-            with np.errstate(over="ignore"):
-                conj = float(np.sum((p - 1.0) * c * (z / (p * c)) ** (p / (p - 1.0))))
-        best = max(best, float(T[model] @ y) - conj)
+        if rho.conj is not None:
+            z = _rows_transposed(I[model], J[model], A[model], B[model], y, n)
+            s, conj = rho.conj(z / mu)
+            best = max(best, float(T[model] @ (y * s)) - conj)
 
     def polish(g):
         # the QP solver judges optimality to an absolute tolerance, which can
         # leave small entries off their optimum and their rows' duals short:
-        # one Newton step of rho on the KKT system of the rows g meets, with
-        # entries no such row touches at 0, and D(y) for its multipliers
+        # one Newton step of a separable rho on the KKT system of the rows g
+        # meets, with entries no such row touches at 0, and D(y) for its
+        # multipliers
+        if rho.c is None:
+            return g
         on = A[model] * g[I[model]] + B[model] * g[J[model]] <= T[model] * (1.0 + 1e-9)
         rows = model[on]
         pos = np.intersect1d(np.flatnonzero(g > 0), np.concatenate([I[rows], J[rows]]))
         if pos.size == 0:
             return g
+        p = rho.p if np.ndim(rho.p) == 0 else rho.p[pos]
         M = _constraint_dense(I[rows], J[rows], A[rows], B[rows], T[rows], n)[:, pos]
-        h = c[pos] * p * (p - 1.0) * g[pos] ** (p - 2.0)
-        grad = c[pos] * p * g[pos] ** (p - 1.0)
+        h = mu ** 2 * (rho.c[pos] * p * (p - 1.0) * (mu * g[pos]) ** (p - 2.0))
+        if not np.all(h > 0):  # a linear entry: no Newton step
+            return g
+        grad = mu * (rho.c[pos] * p * (mu * g[pos]) ** (p - 1.0))
         y = np.linalg.lstsq((M / h) @ M.T, T[rows] - M @ g[pos] + (M / h) @ grad,
                             rcond=None)[0]
         duals = np.zeros(model.size)
@@ -414,114 +621,133 @@ def _highs_modular(c, p, I, J, A, B, T, n):
         step = np.zeros(n)
         step[pos] = g[pos] + (M.T @ y - grad) / h
         feasible = np.all(A[model] * step[I[model]] + B[model] * step[J[model]] >= T[model])
-        return step if step.min() >= 0.0 and feasible and rho(step) < rho(g) else g
+        return step if step.min() >= 0.0 and feasible and phi(step) < phi(g) else g
 
-    def run(q, order, g=None, clip=0.0, linear=False):
-        # q's point, at p > 1 on the Newton model at g with its Hessian clipped
-        # below at ``clip`` times the largest entry's (``linear``: on rho's
-        # gradient at g alone), and D(y) for its duals; q's columns hold g's
-        # in ``order``
-        weight = 1.0
-        if p > 1:
+    def run(q, order, g=None, clip=0.0, lp_step=False):
+        # q's point, off the LP on the Newton model of rho(mu g) at g with its
+        # Hessian's diagonal clipped below at ``clip`` times the largest
+        # entry's (``lp_step``: on the gradient at g alone; q None: on a fresh
+        # model with each column scaled to the same clipped curvature), and
+        # D(y) for its duals; q's columns hold g's in ``order``
+        weight, cs = 1.0, None
+        if not linear:
             gl = np.maximum(g, floor * g.max())
-            h = c * p * (p - 1.0) * np.maximum(g, (p < 2) * _HESS_FLOOR * g.max()) ** (p - 2.0)
-            href = h[np.argmax(g)]
-            h = np.maximum(h, clip * href)
-            weight = _QP_CURVATURE / (sigma ** 2 * href)
-            lin = c * p * gl ** (p - 1.0) - (not linear) * h * gl
-            if linear:
-                weight = 1.0 / float(np.max(sigma * lin))
-            q.changeColsCost(n, cols[:-1], weight * sigma * lin[order])
-            if not linear:
-                q.passHessian(n, n, _highs.HessianFormat.kTriangular, cols, cols[:-1],
-                              weight * sigma ** 2 * h[order])
+            # a separable rho's Hessian is floored on its own; blocks couple
+            # their entries, so they take the gradient's point, floored at
+            # _HESS_FLOOR**2 to bound the spread of x**(q-2) near q = 1
+            gh = (np.maximum(g, rho.floored * _HESS_FLOOR * g.max()) if rho.c is not None
+                  else np.maximum(g, max(floor, _HESS_FLOOR ** 2) * g.max()))
+            idx, H = rho.hess(mu * gh)
+            H, k = mu ** 2 * H, np.arange(H.shape[1])
+            diag = np.empty(n)
+            diag[idx] = H[:, k, k]
+            # a gauge's rho can be flat at the largest entry (||x||_q at p = 1
+            # along x, or p near 1 there): its reference is at least 1e-6 of
+            # its largest curvature, as HiGHS aborted on scaled values of 1e15
+            href = diag[np.argmax(g)]
+            if gauge:
+                href = max(href, 1e-6 * diag.max())
+            if not href > 0:  # a linear entry
+                href = diag.max()
+            lp_step = lp_step or not href > 0  # rho is linear
+            H[:, k, k] = np.maximum(H[:, k, k], clip * href)
+            if q is None:
+                cs = None if lp_step else np.sqrt(np.maximum(diag, clip * href) / href)
+                q = build(order, cs)
+            lin = mu * rho.grad(mu * gl) - (not lp_step) * _block_dot(idx, H, gl)
+            weight = (1.0 / float(np.max(sigma * lin)) if lp_step
+                      else _QP_CURVATURE / (sigma ** 2 * href))
+            cost = weight * sigma * lin[order]
+            q.changeColsCost(n, cols[:-1], cost if cs is None else cost / cs[order])
+            if not lp_step:
+                start, index, value = _lower_csc(idx, H, order)
+                value = weight * sigma ** 2 * value
+                if cs is not None:
+                    csq = cs[order]
+                    value = value / (csq[index] * np.repeat(csq, np.diff(start)))
+                q.passHessian(n, value.size, _highs.HessianFormat.kTriangular, start, index,
+                              value)
             # the QP solver can cycle without end on a degenerate model: a
             # limit of _QP_ITERATIONS per column and row makes that a failure
             q.setOptionValue("qp_iteration_limit", _QP_ITERATIONS * (n + model.size))
         q.run()
-        status = q.getModelStatus()
-        optimal = status == _highs.HighsModelStatus.kOptimal
-        _note(nit=1, highs=None if optimal else q.modelStatusToString(status))
-        if not optimal:
-            if p == 1:
-                raise RuntimeError(f"LP solve failed: {q.modelStatusToString(status)}")
-            return None
+        status = q.modelStatusToString(q.getModelStatus())
         sol = q.getSolution()
-        bound(np.maximum(np.asarray(sol.row_dual), 0.0) / (weight * rs[model]))
+        col, dual = np.asarray(sol.col_value), np.asarray(sol.row_dual)
+        # HiGHS's QP solver has claimed optimality at a point with NaN entries
+        if status == "Optimal" and not (np.isfinite(col).all() and np.isfinite(dual).all()):
+            status = "Non-finite optimum"
+        optimal = status == "Optimal"
+        _note(nit=1, highs=None if optimal else status)
+        if not optimal:
+            if linear:
+                raise RuntimeError(f"LP solve failed: {status}")
+            return None
+        bound(np.maximum(dual, 0.0) / (weight * rs[model]))
         x = np.empty(n)
-        x[order] = sigma * np.maximum(np.asarray(sol.col_value), 0.0)
-        return x
+        x[order] = sigma * np.maximum(col, 0.0)
+        return x if cs is None else x / cs
 
     qp, ident = build(np.arange(n)), np.arange(n)
+    reruns = (ident[::-1], np.roll(ident, 1))
 
     def solve_round(work, g):
-        nonlocal model, floor
+        nonlocal model, floor, mu, t_mu, best
         new = np.setdiff1d(work, model)
         add_rows(qp, new, ident)
         model = np.concatenate([model, new])
-        if p == 1:
+        if linear:
             return run(qp, ident)
         first = True  # the first step takes the QP point: g can miss the new rows
         for _ in range(_STEPS):
             # HiGHS's QP solver fails on some models in one column order and
             # solves them in another: a QP that is not optimal is noted and
             # rerun on fresh models, the columns reversed and then rotated, the
-            # Hessian clipped; failing every time, the step goes to the LP
-            # point of rho's gradient at g, which meets the model's rows
+            # Hessian clipped, and for a gauge once more with every column
+            # scaled to the same curvature (HiGHS solved TL and Besov models
+            # that failed in every order so); failing every time, the step
+            # goes to the LP point of the gradient at g, which meets the rows
             x = run(qp, ident, g)
-            for order in (ident[::-1], np.roll(ident, 1)):
+            for order in reruns:
                 if x is None:
                     x = run(build(order), order, g, 1e-3)
+            if x is None and gauge:
+                x = run(None, ident, g, 1e-3)
             if x is None:
-                x = run(build(ident), ident, g, linear=True)
-            stalled = x is None
+                x = run(build(ident), ident, g, lp_step=True)
+            stalled, step = x is None, 0.0
             if not stalled:  # later steps halve towards the QP point while rho rises
-                f, d = rho(g), x - g
+                f, d = phi(g), x - g
                 t = 1.0 if first else next(
-                    (t for t in 0.5 ** np.arange(_HALVINGS) if rho(g + t * d) <= f), 0.0)
-                stalled = not first and f - rho(g + t * d) <= max(_STALL * f, 1e-3 * (f - best))
+                    (t for t in 0.5 ** np.arange(_HALVINGS) if phi(g + t * d) <= f), 0.0)
+                least = _STALL * f if rho.conj is None else max(_STALL * f, 1e-3 * (f - best))
+                stalled = not first and f - phi(g + t * d) <= least
                 g, first = g + t * d, False
-                f = rho(g)
-                if f - best <= _GAP_TOL * f:
+                f = phi(g)
+                step = _level(rho, g, t_mu) - t_mu if gauge else 0.0
+                if f - best <= _GAP_TOL * f and abs(step) <= _LEVEL_TOL:
                     return g
             if stalled:
                 if floor <= _GRAD_FLOOR:
                     return polish(g)
-                floor = max(floor * 1e-3, _GRAD_FLOOR)
+                floor = max(floor * 1e-3, _GRAD_FLOOR) if rho.conj is not None else _GRAD_FLOOR
+            if step:  # a new level: D(y) at the old one bounds nothing
+                t_mu += step
+                mu, best = math.exp(t_mu), -np.inf
         return polish(g)
 
-    with _stdout_to_devnull() if p > 1 else contextlib.nullcontext():
+    with _stdout_to_devnull() if not linear else contextlib.nullcontext():
         g = _working_set(I, J, A, B, T, g0, solve_round, lambda g: g)
     g = _repair(g, I, J, A, B, T)
-    g = g0 if rho(g0) < rho(g) else g
-    upper = rho(g)
-    _note("lp" if p == 1 else "qp", bracket=[best * scale, upper * scale],
-          opened=upper - best > EPS_OPT * upper)
+    g = g0 if phi(g0, mu0) < phi(g, mu0) else g
+    path = "qp_gauge" if gauge else "lp" if linear else "qp"
+    if rho.conj is None:
+        _note(path)
+        return g
+    upper = phi(g)
+    _note(path, bracket=[best * scale, upper * scale],
+          opened=upper - best > EPS_OPT * upper or (gauge and abs(math.log(upper)) > EPS_OPT))
     return g
-
-
-def _solve_gauge(I, J, A, B, T, N, rho, rho_jac, x0, hi):
-    """Smallest gauge inf{lam : rho(g/lam) <= 1} over the rows, rho convex.
-
-    With h = g/lam and mu = 1/lam this is one convex program, max{mu :
-    A h >= mu t, rho(h) <= 1, h >= 0}, solved by SLSQP on ``_working_set``'s
-    rows from the feasible warm start x0 at its gauge hi, (x0/hi, 1/hi), with
-    objective -mu hi.  Returns h/mu repaired, or x0 if that is not smaller.
-    """
-    def solve_round(work, z):
-        M = _constraint_dense(I[work], J[work], A[work], B[work], T[work], N)
-        ball = {"type": "ineq", "fun": lambda z: 1.0 - rho(z[:N]),
-                "jac": lambda z: np.append(-rho_jac(z[:N]), 0.0)}
-        x = _slsqp(lambda z: -z[N] * hi, lambda z: np.append(np.zeros(N), -hi), z,
-                   [_ineq(np.hstack([M, -T[work, None]]), 0.0), ball], 400).x
-        # a failed round keeps its start: the rows it added stay in the set
-        return np.maximum(x, 0.0) if x[N] > 0 and np.isfinite(x).all() else z
-
-    _note("gauge")
-    g = _working_set(I, J, A, B, T, np.append(x0 / hi, 1.0 / hi), solve_round,
-                     lambda z: z[:N] / z[N])
-    g = _repair(g, I, J, A, B, T)
-    return g if rho(g / hi) <= 1.0 else x0
 
 
 _MM_STARTS, _MM_FINAL, _MM_TOL = (1e-1, 1e-2), 1e-5, 1e-6
@@ -571,9 +797,9 @@ def _rows(system, rows=None):
 
 def _min_norm_scalar(system, pv, w, tol):
     """Minimize the Lebesgue quasi-norm of g over a scalar system: one
-    HiGHS model for constant p >= 1 (the norm is a monotone function of the
-    modular), one gauge solve for variable p >= 1, and majorize-minimize
-    over these for min p < 1."""
+    HiGHS model on the modular w.g**p for min p >= 1 (constant p minimized
+    itself, variable p through its gauge), and majorize-minimize over these
+    for min p < 1."""
     n = system.n
     if system.m == 0:
         return np.zeros(n), NormValue(0.0, 0.0)
@@ -583,30 +809,23 @@ def _min_norm_scalar(system, pv, w, tol):
             _feasible_point(n, *rows), lambda g: luxemburg(g, pv, w, 1e-10).value, w, pv,
             lambda a: a,
             lambda a, wt: _min_norm_scalar(system, np.maximum(pv, 1.0), wt, tol)[0])
-    elif np.ptp(pv) == 0:
-        g = _highs_modular(w, float(pv[0]), *rows, n)
     else:
-        g0 = _feasible_point(n, *rows)
-
-        def modular(h):  # norms.modular on the validated exponents
-            with np.errstate(over="ignore"):
-                return float(np.sum(w * np.abs(h) ** pv))
-
-        g = _solve_gauge(*rows, n, modular,
-                         lambda h: w * pv * np.maximum(h, 1e-300) ** (pv - 1.0), g0,
-                         luxemburg(g0, pv, w).value)
+        g = _highs_modular(_separable(w, float(pv[0]) if np.ptp(pv) == 0 else pv), *rows, n)
     return g, luxemburg(g, pv, w, min(tol, 1e-10))
 
 
 @dataclass(frozen=True)
 class GradientSolution:
     """``info`` (not in ``to_json``) has the size and the solve's provenance
-    (``_provenance``): ``path``, ``slsqp_status``, ``highs_status``,
-    ``rounds``, ``rows``, ``nit``, ``open`` and, when the solve was one
-    constant-exponent HiGHS solve (the scalar norm, and on the TL scale
-    q == p and the q == inf envelope), the ``bracket`` [lower, upper] on its
-    minimal modular sum w g**p.  A constant-q Besov norm takes one solve per
-    level, so it reports none over several levels."""
+    (``_provenance``): ``path``, ``slsqp_status`` (of the variable-q Besov
+    bisection only), ``highs_status``, ``rounds``, ``rows``, ``nit``,
+    ``open`` and, when the solve was one ``_highs_modular`` solve with a
+    dual bound, the ``bracket`` [lower, upper]: at a constant exponent (the
+    scalar norm, and on the TL scale q == p and the q == inf envelope) on
+    the minimal modular sum w g**p, and for a gauge (path ``qp_gauge``:
+    variable p, the TL joint problem) on min rho(mu g) at its last level
+    mu.  There is none for the Besov level sum, which has no bound, nor for
+    a constant-q Besov norm over several levels (one solve per level)."""
 
     g: object  # ndarray (scalar) or SequenceSample (vector)
     objective: NormValue
@@ -777,18 +996,13 @@ def _solve_besov_general(system, pv, qv, w, tol, lev_range):
 
 
 def _besov_gauge(system, pv, qv, w, tol, lev_range):
-    """The Besov norm as the gauge of the level sum rho(x) = sum_k nu_k(x_k)
-    of the level infima over the stacked levels x_k (``norms._level_roots``
-    on the whole (L x n) array), with gradient nu_k p pi_k / x_k: one
-    ``_solve_gauge`` from the feasible point scaled by its mixed norm, and
-    restarts from its result only where q > p somewhere."""
+    """The Besov norm as the gauge of the level sum of the level infima over
+    the stacked levels (``_level_sum_modular``): one ``_highs_modular``
+    solve from the feasible point, and restarts from its result only where
+    q > p somewhere."""
     ks, stacked = _stack(system)
-    L, n, ev = ks.size, system.n, pv / qv
-
-    @functools.lru_cache(maxsize=1)
-    def level_sum(x_bytes):
-        # SLSQP asks for the ball and then its jac at the same iterate: solve once
-        return _level_sum(np.abs(np.frombuffer(x_bytes).reshape(L, n)), pv, ev, w)
+    L, n = ks.size, system.n
+    rho = _level_sum_modular(L, pv, qv, w)
 
     def norm(x):
         return mixed_norm_lq_lp(SequenceSample(0, x.reshape(L, n)), pv, qv, w, tol).value
@@ -797,11 +1011,10 @@ def _besov_gauge(system, pv, qv, w, tol, lev_range):
     x = _feasible_point(L * n, *rows)
     lam = norm(x)
     while True:
-        x = _solve_gauge(*rows, L * n, lambda x: level_sum(x.tobytes())[0],
-                         lambda x: level_sum(x.tobytes())[1].ravel(), x, lam)
+        x = _highs_modular(rho, *rows, L * n, x)
         prev, lam = lam, norm(x)
-        # q > p somewhere: the level sum is not convex and SLSQP can stop
-        # short of a local minimum, so restart from its point while that helps
+        # q > p somewhere: the level sum is not convex and its Newton steps
+        # can stop short of a local minimum, so restart while that helps
         if not (np.any(qv > pv) and lam < prev * (1.0 - _MM_TOL)):
             break
     return _assemble_sequence(lev_range, dict(zip(ks.tolist(), x.reshape(L, n))), n)
@@ -883,17 +1096,16 @@ def _solve_tl(system, pv, qv, w, tol, lev_range):
 def _min_tl(stacked, L, pv, qv, w, tol):
     """Minimizer over the level-stacked rows of the pointwise-sequence norm,
     the gauge of sum_i w_i ||x_i||_q_i**p_i with x_i point i's L levels: one
-    gauge solve when the modular is convex (min p >= 1 and min q >= 1), the
-    scalar problem when moreover q == p, else majorize-minimize over these."""
+    ``_highs_modular`` solve of that modular when it is convex (min p >= 1
+    and min q >= 1), the scalar problem when moreover q == p, else
+    majorize-minimize over these."""
     n = pv.size
     rows = _rows(stacked)
-    x0 = _feasible_point(L * n, *rows)
-
-    def norm(x):
-        return mixed_norm_lp_lq(SequenceSample(0, x.reshape(L, n)), pv, qv, w, 1e-10).value
-
     if min(pv.min(), qv.min()) < 1.0:
         lin = qv < 1.0
+
+        def norm(x):
+            return mixed_norm_lp_lq(SequenceSample(0, x.reshape(L, n)), pv, qv, w, 1e-10).value
 
         def inner(a):
             with np.errstate(over="ignore"):
@@ -908,26 +1120,10 @@ def _min_tl(stacked, L, pv, qv, w, tol):
             y = _min_tl(sub, L, np.maximum(pv, 1.0), np.where(lin, 1.0, qv), wt, tol)
             return _repair(y / gamma, *rows)
 
-        return _majorize_minimize(x0, norm, w, pv, inner, solve)
+        return _majorize_minimize(_feasible_point(L * n, *rows), norm, w, pv, inner, solve)
     if np.array_equal(pv, qv):
         return _min_norm_scalar(stacked, np.tile(pv, L), np.tile(w, L), tol)[0]
-
-    def modular(x):
-        X = np.abs(x.reshape(L, n))
-        with np.errstate(over="ignore"):
-            S = np.sum(X ** qv[None, :], axis=0)
-        return float(np.sum(w * S ** (pv / qv)))
-
-    def modular_grad(x):
-        X = np.maximum(x.reshape(L, n), 0.0)
-        with np.errstate(over="ignore"):
-            S = np.sum(X ** qv[None, :], axis=0)
-        outer = w * pv * np.maximum(S, 1e-300) ** (pv / qv - 1.0)
-        grad = outer[None, :] * np.maximum(X, 1e-300) ** (qv[None, :] - 1.0)
-        grad[:, S == 0.0] = 0.0
-        return grad.ravel()
-
-    return _solve_gauge(*rows, L * n, modular, modular_grad, x0, max(norm(x0), 1e-12))
+    return _highs_modular(_tl_modular(L, pv, qv, w), *rows, L * n)
 
 
 # -- independent oracle ------------------------------------------------------

@@ -21,8 +21,8 @@ from varmms.generators import (annular_cutoff, cantor_space, grid1d, grid2d, lin
                                log_bump, two_zone_glued)
 from varmms.gradients import (_CERT_TOL, _ROWS_PER_POINT, GradientConstraintSystem,
                               _besov_bisection, _cutoff_sequence, _feasible_point, _highs,
-                              _level_sum, _level_weight, _sequence_violation,
-                              _top_rows_per_point)
+                              _level_sum, _level_sum_hessian, _level_weight,
+                              _sequence_violation, _tl_modular, _top_rows_per_point)
 from varmms.norms import SequenceSample, mixed_norm_lp_lq, mixed_norm_lq_lp
 
 
@@ -520,18 +520,32 @@ def test_near_one_bracket_closes_on_grid20(p):
 
 
 def test_constant_p_is_independent_of_blas_threads():
-    # one solve in two interpreters, under one and two OpenBLAS threads
-    code = ("from varmms import minimal_scalar_gradient\n"
+    # four solves in two interpreters, under one and two OpenBLAS threads,
+    # give the same values and gradients bit for bit: constant p, and the
+    # gauges of variable p, TL and variable-q Besov on a ball of grid2d(12)
+    # (the ``local_gradients`` benchmark's spaces)
+    code = ("import hashlib\n"
+            "import numpy as np\n"
+            "from varmms import ball, minimal_scalar_gradient, minimal_vector_gradient\n"
             "from varmms.generators import grid2d, log_bump\n"
             "sp = grid2d(10)\n"
-            "sol = minimal_scalar_gradient(sp, log_bump(sp, 55, 0.3), 0.5, 2.0)\n"
-            "print(sol.objective.value.hex(), sol.info['path'])\n")
+            "sols = [minimal_scalar_gradient(sp, log_bump(sp, 55, 0.3), 0.5, 2.0)]\n"
+            "sp = grid2d(12)\n"
+            "u, sub = log_bump(sp, 66, 0.3), ball(sp, 66, 0.2).members\n"
+            "p, q = 1.4 + 0.2 * sp.coords[:, 0], 1.2 + 0.2 * sp.coords[:, 0]\n"
+            "sols.append(minimal_scalar_gradient(sp, u, 0.5, p, subset=sub))\n"
+            "for scale in ('lp_lq', 'lq_lp'):\n"
+            "    sols.append(minimal_vector_gradient(sp, u, 0.5, p, q, scale=scale, subset=sub))\n"
+            "for sol in sols:\n"
+            "    g = getattr(sol.g, 'values', sol.g)\n"
+            "    print(sol.objective.value.hex(), sol.info['path'],\n"
+            "          hashlib.sha256(np.ascontiguousarray(g).tobytes()).hexdigest())\n")
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = [subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": k}).stdout
            for k in ("1", "2")]
-    assert out[0].split()[1] == "qp"
+    assert [line.split()[1] for line in out[0].splitlines()] == ["qp"] + ["qp_gauge"] * 3
     assert out[0] == out[1]
 
 
@@ -585,6 +599,42 @@ def test_qp_step_failing_in_every_order_takes_the_lp_step():
     assert sol.objective.value == pytest.approx(0.7703751409517477, rel=1e-9)
 
 
+def test_gauge_qp_failing_in_every_order_takes_the_scaled_rerun():
+    # HiGHS's QP solver fails the TL steps of this 11-point cloud in all
+    # three column orders ("Solve error"); the rerun with every column
+    # scaled to the same curvature solves them, and the bracket closes on
+    # the value the removed SLSQP gauge solver gave, 7.651205335986466
+    rng, sp, u = _cloud(18)
+    p = rng.uniform(1.1, 2.5, sp.n)
+    rng.uniform(1.0, 3.0, sp.n)
+    sol = minimal_vector_gradient(sp, u, 0.5, p, rng.uniform(1.0, p), scale="lp_lq")
+    lower, upper = sol.info["bracket"]
+    assert sol.info["path"] == "qp_gauge" and "Solve error" in sol.info["highs_status"]
+    assert not sol.heuristic and upper - lower <= 1e-9 * upper
+    assert sol.objective.value == pytest.approx(7.651205335986466, rel=1e-9)
+
+
+class _NonFiniteHighs(_highs._Highs):
+    """A HiGHS model whose every run claims optimality at a NaN point."""
+
+    def getSolution(self):
+        sol = super().getSolution()
+        sol.col_value = [np.nan] * len(sol.col_value)
+        return sol
+
+
+def test_non_finite_qp_optimum_is_a_failed_run(monkeypatch):
+    # HiGHS's QP solver has returned "Optimal" at a point with NaN entries:
+    # such a run is recorded as failed, and a gauge whose every run ends so
+    # keeps its feasible start, its open bracket flagging it heuristic
+    monkeypatch.setattr(_highs, "_Highs", _NonFiniteHighs)
+    sp = grid2d(5)
+    sol = minimal_scalar_gradient(sp, log_bump(sp, 12, 0.3), 0.5, 1.2 + 0.5 * sp.coords[:, 0])
+    assert sol.info["path"] == "qp_gauge"
+    assert sol.info["highs_status"] == ["Non-finite optimum"] * sol.info["nit"]
+    assert sol.heuristic and sol.info["open"] == 1 and sol.certificate == 0.0
+
+
 def test_heuristic_flag_for_subunit_exponent():
     sp = two_points()
     sol = minimal_scalar_gradient(sp, [0.0, 1.0], 1.0, 0.5)
@@ -636,6 +686,77 @@ def test_level_sum_gradient_matches_finite_differences():
         assert grad[k, i] == pytest.approx(fd, rel=1e-5)
 
 
+def _fd_hessian(grad, X, k, j):
+    """Central difference of grad (a function of the (L, n) array X) in X[k, j]."""
+    step = np.zeros_like(X)
+    step[k, j] = 1e-5 * X[k, j]
+    return (grad(X + step) - grad(X - step)) / (2.0 * step[k, j])
+
+
+@pytest.mark.parametrize("q_above_p", [False, True])
+def test_level_sum_hessian_matches_finite_differences(q_above_p):
+    # the Besov level sum's Hessian, one n x n block per level, against
+    # central differences of its gradient; a zero row gives a zero block and
+    # a zero entry zero rows and columns
+    rng = np.random.default_rng(29)
+    L, n = 3, 5
+    X = rng.uniform(0.2, 1.0, (L, n))
+    X[1] = 0.0
+    X[2, 3] = 0.0
+    w = rng.uniform(0.05, 0.3, n)
+    p = rng.uniform(1.1, 2.5, n)
+    q = rng.uniform(1.0, 3.0, n) if q_above_p else rng.uniform(1.0, p)
+    if q_above_p:
+        q[0] = p[0] + 0.5
+    e = p / q
+    H = _level_sum_hessian(X, p, e, w)
+    assert np.isfinite(H).all()
+    assert not H[1].any() and not H[2, 3].any() and not H[2, :, 3].any()
+
+    def grad(Y):
+        return _level_sum(Y, p, e, w)[1]
+
+    for k, j in zip(*np.nonzero(X)):
+        fd = _fd_hessian(grad, X, k, j)[k]
+        np.testing.assert_allclose(H[k, :, j], fd, rtol=1e-5, atol=1e-9 * np.abs(fd).max())
+    # positive semidefinite for q <= p, where the level sum is convex; the
+    # clipped blocks always, and equal to the Hessian there
+    scale = np.abs(H).max()
+    clipped = _level_sum_hessian(X, p, e, w, psd=True)
+    assert np.linalg.eigvalsh(clipped).min() >= -1e-12 * scale
+    if not q_above_p:
+        assert np.linalg.eigvalsh(H).min() >= -1e-12 * scale
+        np.testing.assert_allclose(clipped, H, rtol=0, atol=1e-12 * scale)
+
+
+def test_tl_hessian_matches_finite_differences():
+    # the TL modular's Hessian, one L x L block per point, against central
+    # differences of its gradient: q below, above and equal to p, q = 1, a
+    # zero point (a zero block) and a zero entry (zero row and column);
+    # every block is positive semidefinite
+    rng = np.random.default_rng(31)
+    L, n = 4, 6
+    X = rng.uniform(0.2, 1.0, (L, n))
+    X[:, 1] = 0.0
+    X[2, 4] = 0.0
+    w = rng.uniform(0.05, 0.3, n)
+    p = rng.uniform(1.1, 2.5, n)
+    q = np.array([1.0, 1.5, 3.0, p[3], 0.5 * (1.0 + p[4]), p[5] + 0.7])
+    rho = _tl_modular(L, p, q, w)
+    idx, H = rho.hess(X.ravel())
+    assert np.isfinite(H).all()
+    assert not H[1].any() and not H[4, 2].any() and not H[4, :, 2].any()
+
+    def grad(Y):
+        return rho.grad(Y.ravel()).reshape(L, n)
+
+    for k, j in zip(*np.nonzero(X)):
+        fd = _fd_hessian(grad, X, k, j)[:, j]
+        np.testing.assert_allclose(H[j, :, k], fd, rtol=1e-5, atol=1e-9 * np.abs(fd).max())
+    np.testing.assert_array_equal(idx, np.arange(L)[None, :] * n + np.arange(n)[:, None])
+    assert np.linalg.eigvalsh(H).min() >= -1e-12 * np.abs(H).max()
+
+
 def _besov_cases(q_above_p):
     """Six 1-D clouds with p ~ U(1.1, 2.5) and q ~ U(1, p), or U(1, 3) with
     q > p at the first point; with q > p also one 2-D cloud on which a
@@ -661,7 +782,7 @@ def test_besov_gauge_matches_bisection(q_above_p):
     # level-stacked rows against the norm-level bisection it replaced
     for sp, u, p, q in _besov_cases(q_above_p):
         sol = minimal_vector_gradient(sp, u, 0.5, p, q, scale="lq_lp")
-        assert sol.info["path"] == "gauge" and sol.heuristic == q_above_p
+        assert sol.info["path"] == "qp_gauge" and sol.heuristic == q_above_p
         system = GradientConstraintSystem.vector(sp, u, 0.5)
         seq = _besov_bisection(system, p, q, sp.weight, 1e-6, active_levels(sp))
         bisection = mixed_norm_lq_lp(seq, p, q, sp.weight, 1e-10).value
@@ -740,7 +861,9 @@ def test_gauge_matches_bisection_reference(kind, amp):
         q = p if kind == "q=p" else np.full(n, 1.3)
         sol = minimal_vector_gradient(sp, u, s, p, q, scale="lq_lp" if kind == "q=p" else "lp_lq")
         system = GradientConstraintSystem.vector(sp, u, s)
-    assert sol.info["path"] == "gauge"
+    assert sol.info["path"] == "qp_gauge"
+    lower, upper = sol.info["bracket"]
+    assert lower <= upper and upper - lower <= 1e-9 * upper and not sol.heuristic
     reference = _bisection_reference(system, p, q, sp.weight)
     value = sol.objective.value
     assert value == pytest.approx(reference, rel=1e-6)
@@ -770,7 +893,7 @@ def _nonconvex_scalar_case(seed):
 def test_solution_info_names_solver_path():
     sp, u = THREE_POINTS
     cases = [(1.0, "lp"), (2.0, "qp"), (0.5, "mm"),
-             ([1.2, 1.8, 1.5], "gauge"), ([0.7, 1.8, 1.5], "mm")]
+             ([1.2, 1.8, 1.5], "qp_gauge"), ([0.7, 1.8, 1.5], "mm")]
     for p, path in cases:
         info = minimal_scalar_gradient(sp, u, 0.5, p).info
         assert info["path"] == path, (p, info)
@@ -780,8 +903,12 @@ def test_solution_info_names_solver_path():
         assert info["highs_status"] == sorted(info["highs_status"])
         assert "Optimal" not in info["highs_status"]
         assert info["open"] == 0
-        # an mm solve's inner HiGHS solves bracket their majorants, not the norm
-        assert ("bracket" in info) == (path in ("lp", "qp"))
+        # an mm solve's inner HiGHS solves bracket their majorants, not the
+        # norm; a gauge's bracket is on its modular at the last level
+        assert ("bracket" in info) == (path in ("lp", "qp", "qp_gauge"))
+        if "bracket" in info:
+            lower, upper = info["bracket"]
+            assert lower <= upper * (1.0 + 1e-13) and upper - lower <= 1e-9 * upper
         assert info["rounds"] > 0 and info["rows"] > 0
         # nit counts SLSQP iterations and HiGHS runs, one LP run per round
         assert info["nit"] > 0
@@ -790,7 +917,11 @@ def test_solution_info_names_solver_path():
     p = [1.2, 1.8, 1.5]
     tl = minimal_vector_gradient(sp, u, 0.5, p, 1.3, scale="lp_lq").info
     besov = minimal_vector_gradient(sp, u, 0.5, p, [1.1, 1.3, 1.2], scale="lq_lp").info
-    assert (tl["path"], besov["path"]) == ("gauge", "gauge")
+    assert (tl["path"], besov["path"]) == ("qp_gauge", "qp_gauge")
+    # the TL modular has a closed-form conjugate, the Besov level sum none
+    lower, upper = tl["bracket"]
+    assert lower <= upper and upper - lower <= 1e-9 * upper and tl["open"] == 0
+    assert "bracket" not in besov and besov["open"] == 0
     # the norm-level bisection serves min q < 1 and partly infinite q
     for q in ([0.8, 1.3, 1.2], [np.inf, 1.3, 1.2]):
         info = minimal_vector_gradient(sp, u, 0.5, p, q, scale="lq_lp").info
