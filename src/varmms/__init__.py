@@ -17,7 +17,7 @@ from .norms import (NormValue, SequenceSample, holder_inequality_check, holder_s
                     monotonicity_check, pointwise_lq, rel_sandwich_check)
 from .regularity import (RegularityProfile, best_lower_constant, best_upper_constant,
                          estimate_Q, rescale_threshold)
-from .space import (Ball, MetricMeasureSpace, SpaceValidationError, ball,
+from .space import (Ball, MetricMeasureSpace, SpaceValidationError, ball, ball_masses,
                     critical_radii, estimate_doubling, overlap_bound_check,
                     perfectness_resolution, phi, phi_iterates, product_cover_check,
                     separated_net, uniform_perfectness)

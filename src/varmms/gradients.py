@@ -918,8 +918,11 @@ def minimal_vector_gradient(space, u, s, p, q, scale: str = "lq_lp", tol: float 
 
 
 def _sequence_violation(system, seq: SequenceSample) -> float:
-    return max((system.violation(seq.level(int(k)), system.rows_for_level(int(k)))
-                for k in np.unique(system.level)), default=0.0)
+    """The largest violation of each row by its level of ``seq``, in one gather."""
+    vals = np.pad(seq.values, ((1, 1), (0, 0)))  # levels outside the sample read zero
+    r = np.clip(system.level - seq.k_min + 1, 0, vals.shape[0] - 1)
+    lhs = system.coef_i * vals[r, system.I] + system.coef_j * vals[r, system.J]
+    return float(np.max(system.target - lhs, initial=0.0))
 
 
 def _solve_besov(system, pv, qv, w, tol, lev_range):

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exponents import exponent_values
-from .space import MetricMeasureSpace, critical_radii
+from .space import MetricMeasureSpace, ball_masses, critical_radii
 
 __all__ = ["RegularityProfile", "best_lower_constant", "best_upper_constant",
            "estimate_Q", "rescale_threshold"]
@@ -28,14 +28,36 @@ class RegularityProfile:
                               for x, r in self.witnesses]}
 
 
-def _mass_profile(space: MetricMeasureSpace, x: int, radii: np.ndarray) -> np.ndarray:
-    order = np.argsort(space.dist[x])
-    d_sorted = space.dist[x][order]
-    cum = np.cumsum(space.weight[order])
-    # mu(B(x, r)) = mass of points with distance strictly below r
-    pos = np.searchsorted(d_sorted, radii, side="left")
-    masses = np.concatenate([[0.0], cum])
-    return masses[pos]
+def _profile(space: MetricMeasureSpace, Q, r_min, r_max, upper: bool) -> RegularityProfile:
+    """One ball-mass table for both scans: the min of mu(B(x, r)) / r**Q(x) over
+    the critical radii in [r_min, r_max] and both ends, witnessed by each center's
+    first minimizing radius (ties within 1e-15 in center order), and if ``upper``
+    the max over the critical radii alone (the r_min column if there is none)."""
+    if space.n < 2:
+        radii, crit = np.array([min(1.0, r_max)]), slice(None)
+    else:
+        if r_min is None:
+            r_min = space.min_positive_distance()
+        if not 0 < r_min <= r_max:
+            raise ValueError("need 0 < r_min <= r_max")
+        radii = critical_radii(space, r_min, r_max)
+        lo = int(radii.size == 0 or radii[0] > r_min)
+        crit = slice(lo, lo + radii.size) if radii.size else slice(0, 1)
+        radii = np.concatenate([[r_min] * lo, radii])
+        if radii[-1] < r_max:
+            radii = np.concatenate([radii, [r_max]])
+    # a power per row: numpy squares for a scalar exponent 2, a broadcast power does not
+    ratios = ball_masses(space, radii) / [radii ** q for q in exponent_values(Q, space.n)]
+    best, witnesses = np.inf, []
+    for x, j in enumerate(np.argmin(ratios, axis=1)):
+        if ratios[x, j] < best - 1e-15:
+            best = float(ratios[x, j])
+            witnesses = [(x, float(radii[j]))]
+        elif abs(ratios[x, j] - best) <= 1e-15:
+            witnesses.append((x, float(radii[j])))
+    return RegularityProfile(b_lower=best, r_min=float(radii[0]), r_max=float(radii[-1]),
+                             witnesses=witnesses,
+                             b_upper=float(ratios[:, crit].max()) if upper else None)
 
 
 def best_lower_constant(space: MetricMeasureSpace, Q, r_min: float | None = None,
@@ -46,52 +68,14 @@ def best_lower_constant(space: MetricMeasureSpace, Q, r_min: float | None = None
     r_min defaults to the smallest positive distance: below it all balls are
     singletons and the quotient blows up as r -> 0, a finite-space artifact.
     """
-    if space.n < 2:
-        radii = np.array([min(1.0, r_max)])
-    else:
-        if r_min is None:
-            r_min = space.min_positive_distance()
-        if not 0 < r_min <= r_max:
-            raise ValueError("need 0 < r_min <= r_max")
-        radii = critical_radii(space, r_min, r_max)
-        if radii.size == 0 or radii[0] > r_min:
-            radii = np.concatenate([[r_min], radii])
-        if radii[-1] < r_max:
-            radii = np.concatenate([radii, [r_max]])
-    Qv = exponent_values(Q, space.n)
-    best = np.inf
-    witnesses: list[tuple[int, float]] = []
-    for x in range(space.n):
-        masses = _mass_profile(space, x, radii)
-        ratios = masses / radii ** Qv[x]
-        j = int(np.argmin(ratios))
-        if ratios[j] < best - 1e-15:
-            best = float(ratios[j])
-            witnesses = [(x, float(radii[j]))]
-        elif abs(ratios[j] - best) <= 1e-15:
-            witnesses.append((x, float(radii[j])))
-    return RegularityProfile(b_lower=best, r_min=float(radii[0]),
-                             r_max=float(radii[-1]), witnesses=witnesses)
+    return _profile(space, Q, r_min, r_max, upper=False)
 
 
 def best_upper_constant(space: MetricMeasureSpace, Q, r_min: float | None = None,
                         r_max: float = 1.0) -> RegularityProfile:
-    """Symmetric max scan for the upper regularity constant."""
-    low = best_lower_constant(space, Q, r_min, r_max)
-    if space.n < 2:
-        radii = np.array([min(1.0, r_max)])
-    else:
-        r_min = space.min_positive_distance() if r_min is None else r_min
-        radii = critical_radii(space, r_min, r_max)
-        if radii.size == 0:
-            radii = np.array([r_min])
-    Qv = exponent_values(Q, space.n)
-    worst = 0.0
-    for x in range(space.n):
-        masses = _mass_profile(space, x, radii)
-        worst = max(worst, float(np.max(masses / radii ** Qv[x])))
-    return RegularityProfile(b_lower=low.b_lower, r_min=low.r_min, r_max=low.r_max,
-                             witnesses=low.witnesses, b_upper=worst)
+    """Symmetric max scan for the upper regularity constant, read off the
+    lower profile's table."""
+    return _profile(space, Q, r_min, r_max, upper=True)
 
 
 def estimate_Q(space: MetricMeasureSpace, r_min: float, r_max: float):
@@ -106,8 +90,7 @@ def estimate_Q(space: MetricMeasureSpace, r_min: float, r_max: float):
     log_r = np.log(radii)
     slopes = np.empty(space.n)
     r2 = np.empty(space.n)
-    for x in range(space.n):
-        masses = _mass_profile(space, x, radii)
+    for x, masses in enumerate(ball_masses(space, radii)):
         ok = masses > 0
         if ok.sum() < 3:
             raise ValueError(f"point {x} has under 3 radii with positive ball mass")

@@ -9,6 +9,9 @@ checks the triangle inequality on every triple, ``from_points`` skips that
 check because Euclidean distances are a metric by construction.  Internal
 re-slicing (``subspace``) skips re-validation because restrictions of a
 metric stay metric.
+
+Every ball-mass scan reads one table, ``_shells``, built per call and never
+cached; only ``ball`` sums its members itself.
 """
 from __future__ import annotations
 
@@ -25,6 +28,7 @@ __all__ = [
     "PairTable",
     "Ball",
     "ball",
+    "ball_masses",
     "critical_radii",
     "level_of",
     "separated_net",
@@ -257,6 +261,22 @@ def ball(space: MetricMeasureSpace, center: int, r: float, closed: bool = False)
                 measure=float(space.weight[members].sum()), closed=closed)
 
 
+def _shells(space: MetricMeasureSpace, centers=None) -> tuple[np.ndarray, np.ndarray]:
+    """Each center's sorted distance row and its cumulative weights (``mass[:, k]``: the k
+    nearest points); ties keep ``np.argsort``'s default order, so every mass rounds alike."""
+    rows = space.dist if centers is None else space.dist[centers]
+    order = np.argsort(rows, axis=1)
+    mass = np.zeros((rows.shape[0], space.n + 1))
+    np.cumsum(space.weight[order], axis=1, out=mass[:, 1:])
+    return np.take_along_axis(rows, order, axis=1), mass
+
+
+def ball_masses(space: MetricMeasureSpace, radii, centers=None) -> np.ndarray:
+    """Open-ball masses mu(B(x, r)), a row per center (all by default) and a column per radius."""
+    rows, mass = _shells(space, centers)
+    return np.stack([m[np.searchsorted(row, radii)] for row, m in zip(rows, mass)])
+
+
 def critical_radii(space: MetricMeasureSpace, r_min: float = 0.0,
                    r_max: float = np.inf) -> np.ndarray:
     """Sorted distinct positive pairwise distances plus midpoints between
@@ -338,12 +358,11 @@ def estimate_doubling(space: MetricMeasureSpace) -> int:
     base = _distances(space)
     radii = np.unique(np.concatenate([base, 2.0 * base]))
     worst = 1
-    for x in range(space.n):
-        row = space.dist[x]
-        levels, counts = np.unique(row, return_counts=True)
-        levels = levels[np.cumsum(counts) > worst]  # a ball's cover has at most |ball| centers
+    for x, row in enumerate(_shells(space)[0]):
+        tail = row[worst:]  # a ball's cover has at most |ball| centers: skip smaller balls
+        levels = tail[np.diff(tail, append=np.inf) > 0]  # each distance once
         half = radii[np.searchsorted(radii, levels, side="right")] / 2.0
-        far = np.where(row <= levels[:, None], np.inf, -np.inf)  # to the chosen centers
+        far = np.where(space.dist[x] <= levels[:, None], np.inf, -np.inf)  # to the chosen centers
         picks = 0
         while True:
             nxt = far.argmax(axis=1)
@@ -396,8 +415,8 @@ def perfectness_resolution(space: MetricMeasureSpace) -> float:
     singleton (singleton balls make the annulus condition vacuously fail)."""
     if space.n < 2:
         raise ValueError("need at least two points")
-    d = space.dist + np.where(np.eye(space.n, dtype=bool), np.inf, 0.0)
-    return float(d.min(axis=1).max()) * (1.0 + 1e-9)
+    rows, _ = _shells(space)
+    return float(rows[:, 1].max()) * (1.0 + 1e-9)  # rows[:, 0] is d(x, x) = 0
 
 
 def uniform_perfectness(space: MetricMeasureSpace, epsilon: float,
@@ -424,8 +443,7 @@ def uniform_perfectness(space: MetricMeasureSpace, epsilon: float,
     radii = critical_radii(space)
     radii = radii[radii >= epsilon]
     ok = np.ones(lambdas.size, dtype=bool)
-    for x in range(space.n):
-        row = np.sort(space.dist[x])
+    for row in _shells(space)[0]:
         k = np.searchsorted(row, radii, side="left")  # |B(x, r)|
         live = k < space.n  # k == n: X \ B(x, r) is empty, vacuous
         far = row[k[live] - 1]  # row[0] = d(x, x) = 0 < r, so k >= 1
@@ -438,32 +456,28 @@ def uniform_perfectness(space: MetricMeasureSpace, epsilon: float,
 def phi(space: MetricMeasureSpace, x: int, r: float) -> float:
     """Exact sup of { s in [0, r] : mu(B(x,s)) <= mu(B(x,r))/2 }.
 
-    Computed by scanning the sorted distances from x; mu(B(x,s)) is a
-    left-continuous step function of s.
+    Computed by scanning x's row of the ball-mass table (``_shells``);
+    mu(B(x,s)) is a left-continuous step function of s.
     """
     if r < 0:
         raise ValueError("radius must be nonnegative")
     if r == 0:
         return 0.0
-    row = space.dist[x]
-    target = 0.5 * float(space.weight[row < r].sum())
-    levels, inverse = np.unique(row, return_inverse=True)
-    mass_at = np.zeros(levels.size)
-    np.add.at(mass_at, inverse, space.weight)
-    mass_at = np.cumsum(mass_at)  # mu of the closed ball of radius levels[j]
+    (levels,), (mass,) = _shells(space, [x])  # the sorted distances from x, with repeats
+    target = 0.5 * float(mass[np.searchsorted(levels, r)])
+    mass_at = mass[np.searchsorted(levels, levels, side="right")]  # mu of the closed ball
     # mu(B(x, s)) = mass_at[j-1] for s in (levels[j-1], levels[j]], so the
     # condition mu(B(x, s)) <= target holds exactly up to the first level
     # whose closed-ball mass exceeds the target.  Rounding decides only clear
     # cases: a near-tie takes the sign of mu(closed ball) - mu(B(x, r))/2
     # from one correctly rounded math.fsum, which is the exact sign.
     near = 1e-9 * target
-    sup = r
+    row = space.dist[x]
     for j in np.flatnonzero(mass_at > target - near):
         if mass_at[j] > target + near or math.fsum(np.concatenate(
                 [space.weight[row <= levels[j]], -0.5 * space.weight[row < r]])) > 0:
-            sup = float(levels[j])
-            break
-    return float(min(sup, r))
+            return float(min(levels[j], r))
+    return float(r)
 
 
 def phi_iterates(space: MetricMeasureSpace, x: int, r: float, j: int) -> list[float]:

@@ -13,8 +13,8 @@ regime of s p against Q (one ``_REGIMES`` entry per check), log-Hoelder
 exponents and lower regularity, then solves the minimal gradient on sigma*B0;
 each check adds only its own inequality.  The four necessity modes draw their
 test functions from one cut-off loop, ``_cutoff_family`` (annular cut-offs, or
-one cone for the Hoelder mode), and read the lower growth from one mass
-profile per center.
+one cone for the Hoelder mode), and read the lower growth off one table of
+ball masses (``space.ball_masses``).
 """
 from __future__ import annotations
 
@@ -32,9 +32,9 @@ from .generators import annular_cutoff, ball_grid_with_atom, power_function
 from .gradients import (_CERT_TOL, _cutoff_sequence, minimal_scalar_gradient,
                         minimal_vector_gradient)
 from .norms import check_slack, holder_seminorm, luxemburg, mixed_norm_lp_lq, mixed_norm_lq_lp
-from .regularity import _mass_profile, best_lower_constant
-from .space import (ball, critical_radii, estimate_doubling, perfectness_resolution, phi,
-                    uniform_perfectness)
+from .regularity import best_lower_constant
+from .space import (ball, ball_masses, critical_radii, estimate_doubling,
+                    perfectness_resolution, phi, uniform_perfectness)
 
 __all__ = [
     "Hypothesis",
@@ -495,13 +495,12 @@ def check_global(space, u, s, p, Q, q=None, theorem: str = "bounded",
     extras = {"b": b, "regime": regime, "mode": mode}
     if theorem.startswith("doubling"):
         M = estimate_doubling(space)
-        masses = [ball(space, x, delta).measure for x in range(space.n)]
         extras["doubling_estimate"] = M
-        extras["sup_delta_ball_mass"] = max(masses)
+        extras["sup_delta_ball_mass"] = sup_mass = float(ball_masses(space, [delta]).max())
         hyp.append(Hypothesis("geometrically_doubling", np.isfinite(M), f"M = {M}"))
         if theorem != "doubling_holder":
-            hyp.append(Hypothesis("finite_sup_ball_mass", np.isfinite(max(masses)),
-                                  f"sup = {max(masses):.6g}"))
+            hyp.append(Hypothesis("finite_sup_ball_mass", np.isfinite(sup_mass),
+                                  f"sup = {sup_mass:.6g}"))
     want = {"bounded": None, "doubling_sob": "subcritical",
             "doubling_mt": "critical", "doubling_holder": "supercritical"}[theorem]
     if want is not None:
@@ -756,14 +755,10 @@ def necessity_run(space, s, p, q, gamma_or_alpha, mode: str, family: str = "M",
         radii_scan = critical_radii(space, space.min_positive_distance(), 1.0)
         if radii_scan.size == 0:
             radii_scan = np.array([1.0])
-        witnesses = []
-        for x in positive:
-            ratios = _mass_profile(space, x, radii_scan) / radii_scan ** Q[x]
-            j = int(np.argmin(ratios))
-            if ratios[j] < b_emp:  # the first witness of the minimum is kept
-                b_emp = ratios[j]
-                witnesses = [(int(x), float(radii_scan[j]))]
-        extras["witnesses"] = witnesses
+        ratios = ball_masses(space, radii_scan, positive) / [radii_scan ** Q[x] for x in positive]
+        x, j = divmod(int(np.argmin(ratios)), radii_scan.size)  # first center, then radius
+        b_emp = min(b_emp, ratios[x, j])
+        extras["witnesses"] = [(int(positive[x]), float(radii_scan[j]))] if b_emp < np.inf else []
     extras.update({"Q_derived": Q, "b_empirical": b_emp, "b_formula": b_formula,
                    "embedding_constant": c_emp})
     ok = bool(b_emp > 0 and b_emp >= b_formula - check_slack(b_formula))

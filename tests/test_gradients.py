@@ -215,8 +215,29 @@ def _cutoff_sequence_reference(space, support, L, sv, qv, u, tail_rel=1e-9):
     seq = SequenceSample(down, vals)
     cert = 0.0
     if u is not None and n >= 2:
-        cert = _sequence_violation(GradientConstraintSystem.vector(space, u, sv), seq)
+        system = GradientConstraintSystem.vector(space, u, sv)
+        cert = _per_level_violation(system, seq)
+        assert _sequence_violation(system, seq) == cert
     return seq, k_L, cert
+
+
+def _per_level_violation(system, seq):
+    """The largest violation of a vector system by a sequence, one level's
+    rows at a time (``_sequence_violation`` in one gather)."""
+    return max((system.violation(seq.level(int(k)), system.rows_for_level(int(k)))
+                for k in np.unique(system.level)), default=0.0)
+
+
+def test_sequence_violation_reads_zero_outside_the_sample():
+    sp = grid1d(9)
+    system = GradientConstraintSystem.vector(sp, np.arange(9.0) ** 2 / 64.0, 0.5)
+    lo, hi = int(system.level.min()), int(system.level.max())
+    rng = np.random.default_rng(3)
+    # samples inside, across either end of and outside the system's levels
+    for k_min, rows in [(lo, hi - lo + 1), (lo + 1, 2), (lo - 2, 4), (hi + 1, 2), (lo - 5, 3)]:
+        seq = SequenceSample(k_min, rng.uniform(0.0, 0.5, (rows, sp.n)))
+        cert = _sequence_violation(system, seq)
+        assert cert == _per_level_violation(system, seq) and cert > 0
 
 
 def _random_metric(n, seed):

@@ -9,7 +9,7 @@ from varmms import (MetricMeasureSpace, SpaceValidationError, ball, critical_rad
                     separated_net, uniform_perfectness)
 from varmms.generators import (ball_grid_with_atom, cantor_space, grid1d, grid2d, line_space,
                                two_zone_glued)
-from varmms.space import perfectness_resolution
+from varmms.space import ball_masses, perfectness_resolution
 
 
 def test_ball_line_three_points():
@@ -332,6 +332,22 @@ def test_uniform_perfectness_matches_brute_force(battery):
         eps = perfectness_resolution(sp)
         assert (uniform_perfectness(sp, eps, lambdas)
                 == _uniform_perfectness_brute(sp, eps, lambdas)), name
+
+
+def test_ball_masses_match_ball_measure(battery):
+    for name, sp in battery.items():
+        # pairwise distances themselves (the open ball leaves that point
+        # out), midpoints, zero and radii past the diameter
+        radii = np.concatenate([[0.0, 0.5], critical_radii(sp), [sp.diameter + 1.0]])
+        subsets = [None, list(range(0, sp.n, 2))[::-1]]
+        for centers in subsets:
+            rows = range(sp.n) if centers is None else centers
+            masses = ball_masses(sp, radii, centers)
+            assert masses.shape == (len(rows), radii.size), name
+            want = [[ball(sp, x, r).measure for r in radii] for x in rows]
+            np.testing.assert_allclose(masses, want, rtol=1e-12, atol=0, err_msg=name)
+    line = battery["line4"]
+    assert ball_masses(line, [1.0], [0])[0, 0] == line.weight[0]  # d(0, 1) = 1 is left out
 
 
 def test_perfectness_resolution_positive(battery):
