@@ -68,8 +68,34 @@ _LOCAL_OPS = {
 }
 
 
+# the keys each check op reads without a default: of the check, of its
+# ball, and of the scenario's exponents
+_REQUIRED = {
+    "counterexample": (("n_dim", "beta", "p", "theta"), (), ()),
+    **{op: (("ball",), ("center", "radius"), ("s", "p", "Q")) for op in _LOCAL_OPS},
+    "global": ((), (), ("s", "p", "Q")),
+    "necessity": (("mode",), (), ("s", "p")),
+}
+
+
+def _validate_checks(checks, exponents) -> None:
+    """Raise on the first check with an unknown op or a missing key, so a
+    malformed scenario fails before any of its checks runs."""
+    for i, check in enumerate(checks):
+        op = check["op"]
+        if op not in _REQUIRED:
+            raise ValueError(f"check {i}: unknown check op {op!r}")
+        keys, ball, fields = _REQUIRED[op]
+        missing = [k for k in keys if k not in check]
+        missing += [f"ball.{k}" for k in ball if "ball" in check and k not in check["ball"]]
+        missing += [f"exponents.{k}" for k in fields if k not in exponents]
+        if missing:
+            raise ValueError(f"check {i} ({op}): missing {', '.join(missing)}")
+
+
 def _scenario_reports(scenario: dict, base_dir: str, tol: float, sigma: float,
                       epsilon: float | None):
+    _validate_checks(scenario["checks"], scenario.get("exponents", {}))
     space = _load_space(scenario["space"], base_dir)
     fields = _exponents(space, scenario.get("exponents", {}))
     name = scenario.get("name", "scenario")
@@ -101,7 +127,7 @@ def _scenario_reports(scenario: dict, base_dir: str, tol: float, sigma: float,
                                q=fields.get("q"), theorem=check.get("theorem", "bounded"),
                                mode=check.get("mode", "M"), C=check.get("C"),
                                delta=float(check.get("delta", 1.0)), **common)
-        elif op == "necessity":
+        else:  # necessity
             target = fields.get("gamma") if check["mode"] != "holder" else fields.get("alpha")
             rep = necessity_run(space, s=fields["s"], p=fields["p"],
                                 q=fields.get("q", np.inf * np.ones(space.n)),
@@ -110,8 +136,6 @@ def _scenario_reports(scenario: dict, base_dir: str, tol: float, sigma: float,
                                 sigma=float(check.get("sigma", sigma)),
                                 epsilon=epsilon, omega=check.get("omega"),
                                 j_max=int(check.get("j_max", 4)), **common)
-        else:
-            raise ValueError(f"unknown check op {op!r}")
         reports.append(rep)
     return reports
 

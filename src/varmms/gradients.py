@@ -6,23 +6,24 @@ vector (dyadic) variant imposes the inequality on level k only for pairs
 with ``2**(-k-1) <= d < 2**(-k)``.  The associated quasi-norms are infima of
 Lebesgue / mixed-sequence norms over these polyhedra.
 
-Solver layout (README "Solvers").  Every convex modular rho is minimized
-on a working set of rows grown by delayed constraint generation
+Solver layout (README "Solvers").  Every convex modular rho is minimized on
+a working set of rows grown by delayed constraint generation
 (``_working_set``) on one HiGHS model grown by rows (``_highs_modular``),
 with a duality bracket where rho has a closed-form conjugate.  A constant
 exponent p >= 1 makes the norm a monotone function of the separable
-modular, minimized itself: an LP at p = 1, Newton steps of HiGHS's QP
-solver above.  Every other convex modular, a variable exponent (min p >= 1,
-and min q >= 1 on the TL scale), the TL joint problem, and a Besov norm
-with finite variable q and min(p, q) >= 1 on the level-stacked rows, takes
-the same Newton steps on rho(mu g) with its block-diagonal Hessian, while
-the level mu takes Newton steps towards the gauge, phi(mu) = min rho(mu g)
-= 1.  A nonconvex modular (flagged heuristic) is minimized by
-majorize-minimize over these (``_majorize_minimize``); a norm-level
-bisection around SLSQP remains for variable-q Besov norms with
-min(p, q) < 1 or q infinite at some points but not all.  Every returned
-point is repaired to hard feasibility against all rows and re-evaluated
-from scratch, so certificates never rely on solver-internal tolerances.
+modular, minimized itself: at p = 1 an LP, whose dual model grows by
+columns instead, Newton steps of HiGHS's QP solver above.  Every other
+convex modular, a variable exponent (min p >= 1, and min q >= 1 on the TL
+scale), the TL joint problem, and a Besov norm with finite variable q and
+min(p, q) >= 1 on the level-stacked rows, takes the same Newton steps on
+rho(mu g) with its block-diagonal Hessian, while the level mu takes Newton
+steps towards the gauge, phi(mu) = min rho(mu g) = 1.  A nonconvex modular
+(flagged heuristic) is minimized by majorize-minimize over these
+(``_majorize_minimize``); a norm-level bisection around SLSQP remains for
+variable-q Besov norms with min(p, q) < 1 or q infinite at some points but
+not all.  Every returned point is repaired to hard feasibility against all
+rows and re-evaluated from scratch, so certificates never rely on
+solver-internal tolerances.
 """
 from __future__ import annotations
 
@@ -256,24 +257,39 @@ def _rows_transposed(I, J, A, B, y, n):
     return np.bincount(I, A * y, n) + np.bincount(J, B * y, n)
 
 
-def _top_rows_per_point(score, I, J):
+def _point_groups(I, J):
+    """The entries [rows as i, rows as j] grouped by point, each group in
+    entry order (a stable sort): each entry's row and each group's first
+    entry, as int32, for ``_top_rows_per_point``."""
+    pts = np.concatenate([I, J]).astype(np.int32)
+    order = np.argsort(pts, kind="stable")
+    starts = np.flatnonzero(np.diff(pts[order], prepend=-1))
+    order %= I.size
+    return order.astype(np.int32), starts.astype(np.int32)
+
+
+def _top_rows_per_point(score, groups):
     """Each point's (at most) ``_ROWS_PER_POINT`` incident rows of largest
-    positive score.  Ties go to the earlier entry of [rows as i, rows as j],
-    so a row met as i beats a tied row met as j.  One pass per rank: each
-    point's best remaining score, then its first remaining entry with it."""
-    cand = np.flatnonzero(score > 0)
-    rows = np.concatenate([cand, cand])
-    pts = np.concatenate([I[cand], J[cand]])
-    val, n = score[rows], int(pts.max(initial=-1)) + 1
-    left = np.ones(pts.size, dtype=bool)
-    for _ in range(_ROWS_PER_POINT):
-        best = np.full(n, -np.inf)
-        np.maximum.at(best, pts[left], val[left])
-        tied = np.flatnonzero(left & (val == best[pts]))
-        first = np.full(n, pts.size)
-        np.minimum.at(first, pts[tied], tied)
-        left[first[first < pts.size]] = False
-    return np.unique(rows[~left])
+    positive score, over the entries ``_point_groups`` grouped.  Ties go to
+    the earlier entry of [rows as i, rows as j], so a row met as i beats a
+    tied row met as j.  The entries of positive score are taken out first
+    (late rounds have few), then one pass per rank: each point's best
+    remaining score, then its first remaining entry with it."""
+    rows, starts = groups
+    keep = np.take(score > 0, rows)
+    count = np.add.reduceat(keep, starts, dtype=np.intp) if starts.size else starts
+    starts, count = (np.cumsum(count) - count)[count > 0], count[count > 0]
+    rows = rows[keep]
+    val = np.take(score, rows)
+    at, picked = np.arange(val.size), [np.zeros(0, dtype=np.int32)]
+    for _ in range(_ROWS_PER_POINT if val.size else 0):
+        hit = (val == np.repeat(np.maximum.reduceat(val, starts), count)) & (val > 0)
+        first = np.minimum.reduceat(np.where(hit, at, val.size), starts)
+        first = first[first < val.size]
+        val[first] = 0.0  # taken
+        picked.append(rows[first])
+    picked = np.sort(np.concatenate(picked))  # a row may be both its points' pick
+    return picked[np.diff(picked, prepend=-1) > 0]
 
 
 def _working_set(I, J, A, B, T, x, solve_round, point):
@@ -287,8 +303,8 @@ def _working_set(I, J, A, B, T, x, solve_round, point):
     full problem's; each round adds a row, so the loop ends.  Returns the
     last gradient, not yet repaired.
     """
-    AB = A + B
-    work = _top_rows_per_point(T / AB, I, J)
+    AB, groups = A + B, _point_groups(I, J)
+    work = _top_rows_per_point(T / AB, groups)
     for rounds in itertools.count(1):
         x = solve_round(work, x)
         g = point(x)
@@ -298,7 +314,8 @@ def _working_set(I, J, A, B, T, x, solve_round, point):
         if not viol.any():
             _note(rounds=rounds, rows=work.size)
             return g
-        work = np.union1d(work, _top_rows_per_point(viol / AB, I, J))
+        # the new rows score 0 on the set (violation 0), so they are not on it
+        work = np.sort(np.concatenate([work, _top_rows_per_point(viol / AB, groups)]))
 
 
 # Newton steps: the Hessian's floor on g / max g where the curvature is
@@ -502,7 +519,8 @@ def _level(rho, g, t):
 def _highs_modular(rho, I, J, A, B, T, n, g0=None):
     """HiGHS for a convex modular rho (``_Modular``) on one model that holds
     ``_working_set``'s rows admitted so far; each round adds only its new
-    rows.  Starts from g0, by default ``_feasible_point``.
+    rows (at p == 1 as columns of the dual).  Starts from g0, by default
+    ``_feasible_point``.
 
     A separable rho with one exponent p is minimized itself.  Any other rho
     is minimized through its gauge: the least norm inf{lam : rho(g/lam) <= 1}
@@ -511,19 +529,23 @@ def _highs_modular(rho, I, J, A, B, T, n, g0=None):
     on log phi (``_level``) after every Newton step on g; at one exponent
     that step is exact.
 
-    At p == 1 a round is one LP run, which dual simplex restarts from the
-    last basis.  Otherwise a round takes Newton steps on rho(mu g), each one
-    run of HiGHS's QP solver on the Hessian at g floored at ``_HESS_FLOOR``
-    max g (where ``floored``; a block Hessian at the gradient's point) and
-    the gradient at g floored at a floor that drops 1e3-fold, down to
-    ``_GRAD_FLOOR``, at each stalled step.  The
-    first step of a round takes the QP point, since g can miss the new rows;
-    later steps halve towards it while rho(mu g) rises.  A step stalls when
-    it lowers rho(mu g) by at most ``_STALL`` relative or 1e-3 of the gap to
-    the best D(y).  A round stops once rho(mu g) is within ``_GAP_TOL`` of
-    the best D(y) at a settled level (a level step of at most ``_LEVEL_TOL``);
-    after ``_STEPS`` steps or a stall on the last floor it ends, a separable
-    rho with one Newton step on the KKT system of the rows g meets.
+    At p == 1 the model is the LP's dual, max t.y over A^T y <= c, y >= 0,
+    with one row per point: a round's rows join as columns, so the last
+    basis stays primal feasible and a round is one run of primal simplex
+    restarted from it, on n basic variables rather than one per row.  g is
+    the model's row duals and y its column values.  Otherwise a round takes
+    Newton steps on rho(mu g), each one run of HiGHS's QP solver on the
+    Hessian at g floored at ``_HESS_FLOOR`` max g (where ``floored``; a
+    block Hessian at the gradient's point) and the gradient at g floored at
+    a floor that drops 1e3-fold, down to ``_GRAD_FLOOR``, at each stalled
+    step.  The first step of a round takes the QP point, since g can miss
+    the new rows; later steps halve towards it while rho(mu g) rises.  A
+    step stalls when it lowers rho(mu g) by at most ``_STALL`` relative or
+    1e-3 of the gap to the best D(y).  A round stops once rho(mu g) is
+    within ``_GAP_TOL`` of the best D(y) at a settled level (a level step of
+    at most ``_LEVEL_TOL``); after ``_STEPS`` steps or a stall on the last
+    floor it ends, a separable rho with one Newton step on the KKT system of
+    the rows g meets.
 
     Any row duals y >= 0 on the model's rows (zero off them) are feasible
     for the full dual, so D(y) = t.y - rho*(A^T y / mu) bounds the optimum
@@ -557,6 +579,7 @@ def _highs_modular(rho, I, J, A, B, T, n, g0=None):
     mu = mu0 = math.exp(t_mu)
     cols = np.arange(n + 1, dtype=np.int32)
     model = np.zeros(0, dtype=int)  # working-set rows in the model's row order
+    held = np.zeros(T.size, dtype=bool)  # the rows in the model
     best = -np.inf  # the best dual bound D(y) at the level mu
     floor = _HESS_FLOOR if np.any(rho.floored) else _GRAD_FLOOR  # the gradient's floor
 
@@ -569,21 +592,35 @@ def _highs_modular(rho, I, J, A, B, T, n, g0=None):
         coef = sigma * np.column_stack([A[rows], B[rows]]) / rs[rows, None]
         if cs is not None:
             coef = coef / np.column_stack([cs[I[rows]], cs[J[rows]]])
-        q.addRows(rows.size, T[rows] / rs[rows], np.full(rows.size, _highs.kHighsInf),
-                  2 * rows.size, np.arange(0, 2 * rows.size, 2, dtype=np.int32),
-                  np.column_stack([col[I[rows]], col[J[rows]]]).astype(np.int32).ravel(),
-                  coef.ravel())
+        inf = np.full(rows.size, _highs.kHighsInf)
+        nz = (2 * rows.size, np.arange(0, 2 * rows.size, 2, dtype=np.int32),
+              np.column_stack([col[I[rows]], col[J[rows]]]).astype(np.int32).ravel(),
+              coef.ravel())
+        if linear:  # the dual's columns: y >= 0 of cost t on the rows' points
+            q.addCols(rows.size, T[rows], np.zeros(rows.size), inf, *nz)
+        else:
+            q.addRows(rows.size, T[rows] / rs[rows], inf, *nz)
         return q
 
     def build(order, cs=None):
         q = _highs._Highs()
         q.setOptionValue("output_flag", False)
+        empty = (0, np.zeros(n, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0))
+        if linear:
+            # the LP's dual, max t.y over A^T y <= c, y >= 0: each round's rows
+            # join as columns, so the last basis stays primal feasible and
+            # primal simplex restarts from it on n rows; g is the row duals,
+            # held to the rows by the dual tolerance as in the primal below
+            q.setOptionValue("dual_feasibility_tolerance", 1e-10)
+            q.setOptionValue("simplex_strategy", 4)  # primal simplex
+            q.changeObjectiveSense(_highs.ObjSense.kMaximize)
+            q.addRows(n, np.full(n, -_highs.kHighsInf), rho.c[order], *empty)
+            return add_rows(q, model, order)
         # at HiGHS's default 1e-7 a solve may stop up to 1e-7 short of a row,
         # which _repair turns into a uniform scale-up of g; 1e-10 is the floor
         q.setOptionValue("primal_feasibility_tolerance", 1e-10)
         cost = np.zeros(n) if rho.c is None else rho.c
-        q.addCols(n, cost[order], np.zeros(n), np.full(n, _highs.kHighsInf), 0,
-                  np.zeros(n, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0))
+        q.addCols(n, cost[order], np.zeros(n), np.full(n, _highs.kHighsInf), *empty)
         return add_rows(q, model, order, cs)
 
     def bound(y):
@@ -674,6 +711,8 @@ def _highs_modular(rho, I, J, A, B, T, n, g0=None):
         status = q.modelStatusToString(q.getModelStatus())
         sol = q.getSolution()
         col, dual = np.asarray(sol.col_value), np.asarray(sol.row_dual)
+        if linear:  # the dual model: its columns hold y, its row duals g
+            col, dual = dual, col
         # HiGHS's QP solver has claimed optimality at a point with NaN entries
         if status == "Optimal" and not (np.isfinite(col).all() and np.isfinite(dual).all()):
             status = "Non-finite optimum"
@@ -693,7 +732,8 @@ def _highs_modular(rho, I, J, A, B, T, n, g0=None):
 
     def solve_round(work, g):
         nonlocal model, floor, mu, t_mu, best
-        new = np.setdiff1d(work, model)
+        new = work[~held[work]]
+        held[new] = True
         add_rows(qp, new, ident)
         model = np.concatenate([model, new])
         if linear:

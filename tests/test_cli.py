@@ -285,3 +285,35 @@ def test_cmd_necessity_unknown_family_is_one_error_line(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: malformed scenario")
     assert "family" in err[0]
+
+
+@pytest.mark.parametrize("second", [{"op": "sobolev_local", "ball": {"center": 6}},
+                                    {"op": "necessity"},
+                                    {"op": "counterexample", "n_dim": 1, "beta": 0.5},
+                                    {"op": "no_such_op"}])
+def test_malformed_later_check_fails_before_the_first_runs(tmp_path, capsys, monkeypatch,
+                                                          second):
+    import varmms.cli as cli
+    calls = []
+    check_global = cli.check_global
+    monkeypatch.setattr(cli, "check_global",
+                        lambda *a, **k: calls.append(1) or check_global(*a, **k))
+    scenario = {
+        "name": "late",
+        "space": {"kind": "grid2d", "params": {"nx": 4}},
+        "exponents": {"s": {"constant": 0.5}, "p": {"constant": 1.0},
+                      "Q": {"constant": 2.0}},
+        "function": {"family": "coordinate", "axis": 0},
+        "checks": [{"op": "global", "theorem": "bounded", "mode": "M"}, second],
+    }
+    path = tmp_path / "late.json"
+    path.write_text(json.dumps(scenario))
+    assert run(["--out", tmp_path / "out", "verify", path]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: malformed scenario")
+    assert "check 1" in err[0]
+    assert calls == []
+    # the first check alone runs its solver once
+    path.write_text(json.dumps(dict(scenario, checks=scenario["checks"][:1])))
+    assert run(["--out", tmp_path / "out", "verify", path]) in (0, 2)
+    assert calls == [1]

@@ -22,7 +22,8 @@ from varmms.generators import (annular_cutoff, cantor_space, grid1d, grid2d, lin
 from varmms.gradients import (_CERT_TOL, _ROWS_PER_POINT, GradientConstraintSystem,
                               _besov_bisection, _cutoff_sequence, _feasible_point, _highs,
                               _level_sum, _level_sum_hessian, _level_weight,
-                              _sequence_violation, _tl_modular, _top_rows_per_point)
+                              _point_groups, _sequence_violation, _tl_modular,
+                              _top_rows_per_point)
 from varmms.norms import SequenceSample, mixed_norm_lp_lq, mixed_norm_lq_lp
 
 
@@ -460,6 +461,45 @@ def test_lp_restarts_keep_the_bracket_tight(nx, center, s):
     assert lower <= upper <= lower * (1.0 + 1e-12)
 
 
+def _full_row_lp(sp, u, s):
+    # one HiGHS solve of the p == 1 LP over every pair row, at the primal
+    # tolerance 1e-10
+    system = GradientConstraintSystem.scalar(sp, u, s)
+    m = system.m
+    M = csr_matrix((-np.concatenate([system.coef_i, system.coef_j]),
+                    (np.tile(np.arange(m), 2), np.concatenate([system.I, system.J]))),
+                   shape=(m, system.n))
+    res = linprog(sp.weight, A_ub=M, b_ub=-system.target, bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10})
+    assert res.success, res.message
+    return res.fun
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 40))
+@settings(max_examples=25, deadline=None)
+def test_lp_dual_model_matches_full_row_lp_on_clouds(seed, n):
+    # the working-set LP's dual model against the full-row LP on random
+    # clouds; a variable s makes the two coefficients of a row differ
+    rng = np.random.default_rng(seed)
+    sp = MetricMeasureSpace.from_points(rng.uniform(0, 1.5, (n, 2)), rng.uniform(0.2, 1.0, n))
+    u, s = rng.standard_normal(n), rng.uniform(0.3, 0.9, n)
+    sol = minimal_scalar_gradient(sp, u, s, 1.0)
+    assert sol.info["path"] == "lp"
+    assert sol.objective.value == pytest.approx(_full_row_lp(sp, u, s), rel=1e-12)
+    lower, upper = sol.info["bracket"]
+    assert abs(upper - lower) <= 1e-9 * upper
+    assert sol.certificate == 0.0
+
+
+def test_lp_takes_one_highs_run_per_round():
+    # each working-set round is one restart of the grown model
+    sp = grid2d(20)
+    sol = minimal_scalar_gradient(sp, log_bump(sp, 210, 0.3), 0.5, 1.0)
+    assert sol.info["path"] == "lp"
+    assert sol.info["nit"] == sol.info["rounds"]
+    assert sol.info["rounds"] <= 10
+
+
 def _top_rows_by_lexsort(score, I, J):
     # reference selection: one stable sort over every (row, point) entry
     cand = np.flatnonzero(score > 0)
@@ -477,7 +517,7 @@ def test_top_rows_per_point_matches_lexsort():
     for _ in range(200):
         I, J = np.triu_indices(int(rng.integers(1, 31)), k=1)
         score = rng.integers(-2, 4, I.size).astype(float)
-        np.testing.assert_array_equal(_top_rows_per_point(score, I, J),
+        np.testing.assert_array_equal(_top_rows_per_point(score, _point_groups(I, J)),
                                       _top_rows_by_lexsort(score, I, J))
     # four points, rows (0,1) (0,2) (0,3) (1,2) (1,3) (2,3): point 2 meets the
     # tied rows 1 and 3 as j and row 5 as i, so it keeps rows 5 and 1; row 3
@@ -485,16 +525,18 @@ def test_top_rows_per_point_matches_lexsort():
     I, J = np.triu_indices(4, k=1)
     score = np.array([2.0, 1.0, 0.0, 1.0, 2.0, 1.0])
     assert _ROWS_PER_POINT == 2
-    np.testing.assert_array_equal(_top_rows_per_point(score, I, J), [0, 1, 4, 5])
+    np.testing.assert_array_equal(_top_rows_per_point(score, _point_groups(I, J)), [0, 1, 4, 5])
     np.testing.assert_array_equal(_top_rows_by_lexsort(score, I, J), [0, 1, 4, 5])
 
 
 def test_lp_highs_binding_and_repeatability():
     # every piece of scipy's private HiGHS binding that _highs_modular uses
     for name in ("setOptionValue", "addCols", "addRows", "run", "getModelStatus",
-                 "modelStatusToString", "getSolution", "changeColsCost", "passHessian"):
+                 "modelStatusToString", "getSolution", "changeColsCost", "passHessian",
+                 "changeObjectiveSense"):
         assert callable(getattr(_highs._Highs, name)), name
     assert _highs.kHighsInf == np.inf
+    assert hasattr(_highs.ObjSense, "kMaximize")
     assert hasattr(_highs.HighsModelStatus, "kOptimal")
     assert hasattr(_highs.HessianFormat, "kTriangular")
     assert {"col_value", "row_dual"} <= set(dir(_highs.HighsSolution))
