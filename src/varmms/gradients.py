@@ -30,6 +30,8 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import functools
+import importlib.machinery
+import importlib.util
 import itertools
 import math
 import os
@@ -37,9 +39,7 @@ import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-# ``linprog`` is not called here; the benchmark tracer wraps it by this name
-from scipy.optimize import linprog, minimize  # noqa: F401
-from scipy.optimize._highspy import _core as _highs
+import scipy
 
 from .exponents import exponent_values
 from .norms import (NormValue, SequenceSample, _bisect_level, _level_roots, check_slack,
@@ -62,6 +62,39 @@ __all__ = [
 
 EPS_OPT = 1e-4  # relative optimality contract of the solvers
 _CERT_TOL = 1e-9
+
+
+def _load_highs():
+    """scipy's HiGHS binding ``scipy.optimize._highspy._core``, loaded from its
+    file: importing it by name first runs ``scipy/optimize/__init__.py``,
+    about 0.5 s of every process start.  The plain import serves a scipy
+    whose binding is not found next to ``scipy.__file__``."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    stem = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy", "_core")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(stem + suffix):
+            spec = importlib.util.spec_from_file_location(name, stem + suffix)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[name] = module
+            spec.loader.exec_module(module)
+            return module
+    return importlib.import_module(name)
+
+
+_highs = _load_highs()
+
+
+def __getattr__(name):
+    """``minimize`` (SLSQP, for ``_besov_bisection``) and ``linprog`` (not
+    called here), imported from ``scipy.optimize`` on first use (PEP 562) and
+    kept in the module's globals, where the benchmark tracer wraps them."""
+    if name not in ("minimize", "linprog"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import scipy.optimize
+    value = globals()[name] = getattr(scipy.optimize, name)
+    return value
 
 
 def active_levels(space) -> tuple[int, int]:
@@ -216,8 +249,10 @@ def _provenance(info):
     working-set ``rounds`` and final ``rows``, ``nit``, the SLSQP iterations
     plus the HiGHS runs, and ``open``, the ``_highs_modular`` calls whose
     bracket stayed open, each summed over the solve's working-set solves (a
-    majorize-minimize solve's path is ``mm``), and the ``bracket`` of the
-    modular when the solve was one ``_highs_modular`` call."""
+    majorize-minimize solve's path is ``mm``), the ``bracket`` of the
+    modular when the solve was one ``_highs_modular`` call, and on the
+    convex paths ``certified``: the solve bracketed its modulars and left
+    none open (false on the variable-q Besov gauge, which has no bracket)."""
     token = _RECORD.set({"paths": set(), "statuses": set(), "highs": [], "nit": 0,
                          "rounds": 0, "rows": 0, "open": 0, "brackets": []})
     try:
@@ -227,8 +262,11 @@ def _provenance(info):
         info["slsqp_status"] = sorted(record["statuses"] - {0})
         info["highs_status"] = sorted(record["highs"])
         info.update({k: record[k] for k in ("rounds", "rows", "nit", "open")})
-        if info["path"] in ("lp", "qp", "qp_gauge") and len(record["brackets"]) == 1:
-            info["bracket"] = record["brackets"][0]
+        brackets = record["brackets"]
+        if info["path"] in ("lp", "qp", "qp_gauge"):
+            if len(brackets) == 1:
+                info["bracket"] = brackets[0]
+            info["certified"] = bool(brackets) and info["open"] == 0
     finally:
         _RECORD.reset(token)
 
@@ -239,6 +277,8 @@ def _ineq(M, T):
 
 def _slsqp(fun, jac, x0, constraints, maxiter):
     """One SLSQP solve over x >= 0; its exit status and iterations are recorded."""
+    # looked up on the module, so that a wrapper on ``gradients.minimize`` sees it
+    minimize = sys.modules[__name__].minimize
     res = minimize(fun, x0, jac=jac, method="SLSQP", bounds=[(0.0, None)] * x0.size,
                    constraints=constraints, options={"maxiter": maxiter, "ftol": 1e-14})
     _note(status=res.status, nit=res.nit)
@@ -865,7 +905,9 @@ class GradientSolution:
     the minimal modular sum w g**p, and for a gauge (path ``qp_gauge``:
     variable p, the TL joint problem) on min rho(mu g) at its last level
     mu.  There is none for the Besov level sum, which has no bound, nor for
-    a constant-q Besov norm over several levels (one solve per level)."""
+    a constant-q Besov norm over several levels (one solve per level).  On
+    the paths ``lp``, ``qp`` and ``qp_gauge``, ``certified`` says that every
+    modular solve closed its bracket (false for the Besov level sum)."""
 
     g: object  # ndarray (scalar) or SequenceSample (vector)
     objective: NormValue

@@ -549,6 +549,42 @@ def test_lp_highs_binding_and_repeatability():
     assert first.info["bracket"] == second.info["bracket"]
 
 
+def _run_child(code, **env):
+    """stdout of a fresh interpreter running ``code`` on this checkout's src."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path, **env}).stdout
+
+
+def test_highs_binding_is_loaded_by_file_and_shared_with_scipy():
+    # varmms loads scipy's HiGHS binding from its file without importing
+    # scipy.optimize; a later import of scipy.optimize reuses that module
+    out = _run_child(
+        "import sys\n"
+        "import varmms\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+        "import scipy.optimize\n"
+        "from scipy.optimize._highspy import _core\n"
+        "assert _core is varmms.gradients._highs\n"
+        "res = scipy.optimize.linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0],\n"
+        "                             bounds=(0, None), method='highs')\n"
+        "print(res.status, res.fun, *res.x)\n")
+    assert out.split() == ["0", "1.0", "1.0", "0.0"]
+    # no binding file matches: the plain import serves, and the LP solves
+    out = _run_child(
+        "import importlib.machinery, sys\n"
+        "importlib.machinery.EXTENSION_SUFFIXES = ['.no-such-suffix']\n"
+        "import numpy as np\n"
+        "import varmms\n"
+        "from varmms.generators import line_space\n"
+        "assert 'scipy.optimize' in sys.modules\n"
+        "assert varmms.gradients._highs is sys.modules['scipy.optimize._highspy._core']\n"
+        "sol = varmms.minimal_scalar_gradient(line_space(4), np.arange(4.0), 0.5, 1.0)\n"
+        "print(sol.info['path'], sol.info['certified'])\n")
+    assert out.split() == ["lp", "True"]
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.floats(1.0, 6.0, exclude_min=True))
 @settings(max_examples=30, deadline=None)
 def test_constant_p_bracket_closes_below_the_oracle(seed, n, p):
@@ -603,11 +639,7 @@ def test_constant_p_is_independent_of_blas_threads():
             "    g = getattr(sol.g, 'values', sol.g)\n"
             "    print(sol.objective.value.hex(), sol.info['path'],\n"
             "          hashlib.sha256(np.ascontiguousarray(g).tobytes()).hexdigest())\n")
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = [subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": k}).stdout
-           for k in ("1", "2")]
+    out = [_run_child(code, OPENBLAS_NUM_THREADS=k) for k in ("1", "2")]
     assert [line.split()[1] for line in out[0].splitlines()] == ["qp"] + ["qp_gauge"] * 3
     assert out[0] == out[1]
 
@@ -629,6 +661,7 @@ def test_failed_highs_runs_are_reported(monkeypatch):
     sol = minimal_scalar_gradient(sp, u, 0.5, 2.0)
     lower, upper = sol.info["bracket"]
     assert sol.heuristic and sol.info["open"] == 1 and sol.certificate == 0.0
+    assert not sol.info["certified"]
     assert sol.info["highs_status"] == ["Solve error"] * sol.info["nit"]
     assert upper - lower > 1e-4 * upper
     assert sol.objective.value == pytest.approx(upper ** 0.5, rel=1e-9)
@@ -696,6 +729,7 @@ def test_non_finite_qp_optimum_is_a_failed_run(monkeypatch):
     assert sol.info["path"] == "qp_gauge"
     assert sol.info["highs_status"] == ["Non-finite optimum"] * sol.info["nit"]
     assert sol.heuristic and sol.info["open"] == 1 and sol.certificate == 0.0
+    assert not sol.info["certified"]
 
 
 def test_heuristic_flag_for_subunit_exponent():
@@ -969,7 +1003,10 @@ def test_solution_info_names_solver_path():
         # an mm solve's inner HiGHS solves bracket their majorants, not the
         # norm; a gauge's bracket is on its modular at the last level
         assert ("bracket" in info) == (path in ("lp", "qp", "qp_gauge"))
+        # the convex paths say whether their bracket closed; mm has no flag
+        assert ("certified" in info) == ("bracket" in info)
         if "bracket" in info:
+            assert info["certified"] is True
             lower, upper = info["bracket"]
             assert lower <= upper * (1.0 + 1e-13) and upper - lower <= 1e-9 * upper
         assert info["rounds"] > 0 and info["rows"] > 0
@@ -985,10 +1022,16 @@ def test_solution_info_names_solver_path():
     lower, upper = tl["bracket"]
     assert lower <= upper and upper - lower <= 1e-9 * upper and tl["open"] == 0
     assert "bracket" not in besov and besov["open"] == 0
+    assert tl["certified"] is True and besov["certified"] is False
+    # a constant-q Besov norm is one bracketed solve per level, each closed
+    levels = minimal_vector_gradient(sp, u, 0.5, 2.0, 1.5, scale="lq_lp").info
+    assert levels["path"] == "qp" and "bracket" not in levels
+    assert levels["certified"] is True
     # the norm-level bisection serves min q < 1 and partly infinite q
     for q in ([0.8, 1.3, 1.2], [np.inf, 1.3, 1.2]):
         info = minimal_vector_gradient(sp, u, 0.5, p, q, scale="lq_lp").info
         assert info["path"] == "bisection", (q, info)
+        assert "certified" not in info
     assert minimal_scalar_gradient(sp, [1.0, 1.0, 1.0], 0.5, p).info["path"] == "none"
 
 

@@ -43,3 +43,16 @@ def test_tracer_installs_and_removes():
     totals = tracer.aggregate()
     assert totals["gradients.scalar.calls"] == 1
     assert totals.get("gradients.scipy_linprog.calls", 0) == 0
+
+
+def test_tracer_counts_slsqp_of_the_besov_bisection():
+    # gradients imports minimize on first use and _slsqp looks it up on the
+    # module, so the tracer's wrapper still sees every SLSQP solve
+    tracer = load_tracer().Tracer()
+    with tracer:
+        sol = varmms.minimal_vector_gradient(line_space(3), np.array([0.0, 1.0, 0.3]), 0.5,
+                                             [1.2, 1.8, 1.5], [0.8, 1.3, 1.2], scale="lq_lp")
+    assert sol.info["path"] == "bisection"
+    totals = tracer.aggregate()
+    assert totals["gradients.scipy_minimize.calls"] > 0
+    assert gradients.minimize is scipy.optimize.minimize

@@ -367,6 +367,52 @@ def test_moser_shift_past_the_exp_range(grid8):
     assert rep.extras["embedding_constant"] == np.inf
 
 
+def _slope_battery(seed):
+    """(v, log_terms) of ``_slope_root``'s two forms on v spanning [0, 1]:
+    the Moser shift's log w + k |d| and the Lebesgue shift's
+    log(w p) + (p - 1) log|d|, with log weights spread up to +-200 and
+    one heavy end point pushing the root onto 0 or 1."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 30))
+    v = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, n - 2)])
+    if seed % 3 == 0:
+        v = np.round(v, 1)  # ties
+    log_w = rng.uniform(-1.0, 1.0, n) * (200.0 if seed % 2 else 5.0)
+    if seed % 5 == 0:
+        log_w[int(rng.integers(2))] = 200.0
+    if seed % 4 < 2:
+        k = float(np.exp(rng.uniform(-7.0, 6.0)))
+        return v, lambda d, on: log_w[on] + k * np.abs(d[on])
+    pv = rng.uniform(1.0, 5.0, n)
+    return v, lambda d, on: log_w[on] + (pv[on] - 1.0) * np.log(np.abs(d[on]))
+
+
+def test_brentq_port_matches_scipy(monkeypatch):
+    # the Moser-Trudinger centring shift uses a port of scipy's brentq, so
+    # that no verify imports scipy.optimize; it must give scipy's roots
+    from scipy.optimize import brentq
+    port, roots = verify._brentq, []
+
+    def both(f, a, b, xtol):
+        roots.append((port(f, a, b, xtol=xtol), brentq(f, a, b, xtol=xtol)))
+        return roots[-1][0]
+
+    monkeypatch.setattr(verify, "_brentq", both)
+    for seed in range(600):
+        verify._slope_root(*_slope_battery(seed))
+    assert len(roots) == 600
+    assert all(ours == theirs for ours, theirs in roots), \
+        [r for r in roots if r[0] != r[1]][:5]
+    assert min(r[0] for r in roots) < 1e-12 and max(r[0] for r in roots) > 1.0 - 1e-12
+    # no sign change: the same error
+    errors = []
+    for solve in (port, brentq):
+        with pytest.raises(ValueError) as err:
+            solve(lambda t: t + 1.0, 0.0, 1.0, xtol=1e-14)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+
+
 def test_necessity_atom_flagging(grid8):
     n = grid8.n
     s = np.full(n, 0.5)
