@@ -8,22 +8,23 @@ Lebesgue / mixed-sequence norms over these polyhedra.
 
 Solver layout (README "Solvers").  Every convex modular rho is minimized on
 a working set of rows grown by delayed constraint generation
-(``_working_set``) on one HiGHS model grown by rows (``_highs_modular``),
-with a duality bracket where rho has a closed-form conjugate.  A constant
-exponent p >= 1 makes the norm a monotone function of the separable
-modular, minimized itself: at p = 1 an LP, whose dual model grows by
-columns instead, Newton steps of HiGHS's QP solver above.  Every other
-convex modular, a variable exponent (min p >= 1, and min q >= 1 on the TL
-scale), the TL joint problem, and a Besov norm with finite variable q and
-min(p, q) >= 1 on the level-stacked rows, takes the same Newton steps on
-rho(mu g) with its block-diagonal Hessian, while the level mu takes Newton
-steps towards the gauge, phi(mu) = min rho(mu g) = 1.  A nonconvex modular
-(flagged heuristic) is minimized by majorize-minimize over these
-(``_majorize_minimize``); a norm-level bisection around SLSQP remains for
-variable-q Besov norms with min(p, q) < 1 or q infinite at some points but
-not all.  Every returned point is repaired to hard feasibility against all
-rows and re-evaluated from scratch, so certificates never rely on
-solver-internal tolerances.
+(``_working_set``) on one model grown by rows (``_minimize_modular``), with a
+duality bracket where rho has a closed-form conjugate.  A constant exponent
+p >= 1 makes the norm a monotone function of the separable modular,
+minimized itself: at p = 1 a HiGHS LP, whose dual model grows by columns,
+and above by Newton steps, each a strictly convex QP solved by the dual
+active-set method of Goldfarb and Idnani (``_dual_qp``) from the last
+step's active constraints.  Every other convex modular, a variable exponent
+(min p >= 1, and min q >= 1 on the TL scale), the TL joint problem, and a
+Besov norm with finite variable q and min(p, q) >= 1 on the level-stacked
+rows, takes the same Newton steps on rho(mu g) with its block-diagonal
+Hessian, while the level mu takes Newton steps towards the gauge,
+phi(mu) = min rho(mu g) = 1.  A nonconvex modular (flagged heuristic) is
+minimized by majorize-minimize over these (``_majorize_minimize``); a
+norm-level bisection around SLSQP remains for variable-q Besov norms with
+min(p, q) < 1 or q infinite at some points but not all.  Every returned
+point is repaired to hard feasibility against all rows and re-evaluated
+from scratch, so certificates never rely on solver-internal tolerances.
 """
 from __future__ import annotations
 
@@ -215,7 +216,7 @@ def _repair(g, I, J, A, B, T) -> np.ndarray:
 # and round, and the relative violation above which a row is admitted
 _ROWS_PER_POINT = 2
 _GEN_TOL = 1e-10
-# relative duality gap of the modular at which a HiGHS round is optimal, and
+# relative duality gap of the modular at which a round is optimal, and
 # the step of log mu at which a gauge's level is settled: at the optimum the
 # norm is stationary in the level, so a level step d moves it by O(d**2)
 _GAP_TOL, _LEVEL_TOL = 1e-10, 1e-5
@@ -226,13 +227,11 @@ _PATHS = ("none", "lp", "qp", "qp_gauge", "mm", "bisection")
 _RECORD = contextvars.ContextVar("gradient_record", default=None)
 
 
-def _note(path=None, status=0, nit=0, rounds=0, rows=0, bracket=None, highs=None,
-          opened=False):
+def _note(path=None, status=0, nit=0, rounds=0, rows=0, bracket=None, opened=False):
     record = _RECORD.get()
     if record is not None:
         record["paths"].add(path)
         record["statuses"].add(int(status))
-        record["highs"] += [highs] if highs else []
         record["nit"] += int(nit)
         record["rounds"] += rounds
         record["rows"] += rows
@@ -244,23 +243,21 @@ def _note(path=None, status=0, nit=0, rounds=0, rows=0, bracket=None, highs=None
 @contextlib.contextmanager
 def _provenance(info):
     """Collect the provenance of one solve into ``info``: the highest solver
-    ``path``, the distinct non-zero ``slsqp_status`` values, the sorted
-    ``highs_status`` of every HiGHS run that was not optimal, the
-    working-set ``rounds`` and final ``rows``, ``nit``, the SLSQP iterations
-    plus the HiGHS runs, and ``open``, the ``_highs_modular`` calls whose
+    ``path``, the distinct non-zero ``slsqp_status`` values, the working-set
+    ``rounds`` and final ``rows``, ``nit``, the SLSQP iterations plus the QP
+    solves and LP runs, and ``open``, the ``_minimize_modular`` calls whose
     bracket stayed open, each summed over the solve's working-set solves (a
     majorize-minimize solve's path is ``mm``), the ``bracket`` of the
-    modular when the solve was one ``_highs_modular`` call, and on the
+    modular when the solve was one ``_minimize_modular`` call, and on the
     convex paths ``certified``: the solve bracketed its modulars and left
     none open (false on the variable-q Besov gauge, which has no bracket)."""
-    token = _RECORD.set({"paths": set(), "statuses": set(), "highs": [], "nit": 0,
+    token = _RECORD.set({"paths": set(), "statuses": set(), "nit": 0,
                          "rounds": 0, "rows": 0, "open": 0, "brackets": []})
     try:
         yield
         record = _RECORD.get()
         info["path"] = max(record["paths"] - {None}, key=_PATHS.index, default="none")
         info["slsqp_status"] = sorted(record["statuses"] - {0})
-        info["highs_status"] = sorted(record["highs"])
         info.update({k: record[k] for k in ("rounds", "rows", "nit", "open")})
         brackets = record["brackets"]
         if info["path"] in ("lp", "qp", "qp_gauge"):
@@ -332,9 +329,9 @@ def _top_rows_per_point(score, groups):
     return picked[np.diff(picked, prepend=-1) > 0]
 
 
-def _working_set(I, J, A, B, T, x, solve_round, point):
-    """Delayed constraint generation: ``solve_round(work, x)`` solves on the
-    rows ``work`` from state x; ``point(x)`` is the state's gradient.
+def _working_set(I, J, A, B, T, g, solve_round):
+    """Delayed constraint generation: ``solve_round(work, g)`` solves on the
+    rows ``work`` from the gradient g.
 
     The set starts with each point's rows of largest t/(a+b), the violation
     per unit of g at g = 0; after each solve each point's outside rows of
@@ -346,8 +343,7 @@ def _working_set(I, J, A, B, T, x, solve_round, point):
     AB, groups = A + B, _point_groups(I, J)
     work = _top_rows_per_point(T / AB, groups)
     for rounds in itertools.count(1):
-        x = solve_round(work, x)
-        g = point(x)
+        g = solve_round(work, g)
         viol = T - (A * g[I] + B * g[J])
         viol[work] = 0.0
         viol[viol <= _GEN_TOL * T] = 0.0
@@ -359,38 +355,28 @@ def _working_set(I, J, A, B, T, x, solve_round, point):
 
 
 # Newton steps: the Hessian's floor on g / max g where the curvature is
-# unbounded at 0 (g**p with p < 2), the gradient's last floor, the QP's
-# Hessian at the largest entry, steps per round, halvings per step, the
-# relative decrease of the modular at or below which a step stalls, and the
-# QP solver's iterations per column and model row
-_HESS_FLOOR, _GRAD_FLOOR, _QP_CURVATURE = 1e-3, 1e-12, 1e3
-_STEPS, _HALVINGS, _STALL, _QP_ITERATIONS = 60, 53, 1e-12, 10
-
-
-@contextlib.contextmanager
-def _stdout_to_devnull():
-    """File descriptor 1 on ``os.devnull``, restored on exit: HiGHS's QP
-    solver prints "dimension mismatch" there whatever its output options."""
-    sys.stdout.flush()
-    saved, null = os.dup(1), os.open(os.devnull, os.O_WRONLY)
-    try:
-        os.dup2(null, 1)
-        yield
-    finally:
-        os.dup2(saved, 1)
-        os.close(saved)
-        os.close(null)
+# unbounded at 0 (g**p with p < 2), the gradient's last floor, steps per
+# round, halvings per step and the relative decrease of the modular at or
+# below which a step stalls
+_HESS_FLOOR, _GRAD_FLOOR = 1e-3, 1e-12
+_STEPS, _HALVINGS, _STALL = 60, 53, 1e-12
+# the step QP (``_dual_qp``): the ridge that makes it strictly convex, per
+# entry relative to |gradient| / g; the violation, relative to a
+# constraint's terms, at which it joins; the share of its curvature below
+# which it depends on the active ones; joins per column and row at most
+_QP_RIDGE, _QP_TOL, _QP_DEPENDENT, _QP_STEPS = 1e-6, 1e-12, 1e-11, 10
 
 
 @dataclass(frozen=True)
 class _Modular:
-    """A convex modular rho on x >= 0 for ``_highs_modular``.
+    """A convex modular rho on x >= 0 for ``_minimize_modular``.
 
     ``value``, ``grad`` and ``hess`` evaluate rho, its gradient and its
     block-diagonal Hessian (idx, H): H[b] on the entries idx[b], every entry
     in one block.  A separable rho's Hessian is taken at x floored at
-    ``_HESS_FLOOR`` max x where ``floored``, and any floored entry starts
-    the gradient's floor at ``_HESS_FLOOR``.  ``conj(z)`` is (s, rho*(s z))
+    ``_HESS_FLOOR`` max x, where its curvature is unbounded (``floored``)
+    or vanishes at 0, and a ``floored`` entry starts the gradient's floor
+    at ``_HESS_FLOOR``.  ``conj(z)`` is (s, rho*(s z))
     for the largest s <= 1 that puts s z in the domain of the conjugate
     rho*, or None where rho* has no closed form.  A separable rho = c.x**p
     also keeps c and p (a float when constant)."""
@@ -528,24 +514,152 @@ def _level_sum_modular(L, pv, qv, w):
 
 
 def _block_dot(idx, H, x):
-    """H x for the block-diagonal matrix with blocks H[b] on the entries idx[b]."""
-    out = np.empty(x.size)
-    out[idx] = np.einsum("bij,bj->bi", H, x[idx])
+    """H x for the block-diagonal matrix with blocks H[b] on the entries
+    idx[b], x a vector or the columns of a matrix."""
+    out = np.empty(x.shape)
+    out[idx] = np.einsum("bij,bj...->bi...", H, x[idx])
     return out
 
 
-def _lower_csc(idx, H, order):
-    """The lower triangle of the block-diagonal matrix (idx, H) as HiGHS's
-    triangular CSC arrays (start, index, value), column j holding entry
-    order[j]."""
-    col = np.argsort(order)[idx]
-    r = np.broadcast_to(col[:, :, None], H.shape)
-    c = np.broadcast_to(col[:, None, :], H.shape)
-    keep = r >= c
-    r, c, v = r[keep], c[keep], H[keep]
-    o = np.lexsort((r, c))
-    start = np.concatenate([[0], np.cumsum(np.bincount(c, minlength=order.size))])
-    return start.astype(np.int32), r[o].astype(np.int32), v[o]
+def _qp_rows(I, J, A, B, T, n):
+    """The constraints of ``_dual_qp``: the bounds x >= 0, then the rows
+    a x_i + b x_j >= t scaled to unit norm, as (i, j, a, b, lo), and the
+    rows' norms.  Rows added at the end keep every constraint's index."""
+    ent, zero, norm, cat = np.arange(n), np.zeros(n), np.hypot(A, B), np.concatenate
+    return (cat([ent, I]), cat([ent, J]), cat([zero + 1.0, A / norm]), cat([zero, B / norm]),
+            cat([zero, T / norm])), norm
+
+
+def _dual_qp(idx, H, c, rows, start):
+    """min 1/2 x.Hx + c.x over the unit-norm rows and the bounds of
+    ``_qp_rows`` for a block-diagonal positive definite H (blocks H[b] on
+    the entries idx[b]), by the dual active-set method of Goldfarb and
+    Idnani (*A numerically stable dual method for solving strictly convex
+    quadratic programs*).
+
+    The active constraints N, with multipliers u >= 0, start as ``start``
+    (constraint indices; no start if they depend on each other).  The most
+    violated constraint n joins them, one at a time, along the primal
+    direction z = H^-1 n - H^-1 N r and the dual direction
+    r = S^-1 N^T H^-1 n, S = N^T H^-1 N: a full step makes n active, a
+    partial one drops the active constraint whose multiplier reaches zero.
+    S^-1 is kept as U U^T with U square: one Cholesky factorization at the
+    start, a border when a constraint joins and a Householder reflection
+    when one leaves (``drop``).  At the start and whenever no constraint is
+    violated, x and u are solved afresh on the active set (``settle``),
+    where constraints of negative multiplier leave; the solve returns once
+    that point violates none.  Returns x, the constraints' multipliers (zero
+    off the active set) and the active set."""
+    ci, cj, ca, cb, lo = rows
+    n = c.size
+    if H.shape[1] == 1:
+        hinv = np.empty(n)
+        hinv[idx[:, 0]] = 1.0 / H[:, 0, 0]
+
+        def solve(v):  # H^-1 v, v a vector or the columns of a matrix
+            return (hinv * v.T).T
+    else:
+        solve = functools.partial(_block_dot, idx, np.linalg.inv(H))
+
+    # the k active constraints: their indices, multipliers, columns N and
+    # factor U (S^-1 = U U^T) in the leading parts of buffers for all n
+    act, u, N, U = np.zeros(n, dtype=int), np.zeros(n), np.zeros((n, n)), np.zeros((n, n))
+
+    def gather(v):  # N^T v
+        return N[:, :k].T @ v
+
+    def scatter(w):  # N w
+        return N[:, :k] @ w
+
+    def factor(w):  # S^-1 w
+        return U[:k, :k] @ (U[:k, :k].T @ w)
+
+    def drop(leave):
+        # the last constraint takes the leaving one's place, and a Householder
+        # reflection maps the leaving row of U onto U's last column
+        nonlocal k
+        row, k = U[leave, :k].copy(), k - 1
+        U[leave], N[:, leave], u[leave], act[leave] = U[k], N[:, k], u[k], act[k]
+        h = row / np.linalg.norm(row)
+        h[-1] += math.copysign(1.0, h[-1])
+        h /= np.linalg.norm(h)
+        U[:k, :k + 1] -= np.outer(2.0 * (U[:k, :k + 1] @ h), h)
+
+    def settle(x):
+        # the equality problem on the active set from x and u (x None: from
+        # u = S^-1 (lo + N^T H^-1 c)), refined twice for the residuals of
+        # H x + c = N u and N^T x = lo; negative multipliers leave
+        while True:
+            if x is None:
+                u[:k] = factor(lo[act[:k]] + gather(solve(c)))
+                x = solve(scatter(u[:k]) - c)
+            for _ in range(2):
+                d = _block_dot(idx, H, x) + c - scatter(u[:k])
+                du = factor(lo[act[:k]] - gather(x) + gather(solve(d)))
+                x, u[:k] = x + solve(scatter(du) - d), u[:k] + du
+            if k == 0 or u[:k].min() >= 0.0:
+                return x
+            for leave in np.flatnonzero(u[:k] < 0.0)[::-1]:
+                drop(leave)
+            x = None
+
+    def violated(x):
+        # the most violated inactive row (beyond _QP_TOL of its terms) or
+        # bound (beyond _QP_TOL of the largest entry), or None
+        ax, bx = ca * x[ci], cb * x[cj]
+        scale = np.abs(ax) + np.abs(bx) + lo
+        scale[:n] = np.abs(x).max()
+        viol = lo - ax - bx - _QP_TOL * scale
+        viol[act[:k]] = 0.0
+        p = int(np.argmax(viol))
+        return p if viol[p] > 0.0 else None
+
+    k = len(start)
+    act[:k] = start
+    np.add.at(N, (np.concatenate([ci[act[:k]], cj[act[:k]]]), np.tile(np.arange(k), 2)),
+              np.concatenate([ca[act[:k]], cb[act[:k]]]))
+    try:
+        U[:k, :k] = np.linalg.inv(np.linalg.cholesky(gather(solve(N[:, :k])))).T
+    except np.linalg.LinAlgError:  # the start's constraints depend on each other
+        k = 0
+    joins, x = _QP_STEPS * (n + lo.size), None
+    while joins > 0:
+        x = settle(x)
+        p = violated(x)
+        if p is None:
+            mult = np.zeros(lo.size)
+            mult[act[:k]] = u[:k]
+            return x, mult, act[:k].copy()
+        while p is not None and joins > 0:
+            joins -= 1
+            e = np.bincount([ci[p], cj[p]], [ca[p], cb[p]], n)
+            v, up = solve(e), 0.0
+            gap, dependent = e @ x - lo[p], _QP_DEPENDENT * (e @ v)
+            while True:  # partial steps until p joins
+                r = factor(gather(v))
+                z = v - solve(scatter(r))
+                rho2 = e @ z
+                t2 = -gap / rho2 if rho2 > dependent and k < n else np.inf
+                ratio = np.divide(u[:k], r, out=np.full(k, np.inf), where=r > 0.0)
+                leave = int(np.argmin(ratio)) if k else -1
+                t1 = ratio[leave] if k else np.inf
+                t = min(t1, t2)
+                if t == np.inf:
+                    raise RuntimeError("QP solve failed: infeasible rows")
+                if t2 < np.inf:
+                    x = x + t * z
+                    gap += t * rho2
+                u[:k] -= t * r
+                up += t
+                if t2 <= t1:
+                    rho = math.sqrt(rho2)
+                    U[:k, k], U[k, :k], U[k, k] = -r / rho, 0.0, 1.0 / rho
+                    N[:, k], u[k], act[k] = e, up, p
+                    k += 1
+                    break
+                drop(leave)
+            p = violated(x)
+    raise RuntimeError("QP solve failed: iteration limit")
 
 
 def _level(rho, g, t):
@@ -556,11 +670,10 @@ def _level(rho, g, t):
     return t - math.log(f) * f / float(rho.grad(x) @ x)
 
 
-def _highs_modular(rho, I, J, A, B, T, n, g0=None):
-    """HiGHS for a convex modular rho (``_Modular``) on one model that holds
-    ``_working_set``'s rows admitted so far; each round adds only its new
-    rows (at p == 1 as columns of the dual).  Starts from g0, by default
-    ``_feasible_point``.
+def _minimize_modular(rho, I, J, A, B, T, n, g0=None):
+    """A convex modular rho (``_Modular``) minimized over ``_working_set``'s
+    rows, on one model of the rows admitted so far; each round adds only its
+    new rows.  Starts from g0, by default ``_feasible_point``.
 
     A separable rho with one exponent p is minimized itself.  Any other rho
     is minimized through its gauge: the least norm inf{lam : rho(g/lam) <= 1}
@@ -569,23 +682,22 @@ def _highs_modular(rho, I, J, A, B, T, n, g0=None):
     on log phi (``_level``) after every Newton step on g; at one exponent
     that step is exact.
 
-    At p == 1 the model is the LP's dual, max t.y over A^T y <= c, y >= 0,
-    with one row per point: a round's rows join as columns, so the last
-    basis stays primal feasible and a round is one run of primal simplex
-    restarted from it, on n basic variables rather than one per row.  g is
-    the model's row duals and y its column values.  Otherwise a round takes
-    Newton steps on rho(mu g), each one run of HiGHS's QP solver on the
-    Hessian at g floored at ``_HESS_FLOOR`` max g (where ``floored``; a
-    block Hessian at the gradient's point) and the gradient at g floored at
-    a floor that drops 1e3-fold, down to ``_GRAD_FLOOR``, at each stalled
-    step.  The first step of a round takes the QP point, since g can miss
-    the new rows; later steps halve towards it while rho(mu g) rises.  A
-    step stalls when it lowers rho(mu g) by at most ``_STALL`` relative or
-    1e-3 of the gap to the best D(y).  A round stops once rho(mu g) is
-    within ``_GAP_TOL`` of the best D(y) at a settled level (a level step of
-    at most ``_LEVEL_TOL``); after ``_STEPS`` steps or a stall on the last
-    floor it ends, a separable rho with one Newton step on the KKT system of
-    the rows g meets.
+    At p == 1 the model is a HiGHS LP, the LP's dual max t.y over
+    A^T y <= c, y >= 0, with one row per point: a round's rows join as
+    columns, so a round is one run of primal simplex restarted from the last
+    basis, on n basic variables; g is the row duals and y the column values.
+    Otherwise a round takes Newton steps on rho(mu g), each one QP
+    (``_dual_qp``) from the last step's active constraints, on the Hessian at
+    g floored at ``_HESS_FLOOR`` max g (a block Hessian at the gradient's
+    point) plus a ridge of ``_QP_RIDGE`` |gradient| / g, and the gradient at
+    g floored at a floor that drops 1e3-fold, down to ``_GRAD_FLOOR``, at
+    each stalled step (from ``_HESS_FLOOR`` where ``floored``).  The first
+    step of a round takes the QP point, since g can miss the new rows; later
+    steps halve towards it while rho(mu g) rises.  A step stalls when it
+    lowers rho(mu g) by at most ``_STALL`` relative or 1e-3 of the gap to
+    the best D(y).  A round stops once rho(mu g) is within ``_GAP_TOL`` of
+    the best D(y) at a settled level (a level step of at most
+    ``_LEVEL_TOL``), after ``_STEPS`` steps or on a stall at the last floor.
 
     Any row duals y >= 0 on the model's rows (zero off them) are feasible
     for the full dual, so D(y) = t.y - rho*(A^T y / mu) bounds the optimum
@@ -599,69 +711,27 @@ def _highs_modular(rho, I, J, A, B, T, n, g0=None):
     g0 = _feasible_point(n, I, J, A, B, T) if g0 is None else g0
     gauge = rho.c is None or np.ndim(rho.p) > 0
     linear = not gauge and rho.p == 1
-    # HiGHS's QP solver meets rows and judges improvements to absolute
-    # tolerances, so at p > 1 the model works in x = g / max g0 on rows
-    # divided by t, with rho normalized to one at g0 (by its value, or by
-    # the level) and the Hessian by its value at the largest entry: rows of
-    # small t gave "Solve error", and a small objective false optima
-    if linear:
-        sigma, rs, scale = 1.0, np.ones_like(T), 1.0
-    else:
-        sigma, rs = float(g0.max()), T
-        scale = 1.0 if gauge else max(rho.value(g0), 1e-300)
-    if not gauge:
-        rho = _separable(rho.c / scale, rho.p)
     t_mu = -math.log(g0.max()) if gauge else 0.0  # log mu
     for _ in range(_STEPS if gauge else 0):
         t_mu, prev = _level(rho, g0, t_mu), t_mu
         if abs(t_mu - prev) <= _GAP_TOL:
             break
     mu = mu0 = math.exp(t_mu)
-    cols = np.arange(n + 1, dtype=np.int32)
     model = np.zeros(0, dtype=int)  # working-set rows in the model's row order
     held = np.zeros(T.size, dtype=bool)  # the rows in the model
     best = -np.inf  # the best dual bound D(y) at the level mu
     floor = _HESS_FLOOR if np.any(rho.floored) else _GRAD_FLOOR  # the gradient's floor
+    active = model  # the last QP's active constraints (``_qp_rows``)
 
     def phi(g, level=None):  # rho at the level mu
         return rho.value((mu if level is None else level) * g)
 
-    def add_rows(q, rows, order, cs=None):
-        # cs: each of g's columns scaled by cs, x = cs g / sigma
-        col = np.argsort(order)  # q's column of each of g's
-        coef = sigma * np.column_stack([A[rows], B[rows]]) / rs[rows, None]
-        if cs is not None:
-            coef = coef / np.column_stack([cs[I[rows]], cs[J[rows]]])
-        inf = np.full(rows.size, _highs.kHighsInf)
-        nz = (2 * rows.size, np.arange(0, 2 * rows.size, 2, dtype=np.int32),
-              np.column_stack([col[I[rows]], col[J[rows]]]).astype(np.int32).ravel(),
-              coef.ravel())
-        if linear:  # the dual's columns: y >= 0 of cost t on the rows' points
-            q.addCols(rows.size, T[rows], np.zeros(rows.size), inf, *nz)
-        else:
-            q.addRows(rows.size, T[rows] / rs[rows], inf, *nz)
-        return q
-
-    def build(order, cs=None):
-        q = _highs._Highs()
-        q.setOptionValue("output_flag", False)
-        empty = (0, np.zeros(n, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0))
-        if linear:
-            # the LP's dual, max t.y over A^T y <= c, y >= 0: each round's rows
-            # join as columns, so the last basis stays primal feasible and
-            # primal simplex restarts from it on n rows; g is the row duals,
-            # held to the rows by the dual tolerance as in the primal below
-            q.setOptionValue("dual_feasibility_tolerance", 1e-10)
-            q.setOptionValue("simplex_strategy", 4)  # primal simplex
-            q.changeObjectiveSense(_highs.ObjSense.kMaximize)
-            q.addRows(n, np.full(n, -_highs.kHighsInf), rho.c[order], *empty)
-            return add_rows(q, model, order)
-        # at HiGHS's default 1e-7 a solve may stop up to 1e-7 short of a row,
-        # which _repair turns into a uniform scale-up of g; 1e-10 is the floor
-        q.setOptionValue("primal_feasibility_tolerance", 1e-10)
-        cost = np.zeros(n) if rho.c is None else rho.c
-        q.addCols(n, cost[order], np.zeros(n), np.full(n, _highs.kHighsInf), *empty)
-        return add_rows(q, model, order, cs)
+    def grow(work):
+        nonlocal model
+        new = work[~held[work]]
+        held[new] = True
+        model = np.concatenate([model, new])
+        return new
 
     def bound(y):
         # D(y) at mu for duals y >= 0 on the model's rows, kept if the best so far
@@ -671,132 +741,60 @@ def _highs_modular(rho, I, J, A, B, T, n, g0=None):
             s, conj = rho.conj(z / mu)
             best = max(best, float(T[model] @ (y * s)) - conj)
 
-    def polish(g):
-        # the QP solver judges optimality to an absolute tolerance, which can
-        # leave small entries off their optimum and their rows' duals short:
-        # one Newton step of a separable rho on the KKT system of the rows g
-        # meets, with entries no such row touches at 0, and D(y) for its
-        # multipliers
-        if rho.c is None:
-            return g
-        on = A[model] * g[I[model]] + B[model] * g[J[model]] <= T[model] * (1.0 + 1e-9)
-        rows = model[on]
-        pos = np.intersect1d(np.flatnonzero(g > 0), np.concatenate([I[rows], J[rows]]))
-        if pos.size == 0:
-            return g
-        p = rho.p if np.ndim(rho.p) == 0 else rho.p[pos]
-        M = _constraint_dense(I[rows], J[rows], A[rows], B[rows], T[rows], n)[:, pos]
-        h = mu ** 2 * (rho.c[pos] * p * (p - 1.0) * (mu * g[pos]) ** (p - 2.0))
-        if not np.all(h > 0):  # a linear entry: no Newton step
-            return g
-        grad = mu * (rho.c[pos] * p * (mu * g[pos]) ** (p - 1.0))
-        y = np.linalg.lstsq((M / h) @ M.T, T[rows] - M @ g[pos] + (M / h) @ grad,
-                            rcond=None)[0]
-        duals = np.zeros(model.size)
-        duals[on] = np.maximum(y, 0.0)
-        bound(duals)
-        step = np.zeros(n)
-        step[pos] = g[pos] + (M.T @ y - grad) / h
-        feasible = np.all(A[model] * step[I[model]] + B[model] * step[J[model]] >= T[model])
-        return step if step.min() >= 0.0 and feasible and phi(step) < phi(g) else g
+    if linear:
+        # the LP's dual, max t.y over A^T y <= c, y >= 0: each round's rows
+        # join as columns, so the last basis stays primal feasible and primal
+        # simplex restarts from it on n rows; g is the row duals, held to the
+        # rows by the dual tolerance of 1e-10 (HiGHS's default 1e-7 can stop
+        # that far short of a row, which _repair turns into a scale-up of g)
+        lp = _highs._Highs()
+        lp.setOptionValue("output_flag", False)
+        lp.setOptionValue("dual_feasibility_tolerance", 1e-10)
+        lp.setOptionValue("simplex_strategy", 4)  # primal simplex
+        lp.changeObjectiveSense(_highs.ObjSense.kMaximize)
+        lp.addRows(n, np.full(n, -_highs.kHighsInf), rho.c, 0, np.zeros(n, dtype=np.int32),
+                   np.zeros(0, dtype=np.int32), np.zeros(0))
 
-    def run(q, order, g=None, clip=0.0, lp_step=False):
-        # q's point, off the LP on the Newton model of rho(mu g) at g with its
-        # Hessian's diagonal clipped below at ``clip`` times the largest
-        # entry's (``lp_step``: on the gradient at g alone; q None: on a fresh
-        # model with each column scaled to the same clipped curvature), and
-        # D(y) for its duals; q's columns hold g's in ``order``
-        weight, cs = 1.0, None
-        if not linear:
+        def solve_round(work, g):
+            new = grow(work)
+            lp.addCols(new.size, T[new], np.zeros(new.size), np.full(new.size, _highs.kHighsInf),
+                       2 * new.size, np.arange(0, 2 * new.size, 2, dtype=np.int32),
+                       np.column_stack([I[new], J[new]]).astype(np.int32).ravel(),
+                       np.column_stack([A[new], B[new]]).ravel())
+            lp.run()
+            status = lp.modelStatusToString(lp.getModelStatus())
+            _note(nit=1)
+            if status != "Optimal":
+                raise RuntimeError(f"LP solve failed: {status}")
+            sol = lp.getSolution()
+            bound(np.maximum(np.asarray(sol.col_value), 0.0))
+            return np.maximum(np.asarray(sol.row_dual), 0.0)
+    else:
+        def newton_point(g, rows, norm):
+            # the QP point of the Newton model of rho(mu x) at g, and D(y) for
+            # its duals; blocks couple their entries, so a block Hessian takes
+            # the gradient's point, floored at _HESS_FLOOR**2 for x**(q-2)
+            nonlocal active
             gl = np.maximum(g, floor * g.max())
-            # a separable rho's Hessian is floored on its own; blocks couple
-            # their entries, so they take the gradient's point, floored at
-            # _HESS_FLOOR**2 to bound the spread of x**(q-2) near q = 1
-            gh = (np.maximum(g, rho.floored * _HESS_FLOOR * g.max()) if rho.c is not None
-                  else np.maximum(g, max(floor, _HESS_FLOOR ** 2) * g.max()))
+            gh = np.maximum(g, (_HESS_FLOOR if rho.c is not None
+                                else max(floor, _HESS_FLOOR ** 2)) * g.max())
             idx, H = rho.hess(mu * gh)
             H, k = mu ** 2 * H, np.arange(H.shape[1])
-            diag = np.empty(n)
-            diag[idx] = H[:, k, k]
-            # a gauge's rho can be flat at the largest entry (||x||_q at p = 1
-            # along x, or p near 1 there): its reference is at least 1e-6 of
-            # its largest curvature, as HiGHS aborted on scaled values of 1e15
-            href = diag[np.argmax(g)]
-            if gauge:
-                href = max(href, 1e-6 * diag.max())
-            if not href > 0:  # a linear entry
-                href = diag.max()
-            lp_step = lp_step or not href > 0  # rho is linear
-            H[:, k, k] = np.maximum(H[:, k, k], clip * href)
-            if q is None:
-                cs = None if lp_step else np.sqrt(np.maximum(diag, clip * href) / href)
-                q = build(order, cs)
-            lin = mu * rho.grad(mu * gl) - (not lp_step) * _block_dot(idx, H, gl)
-            weight = (1.0 / float(np.max(sigma * lin)) if lp_step
-                      else _QP_CURVATURE / (sigma ** 2 * href))
-            cost = weight * sigma * lin[order]
-            q.changeColsCost(n, cols[:-1], cost if cs is None else cost / cs[order])
-            if not lp_step:
-                start, index, value = _lower_csc(idx, H, order)
-                value = weight * sigma ** 2 * value
-                if cs is not None:
-                    csq = cs[order]
-                    value = value / (csq[index] * np.repeat(csq, np.diff(start)))
-                q.passHessian(n, value.size, _highs.HessianFormat.kTriangular, start, index,
-                              value)
-            # the QP solver can cycle without end on a degenerate model: a
-            # limit of _QP_ITERATIONS per column and row makes that a failure
-            q.setOptionValue("qp_iteration_limit", _QP_ITERATIONS * (n + model.size))
-        q.run()
-        status = q.modelStatusToString(q.getModelStatus())
-        sol = q.getSolution()
-        col, dual = np.asarray(sol.col_value), np.asarray(sol.row_dual)
-        if linear:  # the dual model: its columns hold y, its row duals g
-            col, dual = dual, col
-        # HiGHS's QP solver has claimed optimality at a point with NaN entries
-        if status == "Optimal" and not (np.isfinite(col).all() and np.isfinite(dual).all()):
-            status = "Non-finite optimum"
-        optimal = status == "Optimal"
-        _note(nit=1, highs=None if optimal else status)
-        if not optimal:
-            if linear:
-                raise RuntimeError(f"LP solve failed: {status}")
-            return None
-        bound(np.maximum(dual, 0.0) / (weight * rs[model]))
-        x = np.empty(n)
-        x[order] = sigma * np.maximum(col, 0.0)
-        return x if cs is None else x / cs
+            lin = mu * rho.grad(mu * gl)
+            ridge = np.abs(lin) / gh
+            H[:, k, k] += _QP_RIDGE * np.maximum(ridge, _QP_RIDGE * ridge.max())[idx]
+            x, mult, active = _dual_qp(idx, H, lin - _block_dot(idx, H, gl), rows, active)
+            _note(nit=1)
+            bound(mult[n:] / norm)
+            return np.maximum(x, 0.0)
 
-    qp, ident = build(np.arange(n)), np.arange(n)
-    reruns = (ident[::-1], np.roll(ident, 1))
-
-    def solve_round(work, g):
-        nonlocal model, floor, mu, t_mu, best
-        new = work[~held[work]]
-        held[new] = True
-        add_rows(qp, new, ident)
-        model = np.concatenate([model, new])
-        if linear:
-            return run(qp, ident)
-        first = True  # the first step takes the QP point: g can miss the new rows
-        for _ in range(_STEPS):
-            # HiGHS's QP solver fails on some models in one column order and
-            # solves them in another: a QP that is not optimal is noted and
-            # rerun on fresh models, the columns reversed and then rotated, the
-            # Hessian clipped, and for a gauge once more with every column
-            # scaled to the same curvature (HiGHS solved TL and Besov models
-            # that failed in every order so); failing every time, the step
-            # goes to the LP point of the gradient at g, which meets the rows
-            x = run(qp, ident, g)
-            for order in reruns:
-                if x is None:
-                    x = run(build(order), order, g, 1e-3)
-            if x is None and gauge:
-                x = run(None, ident, g, 1e-3)
-            if x is None:
-                x = run(build(ident), ident, g, lp_step=True)
-            stalled, step = x is None, 0.0
-            if not stalled:  # later steps halve towards the QP point while rho rises
+        def solve_round(work, g):
+            nonlocal floor, mu, t_mu, best
+            grow(work)
+            rows, norm = _qp_rows(I[model], J[model], A[model], B[model], T[model], n)
+            first = True  # the first step takes the QP point: g can miss the new rows
+            for _ in range(_STEPS):
+                x = newton_point(g, rows, norm)
                 f, d = phi(g), x - g
                 t = 1.0 if first else next(
                     (t for t in 0.5 ** np.arange(_HALVINGS) if phi(g + t * d) <= f), 0.0)
@@ -807,17 +805,16 @@ def _highs_modular(rho, I, J, A, B, T, n, g0=None):
                 step = _level(rho, g, t_mu) - t_mu if gauge else 0.0
                 if f - best <= _GAP_TOL * f and abs(step) <= _LEVEL_TOL:
                     return g
-            if stalled:
-                if floor <= _GRAD_FLOOR:
-                    return polish(g)
-                floor = max(floor * 1e-3, _GRAD_FLOOR) if rho.conj is not None else _GRAD_FLOOR
-            if step:  # a new level: D(y) at the old one bounds nothing
-                t_mu += step
-                mu, best = math.exp(t_mu), -np.inf
-        return polish(g)
+                if stalled:
+                    if floor <= _GRAD_FLOOR:
+                        return g
+                    floor = max(floor * 1e-3, _GRAD_FLOOR) if rho.conj is not None else _GRAD_FLOOR
+                if step:  # a new level: D(y) at the old one bounds nothing
+                    t_mu += step
+                    mu, best = math.exp(t_mu), -np.inf
+            return g
 
-    with _stdout_to_devnull() if not linear else contextlib.nullcontext():
-        g = _working_set(I, J, A, B, T, g0, solve_round, lambda g: g)
+    g = _working_set(I, J, A, B, T, g0, solve_round)
     g = _repair(g, I, J, A, B, T)
     g = g0 if phi(g0, mu0) < phi(g, mu0) else g
     path = "qp_gauge" if gauge else "lp" if linear else "qp"
@@ -825,7 +822,7 @@ def _highs_modular(rho, I, J, A, B, T, n, g0=None):
         _note(path)
         return g
     upper = phi(g)
-    _note(path, bracket=[best * scale, upper * scale],
+    _note(path, bracket=[best, upper],
           opened=upper - best > EPS_OPT * upper or (gauge and abs(math.log(upper)) > EPS_OPT))
     return g
 
@@ -877,9 +874,9 @@ def _rows(system, rows=None):
 
 def _min_norm_scalar(system, pv, w, tol):
     """Minimize the Lebesgue quasi-norm of g over a scalar system: one
-    HiGHS model on the modular w.g**p for min p >= 1 (constant p minimized
-    itself, variable p through its gauge), and majorize-minimize over these
-    for min p < 1."""
+    ``_minimize_modular`` solve of the modular w.g**p for min p >= 1
+    (constant p minimized itself, variable p through its gauge), and
+    majorize-minimize over these for min p < 1."""
     n = system.n
     if system.m == 0:
         return np.zeros(n), NormValue(0.0, 0.0)
@@ -890,7 +887,7 @@ def _min_norm_scalar(system, pv, w, tol):
             lambda a: a,
             lambda a, wt: _min_norm_scalar(system, np.maximum(pv, 1.0), wt, tol)[0])
     else:
-        g = _highs_modular(_separable(w, float(pv[0]) if np.ptp(pv) == 0 else pv), *rows, n)
+        g = _minimize_modular(_separable(w, float(pv[0]) if np.ptp(pv) == 0 else pv), *rows, n)
     return g, luxemburg(g, pv, w, min(tol, 1e-10))
 
 
@@ -898,16 +895,17 @@ def _min_norm_scalar(system, pv, w, tol):
 class GradientSolution:
     """``info`` (not in ``to_json``) has the size and the solve's provenance
     (``_provenance``): ``path``, ``slsqp_status`` (of the variable-q Besov
-    bisection only), ``highs_status``, ``rounds``, ``rows``, ``nit``,
-    ``open`` and, when the solve was one ``_highs_modular`` solve with a
-    dual bound, the ``bracket`` [lower, upper]: at a constant exponent (the
-    scalar norm, and on the TL scale q == p and the q == inf envelope) on
-    the minimal modular sum w g**p, and for a gauge (path ``qp_gauge``:
-    variable p, the TL joint problem) on min rho(mu g) at its last level
-    mu.  There is none for the Besov level sum, which has no bound, nor for
-    a constant-q Besov norm over several levels (one solve per level).  On
-    the paths ``lp``, ``qp`` and ``qp_gauge``, ``certified`` says that every
-    modular solve closed its bracket (false for the Besov level sum)."""
+    bisection only), ``rounds``, ``rows``, ``nit`` (SLSQP iterations, QP
+    solves and LP runs), ``open`` and, when the solve was one
+    ``_minimize_modular`` solve with a dual bound, the ``bracket`` [lower,
+    upper]: at a constant exponent (the scalar norm, and on the TL scale
+    q == p and the q == inf envelope) on the minimal modular sum w g**p, and
+    for a gauge (path ``qp_gauge``: variable p, the TL joint problem) on
+    min rho(mu g) at its last level mu.  There is none for the Besov level
+    sum, which has no bound, nor for a constant-q Besov norm over several
+    levels (one solve per level).  On the paths ``lp``, ``qp`` and
+    ``qp_gauge``, ``certified`` says that every modular solve closed its
+    bracket (false for the Besov level sum)."""
 
     g: object  # ndarray (scalar) or SequenceSample (vector)
     objective: NormValue
@@ -930,7 +928,7 @@ def minimal_scalar_gradient(space, u, s, p, tol: float = 1e-6,
     """Smallest Lebesgue quasi-norm of a scalar gradient of u.
 
     Certified within EPS_OPT relative for min p >= 1 (exact LP when p is
-    identically one); flagged heuristic otherwise, and where a HiGHS
+    identically one); flagged heuristic otherwise, and where a modular
     solve's bracket stays open (``info["open"]``).
     """
     system = GradientConstraintSystem.scalar(space, u, s, subset)
@@ -1082,7 +1080,7 @@ def _solve_besov_general(system, pv, qv, w, tol, lev_range):
 
 def _besov_gauge(system, pv, qv, w, tol, lev_range):
     """The Besov norm as the gauge of the level sum of the level infima over
-    the stacked levels (``_level_sum_modular``): one ``_highs_modular``
+    the stacked levels (``_level_sum_modular``): one ``_minimize_modular``
     solve from the feasible point, and restarts from its result only where
     q > p somewhere."""
     ks, stacked = _stack(system)
@@ -1096,7 +1094,7 @@ def _besov_gauge(system, pv, qv, w, tol, lev_range):
     x = _feasible_point(L * n, *rows)
     lam = norm(x)
     while True:
-        x = _highs_modular(rho, *rows, L * n, x)
+        x = _minimize_modular(rho, *rows, L * n, x)
         prev, lam = lam, norm(x)
         # q > p somewhere: the level sum is not convex and its Newton steps
         # can stop short of a local minimum, so restart while that helps
@@ -1154,7 +1152,7 @@ def _besov_bisection(system, pv, qv, w, tol, lev_range):
     # the warm start is feasible, so its norm is admissible
     hi = mixed_norm_lq_lp(_assemble_sequence(lev_range, warm, n), pv, qv, w, tol).value
     _note("bisection")
-    _, _, best = _bisect_level(admissible, hi, 0.5 * hi, max(tol, 1e-7), ulp_steps=0)
+    _, _, best = _bisect_level(admissible, hi, 0.5 * hi, max(tol, 1e-7), ulp_nudges=0)
     return _assemble_sequence(lev_range, best, n)
 
 
@@ -1181,7 +1179,7 @@ def _solve_tl(system, pv, qv, w, tol, lev_range):
 def _min_tl(stacked, L, pv, qv, w, tol):
     """Minimizer over the level-stacked rows of the pointwise-sequence norm,
     the gauge of sum_i w_i ||x_i||_q_i**p_i with x_i point i's L levels: one
-    ``_highs_modular`` solve of that modular when it is convex (min p >= 1
+    ``_minimize_modular`` solve of that modular when it is convex (min p >= 1
     and min q >= 1), the scalar problem when moreover q == p, else
     majorize-minimize over these."""
     n = pv.size
@@ -1208,7 +1206,7 @@ def _min_tl(stacked, L, pv, qv, w, tol):
         return _majorize_minimize(_feasible_point(L * n, *rows), norm, w, pv, inner, solve)
     if np.array_equal(pv, qv):
         return _min_norm_scalar(stacked, np.tile(pv, L), np.tile(w, L), tol)[0]
-    return _highs_modular(_tl_modular(L, pv, qv, w), *rows, L * n)
+    return _minimize_modular(_tl_modular(L, pv, qv, w), *rows, L * n)
 
 
 # -- independent oracle ------------------------------------------------------

@@ -40,7 +40,7 @@ _MAX_GROWTH = 200  # growing powers of 2 cross the double range in ~65 steps
 # halving steps that take the largest double below 1e-300, or a bracket as
 # wide as the double range down to tol * hi
 _MAX_STEPS = 2100
-_ULP_STEPS = 4
+_ULP_NUDGES = 4
 _MAX_NEWTON = 100
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)  # smallest normal double
@@ -86,12 +86,12 @@ def _modular_scaled(u_abs, pv, w, lam: float, log_above: float) -> float:
     return total
 
 
-def _bisect_level(ok, hi: float, lo: float, tol: float, ulp_steps: int = _ULP_STEPS):
+def _bisect_level(ok, hi: float, lo: float, tol: float, ulp_nudges: int = _ULP_NUDGES):
     """Smallest level at which the monotone predicate ``ok`` turns true.
 
     ``ok(lam)`` returns ``(holds, payload)`` and must hold at every level
     above one where it holds.  ``hi`` is raised until ``ok(hi)`` holds: by
-    ``ulp_steps`` ulps first (rounding on a closed-form seed), then by
+    ``ulp_nudges`` ulps first (rounding on a closed-form seed), then by
     growing powers of 2, so that a seed underflowed to 0 reaches any scale.
     ``lo`` is halved while ``ok(lo)`` holds, moving ``hi`` down to it; below
     1e-300 the search stops with ``lo = 0``, also when the ``lo`` seed is
@@ -104,8 +104,8 @@ def _bisect_level(ok, hi: float, lo: float, tol: float, ulp_steps: int = _ULP_ST
     for i in range(_MAX_GROWTH):
         if holds:
             break
-        hi = (float(np.nextafter(hi, np.inf)) if i < ulp_steps
-              else hi * 2.0 ** (i - ulp_steps + 1))
+        hi = (float(np.nextafter(hi, np.inf)) if i < ulp_nudges
+              else hi * 2.0 ** (i - ulp_nudges + 1))
         holds, best = ok(hi)
     for _ in range(_MAX_STEPS):
         if lo < 1e-300:

@@ -1,6 +1,7 @@
 import math
 import os
 import pathlib
+import select
 import subprocess
 import sys
 
@@ -19,11 +20,11 @@ from varmms import space as space_module
 from varmms import verify as verify_module
 from varmms.generators import (annular_cutoff, cantor_space, grid1d, grid2d, line_space,
                                log_bump, two_zone_glued)
-from varmms.gradients import (_CERT_TOL, _ROWS_PER_POINT, GradientConstraintSystem,
-                              _besov_bisection, _cutoff_sequence, _feasible_point, _highs,
-                              _level_sum, _level_sum_hessian, _level_weight,
-                              _point_groups, _sequence_violation, _tl_modular,
-                              _top_rows_per_point)
+from varmms.gradients import (_CERT_TOL, _QP_RIDGE, _ROWS_PER_POINT,
+                              GradientConstraintSystem, _besov_bisection, _cutoff_sequence,
+                              _dual_qp, _feasible_point, _highs, _level_sum,
+                              _level_sum_hessian, _level_weight, _point_groups, _qp_rows,
+                              _sequence_violation, _tl_modular, _top_rows_per_point)
 from varmms.norms import SequenceSample, mixed_norm_lp_lq, mixed_norm_lq_lp
 
 
@@ -530,15 +531,13 @@ def test_top_rows_per_point_matches_lexsort():
 
 
 def test_lp_highs_binding_and_repeatability():
-    # every piece of scipy's private HiGHS binding that _highs_modular uses
+    # every piece of scipy's private HiGHS binding that the p == 1 LP uses
     for name in ("setOptionValue", "addCols", "addRows", "run", "getModelStatus",
-                 "modelStatusToString", "getSolution", "changeColsCost", "passHessian",
-                 "changeObjectiveSense"):
+                 "modelStatusToString", "getSolution", "changeObjectiveSense"):
         assert callable(getattr(_highs._Highs, name)), name
     assert _highs.kHighsInf == np.inf
     assert hasattr(_highs.ObjSense, "kMaximize")
     assert hasattr(_highs.HighsModelStatus, "kOptimal")
-    assert hasattr(_highs.HessianFormat, "kTriangular")
     assert {"col_value", "row_dual"} <= set(dir(_highs.HighsSolution))
     # one instance solved twice gives bit-identical gradients and brackets
     sp = grid2d(8)
@@ -549,12 +548,168 @@ def test_lp_highs_binding_and_repeatability():
     assert first.info["bracket"] == second.info["bracket"]
 
 
-def _run_child(code, **env):
-    """stdout of a fresh interpreter running ``code`` on this checkout's src."""
+def _random_step_qp(rng, kind):
+    """A strictly convex QP shaped like a Newton step's: rows a x_i + b x_j
+    >= t with two nonzeros and t spread over 1e-12 .. 1e3, costs of both
+    signs, and a block-diagonal Hessian plus a ridge of ``_QP_RIDGE`` of its
+    largest curvature: a diagonal with zero entries before it (``diag``), or
+    TL-style L x L blocks, one per point, of rank one plus a diagonal with
+    zero entries (``blocks``)."""
+    if kind == "diag":
+        L, points = 1, int(rng.integers(3, 41))
+    else:
+        L, points = int(rng.integers(2, 6)), int(rng.integers(2, 11))
+    n = L * points
+    idx = np.arange(L)[None, :] * points + np.arange(points)[:, None]
+    v = rng.uniform(0.0, 1.0, (points, L))
+    H = rng.uniform(0.0, 2.0, points)[:, None, None] * v[:, :, None] * v[:, None, :]
+    k = np.arange(L)
+    H[:, k, k] += 10.0 ** rng.uniform(-3, 3, (points, L)) * (rng.random((points, L)) < 0.6)
+    H[:, k, k] += _QP_RIDGE * H[:, k, k].max()
+    m = int(rng.integers(n // 2 + 1, 4 * n + 2))
+    I = rng.integers(0, n, m)
+    J = (I + rng.integers(1, n, m)) % n
+    A, B = 10.0 ** rng.uniform(-3, 1, (2, m))
+    T = 10.0 ** rng.uniform(-12, 3, m)
+    c = rng.standard_normal(n) * 10.0 ** rng.uniform(-2, 2)
+    return idx, H, c, (I, J, A, B, T)
+
+
+def _qp_objective(idx, H, c, x):
+    hx = np.empty(x.size)
+    hx[idx] = np.einsum("bij,bj->bi", H, x[idx])
+    return 0.5 * float(x @ hx) + float(c @ x), hx
+
+
+def _assert_kkt(idx, H, c, rows, x, y, tol=1e-9):
+    # primal feasibility, dual feasibility and complementarity, each
+    # relative to the magnitudes of the terms it compares; a row's entries
+    # count at their Hessian block's largest magnitude, as H couples them
+    I, J, A, B, T = rows
+    n = c.size
+    _, hx = _qp_objective(idx, H, c, x)
+    mx = A * x[I] + B * x[J]
+    size = np.empty(n)
+    size[idx] = np.abs(x[idx]).max(axis=1, keepdims=True)
+    row_scale = T + A * size[I] + B * size[J]
+    assert y.min() >= 0.0
+    assert np.max((T - mx) / row_scale) <= tol
+    assert np.max(-x) <= tol * size.max()
+    my = np.bincount(I, A * y, n) + np.bincount(J, B * y, n)
+    nu = hx + c - my  # the bounds' multipliers
+    scale = np.abs(hx) + np.abs(c) + my
+    assert np.max(-nu / scale) <= tol
+    assert np.max(np.abs(mx - T)[y > 0] / row_scale[y > 0], initial=0.0) <= tol
+    assert np.max(np.abs(nu * x) / (scale * size.max())) <= tol
+
+
+_HIGHS_QP = """
+import sys
+import numpy as np
+from varmms.gradients import _highs
+data = np.load(sys.argv[1])
+for k in range(int(sys.argv[2]), int(data["count"])):
+    idx, H, c, I, J, A, B, T = (data[f"{name}{k}"] for name in "idx H c I J A B T".split())
+    n, m = c.size, T.size
+    dense = np.zeros((n, n))
+    dense[idx[:, :, None], idx[:, None, :]] = H
+    col, row = np.nonzero(np.tril(dense).T)  # the lower triangle, column by column
+    q = _highs._Highs()
+    q.setOptionValue("output_flag", False)
+    q.setOptionValue("primal_feasibility_tolerance", 1e-10)
+    q.setOptionValue("qp_iteration_limit", 10 * (n + m))
+    q.addCols(n, c, np.zeros(n), np.full(n, _highs.kHighsInf), 0, np.zeros(n, dtype=np.int32),
+              np.zeros(0, dtype=np.int32), np.zeros(0))
+    q.addRows(m, T, np.full(m, _highs.kHighsInf), 2 * m, np.arange(0, 2 * m, 2, dtype=np.int32),
+              np.column_stack([I, J]).astype(np.int32).ravel(), np.column_stack([A, B]).ravel())
+    start = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=n))]).astype(np.int32)
+    q.passHessian(n, col.size, _highs.HessianFormat.kTriangular, start, row.astype(np.int32),
+                  dense[row, col])
+    q.run()
+    x = np.asarray(q.getSolution().col_value)
+    status = q.modelStatusToString(q.getModelStatus()).replace(" ", "_")
+    print("qp", status, repr(float(0.5 * x @ dense @ x + c @ x)), flush=True)
+"""
+
+
+def _highs_qp_references(qps, tmp_path):
+    """HiGHS's QP status and objective on each (idx, H, c, rows), from a
+    child process: HiGHS 1.12's QP solver can run on past its iteration and
+    time limits, or crash, so a QP without an answer within 5 s gets the
+    status None and the child restarts after it."""
+    path = tmp_path / "qps.npz"
+    names = "idx H c I J A B T".split()
+    np.savez(path, count=len(qps), **{f"{name}{k}": value for k, (idx, H, c, rows) in
+                                      enumerate(qps) for name, value in
+                                      zip(names, (idx, H, c, *rows))})
+    out = []
+    while len(out) < len(qps):
+        proc = subprocess.Popen([sys.executable, "-c", _HIGHS_QP, str(path), str(len(out))],
+                                stdout=subprocess.PIPE, env=_child_env())
+        fd, buf = proc.stdout.fileno(), b""
+        try:
+            while len(out) < len(qps):
+                while b"\n" not in buf and select.select([fd], [], [], 5.0)[0]:
+                    chunk = os.read(fd, 4096)
+                    if not chunk:
+                        break
+                    buf += chunk
+                if b"\n" not in buf:
+                    out.append((None, None))  # no answer: the next QP in a new child
+                    break
+                line, buf = buf.split(b"\n", 1)
+                if line.startswith(b"qp "):  # HiGHS writes chatter to stdout too
+                    _, status, value = line.split()
+                    out.append((status.decode(), float(value)))
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+    return out
+
+
+@pytest.mark.parametrize("kind", ["diag", "blocks"])
+def test_dual_qp_is_a_kkt_point_no_worse_than_highs(kind, tmp_path):
+    # seeded random step QPs, each solved once and then, perturbed as the
+    # next Newton step's would be, cold, warm from the first's active set
+    # and warm from that set less a random third
+    rng = np.random.default_rng(11 if kind == "diag" else 12)
+    cases = []
+    for _ in range(40):
+        idx, H, c, rows = _random_step_qp(rng, kind)
+        n = c.size
+        _, _, act = _dual_qp(idx, H, c, _qp_rows(*rows, n)[0], np.zeros(0, dtype=int))
+        H = H * rng.uniform(0.5, 2.0, (H.shape[0], 1, 1))
+        c = c + 0.1 * np.abs(c).max() * rng.standard_normal(n)
+        cases.append((idx, H, c, rows, act, act[rng.random(act.size) < 2 / 3]))
+    optimal = 0
+    for (idx, H, c, rows, *starts), (status, reference) in zip(
+            cases, _highs_qp_references([case[:4] for case in cases], tmp_path)):
+        qp_rows, norm = _qp_rows(*rows, c.size)
+        values = []
+        for start in (np.zeros(0, dtype=int), *starts):
+            x, mult, _ = _dual_qp(idx, H, c, qp_rows, start)
+            _assert_kkt(idx, H, c, rows, x, mult[c.size:] / norm)
+            values.append(_qp_objective(idx, H, c, x)[0])
+        size = max(abs(v) for v in values)
+        assert max(values) - min(values) <= 1e-9 * size
+        if status == "Optimal":
+            optimal += 1
+            assert max(values) <= reference + 1e-9 * max(size, abs(reference))
+    assert optimal >= 10  # HiGHS ends "Optimal" on 22 diagonal and 14 block QPs
+
+
+def _child_env(**env):
+    """The environment of a fresh interpreter on this checkout's src."""
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **env}
+
+
+def _run_child(code, **env):
+    """stdout of a fresh interpreter running ``code`` on this checkout's src."""
     return subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path, **env}).stdout
+                          text=True, env=_child_env(**env)).stdout
 
 
 def test_highs_binding_is_loaded_by_file_and_shared_with_scipy():
@@ -652,84 +807,54 @@ class _FailingHighs(_highs._Highs):
 
 
 def test_failed_highs_runs_are_reported(monkeypatch):
-    # every HiGHS run fails: each QP, its two reruns and the LP step are
-    # recorded, the feasible start is kept and the open bracket flags the
-    # solve heuristic
+    # HiGHS serves only the p == 1 LP: a failed run raises there, and a
+    # p > 1 solve, whose Newton steps are QPs of _dual_qp, still certifies
     monkeypatch.setattr(_highs, "_Highs", _FailingHighs)
     sp = grid2d(5)
     u = log_bump(sp, 12, 0.3)
-    sol = minimal_scalar_gradient(sp, u, 0.5, 2.0)
-    lower, upper = sol.info["bracket"]
-    assert sol.heuristic and sol.info["open"] == 1 and sol.certificate == 0.0
-    assert not sol.info["certified"]
-    assert sol.info["highs_status"] == ["Solve error"] * sol.info["nit"]
-    assert upper - lower > 1e-4 * upper
-    assert sol.objective.value == pytest.approx(upper ** 0.5, rel=1e-9)
-    # the LP at p == 1 raises
     with pytest.raises(RuntimeError, match="LP solve failed: Solve error"):
         minimal_scalar_gradient(sp, u, 0.5, 1.0)
-    monkeypatch.undo()
-    assert not minimal_scalar_gradient(sp, u, 0.5, 2.0).heuristic
+    sol = minimal_scalar_gradient(sp, u, 0.5, 2.0)
+    lower, upper = sol.info["bracket"]
+    assert sol.info["certified"] and not sol.heuristic and sol.certificate == 0.0
+    assert upper - lower <= 1e-9 * upper
 
 
-def test_cycling_qp_run_is_cut_off():
+def test_grid12_qp_at_large_p_closes_its_bracket():
     # HiGHS's QP solver cycled without end on one Newton step of this grid
-    # solve; its iteration limit ends that run, a rerun solves the step
+    # solve at p = 3.49, where the Hessian is floored at small entries
     sp = grid2d(12)
     sol = minimal_scalar_gradient(sp, log_bump(sp, 119, 0.3), 0.3250871690283073,
                                   3.48518904951099)
     lower, upper = sol.info["bracket"]
-    assert "Iteration limit reached" in sol.info["highs_status"]
+    assert sol.info["path"] == "qp" and sol.info["certified"]
     assert not sol.heuristic and upper - lower <= 1e-9 * upper
 
 
-def test_qp_step_failing_in_every_order_takes_the_lp_step():
-    # every QP run of this solve's first Newton step ends in "Solve error";
-    # the LP step on the modular's gradient meets the rows and the solve
-    # closes on the value the removed SLSQP solver gave, 0.7703751409517477
+def test_grid10_qp_closes_on_the_slsqp_value():
+    # the benchmark's seed-7 ``gs_dual_grid10``: 105 of the 146 HiGHS QP runs
+    # this solve took failed; eight step QPs close it on the value the
+    # removed SLSQP solver gave, 0.7703751409517477
     sp = grid2d(10)
     sol = minimal_scalar_gradient(sp, log_bump(sp, 44, 0.3), 0.4829, 2.0022)
     lower, upper = sol.info["bracket"]
-    assert "Solve error" in sol.info["highs_status"]
+    assert sol.info["path"] == "qp" and sol.info["nit"] == 8
     assert not sol.heuristic and upper - lower <= 1e-9 * upper
     assert sol.objective.value == pytest.approx(0.7703751409517477, rel=1e-9)
 
 
-def test_gauge_qp_failing_in_every_order_takes_the_scaled_rerun():
-    # HiGHS's QP solver fails the TL steps of this 11-point cloud in all
-    # three column orders ("Solve error"); the rerun with every column
-    # scaled to the same curvature solves them, and the bracket closes on
-    # the value the removed SLSQP gauge solver gave, 7.651205335986466
+def test_tl_gauge_closes_on_the_slsqp_value():
+    # HiGHS's QP solver failed the TL steps of this 11-point cloud in every
+    # column order ("Solve error"); the bracket closes on the value the
+    # removed SLSQP gauge solver gave, 7.651205335986466
     rng, sp, u = _cloud(18)
     p = rng.uniform(1.1, 2.5, sp.n)
     rng.uniform(1.0, 3.0, sp.n)
     sol = minimal_vector_gradient(sp, u, 0.5, p, rng.uniform(1.0, p), scale="lp_lq")
     lower, upper = sol.info["bracket"]
-    assert sol.info["path"] == "qp_gauge" and "Solve error" in sol.info["highs_status"]
+    assert sol.info["path"] == "qp_gauge" and sol.info["certified"]
     assert not sol.heuristic and upper - lower <= 1e-9 * upper
     assert sol.objective.value == pytest.approx(7.651205335986466, rel=1e-9)
-
-
-class _NonFiniteHighs(_highs._Highs):
-    """A HiGHS model whose every run claims optimality at a NaN point."""
-
-    def getSolution(self):
-        sol = super().getSolution()
-        sol.col_value = [np.nan] * len(sol.col_value)
-        return sol
-
-
-def test_non_finite_qp_optimum_is_a_failed_run(monkeypatch):
-    # HiGHS's QP solver has returned "Optimal" at a point with NaN entries:
-    # such a run is recorded as failed, and a gauge whose every run ends so
-    # keeps its feasible start, its open bracket flagging it heuristic
-    monkeypatch.setattr(_highs, "_Highs", _NonFiniteHighs)
-    sp = grid2d(5)
-    sol = minimal_scalar_gradient(sp, log_bump(sp, 12, 0.3), 0.5, 1.2 + 0.5 * sp.coords[:, 0])
-    assert sol.info["path"] == "qp_gauge"
-    assert sol.info["highs_status"] == ["Non-finite optimum"] * sol.info["nit"]
-    assert sol.heuristic and sol.info["open"] == 1 and sol.certificate == 0.0
-    assert not sol.info["certified"]
 
 
 def test_heuristic_flag_for_subunit_exponent():
@@ -996,10 +1121,8 @@ def test_solution_info_names_solver_path():
         assert info["path"] == path, (p, info)
         assert info["slsqp_status"] == sorted(set(info["slsqp_status"]))
         assert 0 not in info["slsqp_status"]
-        # one entry per HiGHS run that was not optimal; every bracket closed
-        assert info["highs_status"] == sorted(info["highs_status"])
-        assert "Optimal" not in info["highs_status"]
-        assert info["open"] == 0
+        # every bracket closed
+        assert "highs_status" not in info and info["open"] == 0
         # an mm solve's inner HiGHS solves bracket their majorants, not the
         # norm; a gauge's bracket is on its modular at the last level
         assert ("bracket" in info) == (path in ("lp", "qp", "qp_gauge"))
@@ -1010,7 +1133,7 @@ def test_solution_info_names_solver_path():
             lower, upper = info["bracket"]
             assert lower <= upper * (1.0 + 1e-13) and upper - lower <= 1e-9 * upper
         assert info["rounds"] > 0 and info["rows"] > 0
-        # nit counts SLSQP iterations and HiGHS runs, one LP run per round
+        # nit counts SLSQP iterations, QP solves and LP runs, one LP run per round
         assert info["nit"] > 0
         if path == "lp":
             assert info["nit"] == info["rounds"]

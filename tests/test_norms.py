@@ -160,19 +160,19 @@ def test_bisect_level_floor(t):
     assert t <= hi < 2e-300
 
 
-@pytest.mark.parametrize("ulp_steps", [0, 4])
-def test_bisect_level_grows_missed_seed(ulp_steps):
+@pytest.mark.parametrize("ulp_nudges", [0, 4])
+def test_bisect_level_grows_missed_seed(ulp_nudges):
     calls = []
 
     def ok(lam):
         calls.append(lam)
         return lam >= 3.0, lam
 
-    hi, lo, _ = _bisect_level(ok, 1.0, 0.5, 1e-9, ulp_steps=ulp_steps)
+    hi, lo, _ = _bisect_level(ok, 1.0, 0.5, 1e-9, ulp_nudges=ulp_nudges)
     assert lo < 3.0 <= hi <= 3.0 * (1 + 1e-9)
-    # the seed, ulp_steps one-ulp nudges, then the first doubling
-    assert calls[:ulp_steps + 1] == [1.0 + k * 2.0 ** -52 for k in range(ulp_steps + 1)]
-    assert calls[ulp_steps + 1] == 2.0 * calls[ulp_steps]
+    # the seed, ulp_nudges one-ulp nudges, then the first doubling
+    assert calls[:ulp_nudges + 1] == [1.0 + k * 2.0 ** -52 for k in range(ulp_nudges + 1)]
+    assert calls[ulp_nudges + 1] == 2.0 * calls[ulp_nudges]
 
 
 @pytest.mark.parametrize("ratio", [0.5, 1.0, 3.0])
