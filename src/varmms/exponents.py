@@ -143,11 +143,12 @@ def strictly_dominates(f, g) -> bool:
 def log_holder_constant(f, space, subset=None) -> float:
     """Smallest C with |f(x)-f(y)| <= C / log(e + 1/d(x,y)) over all pairs.
 
-    Exact max over the O(n^2) pairs; 0 for constant fields.
+    Exact max over the O(n^2) pairs; 0 for constant fields, which skip the
+    pair scan.
     """
     idx = np.arange(space.n) if subset is None else np.asarray(subset, dtype=int)
     vals = np.asarray(f, dtype=float)[idx]
-    if idx.size < 2:
+    if idx.size < 2 or np.ptp(vals) == 0:
         return 0.0
     d = space.dist[np.ix_(idx, idx)]
     iu = np.triu_indices(idx.size, k=1)

@@ -1377,51 +1377,134 @@ def gradient_zero_implies_constant(space, u, s, p, tol: float = 1e-9,
     }
 
 
-def _cutoff_sequence(space, support, L: float, sv, qv, u, tail_rel: float = 1e-9):
-    """The level family of ``lipschitz_cutoff_gradient`` on exponent vectors,
-    its k_L, and its largest violation of u's vector constraints (0 without
-    u or below two points).
+# entries per block of the cut-off certificate gather and of the level
+# tables behind finite-q inner norms, so that memory stays bounded however
+# many cut-offs are certified at once
+_CUTOFF_BLOCK = 1 << 13
 
-    The level values are evaluated on the support's columns only (zero
-    elsewhere).  The violation is one gather over the space's pair table
-    (``MetricMeasureSpace.pairs``, cached on the space): each pair with
-    t = |u(x) - u(y)| > 0 against d**s(x) g_k(x) + d**s(y) g_k(y) at its
-    level k, the same float operations as
-    ``GradientConstraintSystem.vector(space, u, sv).violation`` per level."""
-    if sv.max() > 1.0 or (sv.max() == 1.0 and np.isfinite(qv.min())):
-        raise ValueError("needs max s <= 1, with equality only for q identically infinite")
-    if L <= 0:
-        raise ValueError("L must be positive")
-    k_L = math.frexp(L)[1]  # exact: L = m 2**k_L with 1/2 <= m < 1
-    n = space.n
-    # truncation: both tails decay geometrically with the stated ratios
+
+def _level_powers(k, s):
+    """The powers 2**(k (s-1)) and 2**((k+1) s + 1) of the cut-off level
+    values at levels k and smoothness s (broadcast)."""
+    with np.errstate(over="ignore"):  # each branch is kept only where it applies
+        return 2.0 ** (k * (s - 1.0)), 2.0 ** ((k + 1) * s + 1.0)
+
+
+def _level_values(k, k_L, L, powers):
+    """Level values of ``lipschitz_cutoff_gradient``: L 2**(k (s-1)) for
+    k >= k_L and 2**((k+1) s + 1) below, from ``_level_powers(k, s)``."""
+    above, below = powers
+    with np.errstate(over="ignore"):
+        return np.where(k >= k_L, L * above, below)
+
+
+def _cutoff_range(space, k_L, sv, qv, tail_rel: float):
+    """The level range [down, up] of the cut-off family at k_L (an int or an
+    array): both tails decay geometrically with the stated ratios, and the
+    range covers every pair's level."""
     s_plus = float(sv.max())
     if np.isfinite(qv.min()) or s_plus < 1.0:
         up = k_L + max(8, math.ceil(-math.log2(tail_rel) / max(1.0 - s_plus, 1e-3)))
     else:
         up = k_L + 8
     down = k_L - 1 - max(8, math.ceil(-math.log2(tail_rel) / max(float(sv.min()), 1e-3)))
-    if n >= 2:
+    if space.n >= 2:
         a_lo, a_hi = active_levels(space)
-        down, up = min(down, a_lo), max(up, a_hi)
+        down, up = np.minimum(down, a_lo), np.maximum(up, a_hi)
+    return down, up
+
+
+def _cutoff_sequence(space, support, L: float, sv, qv, u, tail_rel: float = 1e-9):
+    """The level family of ``lipschitz_cutoff_gradient`` on exponent vectors,
+    its k_L, and its largest violation of u's vector constraints
+    (``_cutoff_certificates``; 0 without u or below two points).  The level
+    values are evaluated on the support's columns only (zero elsewhere)."""
+    if sv.max() > 1.0 or (sv.max() == 1.0 and np.isfinite(qv.min())):
+        raise ValueError("needs max s <= 1, with equality only for q identically infinite")
+    if L <= 0:
+        raise ValueError("L must be positive")
+    k_L = math.frexp(L)[1]  # exact: L = m 2**k_L with 1/2 <= m < 1
+    n = space.n
+    down, up = (int(k) for k in _cutoff_range(space, k_L, sv, qv, tail_rel))
     ks = np.arange(down, up + 1)[:, None]
     cols = np.unique(np.asarray(support, dtype=int))
-    sc = sv[cols]
     vals = np.zeros((ks.size, n))
-    with np.errstate(over="ignore"):  # each branch is kept only where it applies
-        vals[:, cols] = np.where(ks >= k_L, L * 2.0 ** (ks * (sc - 1.0)),
-                                 2.0 ** ((ks + 1) * sc + 1.0))
+    vals[:, cols] = _level_values(ks, k_L, L, _level_powers(ks, sv[cols]))
     cert = 0.0
     if u is not None and n >= 2:
-        pairs = space.pairs
-        uv = np.asarray(u, dtype=float)
-        t = np.abs(uv[pairs.I] - uv[pairs.J])
-        rows = np.flatnonzero(t > 0)
-        I, J, d = pairs.I[rows], pairs.J[rows], pairs.dist[rows]
-        r = pairs.level[rows] - down  # every level lies in [down, up]: active_levels
-        lhs = d ** sv[I] * vals[r, I] + d ** sv[J] * vals[r, J]
-        cert = float(np.max(t[rows] - lhs, initial=0.0))
+        on = np.zeros((1, n), dtype=bool)
+        on[0, cols] = True
+        cert = float(_cutoff_certificates(space, on, np.array([L]), sv,
+                                          np.asarray(u, dtype=float)[None])[0])
     return SequenceSample(down, vals), k_L, cert
+
+
+def _cutoff_certificates(space, support, L, sv, u) -> np.ndarray:
+    """Each row's largest violation of u's vector constraints by its cut-off
+    family: rows of support masks, Lipschitz constants L and functions u.
+
+    One gather over the space's pair table (``MetricMeasureSpace.pairs``,
+    cached on the space), with d**s taken once: each pair with
+    t = |u(x) - u(y)| > 0 against d**s(x) g_k(x) + d**s(y) g_k(y) at its
+    level k, the level values straight from their formula (zero off the
+    support), so no row builds a level table.  These are the float
+    operations of ``GradientConstraintSystem.vector(space, u, sv).violation``
+    per level.  Rows go in blocks of at most ``_CUTOFF_BLOCK`` pair entries."""
+    cert = np.zeros(len(L))
+    if space.n < 2:
+        return cert
+    pairs = space.pairs
+    I, J, lev = pairs.I, pairs.J, pairs.level
+    ds_I, ds_J = pairs.dist ** sv[I], pairs.dist ** sv[J]
+    pow_I, pow_J = _level_powers(lev, sv[I]), _level_powers(lev, sv[J])
+    k_L = np.frexp(L)[1][:, None]
+    step = max(1, _CUTOFF_BLOCK // lev.size)
+    for b in range(0, len(L), step):
+        rows = slice(b, b + step)
+        k, lip, ub, on = k_L[rows], L[rows, None], u[rows], support[rows]
+        t = np.abs(ub[:, I] - ub[:, J])
+        lhs = (ds_I * np.where(on[:, I], _level_values(lev, k, lip, pow_I), 0.0)
+               + ds_J * np.where(on[:, J], _level_values(lev, k, lip, pow_J), 0.0))
+        cert[rows] = np.max(np.where(t > 0, t - lhs, 0.0), axis=1, initial=0.0)
+    return cert
+
+
+def _cutoff_lq(space, support, L, sv, qv, tail_rel: float = 1e-9) -> np.ndarray:
+    """``pointwise_lq`` of each row's cut-off family (rows of support masks
+    and Lipschitz constants L), without its level table.
+
+    Where q is infinite the sup over levels is the larger of the values at
+    k_L - 1 and k_L: the values rise in k below k_L and fall from it.  Where
+    q is finite the q-th powers are summed over the row's own level range,
+    levels on the contiguous axis as in ``pointwise_lq`` (a pairwise sum),
+    rows with ranges of one length together, in blocks of at most
+    ``_CUTOFF_BLOCK`` entries."""
+    m, n = support.shape
+    k_L = np.frexp(L)[1][:, None]
+    lip = np.asarray(L, dtype=float)[:, None]
+    inner = np.zeros((m, n))
+    top = np.isinf(qv)
+    if top.any():
+        k = np.stack([k_L - 1, k_L])
+        vals = _level_values(k, k_L, lip, _level_powers(k, sv[top]))
+        inner[:, top] = np.where(support[:, top], np.maximum(vals[0], vals[1]), 0.0)
+    fin = np.flatnonzero(~top)
+    if fin.size:
+        down, up = _cutoff_range(space, k_L, sv, qv, tail_rel)
+        size = (up - down + 1)[:, 0]
+        for K in np.unique(size):
+            group = np.flatnonzero(size == K)
+            step = max(1, _CUTOFF_BLOCK // (int(K) * fin.size))
+            for b in range(0, group.size, step):
+                rows = group[b:b + step]
+                ks = (down[rows] + np.arange(K))[:, None, :]
+                vals = np.where(support[rows][:, fin, None],
+                                _level_values(ks, k_L[rows, :, None], lip[rows, :, None],
+                                              _level_powers(ks, sv[fin, None])), 0.0)
+                with np.errstate(over="ignore"):
+                    inner[rows[:, None], fin] = (np.sum(vals ** qv[fin, None], axis=2)
+                                                 ** (1.0 / qv[fin]))
+    return inner
 
 
 def lipschitz_cutoff_gradient(space, support, L: float, s, p, q, u=None,

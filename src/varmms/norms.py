@@ -73,61 +73,117 @@ def modular(u, p, weight) -> float:
         return float(np.sum(w * np.abs(u) ** pv))
 
 
-def _modular_scaled(u_abs, pv, w, lam: float, log_above: float) -> float:
-    """modular(u/lam), re-evaluated in log form when the direct sum overflows
-    (u/lam itself may, far below max|u|) or when lam exceeds ``log_above``,
-    the level at which the smallest nonzero |u|/lam falls below the smallest
-    normal double, so that an underflowed u/lam cannot hide a large term;
-    otherwise finite sums keep their bits."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        total = float(np.sum(w * (u_abs / lam) ** pv)) if lam <= log_above else np.inf
-        if total == np.inf:
-            total = float(np.sum(np.exp(np.log(w) + pv * (np.log(u_abs) - np.log(lam)))))
+def _modular_scaled(u_abs, pv, w, lam, log_above) -> np.ndarray:
+    """modular(u/lam) of each row of ``u_abs`` at its level ``lam``,
+    re-evaluated in log form when the direct sum overflows (u/lam itself
+    may, far below max|u|) or when lam exceeds ``log_above``, the level at
+    which the row's smallest nonzero |u|/lam falls below the smallest normal
+    double, so that an underflowed u/lam cannot hide a large term; otherwise
+    finite sums keep their bits.  ``pv`` and ``w`` are rows like ``u_abs``
+    or vectors shared by all rows.  The caller sets ``np.errstate``."""
+    total = (w * (u_abs / lam[:, None]) ** pv).sum(axis=1)
+    redo = np.isinf(total) | (lam > log_above)
+    if np.count_nonzero(redo):
+        bad = np.flatnonzero(redo)
+        pb, wb = (x if x.ndim < 2 else x[bad] for x in (pv, w))
+        total[bad] = np.exp(np.log(wb) + pb * (np.log(u_abs[bad]) - np.log(lam[bad, None]))).sum(axis=1)
     return total
 
 
-def _bisect_level(ok, hi: float, lo: float, tol: float, ulp_nudges: int = _ULP_NUDGES):
-    """Smallest level at which the monotone predicate ``ok`` turns true.
+def _lockstep(evaluate, steps) -> list:
+    """Run one search per row in lockstep and return their results.
 
-    ``ok(lam)`` returns ``(holds, payload)`` and must hold at every level
-    above one where it holds.  ``hi`` is raised until ``ok(hi)`` holds: by
-    ``ulp_nudges`` ulps first (rounding on a closed-form seed), then by
-    growing powers of 2, so that a seed underflowed to 0 reaches any scale.
-    ``lo`` is halved while ``ok(lo)`` holds, moving ``hi`` down to it; below
-    1e-300 the search stops with ``lo = 0``, also when the ``lo`` seed is
-    already there, so that ``hi - lo`` reports an unrefined ``hi``.  The
-    bracket is then bisected until ``hi - lo <= tol * hi``.
+    Each of ``steps`` is a generator holding one row's state: it yields the
+    next point at which it needs its function, receives the value there,
+    and returns its result.  ``evaluate(x, rows)`` gives the values of the
+    rows ``rows`` (an index array) at their points ``x`` in one call, so the
+    rows share every evaluation while each takes exactly the steps it takes
+    alone."""
+    out = [None] * len(steps)
+    live = {}
+    for i, step in enumerate(steps):
+        try:
+            live[i] = next(step)
+        except StopIteration as stop:
+            out[i] = stop.value
+    rows = None
+    while live:
+        if len(live) == 1:  # the last row goes on alone, with no bookkeeping
+            (i, x), = live.items()
+            row = np.array([i])
+            try:
+                while True:
+                    x = steps[i].send(evaluate(np.array([x]), row).item())
+            except StopIteration as stop:
+                out[i] = stop.value
+            break
+        if rows is None or rows.size != len(live):
+            rows = np.fromiter(live, dtype=int, count=len(live))
+        values = evaluate(np.fromiter(live.values(), dtype=float, count=len(live)), rows)
+        for i, value in zip(live.copy(), values.tolist()):
+            try:
+                live[i] = steps[i].send(value)
+            except StopIteration as stop:
+                out[i] = stop.value
+                del live[i]
+    return out
 
-    Returns ``(hi, lo, payload)`` with the payload of the evaluation at hi.
+
+def _bisection(hi: float, lo: float, tol: float, ulp_nudges: int):
+    """Smallest level at which a monotone predicate turns true, as a
+    ``_lockstep`` step: it yields levels, receives whether the predicate
+    holds there, and returns ``(hi, lo)``.
+
+    The predicate must hold at every level above one where it holds.
+    ``hi`` is raised until it holds: by ``ulp_nudges`` ulps first (rounding
+    on a closed-form seed), then by growing powers of 2, so that a seed
+    underflowed to 0 reaches any scale.  ``lo`` is halved while it holds,
+    moving ``hi`` down to it; below 1e-300 the search stops with ``lo = 0``,
+    also when the ``lo`` seed is already there, so that ``hi - lo`` reports
+    an unrefined ``hi``.  The bracket is then bisected until
+    ``hi - lo <= tol * hi``.
     """
-    holds, best = ok(hi)
+    holds = yield hi
     for i in range(_MAX_GROWTH):
         if holds:
             break
         hi = (float(np.nextafter(hi, np.inf)) if i < ulp_nudges
               else hi * 2.0 ** (i - ulp_nudges + 1))
-        holds, best = ok(hi)
+        holds = yield hi
     for _ in range(_MAX_STEPS):
         if lo < 1e-300:
-            return hi, 0.0, best
-        holds, payload = ok(lo)
-        if not holds:
+            return hi, 0.0
+        if not (yield lo):
             break
-        hi, best = lo, payload
-        lo *= 0.5
+        hi, lo = lo, lo * 0.5
     for _ in range(_MAX_STEPS):
         if hi - lo <= tol * hi:
             break
         mid = 0.5 * (lo + hi)
-        holds, payload = ok(mid)
-        if holds:
-            hi, best = mid, payload
+        if (yield mid):
+            hi = mid
         else:
             lo = mid
-    return hi, lo, best
+    return hi, lo
 
 
-def _sandwich(rho: float, e: np.ndarray) -> tuple[float, float]:
+def _bisect_level(ok, hi: float, lo: float, tol: float, ulp_nudges: int = _ULP_NUDGES):
+    """``_bisection`` on one predicate ``ok(lam)`` that returns
+    ``(holds, payload)``.
+
+    Returns ``(hi, lo, payload)`` with the payload of the evaluation at hi.
+    """
+    payloads = {}
+
+    def evaluate(lam, rows):
+        holds, payloads[float(lam[0])] = ok(float(lam[0]))
+        return np.array([holds])
+
+    (hi, lo), = _lockstep(evaluate, [_bisection(float(hi), float(lo), tol, ulp_nudges)])
+    return hi, lo, payloads[hi]
+
+
+def _sandwich(rho: float, e_min: float, e_max: float) -> tuple[float, float]:
     """Ends of the modular sandwich, in increasing order.
 
     The level lam with sum_i a_i lam**(-e_i) == 1 lies between
@@ -135,7 +191,7 @@ def _sandwich(rho: float, e: np.ndarray) -> tuple[float, float]:
     constant.  An end that overflows is inf.
     """
     ends = []
-    for ex in (float(e.min()), float(e.max())):
+    for ex in (e_min, e_max):
         try:
             ends.append(rho ** (1.0 / ex))
         except OverflowError:
@@ -150,43 +206,81 @@ def luxemburg(u, p, weight, tol: float = DEFAULT_TOL) -> NormValue:
     brackets the infimum; the unit-ball equivalence (modular <= 1 iff norm
     <= 1) is the stopping criterion.  Returns the upper bracket end, whose
     modular is certified <= 1.
+
+    A matrix ``u`` gives one norm per row, in lockstep (value and tolerance
+    are then arrays); ``p`` and ``weight`` are then vectors shared by the
+    rows or matrices shaped like ``u``.  Each row's norm is the one it has
+    alone.
     """
     u = np.asarray(u, dtype=float)
-    if u.size == 0:
-        return NormValue(0.0, 0.0)
-    return _luxemburg(u, exponent_values(p, u.size), np.asarray(weight, dtype=float), tol)
+    if u.ndim < 2:
+        u = np.atleast_1d(u)
+        if u.size == 0:
+            return NormValue(0.0, 0.0)
+        value, width = _luxemburg(u[None], exponent_values(p, u.size),
+                                  np.asarray(weight, dtype=float), tol)
+        return NormValue(float(value[0]), float(width[0]))
+    if np.ndim(p) == 2:
+        pv = np.asarray(p, dtype=float)
+        if pv.shape != u.shape:
+            raise ValueError(f"expected exponent rows of shape {u.shape}, got {pv.shape}")
+        exponent_values(pv.ravel(), pv.size)
+    else:
+        pv = exponent_values(p, u.shape[1])
+    return NormValue(*_luxemburg(u, pv, np.asarray(weight, dtype=float), tol))
 
 
-def _luxemburg(u: np.ndarray, pv: np.ndarray, w: np.ndarray, tol: float) -> NormValue:
-    """``luxemburg`` on an already validated exponent vector.
+def _luxemburg(u: np.ndarray, pv: np.ndarray, w: np.ndarray, tol: float):
+    """``luxemburg`` on the rows of ``u`` with validated exponents: the value
+    and tolerance arrays.
 
-    The bracket is seeded from the modular sandwich: with umax = max|u| and
+    Each bracket is seeded from the modular sandwich: with umax = max|u| and
     rho = modular(u/umax) the norm lies between umax rho**(1/p^+) and
     umax rho**(1/p^-), with equality when p is constant.  When the lower end
     underflows below 1e-300, both ends are taken in log form.  An end that
-    overflows is replaced from the other one, and ``_bisect_level`` checks
-    both ends against the modular before use.
+    overflows is replaced from the other one, and ``_bisection`` checks
+    both ends against the modular before use.  The rows are bisected in
+    lockstep (``_lockstep``), one modular evaluation per step for all.
     """
     u_abs = np.abs(u)
-    umax = float(u_abs.max(initial=0.0))
-    if umax == 0.0:
-        return NormValue(0.0, 0.0)
-    log_above = float(u_abs[u_abs > 0].min()) / _TINY
-    rho = _modular_scaled(u_abs, pv, w, umax, log_above)
-    lo, hi = (umax * end for end in _sandwich(rho, pv))
-    if lo < 1e-300:  # rho**(1/p) underflowed, umax times it need not
-        with np.errstate(divide="ignore"):
-            ends = np.exp(np.log(umax) + np.log(rho) / np.array([pv.min(), pv.max()]))
-        lo, hi = float(ends.min()), float(ends.max())
+    umax = u_abs.max(axis=1, initial=0.0)
+    value, width = np.zeros(len(u)), np.zeros(len(u))
+    rows = np.flatnonzero(umax > 0.0)
+    if not rows.size:
+        return value, width
+    if rows.size < len(u):
+        u_abs, umax = u_abs[rows], umax[rows]
+        pv, w = (x if x.ndim < 2 else x[rows] for x in (pv, w))
+    p_ends = np.empty((rows.size, 2))
+    p_ends[:, 0], p_ends[:, 1] = pv.min(axis=-1), pv.max(axis=-1)
+    # ends past the double range are inf, and u/lam may overflow or vanish
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        log_above = np.min(u_abs, axis=1, where=u_abs > 0, initial=np.inf) / _TINY
+        rho = _modular_scaled(u_abs, pv, w, umax, log_above)
+        lo, hi = np.array([_sandwich(r, *ends)
+                           for r, ends in zip(rho.tolist(), p_ends.tolist())]).T * umax
+        tiny = lo < 1e-300  # rho**(1/p) underflowed, umax times it need not
+        if np.count_nonzero(tiny):
+            ends = np.exp(np.log(umax[tiny, None]) + np.log(rho[tiny, None]) / p_ends[tiny])
+            lo[tiny], hi[tiny] = ends.min(axis=1), ends.max(axis=1)
     # a lower end that overflows means rho > 1, so the norm exceeds umax; an
     # upper end that overflows is grown from the lower one, and a lower end
     # below the floor is replaced by walking down from the upper one
-    lo = umax if lo == np.inf else lo
-    hi = hi if hi < np.inf else lo
-    lo = lo * (1.0 - 1e-12) if lo >= 1e-300 else 0.5 * hi
-    hi, lo, _ = _bisect_level(
-        lambda lam: (_modular_scaled(u_abs, pv, w, lam, log_above) <= 1.0, None), hi, lo, tol)
-    return NormValue(float(hi), float(hi - lo))
+    lo = np.where(lo == np.inf, umax, lo)
+    hi = np.where(hi < np.inf, hi, lo)
+    lo = np.where(lo >= 1e-300, lo * (1.0 - 1e-12), 0.5 * hi)
+
+    def ok(lam, live):
+        if live.size == rows.size:
+            return _modular_scaled(u_abs, pv, w, lam, log_above) <= 1.0
+        pl, wl = (x if x.ndim < 2 else x[live] for x in (pv, w))
+        return _modular_scaled(u_abs[live], pl, wl, lam, log_above[live]) <= 1.0
+
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ends = _lockstep(ok, [_bisection(h, l, tol, _ULP_NUDGES)
+                              for h, l in zip(hi.tolist(), lo.tolist())])
+    value[rows], width[rows] = zip(*((h, h - l) for h, l in ends))
+    return value, width
 
 
 def rel_sandwich_check(u, p, weight, tol: float = DEFAULT_TOL) -> dict:
@@ -361,7 +455,7 @@ def mixed_modular_closed_form(seq: SequenceSample, p, q, weight,
         raise ValueError("closed form needs max q < inf")
     total = 0.0
     for row in seq.values:
-        total += _luxemburg(np.abs(row) ** qv, pv / qv, w, tol).value
+        total += float(_luxemburg(np.abs(row)[None] ** qv, pv / qv, w, tol)[0][0])
     return float(total)
 
 
@@ -483,23 +577,25 @@ def interpolation_splitting_check(u, q0, q, q1, weight, tol: float = DEFAULT_TOL
 
 # -- Hoelder seminorm and median --------------------------------------------
 
-def holder_seminorm(u, alpha, space, subset=None) -> float:
+def holder_seminorm(u, alpha, space, subset=None):
     """Exact max over ordered pairs of |u(x)-u(y)| / d(x,y)**alpha(x).
 
     Asymmetric: the exponent is taken at the first argument, so both (x, y)
-    and (y, x) are scanned.
+    and (y, x) are scanned.  A matrix ``u`` gives one seminorm per row (an
+    array); the rows share one table of d**alpha.
     """
     idx = np.arange(space.n) if subset is None else np.asarray(subset, dtype=int)
+    uv = np.asarray(u, dtype=float)
+    rows = np.atleast_2d(uv)[:, idx]
     if idx.size < 2:
-        return 0.0
-    uv = np.asarray(u, dtype=float)[idx]
+        return 0.0 if uv.ndim == 1 else np.zeros(len(rows))
     av = exponent_values(alpha, space.n)[idx] if np.ndim(alpha) else np.full(idx.size, float(alpha))
-    d = space.dist[np.ix_(idx, idx)]
-    gaps = np.abs(uv[:, None] - uv[None, :])
+    d_alpha = space.dist[np.ix_(idx, idx)] ** av[:, None]
+    off = ~np.eye(idx.size, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        quot = gaps / d ** av[:, None]
-    quot[np.eye(idx.size, dtype=bool)] = 0.0
-    return float(np.max(quot))
+        out = np.array([np.max(np.where(off, np.abs(r[:, None] - r[None, :]) / d_alpha, 0.0))
+                        for r in rows])
+    return float(out[0]) if uv.ndim == 1 else out
 
 
 def median(u, weight) -> float:

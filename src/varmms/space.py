@@ -461,9 +461,15 @@ def phi(space: MetricMeasureSpace, x: int, r: float) -> float:
     """
     if r < 0:
         raise ValueError("radius must be nonnegative")
+    (levels,), (mass,) = _shells(space, [x])
+    return _phi(space, x, r, levels, mass)
+
+
+def _phi(space: MetricMeasureSpace, x: int, r: float, levels, mass) -> float:
+    """``phi`` from x's row of ``_shells``: its sorted distances, with
+    repeats, and their cumulative masses."""
     if r == 0:
         return 0.0
-    (levels,), (mass,) = _shells(space, [x])  # the sorted distances from x, with repeats
     target = 0.5 * float(mass[np.searchsorted(levels, r)])
     mass_at = mass[np.searchsorted(levels, levels, side="right")]  # mu of the closed ball
     # mu(B(x, s)) = mass_at[j-1] for s in (levels[j-1], levels[j]], so the

@@ -11,10 +11,12 @@ stability comparisons.
 The local checks share one pipeline: ``_local_setup`` tests the ball, the
 regime of s p against Q (one ``_REGIMES`` entry per check), log-Hoelder
 exponents and lower regularity, then solves the minimal gradient on sigma*B0;
-each check adds only its own inequality.  The four necessity modes draw their
-test functions from one cut-off loop, ``_cutoff_family`` (annular cut-offs, or
-one cone for the Hoelder mode), and read the lower growth off one table of
-ball masses (``space.ball_masses``).
+each check adds only its own inequality.  The four necessity modes evaluate
+their test functions (annular cut-offs, or one cone for the Hoelder mode) as
+one batch: ``_cutoff_table`` builds a row per kept candidate, its family norm
+and one certificate gather for all rows, and ``_scores`` scores the rows
+together (row-wise norms, lockstep shift roots); the lower growth is read off
+one table of ball masses (``space.ball_masses``).
 """
 from __future__ import annotations
 
@@ -28,12 +30,12 @@ from . import constants as K
 from .exponents import (exponent_values, holder_exponent, log_holder_constant,
                         sobolev_conjugate, strictly_dominates)
 from .generators import annular_cutoff, ball_grid_with_atom, power_function
-from .gradients import (_CERT_TOL, _cutoff_sequence, minimal_scalar_gradient,
-                        minimal_vector_gradient)
-from .norms import check_slack, holder_seminorm, luxemburg, mixed_norm_lp_lq, mixed_norm_lq_lp
+from .gradients import (_CERT_TOL, _cutoff_certificates, _cutoff_lq, _cutoff_sequence,
+                        minimal_scalar_gradient, minimal_vector_gradient)
+from .norms import _lockstep, check_slack, holder_seminorm, luxemburg, mixed_norm_lq_lp
 from .regularity import best_lower_constant
-from .space import (ball, ball_masses, critical_radii, estimate_doubling,
-                    perfectness_resolution, phi, uniform_perfectness)
+from .space import (_phi, _shells, ball, ball_masses, critical_radii, estimate_doubling,
+                    perfectness_resolution, uniform_perfectness)
 
 __all__ = [
     "Hypothesis",
@@ -179,42 +181,58 @@ def _golden_min(f, lo: float, hi: float, iters: int = 120):
     return xv, fv
 
 
-def _unit(u):
-    """u mapped affinely onto [0, 1]: (v, min u, max u - min u)."""
-    lo = float(u.min())
-    span = float(u.max()) - lo
-    return (u - lo) / span, lo, span
+def _unit(U):
+    """Each row of U mapped affinely onto [0, 1]: (V, min, max - min), the
+    last two as columns."""
+    lo = U.min(axis=1, keepdims=True)
+    span = U.max(axis=1, keepdims=True) - lo
+    return (U - lo) / span, lo, span
 
 
-def _slope_root(v, log_terms) -> float:
+def _slope_root(v, log_terms):
     """The shift t in [0, 1] where the slope -sum_i sgn(d_i) exp(L_i) of a
-    convex function of t changes sign, d = v - t.  ``log_terms(d, on)``
-    gives the L_i on the entries ``on`` where d != 0.  The terms are summed
-    relative to the largest, so the slope cannot overflow; v spans [0, 1],
-    so it is negative at 0 and positive at 1 and the root is bracketed."""
-    def slope(t):
-        d = v - t
+    convex function of t changes sign, d = v - t, for each row of v (or for
+    v alone), by one lockstep ``_brentq``.  ``log_terms(d, on, rows)`` gives
+    the L_i of the rows ``rows`` of v, d their rows less their t, on the
+    entries ``on`` where d != 0; its other entries are ignored.  The terms
+    are summed relative to each row's largest, so the slope cannot overflow;
+    every row spans [0, 1], so its slope is negative at 0 and positive at 1
+    and its root is bracketed."""
+    V = np.atleast_2d(v)
+
+    def slope(t, rows):
+        d = (V if rows.size == len(V) else V[rows]) - t[:, None]
         on = d != 0
-        L = log_terms(d, on)
-        return -float(np.dot(np.sign(d[on]), np.exp(L - L.max())))
+        L = np.where(on, log_terms(d, on, rows), -np.inf)
+        return -(np.sign(d) * np.exp(L - L.max(axis=1, keepdims=True))).sum(axis=1)
 
-    return _brentq(slope, 0.0, 1.0, xtol=1e-14)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = _brentq(slope, np.zeros(len(V)), np.ones(len(V)), xtol=1e-14)
+    return t if np.ndim(v) == 2 else float(t[0])
 
 
-def _brentq(f, a, b, xtol) -> float:
-    """A root of f in [a, b] by Brent's method, step for step as
-    ``scipy.optimize.brentq`` at its default ``rtol`` and ``maxiter`` (scipy's
-    ``Zeros/brentq.c``), so roots match it bit for bit without importing
-    ``scipy.optimize``."""
+def _brentq(f, a, b, xtol) -> np.ndarray:
+    """Roots of f in [a, b] by Brent's method, one per row, the rows in
+    lockstep (``_lockstep``): ``f(x, rows)`` gives the values of the rows
+    ``rows`` at their points x in one call."""
+    return np.array(_lockstep(f, [_brent(x, y, xtol) for x, y in zip(a, b)]), dtype=float)
+
+
+def _brent(a: float, b: float, xtol: float):
+    """A root of one row's function in [a, b] as a ``_lockstep`` step, step
+    for step as ``scipy.optimize.brentq`` at its default ``rtol`` and
+    ``maxiter`` (scipy's ``Zeros/brentq.c``), so roots match it bit for bit
+    without importing ``scipy.optimize``."""
     rtol, maxiter = 4 * float(np.finfo(float).eps), 100
-    def call(x):
-        fx = f(x)
+
+    def checked(x, fx):
         if math.isnan(fx):
             raise ValueError(f"The function value at x={x:f} is NaN; solver cannot continue.")
         return fx
 
     xpre, xcur = float(a), float(b)
-    fpre, fcur = call(xpre), call(xcur)
+    fpre = checked(xpre, (yield xpre))
+    fcur = checked(xcur, (yield xcur))
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -248,19 +266,23 @@ def _brentq(f, a, b, xtol) -> float:
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = call(xcur)
+        fcur = checked(xcur, (yield xcur))
     raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
 
 
-def _exp_shift(u, w, k: float) -> float:
+def _exp_shift(u, w, k):
     """The shift c minimising the weighted mean of exp(k |u - c|), k > 0, for
-    nonconstant u: the root of its slope -sum w exp(k |u - c|) sgn(u - c)."""
-    v, lo, span = _unit(u)
-    log_w = np.log(w)
-    return lo + span * _slope_root(v, lambda d, on: log_w[on] + k * span * np.abs(d[on]))
+    nonconstant u: the root of its slope -sum w exp(k |u - c|) sgn(u - c).
+    Rows of u, with rows of w and a column of k, give a shift per row."""
+    V, lo, span = _unit(np.atleast_2d(u))
+    log_w = np.log(np.atleast_2d(w))
+    rate = k * span
+    t = _slope_root(V, lambda d, on, rows: log_w[rows] + rate[rows] * np.abs(d))
+    c = lo[:, 0] + span[:, 0] * t
+    return c if np.ndim(u) == 2 else float(c[0])
 
 
-def inf_centered_norm(u, p, w) -> tuple[float, float, bool]:
+def inf_centered_norm(u, p, w):
     """inf over shifts c of the Lebesgue norm of u - c: (value, c, heuristic).
 
     The work is done on v = (u - min u)/(max u - min u), so the result is
@@ -275,40 +297,65 @@ def inf_centered_norm(u, p, w) -> tuple[float, float, bool]:
     values each |u - c|**p is concave in c, so the modular at a fixed level
     is, and the set of shifts where it is at most one contains an end of
     any interval on which it contains a point.
+
+    A matrix u gives a (value, c, heuristic) array per row, the slope roots
+    of all rows found in lockstep; p and w are then vectors shared by the
+    rows or matrices shaped like u.  Each row's result is the one it has
+    alone.
     """
     u = np.asarray(u, dtype=float)
-    w = np.broadcast_to(np.asarray(w, dtype=float), u.shape)
-    pv = exponent_values(p, u.size)
-    if u.min() == u.max():
-        return 0.0, float(u.min()), False
-    v, lo, span = _unit(u)
+    U = np.atleast_2d(u)
+    W = np.broadcast_to(np.asarray(w, dtype=float), U.shape)
+    P = (np.broadcast_to(exponent_values(p, U.shape[1]), U.shape) if np.ndim(p) < 2
+         else exponent_values(np.ravel(p), U.size).reshape(U.shape))
+    value, shift, heuristic = np.zeros(len(U)), U.min(axis=1), np.zeros(len(U), dtype=bool)
+    live = np.flatnonzero(U.min(axis=1) != U.max(axis=1))  # a constant row is its own shift
+    V, lo, span = _unit(U[live])
+    P, W = P[live], W[live]
+    heuristic[live] = below = P.min(axis=1) < 1.0
+    t_star, lam = np.zeros(live.size), np.zeros(live.size)
+    for i in np.flatnonzero(below):
+        t_star[i], lam[i] = _least_on_data(V[i], P[i], W[i])
+    rows = np.flatnonzero(~below)
+    if rows.size:
+        V, P, W = V[rows], P[rows], W[rows]
+        log_wp = np.log(W) + np.log(P)
+        variable = np.ptp(P, axis=1) > 0
 
+        def log_terms(d, on, at):
+            log_lam = np.zeros((at.size, 1))
+            var = variable[at]
+            if var.any():
+                log_lam[var, 0] = np.log(luxemburg(d[var], P[at[var]], W[at[var]]).value)
+            return log_wp[at] + (P[at] - 1.0) * (np.log(np.abs(d)) - log_lam)
+
+        t_star[rows] = t = _slope_root(V, log_terms)
+        lam[rows] = luxemburg(V - t[:, None], P, W).value
+    value[live] = span[:, 0] * lam
+    shift[live] = lo[:, 0] + t_star * span[:, 0]
+    if u.ndim == 2:
+        return value, shift, heuristic
+    return float(value[0]), float(shift[0]), bool(heuristic[0])
+
+
+def _least_on_data(v, pv, w):
+    """``inf_centered_norm``'s heuristic (t, norm) on one row below p = 1:
+    the least norm at the data values and, unless max p <= 1, on a 64-point
+    grid and its golden-section refinement."""
     def f(t):
         return luxemburg(v - t, pv, w).value
 
-    heuristic = bool(pv.min() < 1.0)
-    if heuristic:
-        candidates = [(t, f(t)) for t in np.unique(v)]
-        if pv.max() > 1.0:
-            grid = np.linspace(0.0, 1.0, 64)
-            on_grid = [f(t) for t in grid]
-            j = int(np.argmin(on_grid))
-            # a cusp at a grid point beats its refinement on a tie
-            candidates = [(grid[j], on_grid[j]),
-                          _golden_min(f, grid[max(j - 1, 0)], grid[min(j + 1, 63)]),
-                          *candidates]
-        t_star, val = min(candidates, key=lambda c: c[1])
-    else:
-        log_wp = np.log(w) + np.log(pv)
-        constant = np.ptp(pv) == 0
-
-        def log_terms(d, on):
-            log_lam = 0.0 if constant else math.log(luxemburg(d, pv, w).value)
-            return log_wp[on] + (pv[on] - 1.0) * (np.log(np.abs(d[on])) - log_lam)
-
-        t_star = _slope_root(v, log_terms)
-        val = f(t_star)
-    return span * val, lo + t_star * span, heuristic
+    data = np.unique(v)
+    candidates = list(zip(data, luxemburg(v - data[:, None], pv, w).value))
+    if pv.max() > 1.0:
+        grid = np.linspace(0.0, 1.0, 64)
+        on_grid = luxemburg(v - grid[:, None], pv, w).value
+        j = int(np.argmin(on_grid))
+        # a cusp at a grid point beats its refinement on a tie
+        candidates = [(grid[j], on_grid[j]),
+                      _golden_min(f, grid[max(j - 1, 0)], grid[min(j + 1, 63)]),
+                      *candidates]
+    return min(candidates, key=lambda c: c[1])
 
 
 def _grad_norm(space, u, s, p, q, mode: str, subset, tol, extras) -> float:
@@ -645,35 +692,99 @@ def counterexample_run(n_dim: int, beta: float, p: float, theta: float,
 
 # -- necessity ----------------------------------------------------------------
 
-def _family_norm(space, support, L, s, p, q, family: str, u) -> float:
-    """The family's norm (TL for "M", Besov for "N") of the explicit
-    gradient of ``lipschitz_cutoff_gradient``, which must be a gradient of u."""
-    seq, _, cert = _cutoff_sequence(space, support, L, s, q, u)
-    if cert > _CERT_TOL:
-        raise RuntimeError(f"cut-off family is not a gradient (violation {cert})")
+# A necessity run's test functions, a row per kept (x, r, j): the row's
+# centre and radius, its ball B(x, r) in the local modes (else None), the
+# cut-off u, its support mask, its Lipschitz constant and its family norm.
+_Cutoffs = namedtuple("_Cutoffs", "x r balls u support L anorm")
+
+
+def _family_norms(space, support, L, s, p, q, family: str) -> np.ndarray:
+    """The family norm (TL for "M", Besov for "N") of each row's explicit
+    gradient of ``lipschitz_cutoff_gradient``: the TL norms as one row-wise
+    Luxemburg norm of their inner sequence norms, the Besov norms one level
+    table at a time."""
     if family == "M":
-        return mixed_norm_lp_lq(seq, p, q, space.weight).value
-    return mixed_norm_lq_lp(seq, p, q, space.weight).value
+        return luxemburg(_cutoff_lq(space, support, L, s, q), p, space.weight).value
+    return np.array([mixed_norm_lq_lp(_cutoff_sequence(space, np.flatnonzero(on), lip, s, q, None)[0],
+                                      p, q, space.weight).value
+                     for on, lip in zip(support, L)])
 
 
-def _cutoff_family(space, centers, radii, cutoffs, s, p, q, family, local: bool):
-    """The proofs' test functions as (x, r, B(x, r), u, family norm) when that
-    norm is positive; ``cutoffs(x, base)`` yields each (u, support, L) at a
-    center and base radius.  ``local`` takes base phi(x, r) and needs u
-    nonconstant on B(x, r); otherwise base r, on the whole space."""
-    for x in centers:
+def _cutoff_table(space, centers, radii, cutoffs, s, p, q, family, local: bool) -> _Cutoffs:
+    """The proofs' test functions as one table (``_Cutoffs``) of the rows
+    whose family norm is positive; ``cutoffs(x, base)`` yields each
+    (u, support, L) at a center and base radius.  ``local`` takes base
+    phi(x, r), read off one ``_shells`` table of the centers, and needs u
+    nonconstant on B(x, r); otherwise base r, on the whole space.  Every
+    kept row is certified a gradient of its u in one gather, after the skip
+    rules, so a skipped candidate never raises."""
+    shells = _shells(space, centers) if local else None
+    rows = []
+    for i, x in enumerate(centers):
         for r in radii:
-            base = phi(space, x, r) if local else r
+            base = _phi(space, x, r, shells[0][i], shells[1][i]) if local else r
             if base <= 0:
                 continue
             Br = ball(space, x, r) if local else None
             on = Br.members if local else slice(None)
-            for u, support, L in cutoffs(x, base):
-                if support.size == 0 or np.ptp(u[on]) == 0:
-                    continue
-                anorm = _family_norm(space, support, L, s, p, q, family, u)
-                if anorm > 0:
-                    yield x, r, Br, u, anorm
+            rows.extend((x, r, Br, u, support, L) for u, support, L in cutoffs(x, base)
+                        if support.size and np.ptp(u[on]) > 0)
+    xs, rs, balls, us, supports, Ls = zip(*rows) if rows else ((),) * 6
+    U = np.array(us, dtype=float).reshape(len(rows), space.n)
+    S = np.zeros(U.shape, dtype=bool)
+    for on, support in zip(S, supports):
+        on[support] = True
+    L = np.array(Ls, dtype=float)
+    anorm = _family_norms(space, S, L, s, p, q, family) if rows else np.zeros(0)
+    keep = np.flatnonzero(anorm > 0)
+    cert = _cutoff_certificates(space, S[keep], L[keep], s, U[keep])
+    if np.any(cert > _CERT_TOL):
+        raise RuntimeError("cut-off family is not a gradient "
+                           f"(violation {cert[np.argmax(cert > _CERT_TOL)]})")
+    return _Cutoffs([xs[i] for i in keep], [rs[i] for i in keep], [balls[i] for i in keep],
+                    U[keep], S[keep], L[keep], anorm[keep])
+
+
+def _on_balls(table: _Cutoffs):
+    """The rows of a local table grouped by ball size: (rows, members), the
+    members an index matrix of a row per table row."""
+    sizes = np.array([b.members.size for b in table.balls], dtype=int)
+    for size in np.unique(sizes):
+        rows = np.flatnonzero(sizes == size)
+        yield rows, np.array([table.balls[i].members for i in rows], dtype=int).reshape(rows.size, size)
+
+
+def _scores(space, mode: str, cut: _Cutoffs, target, Q, omega, C_MT1) -> np.ndarray:
+    """Each test function's ratio of the two sides of ``mode``'s embedding,
+    rows in lockstep: the Hoelder seminorm (``target`` alpha), the Lebesgue
+    norm with exponent ``target`` gamma on the whole space (global Sobolev)
+    or centred on its ball over the ball factor (local Sobolev), or the
+    exponential mean about its best shift (Moser), each against the family
+    norm.  Ball rows go in groups of one ball size."""
+    w, anorm = space.weight, cut.anorm
+    if mode == "holder":
+        return holder_seminorm(cut.u, target, space) / anorm
+    if mode == "sobolev_global":
+        return luxemburg(cut.u, target, w).value / anorm
+    scores = np.zeros(len(anorm))
+    if mode == "sobolev_local":
+        scale = np.array([(Br.measure / r ** Q[x]) ** omega
+                          for x, r, Br in zip(cut.x, cut.r, cut.balls)])
+    for rows, members in _on_balls(cut):
+        if mode == "sobolev_local":
+            keep = scale[rows] > 0  # else the row scores 0
+            rows, members = rows[keep], members[keep]
+            if rows.size:
+                num, _, _ = inf_centered_norm(np.take_along_axis(cut.u[rows], members, axis=1),
+                                              target[members], w[members])
+                scores[rows] = num / (scale[rows] * anorm[rows])
+            continue
+        ub, wb, a = np.take_along_axis(cut.u[rows], members, axis=1), w[members], anorm[rows, None]
+        c = _exp_shift(ub, wb, omega * C_MT1 / a)
+        with np.errstate(over="ignore"):  # a score past the double range reads inf
+            mean = np.exp(C_MT1 * np.abs(ub - c[:, None]) / a) ** omega
+        scores[rows] = np.sum(mean * wb, axis=1) / np.sum(wb, axis=1)
+    return scores
 
 
 def necessity_run(space, s, p, q, gamma_or_alpha, mode: str, family: str = "M",
@@ -740,13 +851,24 @@ def necessity_run(space, s, p, q, gamma_or_alpha, mode: str, family: str = "M",
         d, R = space.dist[x], lam * base
         return [(np.clip(1.0 - d / R, 0.0, 1.0), np.flatnonzero(d < R), 1.0 / R)]
 
-    family_args = (space, centers, radii, cutoffs, sv, pv, qv, family)
-    s_range = dict(s_minus=float(sv.min()), s_plus=s_plus)
-
+    local = mode in ("sobolev_local", "moser")
     if mode == "holder":
         Q = pv * (sv - alpha)
-        c_emp = max([0.0, *(holder_seminorm(u, alpha, space) / anorm
-                            for _, _, _, u, anorm in _cutoff_family(*family_args, local=False))])
+    elif mode == "moser":
+        Q = sv * pv
+        omega = 1.0 if omega is None else omega
+        C_MT1 = DEFAULT_MT_C1 if C_MT1 is None else C_MT1
+        extras.update({"omega": omega, "C_MT1": C_MT1})
+    else:
+        Q = gamma * sv * pv / (gamma - pv)
+        if local:
+            omega = 1.0 / float(gamma.min()) if omega is None else omega
+            extras["omega"] = omega
+    cut = _cutoff_table(space, centers, radii, cutoffs, sv, pv, qv, family, local)
+    c_emp = max([1.0 if mode == "moser" else 0.0,
+                 *_scores(space, mode, cut, gamma, Q, omega, C_MT1).tolist()])
+    s_range = dict(s_minus=float(sv.min()), s_plus=s_plus)
+    if mode == "holder":
         b_formula = K.necessity_b_holder(
             c_emp, c_lip, lam,
             p_minus=float(pv.min()), p_plus=float(pv.max()),
@@ -758,38 +880,9 @@ def necessity_run(space, s, p, q, gamma_or_alpha, mode: str, family: str = "M",
         extras["equality_points"] = [int(x) for x in eq_pts]
         extras["atom_contradictions"] = [int(x) for x in eq_pts if int(x) not in space.atoms]
     elif mode == "moser":
-        Q = sv * pv
-        omega = 1.0 if omega is None else omega
-        C_MT1 = DEFAULT_MT_C1 if C_MT1 is None else C_MT1
-        extras.update({"omega": omega, "C_MT1": C_MT1})
-
-        def score(x, r, Br, u_j, anorm):
-            ub, wb = u_j[Br.members], space.weight[Br.members]
-            c = _exp_shift(ub, wb, omega * C_MT1 / anorm)
-            with np.errstate(over="ignore"):  # a score past the double range reads inf
-                return _weighted_mean(np.exp(C_MT1 * np.abs(ub - c) / anorm) ** omega, wb)
-
-        c_emp = max([1.0, *(score(*cut) for cut in _cutoff_family(*family_args, local=True))])
         b_formula = K.necessity_b_moser(C_MT1, c_emp, c_lip, lam, omega, **s_range,
                                         Q_minus=float(Q.min()), Q_plus=float(Q.max()))
     else:
-        Q = gamma * sv * pv / (gamma - pv)
-        local = mode == "sobolev_local"
-        if local:
-            omega = 1.0 / float(gamma.min()) if omega is None else omega
-            extras["omega"] = omega
-
-        def score(x, r, Br, u_j, anorm):
-            if not local:
-                return luxemburg(u_j, gamma, space.weight).value / anorm
-            scale = (Br.measure / r ** Q[x]) ** omega
-            if not scale > 0:
-                return 0.0
-            num, _, _ = inf_centered_norm(u_j[Br.members], gamma[Br.members],
-                                          space.weight[Br.members])
-            return num / (scale * anorm)
-
-        c_emp = max([0.0, *(score(*cut) for cut in _cutoff_family(*family_args, local=local))])
         shape = dict(s_range, gamma_minus=float(gamma.min()), gamma_plus=float(gamma.max()),
                      Q_minus=float(Q.min()), Q_plus=float(Q.max()),
                      c_log_inv_gamma=log_holder_constant(1.0 / gamma, space),

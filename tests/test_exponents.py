@@ -7,7 +7,7 @@ from varmms import (ExponentField, ball, conjugate, holder_exponent,
                     log_holder_constant, log_regularity, log_comparison_bounds,
                     restricted_bounds, sobolev_conjugate, strictly_dominates)
 from varmms.exponents import exponent_values, field_from_spec
-from varmms.generators import line_space
+from varmms.generators import grid2d, line_space
 
 
 def test_field_rejects_nonpositive_and_inf():
@@ -59,6 +59,24 @@ def test_log_holder_constant_examples():
     assert log_holder_constant(np.array([2.0, 2.0]), sp) == 0.0
     c = log_holder_constant(np.array([1.0, 2.0]), sp)
     assert c == pytest.approx(np.log(np.e + 1.0), abs=1e-12)
+
+
+def test_log_holder_constant_skips_the_pair_scan_for_constant_fields():
+    class NoDistances:  # a space whose distances must not be read
+        n = 400
+
+        @property
+        def dist(self):
+            raise AssertionError("pair scan on a constant field")
+
+    assert log_holder_constant(np.full(400, 1.7), NoDistances()) == 0.0
+    assert log_holder_constant(np.full(400, 0.3), NoDistances(), subset=[3, 5, 7]) == 0.0
+    # a variable field still takes the exact max over all pairs
+    sp = grid2d(5)
+    f = np.random.default_rng(2).uniform(1.0, 3.0, sp.n)
+    pairs = [abs(f[i] - f[j]) * np.log(np.e + 1.0 / sp.dist[i, j])
+             for i in range(sp.n) for j in range(i + 1, sp.n)]
+    assert log_holder_constant(f, sp) == max(pairs) > 0
 
 
 def test_log_holder_monotone_under_superset():

@@ -306,21 +306,26 @@ def test_cutoff_sequence_matches_full_vector_system(kind, k, seed, s_kind, q_fin
 def test_pair_table_built_once_per_space_in_necessity_run(monkeypatch):
     from varmms import necessity_run
     sp = grid2d(6)
-    builds, certified = [], []
+    builds, certified, kept = [], [], []
     table = space_module.PairTable
     monkeypatch.setattr(space_module, "PairTable",
                         lambda **kw: builds.append(1) or table(**kw))
-    cutoff = verify_module._cutoff_sequence
-    monkeypatch.setattr(verify_module, "_cutoff_sequence",
-                        lambda *a: certified.append(1) or cutoff(*a))
+    certify, cutoffs = verify_module._cutoff_certificates, verify_module._cutoff_table
+    monkeypatch.setattr(verify_module, "_cutoff_certificates",
+                        lambda *a: certified.append(len(a[2])) or certify(*a))
+    monkeypatch.setattr(verify_module, "_cutoff_table",
+                        lambda *a: kept.append(cutoffs(*a)) or kept[-1])
     monkeypatch.setattr(GradientConstraintSystem, "vector",
                         classmethod(lambda cls, *a, **kw: pytest.fail("vector system built")))
     n = sp.n
     s, p = np.full(n, 0.5), np.full(n, 1.5)
     gamma = sobolev_conjugate(np.full(n, 2.0), s, p).values
-    rep = necessity_run(sp, s, p, np.inf, gamma, mode="sobolev_global")
-    assert rep.verdict == "pass" and len(certified) > 1 and len(builds) == 1
-    assert sp.pairs is sp.pairs and len(builds) == 1
+    for mode in ("sobolev_global", "sobolev_local"):
+        rep = necessity_run(sp, s, p, np.inf, gamma, mode=mode)
+        assert rep.verdict == "pass"
+    # one certificate gather per run, over every kept candidate
+    assert certified == [len(cut.L) for cut in kept] and min(certified) > 1
+    assert len(builds) == 1 and sp.pairs is sp.pairs and len(builds) == 1
 
 
 def test_qp_solver_writes_nothing_to_stdout(capfd):

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from varmms import (MetricMeasureSpace, check_global, check_morrey_local,
                     check_moser_trudinger_local, check_sobolev_local, counterexample_run,
                     local_embedding_check, necessity_run, sobolev_conjugate, verify)
-from varmms.generators import (annular_cutoff, ball_grid_with_atom, coordinate_function,
-                               grid1d, grid2d, log_bump)
-from varmms.gradients import lipschitz_cutoff_gradient
-from varmms.norms import luxemburg
-from varmms.verify import DEFAULT_MT_C1, _exp_shift, _family_norm, inf_centered_norm
+from varmms.generators import (annular_cutoff, ball_grid_with_atom, cantor_space,
+                               coordinate_function, grid1d, grid2d, log_bump, two_zone_glued)
+from varmms.gradients import _CERT_TOL, _cutoff_sequence, lipschitz_cutoff_gradient
+from varmms.norms import holder_seminorm, luxemburg, mixed_norm_lp_lq, mixed_norm_lq_lp
+from varmms.space import ball, phi
+from varmms.verify import DEFAULT_MT_C1, _exp_shift, inf_centered_norm
 
 
 @pytest.fixture(scope="module")
@@ -334,19 +335,24 @@ def _golden_exp_shift(u, w, k):
     return min((f1, x1), (f2, x2))[1]
 
 
-def test_moser_necessity_score_matches_golden_section(grid8, monkeypatch):
+def test_moser_necessity_score_matches_golden_section(grid8):
+    # every candidate scored about the golden-section shift, one at a time
     n = grid8.n
     s, p = np.full(n, 0.5), np.full(n, 1.5)
     gamma = sobolev_conjugate(np.full(n, 2.0), s, p).values
+    w = grid8.weight
     for omega, c1 in ((None, None), (0.5, 3.0)):
         rep = necessity_run(grid8, s, p, np.inf, gamma, mode="moser", omega=omega, C_MT1=c1)
-        with monkeypatch.context() as m:
-            m.setattr(verify, "_exp_shift", _golden_exp_shift)
-            ref = necessity_run(grid8, s, p, np.inf, gamma, mode="moser", omega=omega,
-                                C_MT1=c1)
-        assert ref.extras["embedding_constant"] > 1.0  # not the floor of the max
-        assert rep.extras["embedding_constant"] == pytest.approx(
-            ref.extras["embedding_constant"], rel=1e-9)
+        om, c1 = (1.0 if omega is None else omega), (DEFAULT_MT_C1 if c1 is None else c1)
+        scores = []
+        for _, _, Br, u, _, _, anorm in _cutoff_family_reference(
+                grid8, [0, 32, 63], _default_radii(grid8), _annular(grid8, 4), s, p,
+                np.full(n, np.inf), "M", local=True):
+            ub, wb = u[Br.members], w[Br.members]
+            c = _golden_exp_shift(ub, wb, om * c1 / anorm)
+            scores.append(np.sum(wb * np.exp(c1 * np.abs(ub - c) / anorm) ** om) / np.sum(wb))
+        assert len(scores) > 1 and max(scores) > 1.0  # not the floor of the max
+        assert rep.extras["embedding_constant"] == pytest.approx(max(scores), rel=1e-9)
 
 
 def test_moser_shift_past_the_exp_range(grid8):
@@ -382,33 +388,44 @@ def _slope_battery(seed):
         log_w[int(rng.integers(2))] = 200.0
     if seed % 4 < 2:
         k = float(np.exp(rng.uniform(-7.0, 6.0)))
-        return v, lambda d, on: log_w[on] + k * np.abs(d[on])
+        return v, lambda d, on, rows: log_w + k * np.abs(d)
     pv = rng.uniform(1.0, 5.0, n)
-    return v, lambda d, on: log_w[on] + (pv[on] - 1.0) * np.log(np.abs(d[on]))
+    return v, lambda d, on, rows: log_w + (pv - 1.0) * np.log(np.abs(d))
 
 
 def test_brentq_port_matches_scipy(monkeypatch):
-    # the Moser-Trudinger centring shift uses a port of scipy's brentq, so
-    # that no verify imports scipy.optimize; it must give scipy's roots
+    # the centring shifts use a port of scipy's brentq, so that no verify
+    # imports scipy.optimize; it must give scipy's roots
     from scipy.optimize import brentq
-    port, roots = verify._brentq, []
+    port, roots, slopes = verify._brentq, [], []
 
     def both(f, a, b, xtol):
-        roots.append((port(f, a, b, xtol=xtol), brentq(f, a, b, xtol=xtol)))
-        return roots[-1][0]
+        ours = port(f, a, b, xtol=xtol)
+        for i in range(len(a)):  # scipy on each row's own slope
+            slope = (lambda f, i: lambda t: float(f(np.array([t]), np.array([i]))[0]))(f, i)
+            slopes.append(slope)
+            roots.append((ours[i], brentq(slope, a[i], b[i], xtol=xtol)))
+        return ours
 
     monkeypatch.setattr(verify, "_brentq", both)
-    for seed in range(600):
+    for seed in range(600):  # one row at a time, as inf_centered_norm and _exp_shift
         verify._slope_root(*_slope_battery(seed))
     assert len(roots) == 600
     assert all(ours == theirs for ours, theirs in roots), \
         [r for r in roots if r[0] != r[1]][:5]
     assert min(r[0] for r in roots) < 1e-12 and max(r[0] for r in roots) > 1.0 - 1e-12
+    # all 600 problems as the rows of one lockstep call, each row's slope
+    # evaluated on its own
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lockstep = port(lambda x, rows: np.array([slopes[r](t) for t, r in zip(x, rows)]),
+                        np.zeros(600), np.ones(600), xtol=1e-14)
+    assert np.array_equal(lockstep, [theirs for _, theirs in roots])
     # no sign change: the same error
     errors = []
-    for solve in (port, brentq):
+    for solve in (lambda f: port(lambda x, rows: f(x), np.zeros(1), np.ones(1), xtol=1e-14),
+                  lambda f: brentq(f, 0.0, 1.0, xtol=1e-14)):
         with pytest.raises(ValueError) as err:
-            solve(lambda t: t + 1.0, 0.0, 1.0, xtol=1e-14)
+            solve(lambda t: t + 1.0)
         errors.append(str(err.value))
     assert errors[0] == errors[1]
 
@@ -519,10 +536,124 @@ def test_necessity_family_validated_and_besov_family_runs(grid8):
     assert rep.extras["embedding_constant"] > 0
     # the family norm is the matching norm of lipschitz_cutoff_gradient's report
     u, support, L = annular_cutoff(grid8, 27, 0.4, 2)
+    on = np.isin(np.arange(n), support)[None]
     for q in (np.full(n, np.inf), np.full(n, 2.5), np.linspace(1.5, 3.0, n)):
         _, cut = lipschitz_cutoff_gradient(grid8, support, L, s, p, q, u=u)
-        assert _family_norm(grid8, support, L, s, p, q, "M", u) == cut["tl_norm"]
-        assert _family_norm(grid8, support, L, s, p, q, "N", u) == cut["besov_norm"]
-    # a family built for a smaller Lipschitz constant is no gradient of u
+        for family, key in (("M", "tl_norm"), ("N", "besov_norm")):
+            assert verify._family_norms(grid8, on, np.array([L]), s, p, q, family)[0] == cut[key]
+    # a family built for a smaller Lipschitz constant is no gradient of u; a
+    # skipped candidate (u constant on its ball, or no support) never raises
+    def table(*cutoff):
+        return verify._cutoff_table(grid8, [27], [0.4], lambda x, base: [cutoff], s, p,
+                                    np.full(n, np.inf), "M", local=True)
+
     with pytest.raises(RuntimeError, match="not a gradient"):
-        _family_norm(grid8, support, L / 100, s, p, q, "M", u)
+        table(u, support, L / 100)
+    assert len(table(np.ones(n), support, L / 100).L) == 0
+    assert len(table(u, np.zeros(0, dtype=int), L / 100).L) == 0
+    assert len(table(u, support, L).L) == 1
+
+
+# -- the candidate loop that necessity_run's batch replaced, as its oracle ---
+
+def _default_radii(space, sigma=2.0):
+    top = min(1.0 / sigma, space.diameter * 0.75)
+    return [top, top / 2.0]
+
+
+def _annular(space, j_max):
+    return lambda x, base: (annular_cutoff(space, x, base, j) for j in range(1, j_max + 1))
+
+
+def _family_norm_reference(space, support, L, s, p, q, family, u):
+    """One candidate's family norm from its level table, certified first."""
+    seq, _, cert = _cutoff_sequence(space, support, L, s, q, u)
+    if cert > _CERT_TOL:
+        raise RuntimeError(f"cut-off family is not a gradient (violation {cert})")
+    if family == "M":
+        return mixed_norm_lp_lq(seq, p, q, space.weight).value
+    return mixed_norm_lq_lp(seq, p, q, space.weight).value
+
+
+def _cutoff_family_reference(space, centers, radii, cutoffs, s, p, q, family, local):
+    """The test functions one candidate at a time, as (x, r, B(x, r), u,
+    support, L, family norm) when that norm is positive."""
+    for x in centers:
+        for r in radii:
+            base = phi(space, x, r) if local else r
+            if base <= 0:
+                continue
+            Br = ball(space, x, r) if local else None
+            on = Br.members if local else slice(None)
+            for u, support, L in cutoffs(x, base):
+                if support.size == 0 or np.ptp(u[on]) == 0:
+                    continue
+                anorm = _family_norm_reference(space, support, L, s, p, q, family, u)
+                if anorm > 0:
+                    yield x, r, Br, u, support, L, anorm
+
+
+def _reference_table(space, centers, radii, cutoffs, s, p, q, family, local):
+    rows = list(_cutoff_family_reference(space, centers, radii, cutoffs, s, p, q, family, local))
+    x, r, balls, u, support, L, anorm = zip(*rows) if rows else ((),) * 7
+    on = np.zeros((len(rows), space.n), dtype=bool)
+    for row, sup in zip(on, support):
+        row[sup] = True
+    return verify._Cutoffs(list(x), list(r), list(balls), np.reshape(u, (len(rows), space.n)),
+                           on, np.array(L), np.array(anorm))
+
+
+def _reference_scores(space, mode, cut, target, Q, omega, C_MT1):
+    """Each candidate's score on its own."""
+    w, out = space.weight, []
+    for x, r, Br, u, anorm in zip(cut.x, cut.r, cut.balls, cut.u, cut.anorm):
+        if mode == "holder":
+            out.append(holder_seminorm(u, target, space) / anorm)
+        elif mode == "sobolev_global":
+            out.append(luxemburg(u, target, w).value / anorm)
+        elif mode == "moser":
+            ub, wb = u[Br.members], w[Br.members]
+            c = _exp_shift(ub, wb, omega * C_MT1 / anorm)
+            with np.errstate(over="ignore"):
+                out.append(np.sum(np.exp(C_MT1 * np.abs(ub - c) / anorm) ** omega * wb) / np.sum(wb))
+        else:
+            scale = (Br.measure / r ** Q[x]) ** omega
+            num = inf_centered_norm(u[Br.members], target[Br.members], w[Br.members])[0]
+            out.append(num / (scale * anorm) if scale > 0 else 0.0)
+    return np.array(out)
+
+
+_NECESSITY_SPACES = {"grid8": lambda: grid2d(8), "cantor4": lambda: cantor_space(4),
+                     "glued": lambda: two_zone_glued(8, 4), "line64": lambda: grid1d(64)}
+
+
+@pytest.mark.parametrize("kind", sorted(_NECESSITY_SPACES))
+def test_necessity_batch_matches_the_candidate_loop(kind, monkeypatch):
+    # every mode, both families and three kinds of q: the batch against the
+    # loop it replaced, at the default and at seeded centres and radii
+    sp = _NECESSITY_SPACES[kind]()
+    n = sp.n
+    rng = np.random.default_rng(sorted(_NECESSITY_SPACES).index(kind))
+    qs = {"inf": np.full(n, np.inf), "2.5": np.full(n, 2.5), "variable": np.linspace(1.5, 3.0, n)}
+    runs = 0
+    for m, mode in enumerate(("sobolev_global", "sobolev_local", "moser", "holder")):
+        s, p = rng.uniform(0.4, 0.6, n), rng.uniform(1.3, 1.7, n)
+        target = np.full(n, 0.3) if mode == "holder" else p + rng.uniform(1.2, 1.8, n)
+        where = ({} if m % 2 == 0 else
+                 {"centers": sorted(set(rng.integers(0, n, 3).tolist())),
+                  "radii": sorted(rng.uniform(0.15, 0.6, 2).tolist())})
+        # the Besov family on one q per mode: its per-level norms are slow
+        for family, q_kinds in (("M", list(qs)), ("N", [list(qs)[m % 3]])):
+            for q_kind in q_kinds:
+                args = (sp, s, p, qs[q_kind], target)
+                rep = necessity_run(*args, mode=mode, family=family, **where)
+                with monkeypatch.context() as patch:
+                    patch.setattr(verify, "_cutoff_table", _reference_table)
+                    patch.setattr(verify, "_scores", _reference_scores)
+                    ref = necessity_run(*args, mode=mode, family=family, **where)
+                label = (mode, family, q_kind)
+                assert rep.verdict == ref.verdict, label
+                for key in ("embedding_constant", "b_formula"):
+                    assert rep.extras[key] == pytest.approx(ref.extras[key], rel=1e-12, abs=0), label
+                runs += 1
+    assert runs == 16
