@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -252,7 +253,9 @@ def cmd_gradient(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first ``main`` call of a process."""
     parser = argparse.ArgumentParser(prog="varmms",
                                      description=__doc__.splitlines()[0])
     parser.add_argument("--tol", type=float, default=1e-6,
@@ -280,8 +283,11 @@ def main(argv=None) -> int:
     n.add_argument("scenario")
     d = sub.add_parser("gradient", help="solve a minimal-gradient problem")
     d.add_argument("scenario")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "space-gen":
         if args.out == "out":
             args.out = "space.json"

@@ -28,11 +28,23 @@ class RegularityProfile:
                               for x, r in self.witnesses]}
 
 
+# witnesses tie with the minimum up to this relative gap
+_TIE = 1e-15
+
+
+def _radius_powers(radii: np.ndarray, Q) -> np.ndarray:
+    """radii ** Q[x], a row per center, one power per distinct exponent value:
+    numpy squares for a scalar exponent 2, a broadcast power does not."""
+    values, inverse = np.unique(Q, return_inverse=True)
+    return np.array([radii ** q for q in values])[inverse]
+
+
 def _profile(space: MetricMeasureSpace, Q, r_min, r_max, upper: bool) -> RegularityProfile:
     """One ball-mass table for both scans: the min of mu(B(x, r)) / r**Q(x) over
-    the critical radii in [r_min, r_max] and both ends, witnessed by each center's
-    first minimizing radius (ties within 1e-15 in center order), and if ``upper``
-    the max over the critical radii alone (the r_min column if there is none)."""
+    the critical radii in [r_min, r_max] and both ends, witnessed by the first
+    minimizing radius of each center whose minimum is within a relative ``_TIE``
+    of it, and if ``upper`` the max over the critical radii alone (the r_min
+    column if there is none)."""
     if space.n < 2:
         radii, crit = np.array([min(1.0, r_max)]), slice(None)
     else:
@@ -46,15 +58,12 @@ def _profile(space: MetricMeasureSpace, Q, r_min, r_max, upper: bool) -> Regular
         radii = np.concatenate([[r_min] * lo, radii])
         if radii[-1] < r_max:
             radii = np.concatenate([radii, [r_max]])
-    # a power per row: numpy squares for a scalar exponent 2, a broadcast power does not
-    ratios = ball_masses(space, radii) / [radii ** q for q in exponent_values(Q, space.n)]
-    best, witnesses = np.inf, []
-    for x, j in enumerate(np.argmin(ratios, axis=1)):
-        if ratios[x, j] < best - 1e-15:
-            best = float(ratios[x, j])
-            witnesses = [(x, float(radii[j]))]
-        elif abs(ratios[x, j] - best) <= 1e-15:
-            witnesses.append((x, float(radii[j])))
+    ratios = ball_masses(space, radii) / _radius_powers(radii, exponent_values(Q, space.n))
+    first = np.argmin(ratios, axis=1)
+    low = ratios[np.arange(space.n), first]
+    best = float(low.min())
+    tied = np.flatnonzero(low <= best * (1.0 + _TIE))
+    witnesses = [(int(x), float(radii[first[x]])) for x in tied]
     return RegularityProfile(b_lower=best, r_min=float(radii[0]), r_max=float(radii[-1]),
                              witnesses=witnesses,
                              b_upper=float(ratios[:, crit].max()) if upper else None)

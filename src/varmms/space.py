@@ -10,11 +10,16 @@ check because Euclidean distances are a metric by construction.  Internal
 re-slicing (``subspace``) skips re-validation because restrictions of a
 metric stay metric.
 
-Every ball-mass scan reads one table, ``_shells``, built per call and never
-cached; only ``ball`` sums its members itself.
+Every ball-mass scan reads one table, ``_shells``: each center's sorted
+distance row and its cumulative weights.  A check that runs several scans
+of a space shares one table of all its centers (``_one_table``), sorted on
+first use and dropped after its last scan; a scan outside such a check
+sorts its own.  Scans run over all centers at once, in blocks of at most
+``_SCAN_BLOCK`` elements; only ``ball`` sums its members itself.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -146,12 +151,20 @@ class MetricMeasureSpace:
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
         if coords.ndim == 2 and coords.shape[0] == 1 and np.ndim(weight) and len(np.atleast_1d(weight)) > 1:
             coords = coords.T
-        diff = coords[:, None, :] - coords[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=-1))
-        dist = 0.5 * (dist + dist.T)
-        np.fill_diagonal(dist, 0.0)
+        # squared differences summed one axis at a time, with no n x n x d array:
+        # below 8 axes numpy sums that array's last axis in the same order (from
+        # 8 on, pairwise); either way the distances are exactly symmetric with a
+        # zero diagonal
+        if coords.shape[1] < 8:
+            sq = np.zeros((len(coords), len(coords)))
+            for axis in coords.T:
+                diff = axis[:, None] - axis[None, :]
+                sq += diff * diff
+        else:
+            diff = coords[:, None, :] - coords[None, :, :]
+            sq = (diff * diff).sum(axis=-1)
         # Euclidean distances are a metric by construction: no triangle check
-        return cls._validated(dist, weight, labels, coords, atoms)
+        return cls._validated(np.sqrt(sq), weight, labels, coords, atoms)
 
     @classmethod
     def from_json(cls, payload):
@@ -216,12 +229,14 @@ def _validate(dist: np.ndarray, weight: np.ndarray) -> None:
     if np.any(np.abs(np.diag(dist)) > 0):
         i = int(np.argmax(np.abs(np.diag(dist))))
         raise SpaceValidationError(f"dist[{i}][{i}] = {dist[i, i]} must be 0")
-    if not np.allclose(dist, dist.T, rtol=0, atol=0):
-        bad = np.argwhere(dist != dist.T)[0]
+    asymmetric = dist != dist.T
+    if asymmetric.any():
+        bad = np.argwhere(asymmetric)[0]
         raise SpaceValidationError(f"asymmetry at ({bad[0]}, {bad[1]})")
-    off = ~np.eye(n, dtype=bool)
-    if n > 1 and np.any(dist[off] <= 0):
-        i, j = np.argwhere((dist <= 0) & off)[0]
+    nonpositive = dist <= 0  # the zero diagonal, and any distinct pair at distance <= 0
+    if np.count_nonzero(nonpositive) > n:
+        np.fill_diagonal(nonpositive, False)
+        i, j = np.argwhere(nonpositive)[0]
         raise SpaceValidationError(f"dist[{i}][{j}] = {dist[i, j]} must be > 0 for distinct points")
 
 
@@ -271,10 +286,72 @@ def _shells(space: MetricMeasureSpace, centers=None) -> tuple[np.ndarray, np.nda
     return np.take_along_axis(rows, order, axis=1), mass
 
 
+# id(space) -> [space, its ``_shells`` table or None before the first scan]
+# while a ``_one_table`` block runs on that space
+_SHARED: dict[int, list] = {}
+
+
+@contextlib.contextmanager
+def _one_table(space: MetricMeasureSpace):
+    """Within the block every scan of ``space`` reads one ``_shells`` table of
+    all its centers, sorted on first use and dropped when the block ends."""
+    if id(space) in _SHARED:
+        yield
+        return
+    _SHARED[id(space)] = [space, None]
+    try:
+        yield
+    finally:
+        del _SHARED[id(space)]
+
+
+def _table(space: MetricMeasureSpace, centers=None) -> tuple[np.ndarray, np.ndarray]:
+    """``_shells(space, centers)``; within a ``_one_table`` block, rows of its
+    shared table (``argsort`` sorts each row on its own, so the rows are equal)."""
+    slot = _SHARED.get(id(space))
+    if slot is None:
+        return _shells(space, centers)
+    if slot[1] is None:
+        slot[1] = _shells(space)
+    rows, mass = slot[1]
+    return (rows, mass) if centers is None else (rows[centers], mass[centers])
+
+
+# Element budget of one block of a scan over many centers: the block's rows
+# times their length
+_SCAN_BLOCK = 1 << 15
+
+
+def _counts(space: MetricMeasureSpace, centers: np.ndarray, radii):
+    """Yield (block, rows, mass, counts) over blocks of ``centers``: their
+    ``_table`` rows and |B(x, r)| for each radius, exact integers.  Each
+    distance falls in a bin of the sorted radii (those it is not below), a
+    bincount per row gives the bin sizes and a running sum the counts."""
+    radii = np.asarray(radii, dtype=float)
+    edges = np.sort(radii)
+    rank = None if np.all(radii[:-1] <= radii[1:]) else np.argsort(np.argsort(radii))
+    width = radii.size + 1
+    step = max(1, _SCAN_BLOCK // (space.n + width))
+    for lo in range(0, centers.size, step):
+        block = slice(lo, lo + step)
+        rows, mass = _table(space, centers[block])
+        bins = np.searchsorted(edges, rows, side="right")
+        bins += np.arange(0, bins.shape[0] * width, width)[:, None]
+        sizes = np.bincount(bins.ravel(), minlength=bins.shape[0] * width)
+        counts = np.cumsum(sizes.reshape(-1, width)[:, :-1], axis=1)
+        yield block, rows, mass, counts if rank is None else counts[:, rank]
+
+
 def ball_masses(space: MetricMeasureSpace, radii, centers=None) -> np.ndarray:
-    """Open-ball masses mu(B(x, r)), a row per center (all by default) and a column per radius."""
-    rows, mass = _shells(space, centers)
-    return np.stack([m[np.searchsorted(row, radii)] for row, m in zip(rows, mass)])
+    """Open-ball masses mu(B(x, r)), a row per center (all by default) and a column per radius,
+    looked up at each ball's point count in the ``_shells`` cumulative weights."""
+    idx = np.arange(space.n)
+    if centers is not None:
+        idx = idx[centers]
+    out = np.empty((idx.size, np.size(radii)))
+    for block, _, mass, counts in _counts(space, idx, np.ravel(radii)):
+        out[block] = np.take_along_axis(mass, counts, axis=1)
+    return out.reshape(idx.size, *np.shape(radii))
 
 
 def critical_radii(space: MetricMeasureSpace, r_min: float = 0.0,
@@ -350,30 +427,51 @@ def estimate_doubling(space: MetricMeasureSpace) -> int:
     farthest points are all uncovered and the visiting order does not
     depend on r; the cover size of a fixed ball can only fall as r grows.
     Each center therefore takes each distinct ball at the smallest critical
-    radius that produces it and runs all those covers in lockstep, one row
-    per ball, non-members at -inf.
+    radius that produces it, and the covers of a block of centers run in
+    lockstep, one row per ball, non-members at -inf.  A ball's cover has at
+    most |ball| centers, so each block skips the balls no larger than the
+    worst cover of the blocks before it.
     """
-    if space.n == 1:
+    n = space.n
+    if n == 1:
         return 1
     base = _distances(space)
     radii = np.unique(np.concatenate([base, 2.0 * base]))
-    worst = 1
-    for x, row in enumerate(_shells(space)[0]):
-        tail = row[worst:]  # a ball's cover has at most |ball| centers: skip smaller balls
-        levels = tail[np.diff(tail, append=np.inf) > 0]  # each distance once
+    rows = _table(space)[0]
+    worst, x = 1, 0
+    while x < n and worst < n:
+        # the centers whose balls of more than `worst` points fill the budget
+        stop, size = x + 1, _balls(rows[x, worst:])
+        while stop < n:
+            more = _balls(rows[stop, worst:])
+            if (size + more) * n > _SCAN_BLOCK:
+                break
+            size, stop = size + more, stop + 1
+        on = np.diff(rows[x:stop], axis=1, append=np.inf) > 0  # each ball once, at its last point
+        on[:, :worst] = False
+        center, col = np.nonzero(on)
+        center += x
+        levels = rows[center, col]
         half = radii[np.searchsorted(radii, levels, side="right")] / 2.0
-        far = np.where(space.dist[x] <= levels[:, None], np.inf, -np.inf)  # to the chosen centers
+        # distance to the chosen centers
+        far = np.where(space.dist[center] <= levels[:, None], np.inf, -np.inf)
         picks = 0
         while True:
             nxt = far.argmax(axis=1)
             live = far[np.arange(nxt.size), nxt] >= half
-            if not live.any():
-                break
-            far, half = far[live], half[live]
-            np.minimum(far, space.dist[nxt[live]], out=far)
+            if not live.all():
+                if not live.any():
+                    break
+                far, half, nxt = far[live], half[live], nxt[live]
+            np.minimum(far, space.dist[nxt], out=far)
             picks += 1
-        worst = max(worst, picks)
+        worst, x = max(worst, picks), stop
     return worst
+
+
+def _balls(tail: np.ndarray) -> int:
+    """The distinct values of a sorted row's tail: the balls of that many more points."""
+    return int(np.count_nonzero(np.diff(tail, append=np.inf) > 0))
 
 
 def overlap_bound_check(space: MetricMeasureSpace, r: float, R: float,
@@ -415,8 +513,9 @@ def perfectness_resolution(space: MetricMeasureSpace) -> float:
     singleton (singleton balls make the annulus condition vacuously fail)."""
     if space.n < 2:
         raise ValueError("need at least two points")
-    rows, _ = _shells(space)
-    return float(rows[:, 1].max()) * (1.0 + 1e-9)  # rows[:, 0] is d(x, x) = 0
+    near = space.dist.copy()
+    np.fill_diagonal(near, np.inf)
+    return float(near.min(axis=1).max()) * (1.0 + 1e-9)
 
 
 def uniform_perfectness(space: MetricMeasureSpace, epsilon: float,
@@ -430,10 +529,11 @@ def uniform_perfectness(space: MetricMeasureSpace, epsilon: float,
     result.  Returns None if no grid value works.
 
     The annulus B(x, r) \\ B(x, lambda r) is nonempty iff the largest
-    distance from x below r, ``far``, satisfies lambda r <= far.  One sorted
-    row per center gives ``far`` for every radius by ``searchsorted``, and
-    the test is the same float comparison as the membership test
-    ``row >= lambda r``, so the grid result is exact, not approximate.
+    distance from x below r, ``far``, satisfies lambda r <= far.  Each
+    center's sorted row gives ``far`` for every radius at the ball's point
+    count, the centers with the smallest ``far`` bind, and the test is the
+    same float comparison as the membership test ``row >= lambda r``, so the
+    grid result is exact, not approximate.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -442,12 +542,13 @@ def uniform_perfectness(space: MetricMeasureSpace, epsilon: float,
     lambdas = np.sort(np.asarray(lambdas, dtype=float))
     radii = critical_radii(space)
     radii = radii[radii >= epsilon]
-    ok = np.ones(lambdas.size, dtype=bool)
-    for row in _shells(space)[0]:
-        k = np.searchsorted(row, radii, side="left")  # |B(x, r)|
-        live = k < space.n  # k == n: X \ B(x, r) is empty, vacuous
-        far = row[k[live] - 1]  # row[0] = d(x, x) = 0 < r, so k >= 1
-        ok &= np.all(lambdas[:, None] * radii[live] <= far, axis=1)
+    bind = np.full(radii.size, np.inf)  # the least far over centers with X \ B(x, r) nonempty
+    for _, rows, _, k in _counts(space, np.arange(space.n), radii):
+        far = np.take_along_axis(rows, k - 1, axis=1)  # rows[:, 0] = d(x, x) = 0 < r
+        far[k == space.n] = np.inf  # X \ B(x, r) is empty: vacuous
+        np.minimum(bind, far.min(axis=0), out=bind)
+    live = bind < np.inf
+    ok = np.all(lambdas[:, None] * radii[live] <= bind[live], axis=1)
     return float(lambdas[ok][-1]) if ok.any() else None
 
 

@@ -16,7 +16,9 @@ their test functions (annular cut-offs, or one cone for the Hoelder mode) as
 one batch: ``_cutoff_table`` builds a row per kept candidate, its family norm
 and one certificate gather for all rows, and ``_scores`` scores the rows
 together (row-wise norms, lockstep shift roots); the lower growth is read off
-one table of ball masses (``space.ball_masses``).
+one table of ball masses (``space.ball_masses``).  The scans of a necessity
+run, and those of a global check, sort the space's distance rows once
+(``space._one_table``).
 """
 from __future__ import annotations
 
@@ -33,8 +35,8 @@ from .generators import annular_cutoff, ball_grid_with_atom, power_function
 from .gradients import (_CERT_TOL, _cutoff_certificates, _cutoff_lq, _cutoff_sequence,
                         minimal_scalar_gradient, minimal_vector_gradient)
 from .norms import _lockstep, check_slack, holder_seminorm, luxemburg, mixed_norm_lq_lp
-from .regularity import best_lower_constant
-from .space import (_phi, _shells, ball, ball_masses, critical_radii, estimate_doubling,
+from .regularity import _radius_powers, best_lower_constant
+from .space import (_one_table, _phi, _table, ball, ball_masses, critical_radii, estimate_doubling,
                     perfectness_resolution, uniform_perfectness)
 
 __all__ = [
@@ -585,15 +587,19 @@ def check_global(space, u, s, p, Q, q=None, theorem: str = "bounded",
     tag = f"global_{theorem}[{mode}]"
     hyp = [Hypothesis("bounded_space", np.isfinite(space.diameter),
                       f"diam = {space.diameter:.6g}")]
-    b = _lower_regularity(space, Qv, delta)
+    doubling = theorem.startswith("doubling")
+    with _one_table(space):  # dropped before the gradient solve
+        b = _lower_regularity(space, Qv, delta)
+        if doubling:
+            M = estimate_doubling(space)
+            sup_mass = float(ball_masses(space, [delta]).max())
     hyp.append(Hypothesis("lower_regularity", b > 0, f"b = {b:.6g} up to {delta}"))
     hyp.extend(_log_hypotheses(space, None, {"Q": Qv, "p": pv, "s": sv}))
     regime = _regime(sv, pv, Qv)
     extras = {"b": b, "regime": regime, "mode": mode}
-    if theorem.startswith("doubling"):
-        M = estimate_doubling(space)
+    if doubling:
         extras["doubling_estimate"] = M
-        extras["sup_delta_ball_mass"] = sup_mass = float(ball_masses(space, [delta]).max())
+        extras["sup_delta_ball_mass"] = sup_mass
         hyp.append(Hypothesis("geometrically_doubling", np.isfinite(M), f"M = {M}"))
         if theorem != "doubling_holder":
             hyp.append(Hypothesis("finite_sup_ball_mass", np.isfinite(sup_mass),
@@ -710,15 +716,15 @@ def _family_norms(space, support, L, s, p, q, family: str) -> np.ndarray:
                      for on, lip in zip(support, L)])
 
 
-def _cutoff_table(space, centers, radii, cutoffs, s, p, q, family, local: bool) -> _Cutoffs:
+def _cutoff_table(space, centers, radii, cutoffs, s, p, q, family, shells) -> _Cutoffs:
     """The proofs' test functions as one table (``_Cutoffs``) of the rows
     whose family norm is positive; ``cutoffs(x, base)`` yields each
-    (u, support, L) at a center and base radius.  ``local`` takes base
-    phi(x, r), read off one ``_shells`` table of the centers, and needs u
-    nonconstant on B(x, r); otherwise base r, on the whole space.  Every
-    kept row is certified a gradient of its u in one gather, after the skip
-    rules, so a skipped candidate never raises."""
-    shells = _shells(space, centers) if local else None
+    (u, support, L) at a center and base radius.  Local runs pass the
+    centers' ``_shells`` rows: base phi(x, r), read off them, and u
+    nonconstant on B(x, r); otherwise (``shells`` None) base r, on the whole
+    space.  Every kept row is certified a gradient of its u in one gather,
+    after the skip rules, so a skipped candidate never raises."""
+    local = shells is not None
     rows = []
     for i, x in enumerate(centers):
         for r in radii:
@@ -787,6 +793,24 @@ def _scores(space, mode: str, cut: _Cutoffs, target, Q, omega, C_MT1) -> np.ndar
     return scores
 
 
+def _lower_growth(space, Q, extras: dict):
+    """b_empirical: the min of mu(B(x, r)) / r**Q(x) over the centers with a
+    positive Q and the critical radii from the smallest distance up to 1
+    (inf if no Q is positive), its first center, then radius, recorded as
+    the witness in ``extras``."""
+    b_emp = np.inf
+    positive = np.flatnonzero(Q > 1e-12)  # centers with a genuinely positive exponent
+    if positive.size:
+        radii_scan = critical_radii(space, space.min_positive_distance(), 1.0)
+        if radii_scan.size == 0:
+            radii_scan = np.array([1.0])
+        ratios = ball_masses(space, radii_scan, positive) / _radius_powers(radii_scan, Q[positive])
+        x, j = divmod(int(np.argmin(ratios)), radii_scan.size)  # first center, then radius
+        b_emp = min(b_emp, ratios[x, j])
+        extras["witnesses"] = [(int(positive[x]), float(radii_scan[j]))] if b_emp < np.inf else []
+    return b_emp
+
+
 def necessity_run(space, s, p, q, gamma_or_alpha, mode: str, family: str = "M",
                   sigma: float = 2.0, epsilon: float | None = None,
                   omega: float | None = None, C_MT1: float | None = None,
@@ -818,53 +842,58 @@ def necessity_run(space, s, p, q, gamma_or_alpha, mode: str, family: str = "M",
     hyp = [Hypothesis("s_plus_admissible",
                       s_plus < 1.0 or (s_plus == 1.0 and not np.isfinite(q_minus)),
                       f"max s = {s_plus}, min q = {q_minus}")]
-    if epsilon is None:
-        epsilon = perfectness_resolution(space)
-    lam = None
-    if mode != "sobolev_global":
-        lam = uniform_perfectness(space, epsilon)
-        hyp.append(Hypothesis("uniformly_perfect", lam is not None,
-                              f"lambda = {lam}, resolution epsilon = {epsilon}"))
-    extras: dict = {"epsilon": epsilon, "lambda": lam, "family": family}
-    # the mode's own hypothesis and C_lip are read only on admissible spaces
-    if all(h.holds for h in hyp):
-        c_lip = extras["C_lip"] = K.lipschitz_constant(q_minus, float(sv.min()), s_plus)
+    # the perfectness scan, the growth scan and the centers' halving radii
+    # read one sorted table, dropped before the test functions are built
+    with _one_table(space):
+        if epsilon is None:
+            epsilon = perfectness_resolution(space)
+        lam = None
+        if mode != "sobolev_global":
+            lam = uniform_perfectness(space, epsilon)
+            hyp.append(Hypothesis("uniformly_perfect", lam is not None,
+                                  f"lambda = {lam}, resolution epsilon = {epsilon}"))
+        extras: dict = {"epsilon": epsilon, "lambda": lam, "family": family}
+        # the mode's own hypothesis and C_lip are read only on admissible spaces
+        if all(h.holds for h in hyp):
+            c_lip = extras["C_lip"] = K.lipschitz_constant(q_minus, float(sv.min()), s_plus)
+            if mode == "holder":
+                hyp.append(Hypothesis(
+                    "s_dominates_alpha", bool(np.min(sv - alpha) >= -1e-12),
+                    "necessity forces s >= alpha; violated means embedding impossible"))
+            elif mode != "moser":
+                hyp.append(Hypothesis("gamma_dominates_p", strictly_dominates(gamma, pv),
+                                      "gamma >> p"))
+        if not all(h.holds for h in hyp):
+            return _na_report(theorem, scenario, hyp, extras)
+
+        if centers is None:
+            centers = sorted({0, space.n // 2, space.n - 1})
+        if radii is None:
+            top = min(1.0 / sigma, space.diameter * 0.75)
+            radii = [top, top / 2.0]
+
+        def cutoffs(x, base):  # the annular u_j, j = 1..j_max, or one cone 1 - d/(lam r)
+            if mode != "holder":
+                return (annular_cutoff(space, x, base, j) for j in range(1, j_max + 1))
+            d, R = space.dist[x], lam * base
+            return [(np.clip(1.0 - d / R, 0.0, 1.0), np.flatnonzero(d < R), 1.0 / R)]
+
+        local = mode in ("sobolev_local", "moser")
         if mode == "holder":
-            hyp.append(Hypothesis(
-                "s_dominates_alpha", bool(np.min(sv - alpha) >= -1e-12),
-                "necessity forces s >= alpha; violated means embedding impossible"))
-        elif mode != "moser":
-            hyp.append(Hypothesis("gamma_dominates_p", strictly_dominates(gamma, pv),
-                                  "gamma >> p"))
-    if not all(h.holds for h in hyp):
-        return _na_report(theorem, scenario, hyp, extras)
-
-    if centers is None:
-        centers = sorted({0, space.n // 2, space.n - 1})
-    if radii is None:
-        top = min(1.0 / sigma, space.diameter * 0.75)
-        radii = [top, top / 2.0]
-
-    def cutoffs(x, base):  # the annular u_j, j = 1..j_max, or one cone 1 - d/(lam r)
-        if mode != "holder":
-            return (annular_cutoff(space, x, base, j) for j in range(1, j_max + 1))
-        d, R = space.dist[x], lam * base
-        return [(np.clip(1.0 - d / R, 0.0, 1.0), np.flatnonzero(d < R), 1.0 / R)]
-
-    local = mode in ("sobolev_local", "moser")
-    if mode == "holder":
-        Q = pv * (sv - alpha)
-    elif mode == "moser":
-        Q = sv * pv
-        omega = 1.0 if omega is None else omega
-        C_MT1 = DEFAULT_MT_C1 if C_MT1 is None else C_MT1
-        extras.update({"omega": omega, "C_MT1": C_MT1})
-    else:
-        Q = gamma * sv * pv / (gamma - pv)
-        if local:
-            omega = 1.0 / float(gamma.min()) if omega is None else omega
-            extras["omega"] = omega
-    cut = _cutoff_table(space, centers, radii, cutoffs, sv, pv, qv, family, local)
+            Q = pv * (sv - alpha)
+        elif mode == "moser":
+            Q = sv * pv
+            omega = 1.0 if omega is None else omega
+            C_MT1 = DEFAULT_MT_C1 if C_MT1 is None else C_MT1
+            extras.update({"omega": omega, "C_MT1": C_MT1})
+        else:
+            Q = gamma * sv * pv / (gamma - pv)
+            if local:
+                omega = 1.0 / float(gamma.min()) if omega is None else omega
+                extras["omega"] = omega
+        shells = _table(space, centers) if local else None
+        b_emp = _lower_growth(space, Q, extras)
+    cut = _cutoff_table(space, centers, radii, cutoffs, sv, pv, qv, family, shells)
     c_emp = max([1.0 if mode == "moser" else 0.0,
                  *_scores(space, mode, cut, gamma, Q, omega, C_MT1).tolist()])
     s_range = dict(s_minus=float(sv.min()), s_plus=s_plus)
@@ -891,17 +920,6 @@ def necessity_run(space, s, p, q, gamma_or_alpha, mode: str, family: str = "M",
                      c_log_Q=log_holder_constant(Q, space))
         b_formula = (K.necessity_b_local_sobolev(c_emp, c_lip, lam, **shape) if local
                      else K.necessity_b_global_sobolev(c_emp, c_lip, **shape))
-
-    b_emp = np.inf
-    positive = np.flatnonzero(Q > 1e-12)  # centers with a genuinely positive exponent
-    if positive.size:
-        radii_scan = critical_radii(space, space.min_positive_distance(), 1.0)
-        if radii_scan.size == 0:
-            radii_scan = np.array([1.0])
-        ratios = ball_masses(space, radii_scan, positive) / [radii_scan ** Q[x] for x in positive]
-        x, j = divmod(int(np.argmin(ratios)), radii_scan.size)  # first center, then radius
-        b_emp = min(b_emp, ratios[x, j])
-        extras["witnesses"] = [(int(positive[x]), float(radii_scan[j]))] if b_emp < np.inf else []
     extras.update({"Q_derived": Q, "b_empirical": b_emp, "b_formula": b_formula,
                    "embedding_constant": c_emp})
     ok = bool(b_emp > 0 and b_emp >= b_formula - check_slack(b_formula))

@@ -31,3 +31,29 @@ def battery():
         "cloud12": random_cloud(12, seed=7),
         "glued": two_zone_glued(6, 3),
     }
+
+
+def integer_metric(n, seed):
+    """Shortest-path closure of a random {1, 2, 3} matrix: many tied distances."""
+    rng = np.random.default_rng(seed)
+    d = rng.integers(1, 4, (n, n)).astype(float)
+    d = np.minimum(d, d.T)
+    np.fill_diagonal(d, 0.0)
+    for k in range(n):
+        d = np.minimum(d, d[:, [k]] + d[[k], :])
+    return MetricMeasureSpace.from_matrix(d, np.ones(n))
+
+
+@pytest.fixture(scope="session")
+def tie_heavy():
+    """Integer metrics on 4 to 19 points."""
+    return {f"int{n}_{seed}": integer_metric(n, seed)
+            for seed, n in enumerate([4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17,
+                                      18, 19, 19, 12, 15, 19])}
+
+
+@pytest.fixture(scope="session")
+def clouds():
+    """Seeded point clouds in one, two and three dimensions."""
+    return {f"cloud{dim}d_{seed}": random_cloud(n, seed, dim)
+            for dim in (1, 2, 3) for seed, n in ((3, 9), (11, 17), (23, 30))}

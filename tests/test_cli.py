@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -151,6 +152,31 @@ def test_cmd_necessity(tmp_path):
     assert run(["--out", tmp_path / "out", "necessity", path]) == 0
     payload = json.loads((tmp_path / "out" / "necc.json").read_text())
     assert payload[0]["extras"]["b_empirical"] > 0
+
+
+def test_parser_built_once_per_process(tmp_path, monkeypatch, capsys):
+    from varmms import cli
+    made = []  # the prog of every parser and subparser constructed
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: made.append(kw.get("prog")) or init(self, *a, **kw))
+    cli._parser.cache_clear()
+    scenario = {"name": "twice", "space": {"kind": "grid1d", "params": {"n": 4}},
+                "exponents": {"s": {"constant": 0.5}, "p": {"constant": 1.5},
+                              "gamma": {"constant": 2.4}},
+                "checks": [{"op": "necessity", "mode": "sobolev_global"}]}
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(scenario))
+    for _ in range(2):
+        assert run(["--out", tmp_path / "out", "verify", path]) == 0
+    assert made.count("varmms") == 1 and len(made) == 5  # the parser and its 4 subcommands
+    # the shared parser still rejects bad arguments with argparse's usage error
+    for bad in (["verify"], ["--jobs", "two", "verify", path], ["frobnicate"]):
+        with pytest.raises(SystemExit) as exc:
+            run(bad)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: varmms")
+    assert len(made) == 5
 
 
 def test_cmd_necessity_without_function(tmp_path):

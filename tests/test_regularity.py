@@ -104,7 +104,9 @@ def _mass_profile(space, x, radii):
 
 
 def _reference_lower(space, Q, r_max=1.0):
-    """Reference: best_lower_constant as one _mass_profile scan per center."""
+    """Reference: best_lower_constant as one _mass_profile scan per center; the
+    true minimum, witnessed by each center whose own minimum is within a
+    relative 1e-15 of it, at that center's first minimizing radius."""
     if space.n < 2:
         radii = np.array([min(1.0, r_max)])
     else:
@@ -114,15 +116,13 @@ def _reference_lower(space, Q, r_max=1.0):
             radii = np.concatenate([[r_min], radii])
         if radii[-1] < r_max:
             radii = np.concatenate([radii, [r_max]])
-    best, witnesses = np.inf, []
+    lows = []
     for x in range(space.n):
         ratios = _mass_profile(space, x, radii) / radii ** Q[x]
         j = int(np.argmin(ratios))
-        if ratios[j] < best - 1e-15:
-            best, witnesses = float(ratios[j]), [(x, float(radii[j]))]
-        elif abs(ratios[j] - best) <= 1e-15:
-            witnesses.append((x, float(radii[j])))
-    return best, witnesses
+        lows.append((float(ratios[j]), x, float(radii[j])))
+    best = min(low for low, _, _ in lows)
+    return best, [(x, r) for low, x, r in lows if low <= best * (1.0 + 1e-15)]
 
 
 def _reference_b_empirical(space, Q):
@@ -149,9 +149,9 @@ def _scan_spaces(battery):
                 cloud10=cloud)
 
 
-def test_best_lower_constant_witnesses_match_per_center_scan(battery):
+def test_best_lower_constant_witnesses_match_per_center_scan(battery, tie_heavy, clouds):
     rng = np.random.default_rng(19)
-    for name, sp in _scan_spaces(battery).items():
+    for name, sp in dict(_scan_spaces(battery), **tie_heavy, **clouds).items():
         for Q in (np.full(sp.n, 1.0), np.full(sp.n, 2.0), rng.uniform(0.5, 2.5, sp.n)):
             prof = best_lower_constant(sp, Q)
             best, witnesses = _reference_lower(sp, Q)
@@ -161,6 +161,20 @@ def test_best_lower_constant_witnesses_match_per_center_scan(battery):
             assert (upper.b_lower, upper.witnesses) == (best, witnesses), name
     line = _scan_spaces(battery)["line9"]
     assert len(best_lower_constant(line, np.full(line.n, 1.0)).witnesses) > 1
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e100])
+def test_best_lower_constant_is_scale_equivariant(scale):
+    # b_lower is the minimum itself and its witnesses tie with it up to a
+    # relative gap, so rescaling the measure rescales b and keeps the witnesses
+    sp = grid1d(32)
+    w = sp.weight * (1.0 + 0.01 * np.sin(np.arange(sp.n)))
+    prof = best_lower_constant(MetricMeasureSpace.from_points(sp.coords, w), 1.0)
+    assert prof.b_lower == pytest.approx(0.990000097934493, rel=1e-12)
+    assert len(prof.witnesses) == 1
+    scaled = best_lower_constant(MetricMeasureSpace.from_points(sp.coords, scale * w), 1.0)
+    assert scaled.b_lower == pytest.approx(scale * prof.b_lower, rel=1e-12)
+    assert scaled.witnesses == prof.witnesses
 
 
 def test_best_upper_constant_matches_per_center_scan(battery):

@@ -9,7 +9,8 @@ from varmms import (MetricMeasureSpace, SpaceValidationError, ball, critical_rad
                     separated_net, uniform_perfectness)
 from varmms.generators import (ball_grid_with_atom, cantor_space, grid1d, grid2d, line_space,
                                two_zone_glued)
-from varmms.space import ball_masses, perfectness_resolution
+from varmms import space as space_module
+from varmms.space import _LAMBDA_GRID, _shells, ball_masses, perfectness_resolution
 
 
 def test_ball_line_three_points():
@@ -159,25 +160,8 @@ def _doubling_oracle(sp):
     return worst
 
 
-def _integer_metric(n, seed):
-    """Shortest-path closure of a random {1, 2, 3} matrix: many tied distances."""
-    rng = np.random.default_rng(seed)
-    d = rng.integers(1, 4, (n, n)).astype(float)
-    d = np.minimum(d, d.T)
-    np.fill_diagonal(d, 0.0)
-    for k in range(n):
-        d = np.minimum(d, d[:, [k]] + d[[k], :])
-    return MetricMeasureSpace.from_matrix(d, np.ones(n))
-
-
-def _tie_heavy():
-    return {f"int{n}_{seed}": _integer_metric(n, seed)
-            for seed, n in enumerate([4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17,
-                                      18, 19, 19, 12, 15, 19])}
-
-
-def test_estimate_doubling_matches_greedy_scan(battery):
-    spaces = dict(battery, ball_grid_atom=ball_grid_with_atom(2, 9), **_tie_heavy())
+def test_estimate_doubling_matches_greedy_scan(battery, tie_heavy):
+    spaces = dict(battery, ball_grid_atom=ball_grid_with_atom(2, 9), **tie_heavy)
     for name, sp in spaces.items():
         assert estimate_doubling(sp) == _doubling_oracle(sp), name
 
@@ -215,9 +199,9 @@ def _semimetric(n, seed):
     return MetricMeasureSpace(dist=d, weight=np.ones(n))
 
 
-def test_separated_net_and_product_cover_match_loops(battery):
+def test_separated_net_and_product_cover_match_loops(battery, tie_heavy):
     from varmms import product_cover_check
-    spaces = dict(battery, **_tie_heavy(),
+    spaces = dict(battery, **tie_heavy,
                   **{f"semi{seed}": _semimetric(9 + seed, seed) for seed in range(6)})
     failed = 0
     for name, sp in spaces.items():
@@ -472,3 +456,115 @@ def test_critical_radii_cover_membership_changes(battery):
     # distinct distances all present
     dists = np.unique(sp.dist[np.triu_indices(sp.n, 1)])
     assert np.all(np.isin(dists, radii))
+
+
+# -- the all-centers scans against the per-center scans they replaced --------
+
+def _doubling_per_center(sp):
+    """Reference: estimate_doubling's covers run in lockstep one center at a
+    time, each center skipping the balls no larger than the worst cover so far."""
+    if sp.n == 1:
+        return 1
+    base = np.unique(sp.dist[np.triu_indices(sp.n, k=1)])
+    radii = np.unique(np.concatenate([base, 2.0 * base]))
+    worst = 1
+    for x, row in enumerate(np.sort(sp.dist, axis=1)):
+        tail = row[worst:]
+        levels = tail[np.diff(tail, append=np.inf) > 0]
+        half = radii[np.searchsorted(radii, levels, side="right")] / 2.0
+        far = np.where(sp.dist[x] <= levels[:, None], np.inf, -np.inf)
+        picks = 0
+        while True:
+            nxt = far.argmax(axis=1)
+            live = far[np.arange(nxt.size), nxt] >= half
+            if not live.any():
+                break
+            far, half = far[live], half[live]
+            np.minimum(far, sp.dist[nxt[live]], out=far)
+            picks += 1
+        worst = max(worst, picks)
+    return worst
+
+
+def _perfectness_per_center(sp, epsilon, lambdas=_LAMBDA_GRID):
+    """Reference: uniform_perfectness as one sorted-row scan per center."""
+    lambdas = np.sort(np.asarray(lambdas, dtype=float))
+    radii = critical_radii(sp)
+    radii = radii[radii >= epsilon]
+    ok = np.ones(lambdas.size, dtype=bool)
+    for row in np.sort(sp.dist, axis=1):
+        k = np.searchsorted(row, radii, side="left")
+        live = k < sp.n
+        ok &= np.all(lambdas[:, None] * radii[live] <= row[k[live] - 1], axis=1)
+    return float(lambdas[ok][-1]) if ok.any() else None
+
+
+def _ball_masses_per_center(sp, radii, centers=None):
+    """Reference: ball_masses as one search of each center's sorted row."""
+    rows, mass = _shells(sp, centers)
+    return np.stack([m[np.searchsorted(row, radii)] for row, m in zip(rows, mass)])
+
+
+def _euclidean_reference(coords):
+    """Reference: from_points' distances from the full difference array."""
+    diff = coords[:, None, :] - coords[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=-1))
+    dist = 0.5 * (dist + dist.T)
+    np.fill_diagonal(dist, 0.0)
+    return dist
+
+
+def test_scans_equal_per_center_scans(battery, tie_heavy, clouds):
+    spaces = dict(battery, line64=grid1d(64), ball_grid_atom=ball_grid_with_atom(2, 9),
+                  **tie_heavy, **clouds)
+    coarse = np.array([0.7, 0.05, 0.45, 0.3, 0.6, 0.15])  # unsorted, not the default grid
+    for name, sp in spaces.items():
+        assert estimate_doubling(sp) == _doubling_per_center(sp), name
+        epsilons = [0.5]
+        if sp.n > 1:
+            eps = perfectness_resolution(sp)
+            assert eps == np.sort(sp.dist, axis=1)[:, 1].max() * (1.0 + 1e-9), name
+            epsilons = [eps, 0.5 * sp.min_positive_distance(), 2.0 * eps]
+        for eps in epsilons:
+            assert uniform_perfectness(sp, eps) == _perfectness_per_center(sp, eps), (name, eps)
+            assert (uniform_perfectness(sp, eps, coarse)
+                    == _perfectness_per_center(sp, eps, coarse)), (name, eps)
+        # unsorted radii with repeats: zero, every distance itself (the open
+        # ball leaves that point out), midpoints and radii past the diameter
+        radii = np.concatenate([[sp.diameter + 1.0, 0.0, 0.5], critical_radii(sp)[::-1],
+                                [sp.diameter, 0.5, 2.0 * sp.diameter + 1.0]])
+        for centers in (None, list(range(0, sp.n, 2))[::-1], [sp.n - 1]):
+            assert np.array_equal(ball_masses(sp, radii, centers),
+                                  _ball_masses_per_center(sp, radii, centers)), name
+            assert np.array_equal(ball_masses(sp, np.sort(radii), centers),
+                                  _ball_masses_per_center(sp, np.sort(radii), centers)), name
+
+
+def test_scans_equal_per_center_scans_at_larger_n(monkeypatch):
+    # a doubling block of one center, and count blocks of a few centers each
+    sp = grid2d(12)
+    monkeypatch.setattr(space_module, "_SCAN_BLOCK", 1 << 12)
+    radii = critical_radii(sp)
+    assert estimate_doubling(sp) == _doubling_per_center(sp) == 13
+    eps = perfectness_resolution(sp)
+    assert uniform_perfectness(sp, eps) == _perfectness_per_center(sp, eps)
+    assert np.array_equal(ball_masses(sp, radii), _ball_masses_per_center(sp, radii))
+
+
+def test_from_points_distances_bit_for_bit(clouds):
+    rng = np.random.default_rng(5)
+    coords = [sp.coords for sp in clouds.values()]
+    coords += [rng.normal(size=(25, dim)) * 10.0 ** rng.uniform(-3, 3) for dim in range(1, 11)]
+    coords += [grid2d(7).coords, grid1d(9).coords, ball_grid_with_atom(2, 5).coords,
+               cantor_space(3).coords, two_zone_glued(5, 3).coords]
+    for c in coords:
+        sp = MetricMeasureSpace.from_points(c, np.ones(len(c)))
+        assert np.array_equal(sp.dist.view(np.int64), _euclidean_reference(c).view(np.int64))
+
+
+def test_validation_names_the_first_nonpositive_pair():
+    d = [[0.0, 1.0, 2.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]
+    with pytest.raises(SpaceValidationError, match=r"dist\[1\]\[2\] = 0.0 must be > 0"):
+        MetricMeasureSpace.from_matrix(d, np.ones(3))
+    with pytest.raises(SpaceValidationError, match=r"asymmetry at \(0, 2\)"):
+        MetricMeasureSpace.from_matrix([[0, 1, 2], [1, 0, 1], [2.5, 1, 0]], np.ones(3))

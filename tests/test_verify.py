@@ -13,7 +13,7 @@ from varmms.generators import (annular_cutoff, ball_grid_with_atom, cantor_space
                                coordinate_function, grid1d, grid2d, log_bump, two_zone_glued)
 from varmms.gradients import _CERT_TOL, _cutoff_sequence, lipschitz_cutoff_gradient
 from varmms.norms import holder_seminorm, luxemburg, mixed_norm_lp_lq, mixed_norm_lq_lp
-from varmms.space import ball, phi
+from varmms.space import _shells, ball, phi
 from varmms.verify import DEFAULT_MT_C1, _exp_shift, inf_centered_norm
 
 
@@ -545,7 +545,7 @@ def test_necessity_family_validated_and_besov_family_runs(grid8):
     # skipped candidate (u constant on its ball, or no support) never raises
     def table(*cutoff):
         return verify._cutoff_table(grid8, [27], [0.4], lambda x, base: [cutoff], s, p,
-                                    np.full(n, np.inf), "M", local=True)
+                                    np.full(n, np.inf), "M", _shells(grid8, [27]))
 
     with pytest.raises(RuntimeError, match="not a gradient"):
         table(u, support, L / 100)
@@ -593,8 +593,9 @@ def _cutoff_family_reference(space, centers, radii, cutoffs, s, p, q, family, lo
                     yield x, r, Br, u, support, L, anorm
 
 
-def _reference_table(space, centers, radii, cutoffs, s, p, q, family, local):
-    rows = list(_cutoff_family_reference(space, centers, radii, cutoffs, s, p, q, family, local))
+def _reference_table(space, centers, radii, cutoffs, s, p, q, family, shells):
+    rows = list(_cutoff_family_reference(space, centers, radii, cutoffs, s, p, q, family,
+                                         shells is not None))
     x, r, balls, u, support, L, anorm = zip(*rows) if rows else ((),) * 7
     on = np.zeros((len(rows), space.n), dtype=bool)
     for row, sup in zip(on, support):
@@ -657,3 +658,28 @@ def test_necessity_batch_matches_the_candidate_loop(kind, monkeypatch):
                     assert rep.extras[key] == pytest.approx(ref.extras[key], rel=1e-12, abs=0), label
                 runs += 1
     assert runs == 16
+
+
+def test_one_sorted_table_per_check(monkeypatch):
+    from varmms import space as space_module
+    sp = grid2d(6)
+    sorts = []
+    shells = space_module._shells
+    monkeypatch.setattr(space_module, "_shells",
+                        lambda space, centers=None: sorts.append(centers) or shells(space, centers))
+    n = sp.n
+    s, p = np.full(n, 0.5), np.full(n, 1.5)
+    gamma = sobolev_conjugate(np.full(n, 2.0), s, p).values
+    # perfectness, the cut-off centers' halving radii and the growth scan
+    rep = necessity_run(sp, s, p, np.inf, gamma, mode="sobolev_local")
+    assert rep.verdict == "pass" and rep.extras["lambda"] is not None
+    assert sorts == [None]
+    # lower regularity, the doubling scan and the delta-ball masses
+    sorts.clear()
+    rep = check_global(sp, log_bump(sp, 14, 0.3), 1.0, 1.0, 2.0, theorem="doubling_sob")
+    assert rep.extras["doubling_estimate"] > 1 and sorts == [None]
+    # the table lives as long as its check
+    assert not space_module._SHARED
+    sorts.clear()
+    necessity_run(sp, s, p, np.inf, gamma, mode="sobolev_local")
+    assert sorts == [None]
