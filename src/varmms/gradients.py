@@ -8,12 +8,14 @@ Lebesgue / mixed-sequence norms over these polyhedra.
 
 Solver layout (README "Solvers").  Every convex modular rho is minimized on
 a working set of rows grown by delayed constraint generation
-(``_working_set``) on one model grown by rows (``_minimize_modular``), with a
+(``_working_set``, pricing the rows on one padded table of each point's rows,
+``_point_table``) on one model grown by rows (``_minimize_modular``), with a
 duality bracket where rho has a closed-form conjugate.  A constant exponent
 p >= 1 makes the norm a monotone function of the separable modular,
-minimized itself: at p = 1 a HiGHS LP, whose dual model grows by columns,
-and above by Newton steps, each a strictly convex QP solved by the dual
-active-set method of Goldfarb and Idnani (``_dual_qp``) from the last
+minimized itself: at p = 1 a HiGHS LP (scipy's binding, loaded on the
+first LP), whose dual model grows by columns, and above by Newton steps,
+each a strictly convex QP solved by the dual active-set method of Goldfarb
+and Idnani (``_dual_qp``, with H^-1 formed once per QP) from the last
 step's active constraints.  Every other convex modular, a variable exponent
 (min p >= 1, and min q >= 1 on the TL scale), the TL joint problem, and a
 Besov norm with finite variable q and min(p, q) >= 1 on the level-stacked
@@ -40,7 +42,6 @@ import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy
 
 from .exponents import exponent_values
 from .norms import (NormValue, SequenceSample, _bisect_level, _level_roots, check_slack,
@@ -67,12 +68,14 @@ _CERT_TOL = 1e-9
 
 def _load_highs():
     """scipy's HiGHS binding ``scipy.optimize._highspy._core``, loaded from its
-    file: importing it by name first runs ``scipy/optimize/__init__.py``,
-    about 0.5 s of every process start.  The plain import serves a scipy
-    whose binding is not found next to ``scipy.__file__``."""
+    file on the first p == 1 LP: importing it by name first runs
+    ``scipy/optimize/__init__.py``, about 0.5 s of every process start, and
+    scipy itself is not imported until then.  The plain import serves a
+    scipy whose binding is not found next to ``scipy.__file__``."""
     name = "scipy.optimize._highspy._core"
     if name in sys.modules:
         return sys.modules[name]
+    import scipy
     stem = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy", "_core")
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         if os.path.isfile(stem + suffix):
@@ -84,17 +87,19 @@ def _load_highs():
     return importlib.import_module(name)
 
 
-_highs = _load_highs()
-
-
 def __getattr__(name):
-    """``minimize`` (SLSQP, for ``_besov_bisection``) and ``linprog`` (not
-    called here), imported from ``scipy.optimize`` on first use (PEP 562) and
-    kept in the module's globals, where the benchmark tracer wraps them."""
-    if name not in ("minimize", "linprog"):
+    """``_highs`` (``_load_highs``), and ``minimize`` (SLSQP, for
+    ``_besov_bisection``) and ``linprog`` (not called here) from
+    ``scipy.optimize``, loaded on first use (PEP 562) and kept in the
+    module's globals, where the benchmark tracer wraps the last two."""
+    if name == "_highs":
+        value = _load_highs()
+    elif name in ("minimize", "linprog"):
+        import scipy.optimize
+        value = getattr(scipy.optimize, name)
+    else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import scipy.optimize
-    value = globals()[name] = getattr(scipy.optimize, name)
+    globals()[name] = value
     return value
 
 
@@ -177,7 +182,7 @@ def _pair_rows(space, u, s, subset):
     t = np.abs(uv[iu] - uv[ju])
     keep = t > 0
     iu, ju, t = iu[keep], ju[keep], t[keep]
-    d = space.dist[np.ix_(idx, idx)][iu, ju]
+    d = space.dist[idx[iu], idx[ju]]
     return idx, iu, ju, d, sv[iu], sv[ju], t
 
 
@@ -216,6 +221,9 @@ def _repair(g, I, J, A, B, T) -> np.ndarray:
 # and round, and the relative violation above which a row is admitted
 _ROWS_PER_POINT = 2
 _GEN_TOL = 1e-10
+# entries of the pricing table gathered at once, so that a solve's pricing
+# memory stays small next to its rows
+_PRICE_BLOCK = 1 << 15
 # relative duality gap of the modular at which a round is optimal, and
 # the step of log mu at which a gauge's level is settled: at the optimum the
 # norm is stationary in the level, so a level step d moves it by O(d**2)
@@ -294,39 +302,44 @@ def _rows_transposed(I, J, A, B, y, n):
     return np.bincount(I, A * y, n) + np.bincount(J, B * y, n)
 
 
-def _point_groups(I, J):
-    """The entries [rows as i, rows as j] grouped by point, each group in
-    entry order (a stable sort): each entry's row and each group's first
-    entry, as int32, for ``_top_rows_per_point``."""
-    pts = np.concatenate([I, J]).astype(np.int32)
-    order = np.argsort(pts, kind="stable")
-    starts = np.flatnonzero(np.diff(pts[order], prepend=-1))
-    order %= I.size
-    return order.astype(np.int32), starts.astype(np.int32)
+def _point_table(I, J, n):
+    """The pricing table of the rows over n points: row p lists point p's
+    entries [rows as i, rows as j] in that order, each row in index order,
+    padded to the largest degree with the index m = I.size of the extra
+    zero score that ``_top_rows_per_point`` reads; int32."""
+    m = I.size
+    pts = np.concatenate([I, J], dtype=np.int32)
+    order = np.argsort(pts, kind="stable")  # the entries point by point
+    deg = np.bincount(pts, minlength=n)
+    table = np.full((n, max(int(deg.max(initial=0)), 1)), m, dtype=np.int32)
+    # the sorted entry e of point p goes to p's slot e - (p's first entry)
+    at = np.repeat((np.arange(n) * table.shape[1] - np.cumsum(deg) + deg).astype(np.int32), deg)
+    at += np.arange(at.size, dtype=np.int32)
+    order %= max(m, 1)  # the entry's row
+    table.ravel()[at] = order
+    return table
 
 
-def _top_rows_per_point(score, groups):
+def _top_rows_per_point(score, table):
     """Each point's (at most) ``_ROWS_PER_POINT`` incident rows of largest
-    positive score, over the entries ``_point_groups`` grouped.  Ties go to
-    the earlier entry of [rows as i, rows as j], so a row met as i beats a
-    tied row met as j.  The entries of positive score are taken out first
-    (late rounds have few), then one pass per rank: each point's best
-    remaining score, then its first remaining entry with it."""
-    rows, starts = groups
-    keep = np.take(score > 0, rows)
-    count = np.add.reduceat(keep, starts, dtype=np.intp) if starts.size else starts
-    starts, count = (np.cumsum(count) - count)[count > 0], count[count > 0]
-    rows = rows[keep]
-    val = np.take(score, rows)
-    at, picked = np.arange(val.size), [np.zeros(0, dtype=np.int32)]
-    for _ in range(_ROWS_PER_POINT if val.size else 0):
-        hit = (val == np.repeat(np.maximum.reduceat(val, starts), count)) & (val > 0)
-        first = np.minimum.reduceat(np.where(hit, at, val.size), starts)
-        first = first[first < val.size]
-        val[first] = 0.0  # taken
-        picked.append(rows[first])
-    picked = np.sort(np.concatenate(picked))  # a row may be both its points' pick
-    return picked[np.diff(picked, prepend=-1) > 0]
+    positive score, over the rows of ``_point_table``; score has one entry
+    per row and a last, zero one for the pads.  Ties go to the earlier
+    entry, so a row met as i beats a tied row met as j.  The table's lines
+    go in blocks of at most ``_PRICE_BLOCK`` entries, each gathered into
+    one reused buffer, then one pass per rank: each point's first entry of
+    largest score, taken if positive."""
+    lines = max(1, _PRICE_BLOCK // table.shape[1])
+    buf, picked = np.empty((min(lines, table.shape[0]), table.shape[1])), []
+    for b in range(0, table.shape[0], lines):
+        block = table[b:b + lines]
+        vals = np.take(score, block, out=buf[:len(block)], mode="clip")  # in range: no check
+        pts = np.arange(len(block))
+        for _ in range(_ROWS_PER_POINT):
+            first = vals.argmax(axis=1)
+            hit = vals[pts, first] > 0.0
+            picked.append(block[pts[hit], first[hit]])
+            vals[pts, first] = 0.0  # taken
+    return np.unique(np.concatenate(picked))  # a row may be both its points' pick
 
 
 def _working_set(I, J, A, B, T, g, solve_round):
@@ -337,21 +350,28 @@ def _working_set(I, J, A, B, T, g, solve_round):
     per unit of g at g = 0; after each solve each point's outside rows of
     largest violation/(a+b) join it, until no outside row is violated by more
     than ``_GEN_TOL * t``.  That optimum satisfies every row, so it is the
-    full problem's; each round adds a row, so the loop ends.  Returns the
-    last gradient, not yet repaired.
+    full problem's; each round adds a row, so the loop ends.  Rows are
+    priced on one ``_point_table`` per solve, their scores in one array.
+    Returns the last gradient, not yet repaired.
     """
-    AB, groups = A + B, _point_groups(I, J)
-    work = _top_rows_per_point(T / AB, groups)
+    AB, table = A + B, _point_table(I, J, g.size)
+    score = np.zeros(T.size + 1)  # the last score: the pads'
+    viol = np.divide(T, AB, out=score[:-1])
+    work = _top_rows_per_point(score, table)
     for rounds in itertools.count(1):
         g = solve_round(work, g)
-        viol = T - (A * g[I] + B * g[J])
+        np.take(g, I, out=viol)  # viol = t - a g_i - b g_j, built in place
+        viol *= A
+        viol += B * g[J]
+        np.subtract(T, viol, out=viol)
         viol[work] = 0.0
         viol[viol <= _GEN_TOL * T] = 0.0
         if not viol.any():
             _note(rounds=rounds, rows=work.size)
             return g
         # the new rows score 0 on the set (violation 0), so they are not on it
-        work = np.sort(np.concatenate([work, _top_rows_per_point(viol / AB, groups)]))
+        viol /= AB
+        work = np.sort(np.concatenate([work, _top_rows_per_point(score, table)]))
 
 
 # Newton steps: the Hessian's floor on g / max g where the curvature is
@@ -365,6 +385,13 @@ _STEPS, _HALVINGS, _STALL = 60, 53, 1e-12
 # constraint's terms, at which it joins; the share of its curvature below
 # which it depends on the active ones; joins per column and row at most
 _QP_RIDGE, _QP_TOL, _QP_DEPENDENT, _QP_STEPS = 1e-6, 1e-12, 1e-11, 10
+# the violation of a row, relative to its terms at the largest entry of each
+# entry's Hessian block, at or below which it is rounding (x is accurate
+# relative to its blocks, which couple their entries): smaller ones can make
+# two constraints join in turn until the iteration limit
+_QP_NOISE = 1e-15
+# rows of the diagonal blocks that ``_tri_inv`` inverts directly
+_TRI_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -530,6 +557,32 @@ def _qp_rows(I, J, A, B, T, n):
             cat([zero, T / norm])), norm
 
 
+def _tri_inv(L):
+    """The inverse of a lower triangular L with a positive diagonal, by
+    halves: [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]], with
+    ``np.linalg.inv`` (an LU solve) on blocks of at most ``_TRI_BLOCK`` rows."""
+    k = L.shape[0]
+    if k <= _TRI_BLOCK:
+        return np.linalg.inv(L)
+    h = k // 2
+    out = np.zeros_like(L)
+    out[:h, :h], out[h:, h:] = _tri_inv(L[:h, :h]), _tri_inv(L[h:, h:])
+    out[h:, :h] = -out[h:, h:] @ (L[h:, :h] @ out[:h, :h])
+    return out
+
+
+def _inverse_factor(S):
+    """U with U U^T = S^-1 for the Gram matrix S of constraints, U = L^-T
+    for the Cholesky factor L of S.  Raises ``LinAlgError`` when a
+    constraint depends on the ones before it: its pivot L_aa**2, its
+    curvature S_aa less theirs, is at most ``_QP_DEPENDENT`` of S_aa (the
+    test of a join), or the factorization fails."""
+    L = np.linalg.cholesky(S)
+    if np.any(np.diag(L) ** 2 <= _QP_DEPENDENT * np.diag(S)):
+        raise np.linalg.LinAlgError("dependent constraints")
+    return _tri_inv(L).T
+
+
 def _dual_qp(idx, H, c, rows, start):
     """min 1/2 x.Hx + c.x over the unit-norm rows and the bounds of
     ``_qp_rows`` for a block-diagonal positive definite H (blocks H[b] on
@@ -543,23 +596,26 @@ def _dual_qp(idx, H, c, rows, start):
     direction z = H^-1 n - H^-1 N r and the dual direction
     r = S^-1 N^T H^-1 n, S = N^T H^-1 N: a full step makes n active, a
     partial one drops the active constraint whose multiplier reaches zero.
-    S^-1 is kept as U U^T with U square: one Cholesky factorization at the
-    start, a border when a constraint joins and a Householder reflection
-    when one leaves (``drop``).  At the start and whenever no constraint is
-    violated, x and u are solved afresh on the active set (``settle``),
-    where constraints of negative multiplier leave; the solve returns once
-    that point violates none.  Returns x, the constraints' multipliers (zero
-    off the active set) and the active set."""
+    H^-1 is 1/h for a diagonal H, else one dense inverse of the blocks.
+    S^-1 is kept as U U^T with U square: one Cholesky factorization and
+    triangular inverse (``_tri_inv``) at the start, a border when a
+    constraint joins and a Householder reflection when one leaves
+    (``drop``).  At the start and whenever no constraint is violated, x and
+    u are solved afresh on the active set (``settle``), where constraints
+    of negative multiplier leave; the solve returns once that point
+    violates none.  Returns x, the constraints' multipliers (zero off the
+    active set) and the active set."""
     ci, cj, ca, cb, lo = rows
     n = c.size
     if H.shape[1] == 1:
         hinv = np.empty(n)
         hinv[idx[:, 0]] = 1.0 / H[:, 0, 0]
-
-        def solve(v):  # H^-1 v, v a vector or the columns of a matrix
-            return (hinv * v.T).T
     else:
-        solve = functools.partial(_block_dot, idx, np.linalg.inv(H))
+        hinv = np.zeros((n, n))
+        hinv[idx[:, :, None], idx[:, None, :]] = np.linalg.inv(H)
+
+    def solve(v):  # H^-1 v, v a vector or the columns of a matrix
+        return (hinv * v.T).T if hinv.ndim == 1 else hinv @ v
 
     # the k active constraints: their indices, multipliers, columns N and
     # factor U (S^-1 = U U^T) in the leading parts of buffers for all n
@@ -578,12 +634,12 @@ def _dual_qp(idx, H, c, rows, start):
         # the last constraint takes the leaving one's place, and a Householder
         # reflection maps the leaving row of U onto U's last column
         nonlocal k
-        row, k = U[leave, :k].copy(), k - 1
-        U[leave], N[:, leave], u[leave], act[leave] = U[k], N[:, k], u[k], act[k]
-        h = row / np.linalg.norm(row)
+        h = U[leave, :k] / math.sqrt(U[leave, :k] @ U[leave, :k])
         h[-1] += math.copysign(1.0, h[-1])
-        h /= np.linalg.norm(h)
-        U[:k, :k + 1] -= np.outer(2.0 * (U[:k, :k + 1] @ h), h)
+        h /= math.sqrt(h @ h)
+        k -= 1
+        U[leave, :k + 1], N[:, leave], u[leave], act[leave] = U[k, :k + 1], N[:, k], u[k], act[k]
+        U[:k, :k + 1] -= (2.0 * (U[:k, :k + 1] @ h))[:, None] * h
 
     def settle(x):
         # the equality problem on the active set from x and u (x None: from
@@ -603,70 +659,85 @@ def _dual_qp(idx, H, c, rows, start):
                 drop(leave)
             x = None
 
+    lo_tol = (1.0 - _QP_TOL) * lo
+
     def violated(x):
-        # the most violated inactive row (beyond _QP_TOL of its terms) or
-        # bound (beyond _QP_TOL of the largest entry), or None
+        # the most violated inactive row (beyond _QP_TOL of its terms and,
+        # for block H, _QP_NOISE of the terms at each entry's block maximum)
+        # or bound (beyond _QP_TOL of the largest entry), or None
         ax, bx = ca * x[ci], cb * x[cj]
-        scale = np.abs(ax) + np.abs(bx) + lo
-        scale[:n] = np.abs(x).max()
-        viol = lo - ax - bx - _QP_TOL * scale
+        tol = _QP_TOL * (np.abs(ax) + np.abs(bx))
+        if hinv.ndim == 2:
+            size = np.empty(n)
+            size[idx] = np.abs(x[idx]).max(axis=1, keepdims=True)
+            tol = np.maximum(tol, _QP_NOISE * (ca * size[ci] + cb * size[cj]))
+        viol = lo_tol - ax - bx - tol
+        viol[:n] = -x - _QP_TOL * np.abs(x).max()
         viol[act[:k]] = 0.0
         p = int(np.argmax(viol))
         return p if viol[p] > 0.0 else None
 
+    start = start if len(start) <= n else start[:0]  # more than n depend on each other
     k = len(start)
     act[:k] = start
-    np.add.at(N, (np.concatenate([ci[act[:k]], cj[act[:k]]]), np.tile(np.arange(k), 2)),
-              np.concatenate([ca[act[:k]], cb[act[:k]]]))
+    N[ci[start], np.arange(k)] = ca[start]
+    N[cj[start], np.arange(k)] += cb[start]
     try:
-        U[:k, :k] = np.linalg.inv(np.linalg.cholesky(gather(solve(N[:, :k])))).T
+        U[:k, :k] = _inverse_factor(gather(solve(N[:, :k])))
     except np.linalg.LinAlgError:  # the start's constraints depend on each other
         k = 0
     joins, x = _QP_STEPS * (n + lo.size), None
-    while joins > 0:
-        x = settle(x)
-        p = violated(x)
-        if p is None:
-            mult = np.zeros(lo.size)
-            mult[act[:k]] = u[:k]
-            return x, mult, act[:k].copy()
-        while p is not None and joins > 0:
-            joins -= 1
-            e = np.bincount([ci[p], cj[p]], [ca[p], cb[p]], n)
-            v, up = solve(e), 0.0
-            gap, dependent = e @ x - lo[p], _QP_DEPENDENT * (e @ v)
-            while True:  # partial steps until p joins
-                r = factor(gather(v))
-                z = v - solve(scatter(r))
-                rho2 = e @ z
-                t2 = -gap / rho2 if rho2 > dependent and k < n else np.inf
-                ratio = np.divide(u[:k], r, out=np.full(k, np.inf), where=r > 0.0)
-                leave = int(np.argmin(ratio)) if k else -1
-                t1 = ratio[leave] if k else np.inf
-                t = min(t1, t2)
-                if t == np.inf:
-                    raise RuntimeError("QP solve failed: infeasible rows")
-                if t2 < np.inf:
-                    x = x + t * z
-                    gap += t * rho2
-                u[:k] -= t * r
-                up += t
-                if t2 <= t1:
-                    rho = math.sqrt(rho2)
-                    U[:k, k], U[k, :k], U[k, k] = -r / rho, 0.0, 1.0 / rho
-                    N[:, k], u[k], act[k] = e, up, p
-                    k += 1
-                    break
-                drop(leave)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the ratio test's r <= 0
+        while joins > 0:
+            x = settle(x)
             p = violated(x)
+            if p is None:
+                mult = np.zeros(lo.size)
+                mult[act[:k]] = u[:k]
+                return x, mult, act[:k].copy()
+            while p is not None and joins > 0:
+                joins -= 1
+                e = np.zeros(n)
+                e[ci[p]] = ca[p]
+                e[cj[p]] += cb[p]
+                v, up = solve(e), 0.0
+                gap, dependent = e @ x - lo[p], _QP_DEPENDENT * (e @ v)
+                while True:  # partial steps until p joins
+                    r = factor(gather(v))
+                    z = v - solve(scatter(r))
+                    rho2 = e @ z
+                    t2 = -gap / rho2 if rho2 > dependent and k < n else np.inf
+                    t1, leave = np.inf, -1
+                    if k:
+                        ratio = u[:k] / r
+                        ratio[r <= 0.0] = np.inf
+                        leave = int(np.argmin(ratio))
+                        t1 = ratio[leave]
+                    t = min(t1, t2)
+                    if t == np.inf:
+                        raise RuntimeError("QP solve failed: infeasible rows")
+                    if t2 < np.inf:
+                        x = x + t * z
+                        gap += t * rho2
+                    u[:k] -= t * r
+                    up += t
+                    if t2 <= t1:
+                        rho = math.sqrt(rho2)
+                        U[:k, k], U[k, :k], U[k, k] = -r / rho, 0.0, 1.0 / rho
+                        N[:, k], u[k], act[k] = e, up, p
+                        k += 1
+                        break
+                    drop(leave)
+                p = violated(x)
     raise RuntimeError("QP solve failed: iteration limit")
 
 
-def _level(rho, g, t):
+def _level(rho, g, t, f=None):
     """One Newton step on log rho(e**t g) = 0 in t = log mu; its slope is the
-    envelope slope <grad rho(x), x> / rho(x) at x = e**t g."""
+    envelope slope <grad rho(x), x> / rho(x) at x = e**t g, and f is rho(x)
+    if known."""
     x = math.exp(t) * g
-    f = rho.value(x)
+    f = rho.value(x) if f is None else f
     return t - math.log(f) * f / float(rho.grad(x) @ x)
 
 
@@ -703,10 +774,12 @@ def _minimize_modular(rho, I, J, A, B, T, n, g0=None):
     for the full dual, so D(y) = t.y - rho*(A^T y / mu) bounds the optimum
     at mu from below (y scaled into rho*'s domain first).  The best D(y) at
     the last level and rho(mu g) at the better of the repaired point and g0
-    are the solve's ``bracket``; a gap above ``EPS_OPT``, or a level not
-    settled to ``EPS_OPT``, is noted as open.  Without a closed-form rho*
-    the rounds stop only on a stall (the first drops the gradient's floor
-    straight to ``_GRAD_FLOOR``), and the solve has no bracket.
+    are the solve's ``bracket``, its lower end at most its upper one (both
+    bound one optimum, so a D(y) above rho(mu g) is rounding); a gap above
+    ``EPS_OPT``, or a level not settled to ``EPS_OPT``, is noted as open.
+    Without a closed-form rho* the rounds stop only on a stall (the first
+    drops the gradient's floor straight to ``_GRAD_FLOOR``), and the solve
+    has no bracket.
     """
     g0 = _feasible_point(n, I, J, A, B, T) if g0 is None else g0
     gauge = rho.c is None or np.ndim(rho.p) > 0
@@ -747,17 +820,18 @@ def _minimize_modular(rho, I, J, A, B, T, n, g0=None):
         # simplex restarts from it on n rows; g is the row duals, held to the
         # rows by the dual tolerance of 1e-10 (HiGHS's default 1e-7 can stop
         # that far short of a row, which _repair turns into a scale-up of g)
-        lp = _highs._Highs()
+        highs = _load_highs()
+        lp = highs._Highs()
         lp.setOptionValue("output_flag", False)
         lp.setOptionValue("dual_feasibility_tolerance", 1e-10)
         lp.setOptionValue("simplex_strategy", 4)  # primal simplex
-        lp.changeObjectiveSense(_highs.ObjSense.kMaximize)
-        lp.addRows(n, np.full(n, -_highs.kHighsInf), rho.c, 0, np.zeros(n, dtype=np.int32),
+        lp.changeObjectiveSense(highs.ObjSense.kMaximize)
+        lp.addRows(n, np.full(n, -highs.kHighsInf), rho.c, 0, np.zeros(n, dtype=np.int32),
                    np.zeros(0, dtype=np.int32), np.zeros(0))
 
         def solve_round(work, g):
             new = grow(work)
-            lp.addCols(new.size, T[new], np.zeros(new.size), np.full(new.size, _highs.kHighsInf),
+            lp.addCols(new.size, T[new], np.zeros(new.size), np.full(new.size, highs.kHighsInf),
                        2 * new.size, np.arange(0, 2 * new.size, 2, dtype=np.int32),
                        np.column_stack([I[new], J[new]]).astype(np.int32).ravel(),
                        np.column_stack([A[new], B[new]]).ravel())
@@ -793,16 +867,19 @@ def _minimize_modular(rho, I, J, A, B, T, n, g0=None):
             grow(work)
             rows, norm = _qp_rows(I[model], J[model], A[model], B[model], T[model], n)
             first = True  # the first step takes the QP point: g can miss the new rows
+            f = phi(g)  # phi at g, evaluated once per point and level
             for _ in range(_STEPS):
-                x = newton_point(g, rows, norm)
-                f, d = phi(g), x - g
-                t = 1.0 if first else next(
-                    (t for t in 0.5 ** np.arange(_HALVINGS) if phi(g + t * d) <= f), 0.0)
+                d = newton_point(g, rows, norm) - g
+                t, f_t = 0.0, f  # no halving lowers phi: the step is 0
+                for s in (1.0,) if first else 0.5 ** np.arange(_HALVINGS):
+                    value = phi(g + s * d)
+                    if first or value <= f:
+                        t, f_t = s, value
+                        break
                 least = _STALL * f if rho.conj is None else max(_STALL * f, 1e-3 * (f - best))
-                stalled = not first and f - phi(g + t * d) <= least
-                g, first = g + t * d, False
-                f = phi(g)
-                step = _level(rho, g, t_mu) - t_mu if gauge else 0.0
+                stalled = not first and f - f_t <= least
+                g, f, first = g + t * d, f_t, False
+                step = _level(rho, g, t_mu, f) - t_mu if gauge else 0.0
                 if f - best <= _GAP_TOL * f and abs(step) <= _LEVEL_TOL:
                     return g
                 if stalled:
@@ -812,6 +889,7 @@ def _minimize_modular(rho, I, J, A, B, T, n, g0=None):
                 if step:  # a new level: D(y) at the old one bounds nothing
                     t_mu += step
                     mu, best = math.exp(t_mu), -np.inf
+                    f = phi(g)
             return g
 
     g = _working_set(I, J, A, B, T, g0, solve_round)
@@ -822,7 +900,7 @@ def _minimize_modular(rho, I, J, A, B, T, n, g0=None):
         _note(path)
         return g
     upper = phi(g)
-    _note(path, bracket=[best, upper],
+    _note(path, bracket=[min(best, upper), upper],
           opened=upper - best > EPS_OPT * upper or (gauge and abs(math.log(upper)) > EPS_OPT))
     return g
 

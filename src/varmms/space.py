@@ -83,9 +83,10 @@ class PairTable:
 class MetricMeasureSpace:
     """A finite metric measure space.
 
-    ``pairs``, the pair table, and ``min_positive_distance()`` are computed
-    from ``dist`` on first use and cached on the instance, so they live as
-    long as the space; ``dist`` must not be mutated after construction.
+    ``pairs``, the pair table, ``distinct_distances`` and
+    ``min_positive_distance()`` are computed from ``dist`` on first use and
+    cached on the instance, so they live as long as the space; ``dist`` must
+    not be mutated after construction.
     """
 
     dist: np.ndarray
@@ -116,6 +117,15 @@ class MetricMeasureSpace:
         if self.n < 2:
             raise ValueError("need at least two points")
         return float(self.dist[~np.eye(self.n, dtype=bool)].min())
+
+    @functools.cached_property
+    def distinct_distances(self) -> np.ndarray:
+        """Sorted distinct positive pairwise distances, computed once per
+        space (read-only)."""
+        off = self.dist[np.triu_indices(self.n, k=1)]
+        out = np.unique(off[off > 0])
+        out.flags.writeable = False
+        return out
 
     @functools.cached_property
     def pairs(self) -> PairTable:
@@ -362,18 +372,12 @@ def critical_radii(space: MetricMeasureSpace, r_min: float = 0.0,
     Ball membership is piecewise constant in r, so "for all r" checks
     quantify over this finite set.
     """
-    vals = _distances(space)
+    vals = space.distinct_distances
     if vals.size == 0:
         return np.array([])
     mids = 0.5 * (vals[:-1] + vals[1:])
     out = np.unique(np.concatenate([vals, mids]))
     return out[(out >= r_min) & (out <= r_max)]
-
-
-def _distances(space: MetricMeasureSpace) -> np.ndarray:
-    """Sorted distinct positive pairwise distances."""
-    off = space.dist[np.triu_indices(space.n, k=1)]
-    return np.unique(off[off > 0])
 
 
 # -- nets and covering -----------------------------------------------------
@@ -435,7 +439,7 @@ def estimate_doubling(space: MetricMeasureSpace) -> int:
     n = space.n
     if n == 1:
         return 1
-    base = _distances(space)
+    base = space.distinct_distances
     radii = np.unique(np.concatenate([base, 2.0 * base]))
     rows = _table(space)[0]
     worst, x = 1, 0

@@ -378,6 +378,29 @@ def test_verify_never_imports_scipy_optimize(tmp_path):
     assert int(res.stdout.split()[-1]) == 21
 
 
+def test_scipy_loads_on_the_first_lp_only(tmp_path):
+    # scipy (16-26 ms and 4.6 MiB of a bare process) is imported for the
+    # HiGHS binding on the first p == 1 LP: the local-gradient scenarios
+    # solve none, and a p == 1 solve after them still runs its LP
+    code = ("import glob, sys\n"
+            "import numpy as np\n"
+            "import varmms.cli\n"
+            "from varmms import minimal_scalar_gradient\n"
+            "from varmms.generators import line_space\n"
+            "assert 'scipy' not in sys.modules\n"
+            "files = sorted(glob.glob(sys.argv[1] + '/local_gradients/*.json'))\n"
+            "for f in files:\n"
+            "    varmms.cli.main(['--jobs', '1', '--out', sys.argv[2], 'verify', f])\n"
+            "    assert 'scipy' not in sys.modules, f\n"
+            "sol = minimal_scalar_gradient(line_space(4), np.arange(4.0), 0.5, 1.0)\n"
+            "assert 'scipy.optimize._highspy._core' in sys.modules\n"
+            "print(len(files), sol.info['path'], sol.info['certified'])\n")
+    res = run_child("-c", code, str(ROOT / "bench" / "reference" / "seed0"), str(tmp_path),
+                    timeout=600)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split()[-3:] == ["6", "lp", "True"]
+
+
 def test_highs_qp_crash_scenario_exits_zero(tmp_path):
     # HiGHS 1.12's QP solver died with SIGSEGV in the 6th Newton-step QP of
     # this constant-p solve's first round; the steps are _dual_qp's now

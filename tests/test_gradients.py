@@ -20,10 +20,10 @@ from varmms import space as space_module
 from varmms import verify as verify_module
 from varmms.generators import (annular_cutoff, cantor_space, grid1d, grid2d, line_space,
                                log_bump, two_zone_glued)
-from varmms.gradients import (_CERT_TOL, _QP_RIDGE, _ROWS_PER_POINT,
+from varmms.gradients import (_CERT_TOL, _QP_NOISE, _QP_RIDGE, _QP_TOL, _ROWS_PER_POINT,
                               GradientConstraintSystem, _besov_bisection, _cutoff_sequence,
                               _dual_qp, _feasible_point, _highs, _level_sum,
-                              _level_sum_hessian, _level_weight, _point_groups, _qp_rows,
+                              _level_sum_hessian, _level_weight, _point_table, _qp_rows,
                               _sequence_violation, _tl_modular, _top_rows_per_point)
 from varmms.norms import SequenceSample, mixed_norm_lp_lq, mixed_norm_lq_lp
 
@@ -517,22 +517,47 @@ def _top_rows_by_lexsort(score, I, J):
     return np.unique(rows[rank < _ROWS_PER_POINT])
 
 
-def test_top_rows_per_point_matches_lexsort():
-    # integer scores in {-2, ..., 3} make ties common
+def _table_top_rows(score, I, J, n):
+    # the pricing table's picks: the scores with the pads' zero appended
+    table = _point_table(I, J, n)
+    assert table.dtype == np.int32
+    return _top_rows_per_point(np.append(score, 0.0), table)
+
+
+def test_top_rows_per_point_matches_lexsort(monkeypatch):
+    # integer scores in {-2, ..., 3} make ties common; the rows come in a
+    # random order and miss some pairs, and points past the last row's have
+    # no rows at all; the table goes in one block, a line per block, or
+    # blocks of a few lines
+    from varmms import gradients
     rng = np.random.default_rng(11)
-    for _ in range(200):
-        I, J = np.triu_indices(int(rng.integers(1, 31)), k=1)
-        score = rng.integers(-2, 4, I.size).astype(float)
-        np.testing.assert_array_equal(_top_rows_per_point(score, _point_groups(I, J)),
-                                      _top_rows_by_lexsort(score, I, J))
+    for block in (gradients._PRICE_BLOCK, 1, 40):
+        monkeypatch.setattr(gradients, "_PRICE_BLOCK", block)
+        for _ in range(200):
+            n = int(rng.integers(1, 31))
+            I, J = np.triu_indices(n, k=1)
+            keep = rng.permutation(I.size)[:int(rng.integers(0, I.size + 1))]
+            I, J = I[keep], J[keep]
+            score = rng.integers(-2, 4, I.size).astype(float)
+            np.testing.assert_array_equal(_table_top_rows(score, I, J, n + 2),
+                                          _top_rows_by_lexsort(score, I, J))
     # four points, rows (0,1) (0,2) (0,3) (1,2) (1,3) (2,3): point 2 meets the
     # tied rows 1 and 3 as j and row 5 as i, so it keeps rows 5 and 1; row 3
     # is no other point's pick, so a tie broken by row index would add it
     I, J = np.triu_indices(4, k=1)
     score = np.array([2.0, 1.0, 0.0, 1.0, 2.0, 1.0])
     assert _ROWS_PER_POINT == 2
-    np.testing.assert_array_equal(_top_rows_per_point(score, _point_groups(I, J)), [0, 1, 4, 5])
+    np.testing.assert_array_equal(_table_top_rows(score, I, J, 4), [0, 1, 4, 5])
     np.testing.assert_array_equal(_top_rows_by_lexsort(score, I, J), [0, 1, 4, 5])
+    # a point with no rows (4) picks nothing, and no score <= 0 is picked
+    I, J = np.array([0, 0, 1, 3]), np.array([1, 2, 3, 5])
+    np.testing.assert_array_equal(_table_top_rows(np.array([-1.0, 0.0, -2.0, 0.0]), I, J, 6),
+                                  np.zeros(0))
+    np.testing.assert_array_equal(_table_top_rows(np.array([-1.0, 3.0, 0.0, 1.0]), I, J, 6),
+                                  [1, 3])
+    # the table itself: each point's rows as i, then as j, then pads (m = 4)
+    np.testing.assert_array_equal(_point_table(I, J, 6),
+                                  [[0, 1], [2, 0], [1, 4], [3, 2], [4, 4], [3, 4]])
 
 
 def test_lp_highs_binding_and_repeatability():
@@ -704,6 +729,93 @@ def test_dual_qp_is_a_kkt_point_no_worse_than_highs(kind, tmp_path):
     assert optimal >= 10  # HiGHS ends "Optimal" on 22 diagonal and 14 block QPs
 
 
+def _assert_dual_qp_solution(idx, H, c, qp_rows, x, mult, act):
+    # the inactive constraints feasible within _QP_TOL of their terms
+    # (bounds: of the largest entry) plus _QP_NOISE of their terms at their
+    # entries' block maxima (rounding), the active ones tight up to rounding at
+    # the solution's size, u >= 0 and zero off the active set, x that of the
+    # dense KKT system on the active set, and H x + c = N u (u is not unique
+    # where rounding let a numerically dependent constraint join)
+    ci, cj, ca, cb, lo = qp_rows
+    n, k = c.size, act.size
+    ax, bx = ca * x[ci], cb * x[cj]
+    top = np.abs(x).max()
+    scale = np.abs(ax) + np.abs(bx) + lo
+    scale[:n] = top
+    size = np.empty(n)
+    size[idx] = np.abs(x[idx]).max(axis=1, keepdims=True)
+    noise = _QP_NOISE * (ca * size[ci] + cb * size[cj])
+    off = np.ones(lo.size, dtype=bool)
+    off[act] = False
+    assert np.all((lo - ax - bx)[off] <= (1.0 + 1e-6) * (_QP_TOL * scale + noise)[off])
+    assert np.all(np.abs(ax + bx - lo)[act] <= 1e-12 * (scale[act] + top))
+    assert mult.min() >= 0.0
+    assert not mult[off].any()
+    dense = np.zeros((n, n))
+    dense[idx[:, :, None], idx[:, None, :]] = H
+    N = np.zeros((n, k))
+    N[ci[act], np.arange(k)] = ca[act]
+    N[cj[act], np.arange(k)] += cb[act]
+    kkt = np.block([[dense, -N], [N.T, np.zeros((k, k))]])
+    sol = np.linalg.lstsq(kkt, np.concatenate([-c, lo[act]]), rcond=None)[0]
+    np.testing.assert_allclose(x, sol[:n], rtol=0, atol=1e-8 * np.abs(sol[:n]).max())
+    hx, nu = dense @ x, N @ mult[act]
+    terms = (np.abs(hx) + np.abs(c) + np.abs(nu)).max()
+    np.testing.assert_allclose(hx + c - nu, 0.0, rtol=0, atol=1e-10 * terms)
+
+
+# the first block QP of these seeds reaches the iteration limit cold: its
+# Hessian's condition number is about 1e6, so x is accurate to about 1e-10 of
+# its largest entry, and constraints violated by that much join in turn, each
+# step raising the dual objective by less than its rounding (4558: a settle
+# drops the last one joined; 1780: a bound and a row take turns)
+_CYCLING = pytest.mark.xfail(strict=True, raises=RuntimeError,
+                             reason="QP joins at x's rounding level cycle")
+
+
+@pytest.mark.parametrize("kind, seed", [("diag", 31), ("blocks", 32), ("blocks", 1003),
+                                        ("blocks", 1009),
+                                        pytest.param("blocks", 1780, marks=_CYCLING),
+                                        pytest.param("blocks", 4558, marks=_CYCLING)])
+def test_dual_qp_kkt_conditions_on_random_qps(kind, seed, monkeypatch):
+    # random strictly convex step QPs with tied rows (exact copies, and copies
+    # scaled by 2, which are equal once at unit norm) and a degenerate row,
+    # tight at the solution, each solved cold, warm from its active set and
+    # warm from a dependent start (an active constraint twice), which the
+    # solve must drop for a cold start.  Seed 1003 lets rounding join a
+    # dependent row in a cold solve; at seed 1009 two rows of a warm start
+    # joined in turn until the iteration limit while violations at rounding
+    # level counted
+    from varmms import gradients
+    inverses = []
+    monkeypatch.setattr(gradients, "_tri_inv",
+                        lambda L, inner=gradients._tri_inv: inverses.append(L) or inner(L))
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        idx, H, c, (I, J, A, B, T) = _random_step_qp(rng, kind)
+        n = c.size
+        x, _, _ = _dual_qp(idx, H, c, _qp_rows(I, J, A, B, T, n)[0], np.zeros(0, dtype=int))
+        copy = rng.integers(0, T.size, 4)
+        i, j = rng.choice(n, 2, replace=False)
+        a, b = rng.uniform(0.5, 2.0, 2)
+        t = a * max(x[i], 0.0) + b * max(x[j], 0.0)
+        rows = (np.concatenate([I, I[copy], [i]]), np.concatenate([J, J[copy], [j]]),
+                np.concatenate([A, A[copy] * [1, 1, 2, 2], [a]]),
+                np.concatenate([B, B[copy] * [1, 1, 2, 2], [b]]),
+                np.concatenate([T, T[copy] * [1, 1, 2, 2], [t]]))
+        qp_rows = _qp_rows(*rows, n)[0]
+        x, mult, act = _dual_qp(idx, H, c, qp_rows, np.zeros(0, dtype=int))
+        _assert_dual_qp_solution(idx, H, c, qp_rows, x, mult, act)
+        warm = _dual_qp(idx, H, c, qp_rows, act)
+        _assert_dual_qp_solution(idx, H, c, qp_rows, *warm)
+        np.testing.assert_allclose(warm[0], x, rtol=0, atol=1e-9 * np.abs(x).max())
+        if act.size:
+            calls = len(inverses)
+            start = np.concatenate([act, act[:1]])
+            _assert_dual_qp_solution(idx, H, c, qp_rows, *_dual_qp(idx, H, c, qp_rows, start))
+            assert all(L.shape[0] < start.size for L in inverses[calls:])  # not factored
+
+
 def _child_env(**env):
     """The environment of a fresh interpreter on this checkout's src."""
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
@@ -731,15 +843,16 @@ def test_highs_binding_is_loaded_by_file_and_shared_with_scipy():
         "                             bounds=(0, None), method='highs')\n"
         "print(res.status, res.fun, *res.x)\n")
     assert out.split() == ["0", "1.0", "1.0", "0.0"]
-    # no binding file matches: the plain import serves, and the LP solves
+    # no binding file matches: the plain import serves, on first use, and the LP solves
     out = _run_child(
         "import importlib.machinery, sys\n"
         "importlib.machinery.EXTENSION_SUFFIXES = ['.no-such-suffix']\n"
         "import numpy as np\n"
         "import varmms\n"
         "from varmms.generators import line_space\n"
-        "assert 'scipy.optimize' in sys.modules\n"
+        "assert 'scipy' not in sys.modules\n"
         "assert varmms.gradients._highs is sys.modules['scipy.optimize._highspy._core']\n"
+        "assert 'scipy.optimize' in sys.modules\n"
         "sol = varmms.minimal_scalar_gradient(line_space(4), np.arange(4.0), 0.5, 1.0)\n"
         "print(sol.info['path'], sol.info['certified'])\n")
     assert out.split() == ["lp", "True"]
