@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .exponents import field_from_spec
-from .generators import generate_function, generate_space
+from .generators import _index, generate_function, generate_space
 from .gradients import minimal_scalar_gradient, minimal_vector_gradient
 from .norms import luxemburg, mixed_norm_lp_lq, mixed_norm_lq_lp, SequenceSample
 from .space import MetricMeasureSpace
@@ -80,8 +80,9 @@ _REQUIRED = {
 
 
 def _validate_checks(checks, exponents) -> None:
-    """Raise on the first check with an unknown op or a missing key, so a
-    malformed scenario fails before any of its checks runs."""
+    """Raise on the first check with an unknown op, a missing key or a
+    non-integral index, so a malformed scenario fails before any of its
+    checks runs."""
     for i, check in enumerate(checks):
         op = check["op"]
         if op not in _REQUIRED:
@@ -92,6 +93,11 @@ def _validate_checks(checks, exponents) -> None:
         missing += [f"exponents.{k}" for k in fields if k not in exponents]
         if missing:
             raise ValueError(f"check {i} ({op}): missing {', '.join(missing)}")
+        indices = {"n_dim": check.get("n_dim"), "j_max": check.get("j_max"),
+                   "ball.center": check.get("ball", {}).get("center")}
+        for key, value in indices.items():
+            if value is not None:
+                _index(value, f"check {i} ({op}): {key}")
 
 
 def _scenario_reports(scenario: dict, base_dir: str, tol: float, sigma: float,

@@ -164,6 +164,8 @@ def annular_cutoff(space: MetricMeasureSpace, center: int, r: float, j: int):
 
 def log_bump(space: MetricMeasureSpace, center: int, scale: float = 1.0) -> np.ndarray:
     """Logarithmic bump around a center point (finite at the center)."""
+    if not scale > 0:
+        raise ValueError(f"log_bump scale must be positive, got {scale!r}")
     d = space.dist[center]
     floor = scale / 50.0
     return np.log1p(scale / (d + floor))
@@ -174,7 +176,17 @@ def random_function(space: MetricMeasureSpace, seed: int, amplitude: float = 1.0
     return amplitude * rng.standard_normal(space.n)
 
 
-def generate_function(space: MetricMeasureSpace, spec: dict) -> np.ndarray:
+def _index(value, field: str) -> int:
+    """An index field of a scenario (a point, a level, a seed, an axis) as an
+    int; a non-integral number, a bool or a non-number is an error rather
+    than truncated."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.number))
+            or not float(value).is_integer()):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _function_values(space: MetricMeasureSpace, spec: dict) -> np.ndarray:
     if "values" in spec:
         vals = np.asarray(spec["values"], dtype=float)
         if vals.shape != (space.n,):
@@ -182,16 +194,30 @@ def generate_function(space: MetricMeasureSpace, spec: dict) -> np.ndarray:
         return vals
     family = spec["family"]
     if family == "coordinate":
-        return coordinate_function(space, int(spec.get("axis", 0)))
+        return coordinate_function(space, _index(spec.get("axis", 0), "coordinate axis"))
     if family == "power":
         return power_function(space, float(spec["theta"]))
     if family == "annular":
-        u, _, _ = annular_cutoff(space, int(spec["center"]), float(spec["r"]), int(spec["j"]))
+        u, _, _ = annular_cutoff(space, _index(spec["center"], "annular center"),
+                                 float(spec["r"]), _index(spec["j"], "annular j"))
         return u
     if family == "log_bump":
-        return log_bump(space, int(spec["center"]), float(spec.get("scale", 1.0)))
+        return log_bump(space, _index(spec["center"], "log_bump center"),
+                        float(spec.get("scale", 1.0)))
     if family == "random":
-        return random_function(space, int(spec["seed"]), float(spec.get("amplitude", 1.0)))
+        return random_function(space, _index(spec["seed"], "random seed"),
+                               float(spec.get("amplitude", 1.0)))
     if family == "constant":
         return np.full(space.n, float(spec["value"]))
     raise ValueError(f"unknown function family {family!r}")
+
+
+def generate_function(space: MetricMeasureSpace, spec: dict) -> np.ndarray:
+    """The function of a scenario spec: explicit ``values`` or a family with
+    its fields.  Every value must be finite."""
+    vals = _function_values(space, spec)
+    if not np.isfinite(vals).all():
+        source = ("function values" if "values" in spec else
+                  f"function family {spec['family']!r} ({', '.join(sorted(set(spec) - {'family'}))})")
+        raise ValueError(f"{source}: non-finite value at point {int(np.argmin(np.isfinite(vals)))}")
+    return vals

@@ -8,9 +8,11 @@ Lebesgue / mixed-sequence norms over these polyhedra.
 
 Solver layout (README "Solvers").  Every convex modular rho is minimized on
 a working set of rows grown by delayed constraint generation
-(``_working_set``, pricing the rows on one padded table of each point's rows,
-``_point_table``) on one model grown by rows (``_minimize_modular``), with a
-duality bracket where rho has a closed-form conjugate.  A constant exponent
+(``_working_set``, seeded with each point's rows tightest at g = 0 and at
+the solve's start point, and pricing the rows on one padded table of each
+point's rows, ``_point_table``) on one model grown by rows
+(``_minimize_modular``), with a duality bracket where rho has a closed-form
+conjugate.  A constant exponent
 p >= 1 makes the norm a monotone function of the separable modular,
 minimized itself: at p = 1 a HiGHS LP (scipy's binding, loaded on the
 first LP), whose dual model grows by columns, and above by Newton steps,
@@ -306,17 +308,23 @@ def _point_table(I, J, n):
     """The pricing table of the rows over n points: row p lists point p's
     entries [rows as i, rows as j] in that order, each row in index order,
     padded to the largest degree with the index m = I.size of the extra
-    zero score that ``_top_rows_per_point`` reads; int32."""
+    zero score that ``_top_rows_per_point`` reads; int32.  A half whose
+    points come in order (``_pair_rows``'s I) is placed without a sort."""
     m = I.size
-    pts = np.concatenate([I, J], dtype=np.int32)
-    order = np.argsort(pts, kind="stable")  # the entries point by point
-    deg = np.bincount(pts, minlength=n)
-    table = np.full((n, max(int(deg.max(initial=0)), 1)), m, dtype=np.int32)
-    # the sorted entry e of point p goes to p's slot e - (p's first entry)
-    at = np.repeat((np.arange(n) * table.shape[1] - np.cumsum(deg) + deg).astype(np.int32), deg)
-    at += np.arange(at.size, dtype=np.int32)
-    order %= max(m, 1)  # the entry's row
-    table.ravel()[at] = order
+    degs = np.bincount(I, minlength=n), np.bincount(J, minlength=n)
+    width = max(int((degs[0] + degs[1]).max(initial=0)), 1)
+    table = np.full((n, width), m, dtype=np.int32)
+    base = np.arange(n) * width  # the slot of each point's first entry of the half
+    for pts, deg in zip((I, J), degs):
+        if np.all(pts[1:] >= pts[:-1]):
+            order = np.arange(m, dtype=np.int32)
+        else:
+            order = np.argsort(pts, kind="stable")  # the entries point by point
+        # the half's sorted entry e of point p goes to p's slot e - (p's first entry)
+        at = np.repeat((base - np.cumsum(deg) + deg).astype(np.int32), deg)
+        at += np.arange(m, dtype=np.int32)
+        table.ravel()[at] = order
+        base += deg
     return table
 
 
@@ -347,17 +355,24 @@ def _working_set(I, J, A, B, T, g, solve_round):
     rows ``work`` from the gradient g.
 
     The set starts with each point's rows of largest t/(a+b), the violation
-    per unit of g at g = 0; after each solve each point's outside rows of
-    largest violation/(a+b) join it, until no outside row is violated by more
-    than ``_GEN_TOL * t``.  That optimum satisfies every row, so it is the
-    full problem's; each round adds a row, so the loop ends.  Rows are
-    priced on one ``_point_table`` per solve, their scores in one array.
+    per unit of g at g = 0, and each point's rows of largest t/(a g_i + b g_j),
+    the tightest at the start point g; after each solve each point's outside
+    rows of largest violation/(a+b) join it, until no outside row is violated
+    by more than ``_GEN_TOL * t``.  That optimum satisfies every row, so it
+    is the full problem's; each round adds a row, so the loop ends.  Rows
+    are priced on one ``_point_table`` per solve, their scores in one array.
     Returns the last gradient, not yet repaired.
     """
     AB, table = A + B, _point_table(I, J, g.size)
     score = np.zeros(T.size + 1)  # the last score: the pads'
     viol = np.divide(T, AB, out=score[:-1])
     work = _top_rows_per_point(score, table)
+    np.take(g, I, out=viol)  # viol = a g_i + b g_j, then t over it
+    viol *= A
+    viol += B * g[J]
+    with np.errstate(divide="ignore"):  # a row at 0 there: t/0 = inf, the tightest
+        np.divide(T, viol, out=viol)
+    work = np.union1d(work, _top_rows_per_point(score, table))
     for rounds in itertools.count(1):
         g = solve_round(work, g)
         np.take(g, I, out=viol)  # viol = t - a g_i - b g_j, built in place
@@ -501,15 +516,16 @@ def _tl_modular(L, pv, qv, w):
     return _Modular(value, grad, hess, conj, True)
 
 
-def _level_sum_hessian(X, pv, ev, w, psd=False):
+def _level_sum_hessian(X, pv, ev, w, psd=False, roots=None):
     """The n x n Hessian blocks nu (grad^2 log nu + g g^T) of the level
-    infima nu of the rows of X >= 0 (``norms._level_roots``, e = p/q), with
+    infima nu of the rows of X >= 0 (``norms._level_roots``, e = p/q, or
+    ``roots`` if given), with
     g = grad log nu = p pi / X and grad^2 log nu = diag(p (p-1) pi / X**2)
     - (e g) g^T - g (e g)^T + (e**2 . pi) g g^T, pi the roots' term weights;
     zero entries get zero rows and columns (the Hessian on the positive
     entries), and zero rows zero blocks.  ``psd``: each block clipped to its
     positive semidefinite part."""
-    nu, pi = _level_roots(X, pv, ev, w)
+    nu, pi = _level_roots(X, pv, ev, w) if roots is None else roots
     on = pi > 0
     with np.errstate(divide="ignore", invalid="ignore"):
         G = np.where(on, pv * pi / X, 0.0)
@@ -530,13 +546,22 @@ def _level_sum_modular(L, pv, qv, w):
     """rho(x) = sum_k nu_k(x_k), the level sum of the level infima of the
     stacked levels x_k (``_level_sum``), with one n x n Hessian block per
     level (``_level_sum_hessian``), clipped positive semidefinite where
-    q > p somewhere (rho is convex only for q <= p); rho* has no closed form."""
-    n, ev = pv.size, pv / qv
+    q > p somewhere (rho is convex only for q <= p); rho* has no closed form.
+    The value, gradient and Hessian at one point share its level roots
+    (a cache of the last point's)."""
+    n, ev, psd = pv.size, pv / qv, bool(np.any(qv > pv))
     idx = np.arange(L * n).reshape(L, n)
-    return _Modular(lambda x: float(_level_roots(x.reshape(L, n), pv, ev, w)[0].sum()),
-                    lambda x: _level_sum(x.reshape(L, n), pv, ev, w)[1].ravel(),
-                    lambda x: (idx, _level_sum_hessian(x.reshape(L, n), pv, ev, w,
-                                                       bool(np.any(qv > pv)))),
+    last = [None, None]  # the last point and its level roots
+
+    def roots(x):
+        if last[0] is None or not np.array_equal(last[0], x):
+            last[:] = x.copy(), _level_roots(x.reshape(L, n), pv, ev, w)
+        return last[1]
+
+    return _Modular(lambda x: float(roots(x)[0].sum()),
+                    lambda x: _level_sum(x.reshape(L, n), pv, ev, w, roots(x))[1].ravel(),
+                    lambda x: (idx, _level_sum_hessian(x.reshape(L, n), pv, ev, w, psd,
+                                                       roots(x))),
                     None, True)
 
 
@@ -1122,12 +1147,12 @@ def _solve_modular_decoupled(system, pv, w, tol, lev_range):
     return seq, replace(nv, kind="mixed_lqp")
 
 
-def _level_sum(X, pv, ev, w):
+def _level_sum(X, pv, ev, w, roots=None):
     """(sum_k nu_k, d/dX): the level sum of the level infima of the rows of
-    X >= 0 (``norms._level_roots``, e = p/q) and its gradient nu_k p pi_k / X_k
-    with pi the roots' term weights, zero where X is and on rows whose
-    infimum is infinite."""
-    nu, pi = _level_roots(X, pv, ev, w)
+    X >= 0 (``norms._level_roots``, e = p/q, or ``roots`` if given) and its
+    gradient nu_k p pi_k / X_k with pi the roots' term weights, zero where X
+    is and on rows whose infimum is infinite."""
+    nu, pi = _level_roots(X, pv, ev, w) if roots is None else roots
     finite = np.where(np.isfinite(nu), nu, 0.0)
     return float(nu.sum()), finite[:, None] * pv * pi / np.maximum(X, 1e-300)
 

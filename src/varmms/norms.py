@@ -504,7 +504,8 @@ def mixed_norm_lq_lp(seq: SequenceSample, p, q, weight, tol: float = DEFAULT_TOL
         if not lo < nx < hi:
             nx = 0.5 * (lo + hi) if np.isfinite(lo + hi) else x + 16.0 * shift * 2.0 ** i
         x = nx
-    return NormValue(lam_at(hi), lam_at(hi) - lam_at(lo), kind="mixed_lqp")
+    # the width lam(hi) (1 - e**(lo - hi)) without cancellation: at most tol lam(hi)
+    return NormValue(lam_at(hi), -lam_at(hi) * math.expm1(lo - hi), kind="mixed_lqp")
 
 
 def pointwise_lq(seq: SequenceSample, q) -> np.ndarray:

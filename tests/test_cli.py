@@ -310,6 +310,58 @@ def test_malformed_scenarios_do_not_stop_siblings(tmp_path, capsys, jobs):
         assert line.startswith("error: malformed scenario") and f"{name}.json" in line
 
 
+def test_non_integral_indices_and_non_finite_values_are_malformed(tmp_path, capsys):
+    # an index field holding a non-integral number is not truncated (a ball
+    # "center": 3.7 used to run as centre 3 and exit 0), and a function with
+    # a non-finite value is not handed to a solver; each such scenario gets
+    # one error line naming its field, and its sibling still runs
+    good = {
+        "name": "good",
+        "space": {"kind": "grid2d", "params": {"nx": 5}},
+        "exponents": {"s": {"constant": 1.0}, "p": {"constant": 1.0},
+                      "Q": {"constant": 2.0}, "gamma": {"constant": 2.4}},
+        "function": {"family": "coordinate", "axis": 0},
+        "checks": [{"op": "sobolev_local", "ball": {"center": 6, "radius": 0.3}}],
+    }
+    local = good["checks"][0]
+    bad = {
+        "ball_center": ({"checks": [dict(local, ball={"center": 3.7, "radius": 0.3})]},
+                        "ball.center"),
+        "n_dim": ({"checks": [{"op": "counterexample", "n_dim": 1.5, "beta": 0.5, "p": 2.0,
+                               "theta": 0.6}]}, "n_dim"),
+        "j_max": ({"checks": [{"op": "necessity", "mode": "sobolev_global", "j_max": 2.5}]},
+                  "j_max"),
+        "bump_center": ({"function": {"family": "log_bump", "center": 3.7}}, "log_bump center"),
+        "annular_j": ({"function": {"family": "annular", "center": 3, "r": 0.5, "j": 1.5}},
+                      "annular j"),
+        "seed": ({"function": {"family": "random", "seed": 0.5}}, "random seed"),
+        "axis": ({"function": {"family": "coordinate", "axis": 0.5}}, "coordinate axis"),
+        "axis_bool": ({"function": {"family": "coordinate", "axis": True}}, "coordinate axis"),
+        "bump_scale": ({"function": {"family": "log_bump", "center": 3, "scale": 0}},
+                       "log_bump scale"),
+        "nan_values": ({"function": {"values": [0.0] * 24 + [float("nan")]}},
+                       "function values"),
+        "inf_amplitude": ({"function": {"family": "random", "seed": 1,
+                                        "amplitude": float("inf")}}, "amplitude"),
+    }
+    paths = []
+    for name, (change, _) in bad.items():
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(dict(good, name=name, **change)))
+        if name == "j_max":
+            paths.append(tmp_path / "good.json")
+            paths[-1].write_text(json.dumps(good))
+    out = tmp_path / "out"
+    assert run(["--out", out, "verify", *paths]) == 1
+    assert json.loads((out / "good.json").read_text())[0]["verdict"] == "pass"
+    assert sorted(p.name for p in out.iterdir()) == ["good.csv", "good.json"]
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == len(bad)
+    for (name, (_, field)), line in zip(bad.items(), err):
+        assert line.startswith("error: malformed scenario") and f"{name}.json" in line
+        assert field in line and "ValueError" in line, line
+
+
 def test_cmd_necessity_unknown_family_is_one_error_line(tmp_path, capsys):
     scenario = {
         "name": "necc_family",

@@ -18,13 +18,14 @@ from varmms import (MetricMeasureSpace, active_levels, gradient_zero_implies_con
                     norm_convention_equivalence, oracle_scalar_gradient, sobolev_conjugate)
 from varmms import space as space_module
 from varmms import verify as verify_module
-from varmms.generators import (annular_cutoff, cantor_space, grid1d, grid2d, line_space,
-                               log_bump, two_zone_glued)
+from varmms.generators import (annular_cutoff, ball_grid_with_atom, cantor_space, grid1d,
+                               grid2d, line_space, log_bump, power_function, two_zone_glued)
 from varmms.gradients import (_CERT_TOL, _QP_NOISE, _QP_RIDGE, _QP_TOL, _ROWS_PER_POINT,
                               GradientConstraintSystem, _besov_bisection, _cutoff_sequence,
                               _dual_qp, _feasible_point, _highs, _level_sum,
                               _level_sum_hessian, _level_weight, _point_table, _qp_rows,
-                              _sequence_violation, _tl_modular, _top_rows_per_point)
+                              _rows, _sequence_violation, _stack, _tl_modular,
+                              _top_rows_per_point, _working_set)
 from varmms.norms import SequenceSample, mixed_norm_lp_lq, mixed_norm_lq_lp
 
 
@@ -517,10 +518,24 @@ def _top_rows_by_lexsort(score, I, J):
     return np.unique(rows[rank < _ROWS_PER_POINT])
 
 
+def _point_table_by_argsort(I, J, n):
+    # reference table: one stable sort of all 2m entry keys [I, J]
+    m = I.size
+    pts = np.concatenate([I, J], dtype=np.int32)
+    order = np.argsort(pts, kind="stable")
+    deg = np.bincount(pts, minlength=n)
+    table = np.full((n, max(int(deg.max(initial=0)), 1)), m, dtype=np.int32)
+    at = np.repeat(np.arange(n) * table.shape[1] - np.cumsum(deg) + deg, deg)
+    table.ravel()[at + np.arange(at.size)] = order % max(m, 1)
+    return table
+
+
 def _table_top_rows(score, I, J, n):
-    # the pricing table's picks: the scores with the pads' zero appended
+    # the pricing table's picks: the scores with the pads' zero appended;
+    # the table is bit for bit the one-sort reference's
     table = _point_table(I, J, n)
     assert table.dtype == np.int32
+    np.testing.assert_array_equal(table, _point_table_by_argsort(I, J, n))
     return _top_rows_per_point(np.append(score, 0.0), table)
 
 
@@ -541,6 +556,17 @@ def test_top_rows_per_point_matches_lexsort(monkeypatch):
             score = rng.integers(-2, 4, I.size).astype(float)
             np.testing.assert_array_equal(_table_top_rows(score, I, J, n + 2),
                                           _top_rows_by_lexsort(score, I, J))
+            # the same rows in index order: I sorted, as ``_pair_rows`` gives them
+            order = np.argsort(keep, kind="stable")
+            np.testing.assert_array_equal(_table_top_rows(score[order], I[order], J[order], n),
+                                          _top_rows_by_lexsort(score[order], I[order], J[order]))
+    # the pair rows of a grid, in ``_pair_rows``'s order and stacked by level
+    # (I no longer sorted), against the one-sort table
+    system = GradientConstraintSystem.vector(grid2d(6), log_bump(grid2d(6), 14, 0.3), 0.5)
+    for sys_ in (system, _stack(system)[1]):
+        np.testing.assert_array_equal(_point_table(sys_.I, sys_.J, sys_.n),
+                                      _point_table_by_argsort(sys_.I, sys_.J, sys_.n))
+    assert np.any(np.diff(_stack(system)[1].I) < 0)
     # four points, rows (0,1) (0,2) (0,3) (1,2) (1,3) (2,3): point 2 meets the
     # tied rows 1 and 3 as j and row 5 as i, so it keeps rows 5 and 1; row 3
     # is no other point's pick, so a tie broken by row index would add it
@@ -558,6 +584,46 @@ def test_top_rows_per_point_matches_lexsort(monkeypatch):
     # the table itself: each point's rows as i, then as j, then pads (m = 4)
     np.testing.assert_array_equal(_point_table(I, J, 6),
                                   [[0, 1], [2, 0], [1, 4], [3, 2], [4, 4], [3, 4]])
+
+
+@pytest.mark.parametrize("zeros", [False, True])
+def test_first_working_set_holds_top_rows_at_zero_and_at_the_start(zeros):
+    # the first round's rows are each point's top two by t/(a+b) (g = 0) and
+    # by t/(a g_i + b g_j) (the start point g), no more; a row with both ends
+    # at 0 in g scores inf, the tightest
+    sp = grid2d(6)
+    system = GradientConstraintSystem.scalar(sp, log_bump(sp, 14, 0.3), 0.5)
+    rows = _rows(system)
+    I, J, A, B, T = rows
+    g0 = _feasible_point(sp.n, *rows)
+    if zeros:
+        g0[[3, 4, 20]] = 0.0
+    first = []
+
+    def solve_round(work, g):
+        first.append(work)
+        return _feasible_point(sp.n, *rows)  # meets every row: one round
+
+    _working_set(*rows, g0.copy(), solve_round)
+    with np.errstate(divide="ignore"):
+        at_start = T / (A * g0[I] + B * g0[J])
+    assert np.isinf(at_start).any() == zeros
+    expected = np.union1d(_top_rows_by_lexsort(T / (A + B), I, J),
+                          _top_rows_by_lexsort(at_start, I, J))
+    assert len(first) == 1
+    np.testing.assert_array_equal(first[0], expected)
+    assert expected.size > _top_rows_by_lexsort(T / (A + B), I, J).size
+
+
+@pytest.mark.parametrize("m", [31, 61])
+def test_counterexample_solves_close_in_two_rounds(m):
+    # the benchmark's ``gs_counterexample`` solves (p = 2, theta = 0.6): seeded
+    # at their start point they close in two working-set rounds (4 and 6
+    # from the rows of largest t/(a+b) alone)
+    sp = ball_grid_with_atom(1, m)
+    sol = minimal_scalar_gradient(sp, power_function(sp, 0.6), 1.0, 2.0)
+    assert sol.info["path"] == "qp" and sol.info["certified"]
+    assert sol.info["rounds"] <= 2
 
 
 def test_lp_highs_binding_and_repeatability():
@@ -951,12 +1017,13 @@ def test_grid12_qp_at_large_p_closes_its_bracket():
 
 def test_grid10_qp_closes_on_the_slsqp_value():
     # the benchmark's seed-7 ``gs_dual_grid10``: 105 of the 146 HiGHS QP runs
-    # this solve took failed; eight step QPs close it on the value the
-    # removed SLSQP solver gave, 0.7703751409517477
+    # this solve took failed; nine step QPs (five working-set rounds, the last
+    # admitting one row) close it on the value the removed SLSQP solver gave,
+    # 0.7703751409517477
     sp = grid2d(10)
     sol = minimal_scalar_gradient(sp, log_bump(sp, 44, 0.3), 0.4829, 2.0022)
     lower, upper = sol.info["bracket"]
-    assert sol.info["path"] == "qp" and sol.info["nit"] == 8
+    assert sol.info["path"] == "qp" and sol.info["nit"] == 9
     assert not sol.heuristic and upper - lower <= 1e-9 * upper
     assert sol.objective.value == pytest.approx(0.7703751409517477, rel=1e-9)
 
