@@ -19,14 +19,19 @@ import sys
 
 import numpy as np
 
-from .exponents import field_from_spec
-from .generators import _index, generate_function, generate_space
+from .exponents import _index, field_from_spec
+from .generators import generate_function, generate_space
 from .gradients import minimal_scalar_gradient, minimal_vector_gradient
 from .norms import luxemburg, mixed_norm_lp_lq, mixed_norm_lq_lp, SequenceSample
 from .space import MetricMeasureSpace
 from .verify import (check_global, check_morrey_local, check_moser_trudinger_local,
                      check_sobolev_local, counterexample_run, local_embedding_check,
                      necessity_run)
+
+
+# what a malformed or unreadable scenario raises: every command prints one
+# error line for it and exits 1 (``verify`` still runs the sibling scenarios)
+_INPUT_ERRORS = (OSError, LookupError, TypeError, ValueError, AttributeError)
 
 
 def canonical_json(payload) -> str:
@@ -53,7 +58,11 @@ def _exponents(space, spec: dict) -> dict:
 
 
 def cmd_space_gen(args) -> int:
-    space = generate_space(args.kind, json.loads(args.params))
+    try:
+        space = generate_space(args.kind, json.loads(args.params))
+    except _INPUT_ERRORS as exc:
+        print(f"error: space-gen {args.kind}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     write_atomic(args.out, canonical_json(space.to_json()) + "\n")
     print(f"wrote {args.out} (n={space.n})")
     return 0
@@ -167,7 +176,7 @@ def _scenario_worker(task):
     path, scenario, base_dir, tol, sigma, epsilon = task
     try:
         return _scenario_reports(scenario, base_dir, tol, sigma, epsilon), None
-    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+    except _INPUT_ERRORS as exc:
         return None, f"error: malformed scenario {path}: {type(exc).__name__}: {exc}"
 
 
@@ -223,8 +232,8 @@ def cmd_norm(args) -> int:
             u = generate_function(space, scenario["function"])
             nv = luxemburg(u, fields["p"], space.weight, args.tol)
         result.update(nv.to_json())
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except _INPUT_ERRORS as exc:
+        print(f"error: {args.scenario}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     os.makedirs(args.out, exist_ok=True)
     write_atomic(os.path.join(args.out, f"{result['name']}.json"),
@@ -249,8 +258,8 @@ def cmd_gradient(args) -> int:
             sol = minimal_scalar_gradient(space, u, fields["s"], fields["p"], tol=args.tol)
         payload = sol.to_json()
         payload["name"] = scenario.get("name", "gradient")
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except _INPUT_ERRORS as exc:
+        print(f"error: {args.scenario}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     os.makedirs(args.out, exist_ok=True)
     write_atomic(os.path.join(args.out, f"{payload['name']}.json"),

@@ -84,11 +84,23 @@ def exponent_values(p, n: int, allow_inf: bool = False) -> np.ndarray:
         vals = np.full(n, float(vals))
     if vals.shape != (n,):
         raise ValueError(f"expected {n} exponent values, got shape {vals.shape}")
-    if np.any(np.isnan(vals)) or np.any(vals <= 0):
+    if not vals.size:
+        return vals
+    if not vals.min() > 0:  # also NaN
         raise ValueError("exponents must be positive")
-    if not allow_inf and np.any(np.isinf(vals)):
+    if not allow_inf and vals.max() == np.inf:
         raise ValueError("infinite exponent not permitted here")
     return vals
+
+
+def _index(value, field: str) -> int:
+    """An index or count field of a scenario (a point, a level, a seed, an
+    axis, a grid size) as an int; a non-integral number, a bool or a
+    non-number is an error rather than truncated."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.number))
+            or not float(value).is_integer()):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return int(value)
 
 
 def field_from_spec(spec, n: int, name: str = "", coords=None) -> ExponentField:
@@ -110,13 +122,14 @@ def field_from_spec(spec, n: int, name: str = "", coords=None) -> ExponentField:
     kind = formula["type"]
     if kind == "two_zone":
         vals = np.full(n, float(formula["outside"]))
-        vals[np.asarray(formula["zone"], dtype=int)] = float(formula["inside"])
+        vals[[_index(i, f"exponent {name!r}: two_zone zone") for i in formula["zone"]]] = \
+            float(formula["inside"])
         return ExponentField(vals, name=name, allow_inf=allow_inf)
     if kind == "affine":
         if coords is None:
             raise ValueError(f"exponent {name!r}: affine formula needs a space with coordinates")
         coords = np.asarray(coords, dtype=float)
-        axis = int(formula.get("axis", 0))
+        axis = _index(formula.get("axis", 0), f"exponent {name!r}: affine axis")
         vals = float(formula["intercept"]) + float(formula["slope"]) * coords[:, axis]
         return ExponentField(vals, name=name, allow_inf=allow_inf)
     raise ValueError(f"unknown exponent formula type {kind!r}")

@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 
+from .exponents import _index
 from .space import MetricMeasureSpace, ball
 
 __all__ = [
@@ -26,6 +27,8 @@ __all__ = [
 
 def line_space(n: int, spacing: float = 1.0, weight: float = 1.0) -> MetricMeasureSpace:
     """n points at 0, spacing, 2 spacing, ... with equal weights."""
+    if n < 1:
+        raise ValueError("n must be positive")
     coords = (np.arange(n, dtype=float) * spacing)[:, None]
     return MetricMeasureSpace.from_points(coords, np.full(n, float(weight)))
 
@@ -99,6 +102,8 @@ def two_zone_glued(n_line: int = 8, n_grid: int = 4) -> MetricMeasureSpace:
     The segment occupies [0, 1] on the x-axis; the patch is an n_grid**2
     cell grid over [1, 2] x [0, 1].  Euclidean distances; cell-sized weights.
     """
+    if n_line < 1 or n_grid < 1:
+        raise ValueError("n_line and n_grid must be positive")
     hl = 1.0 / n_line
     line_pts = [((i + 0.5) * hl, 0.0) for i in range(n_line)]
     hg = 1.0 / n_grid
@@ -109,22 +114,27 @@ def two_zone_glued(n_line: int = 8, n_grid: int = 4) -> MetricMeasureSpace:
     return MetricMeasureSpace.from_points(coords, weight)
 
 
+# each space kind's generator and its count parameters
 _SPACE_KINDS = {
-    "line": line_space,
-    "grid1d": grid1d,
-    "grid2d": grid2d,
-    "ball_grid_with_atom": ball_grid_with_atom,
-    "cantor": cantor_space,
-    "two_zone_glued": two_zone_glued,
+    "line": (line_space, ("n",)),
+    "grid1d": (grid1d, ("n",)),
+    "grid2d": (grid2d, ("nx", "ny")),
+    "ball_grid_with_atom": (ball_grid_with_atom, ("n_dim", "m")),
+    "cantor": (cantor_space, ("level",)),
+    "two_zone_glued": (two_zone_glued, ("n_line", "n_grid")),
 }
 
 
 def generate_space(kind: str, params: dict) -> MetricMeasureSpace:
+    """The space of a scenario spec; every count parameter must be an
+    integer (``_index``), so that a non-integral one is an error that names
+    it rather than a failure deep in its generator."""
     try:
-        maker = _SPACE_KINDS[kind]
+        maker, counts = _SPACE_KINDS[kind]
     except KeyError:
         raise ValueError(f"unknown space kind {kind!r}; choose from {sorted(_SPACE_KINDS)}")
-    return maker(**params)
+    return maker(**{k: _index(v, f"{kind} {k}") if k in counts and v is not None else v
+                    for k, v in params.items()})
 
 
 # -- function families -------------------------------------------------------
@@ -174,16 +184,6 @@ def log_bump(space: MetricMeasureSpace, center: int, scale: float = 1.0) -> np.n
 def random_function(space: MetricMeasureSpace, seed: int, amplitude: float = 1.0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return amplitude * rng.standard_normal(space.n)
-
-
-def _index(value, field: str) -> int:
-    """An index field of a scenario (a point, a level, a seed, an axis) as an
-    int; a non-integral number, a bool or a non-number is an error rather
-    than truncated."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float, np.number))
-            or not float(value).is_integer()):
-        raise ValueError(f"{field} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _function_values(space: MetricMeasureSpace, spec: dict) -> np.ndarray:

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .exponents import exponent_values
-from .norms import (NormValue, SequenceSample, _bisect_level, _level_roots, check_slack,
+from .norms import (NormValue, SequenceSample, _bisect_level, _level_weights, check_slack,
                     luxemburg, mixed_norm_lp_lq, mixed_norm_lq_lp)
 from .space import level_of
 
@@ -518,14 +518,14 @@ def _tl_modular(L, pv, qv, w):
 
 def _level_sum_hessian(X, pv, ev, w, psd=False, roots=None):
     """The n x n Hessian blocks nu (grad^2 log nu + g g^T) of the level
-    infima nu of the rows of X >= 0 (``norms._level_roots``, e = p/q, or
+    infima nu of the rows of X >= 0 (``norms._level_weights``, e = p/q, or
     ``roots`` if given), with
     g = grad log nu = p pi / X and grad^2 log nu = diag(p (p-1) pi / X**2)
     - (e g) g^T - g (e g)^T + (e**2 . pi) g g^T, pi the roots' term weights;
     zero entries get zero rows and columns (the Hessian on the positive
     entries), and zero rows zero blocks.  ``psd``: each block clipped to its
     positive semidefinite part."""
-    nu, pi = _level_roots(X, pv, ev, w) if roots is None else roots
+    nu, pi = _level_weights(X, pv, ev, w) if roots is None else roots
     on = pi > 0
     with np.errstate(divide="ignore", invalid="ignore"):
         G = np.where(on, pv * pi / X, 0.0)
@@ -555,7 +555,7 @@ def _level_sum_modular(L, pv, qv, w):
 
     def roots(x):
         if last[0] is None or not np.array_equal(last[0], x):
-            last[:] = x.copy(), _level_roots(x.reshape(L, n), pv, ev, w)
+            last[:] = x.copy(), _level_weights(x.reshape(L, n), pv, ev, w)
         return last[1]
 
     return _Modular(lambda x: float(roots(x)[0].sum()),
@@ -1149,10 +1149,10 @@ def _solve_modular_decoupled(system, pv, w, tol, lev_range):
 
 def _level_sum(X, pv, ev, w, roots=None):
     """(sum_k nu_k, d/dX): the level sum of the level infima of the rows of
-    X >= 0 (``norms._level_roots``, e = p/q, or ``roots`` if given) and its
+    X >= 0 (``norms._level_weights``, e = p/q, or ``roots`` if given) and its
     gradient nu_k p pi_k / X_k with pi the roots' term weights, zero where X
     is and on rows whose infimum is infinite."""
-    nu, pi = _level_roots(X, pv, ev, w) if roots is None else roots
+    nu, pi = _level_weights(X, pv, ev, w) if roots is None else roots
     finite = np.where(np.isfinite(nu), nu, 0.0)
     return float(nu.sum()), finite[:, None] * pv * pi / np.maximum(X, 1e-300)
 

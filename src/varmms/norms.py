@@ -5,6 +5,13 @@ Functions here act on aligned value/weight/exponent vectors of a measure
 space; callers restrict to subsets by slicing.  Infinite exponents are only
 meaningful for the mixed-norm q parameter and follow the conventions
 lambda**(1/inf) == 1 and pointwise sup for the inner sequence norm.
+
+One routine, ``_level_roots``, solves every level equation
+sum_i w_i u_i**p_i nu**(-e_i) = 1 with a certified Newton root: e = p gives
+the Luxemburg norm, e = p/q the Besov level infima.  ``_bisection`` serves
+monotone predicates with no such equation (the lattice oracle and the
+variable-q Besov bisection in ``gradients``), and ``_lockstep`` runs row
+searches side by side (also Brent's method in ``verify``).
 """
 from __future__ import annotations
 
@@ -36,7 +43,9 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
-_MAX_GROWTH = 200  # growing powers of 2 cross the double range in ~65 steps
+# growing powers of 2 cross the double range in ~65 steps, the level roots'
+# factors 1 + 2**(i - 52) from the smallest subnormal in ~120
+_MAX_GROWTH = 200
 # halving steps that take the largest double below 1e-300, or a bracket as
 # wide as the double range down to tol * hi
 _MAX_STEPS = 2100
@@ -44,6 +53,7 @@ _ULP_NUDGES = 4
 _MAX_NEWTON = 100
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)  # smallest normal double
+_MAX = float(np.finfo(float).max)
 
 
 def check_slack(rhs: float) -> float:
@@ -73,20 +83,29 @@ def modular(u, p, weight) -> float:
         return float(np.sum(w * np.abs(u) ** pv))
 
 
-def _modular_scaled(u_abs, pv, w, lam, log_above) -> np.ndarray:
-    """modular(u/lam) of each row of ``u_abs`` at its level ``lam``,
-    re-evaluated in log form when the direct sum overflows (u/lam itself
-    may, far below max|u|) or when lam exceeds ``log_above``, the level at
-    which the row's smallest nonzero |u|/lam falls below the smallest normal
-    double, so that an underflowed u/lam cannot hide a large term; otherwise
-    finite sums keep their bits.  ``pv`` and ``w`` are rows like ``u_abs``
-    or vectors shared by all rows.  The caller sets ``np.errstate``."""
-    total = (w * (u_abs / lam[:, None]) ** pv).sum(axis=1)
-    redo = np.isinf(total) | (lam > log_above)
-    if np.count_nonzero(redo):
+def _rows_of(x, rows):
+    """``x`` at ``rows`` when it is a matrix with one row per row, else ``x``
+    (shared by the rows, or a scalar)."""
+    return x[rows] if np.ndim(x) == 2 else x
+
+
+def _modular_scaled(u_abs, pv, w, lam, r) -> np.ndarray:
+    """sum_i w_i (u_i / lam**r_i)**p_i for each row of ``u_abs`` at its level
+    ``lam``: modular(u/lam) for r = 1, a Besov level sum for r = 1/q.  A row
+    is re-evaluated in log form when its direct sum is not finite (u/lam
+    itself may overflow, far below max|u|) or when a nonzero base
+    u/lam**r falls below the smallest normal double, so that an underflowed
+    base cannot hide a large term; otherwise finite sums keep their bits.
+    ``pv``, ``w`` and ``r`` are rows like ``u_abs`` or shared by all rows.
+    The caller sets ``np.errstate``."""
+    base = u_abs / lam[:, None] ** r
+    total = (w * base ** pv).sum(axis=1)
+    redo = ~np.isfinite(total) | ((base < _TINY) & (u_abs > 0.0)).any(axis=1)
+    if redo.any():
         bad = np.flatnonzero(redo)
-        pb, wb = (x if x.ndim < 2 else x[bad] for x in (pv, w))
-        total[bad] = np.exp(np.log(wb) + pb * (np.log(u_abs[bad]) - np.log(lam[bad, None]))).sum(axis=1)
+        pb, wb, rb = (_rows_of(x, bad) for x in (pv, w, r))
+        total[bad] = np.exp(np.log(wb) + pb * (np.log(u_abs[bad]) - rb * np.log(lam[bad, None]))
+                            ).sum(axis=1)
     return total
 
 
@@ -141,7 +160,8 @@ def _bisection(hi: float, lo: float, tol: float, ulp_nudges: int):
     moving ``hi`` down to it; below 1e-300 the search stops with ``lo = 0``,
     also when the ``lo`` seed is already there, so that ``hi - lo`` reports
     an unrefined ``hi``.  The bracket is then bisected until
-    ``hi - lo <= tol * hi``.
+    ``hi - lo <= tol * hi``.  ``_bisect_level`` runs it on one predicate;
+    the Luxemburg norm and the level infima take ``_level_roots`` instead.
     """
     holds = yield hi
     for i in range(_MAX_GROWTH):
@@ -183,42 +203,29 @@ def _bisect_level(ok, hi: float, lo: float, tol: float, ulp_nudges: int = _ULP_N
     return hi, lo, payloads[hi]
 
 
-def _sandwich(rho: float, e_min: float, e_max: float) -> tuple[float, float]:
-    """Ends of the modular sandwich, in increasing order.
-
-    The level lam with sum_i a_i lam**(-e_i) == 1 lies between
-    rho**(1/e^-) and rho**(1/e^+), rho = sum_i a_i; both are lam when e is
-    constant.  An end that overflows is inf.
-    """
-    ends = []
-    for ex in (e_min, e_max):
-        try:
-            ends.append(rho ** (1.0 / ex))
-        except OverflowError:
-            ends.append(np.inf)
-    return min(ends), max(ends)
-
-
 def luxemburg(u, p, weight, tol: float = DEFAULT_TOL) -> NormValue:
     """Luxemburg quasi-norm inf{ lam > 0 : modular(u/lam) <= 1 }.
 
-    The map lam -> modular(u/lam) is nonincreasing, so monotone bisection
-    brackets the infimum; the unit-ball equivalence (modular <= 1 iff norm
-    <= 1) is the stopping criterion.  Returns the upper bracket end, whose
-    modular is certified <= 1.
+    The level root of the modular (``_level_roots`` with e = p): Newton on
+    log lam, then the smallest level tried at which ``_modular_scaled``
+    certifies modular(u/lam) <= 1 (the unit-ball equivalence: modular <= 1
+    iff norm <= 1).  The tolerance is that level minus the last Newton
+    iterate, about 4 eps max(1, |log value|) of the value, so ``tol`` steers
+    nothing (Newton runs to rounding); a norm below the double range is
+    certified from 0 with a tolerance equal to its value.
 
-    A matrix ``u`` gives one norm per row, in lockstep (value and tolerance
-    are then arrays); ``p`` and ``weight`` are then vectors shared by the
-    rows or matrices shaped like ``u``.  Each row's norm is the one it has
-    alone.
+    A matrix ``u`` gives one norm per row (value and tolerance are then
+    arrays); ``p`` and ``weight`` are then vectors shared by the rows or
+    matrices shaped like ``u``.  Each row's norm is the one it has alone.
     """
     u = np.asarray(u, dtype=float)
+    w = np.asarray(weight, dtype=float)
     if u.ndim < 2:
         u = np.atleast_1d(u)
         if u.size == 0:
             return NormValue(0.0, 0.0)
-        value, width = _luxemburg(u[None], exponent_values(p, u.size),
-                                  np.asarray(weight, dtype=float), tol)
+        pv = exponent_values(p, u.size)
+        value, width = _level_roots(np.abs(u)[None], pv, pv, w)
         return NormValue(float(value[0]), float(width[0]))
     if np.ndim(p) == 2:
         pv = np.asarray(p, dtype=float)
@@ -227,60 +234,103 @@ def luxemburg(u, p, weight, tol: float = DEFAULT_TOL) -> NormValue:
         exponent_values(pv.ravel(), pv.size)
     else:
         pv = exponent_values(p, u.shape[1])
-    return NormValue(*_luxemburg(u, pv, np.asarray(weight, dtype=float), tol))
+    return NormValue(*_level_roots(np.abs(u), pv, pv, w))
 
 
-def _luxemburg(u: np.ndarray, pv: np.ndarray, w: np.ndarray, tol: float):
-    """``luxemburg`` on the rows of ``u`` with validated exponents: the value
-    and tolerance arrays.
+def _level_roots(u_abs: np.ndarray, pv, ev, w):
+    """Per row of ``u_abs`` (rows x n) the level infimum
+    nu = inf{ nu > 0 : sum_i w_i u_i**p_i nu**(-e_i) <= 1 }, e = p/q (e = 0
+    for q = inf: a fixed part), and the distance of the certified nu from
+    the last Newton iterate.  e = p gives each row's Luxemburg norm, and
+    e = p/q the Besov level infima (their term weights: ``_level_weights``).
+    ``pv``, ``ev`` and ``w`` are vectors shared by the rows or matrices
+    shaped like ``u_abs``.
 
-    Each bracket is seeded from the modular sandwich: with umax = max|u| and
-    rho = modular(u/umax) the norm lies between umax rho**(1/p^+) and
-    umax rho**(1/p^-), with equality when p is constant.  When the lower end
-    underflows below 1e-300, both ends are taken in log form.  An end that
-    overflows is replaced from the other one, and ``_bisection`` checks
-    both ends against the modular before use.  The rows are bisected in
-    lockstep (``_lockstep``), one modular evaluation per step for all.
+    A fixed part above one (or at one beside a term with e > 0) gives inf, no
+    such term 0.  Else t = log nu solves log sum_{e>0} exp(log a - e t) =
+    log(1 - fixed), a = w u**p, convex and decreasing in t: Newton from the
+    left end max_i (log a_i - log(1 - fixed)) / e_i rises monotonically to
+    the root, for all rows at once and at any scale.  The candidate nu starts
+    one stopping step above the last iterate and is raised, by one ulp or by
+    a factor growing from one ulp, whichever is more, until
+    ``_modular_scaled`` reads the sum at most one, so every nu is a certified
+    upper end; one that underflowed to 0 rises to a positive nu whose
+    distance is nu itself.
     """
-    u_abs = np.abs(u)
-    umax = u_abs.max(axis=1, initial=0.0)
-    value, width = np.zeros(len(u)), np.zeros(len(u))
-    rows = np.flatnonzero(umax > 0.0)
-    if not rows.size:
-        return value, width
-    if rows.size < len(u):
-        u_abs, umax = u_abs[rows], umax[rows]
-        pv, w = (x if x.ndim < 2 else x[rows] for x in (pv, w))
-    p_ends = np.empty((rows.size, 2))
-    p_ends[:, 0], p_ends[:, 1] = pv.min(axis=-1), pv.max(axis=-1)
-    # ends past the double range are inf, and u/lam may overflow or vanish
+    fixed, width = np.zeros(len(u_abs)), np.zeros(len(u_abs))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        log_above = np.min(u_abs, axis=1, where=u_abs > 0, initial=np.inf) / _TINY
-        rho = _modular_scaled(u_abs, pv, w, umax, log_above)
-        lo, hi = np.array([_sandwich(r, *ends)
-                           for r, ends in zip(rho.tolist(), p_ends.tolist())]).T * umax
-        tiny = lo < 1e-300  # rho**(1/p) underflowed, umax times it need not
-        if np.count_nonzero(tiny):
-            ends = np.exp(np.log(umax[tiny, None]) + np.log(rho[tiny, None]) / p_ends[tiny])
-            lo[tiny], hi[tiny] = ends.min(axis=1), ends.max(axis=1)
-    # a lower end that overflows means rho > 1, so the norm exceeds umax; an
-    # upper end that overflows is grown from the lower one, and a lower end
-    # below the floor is replaced by walking down from the upper one
-    lo = np.where(lo == np.inf, umax, lo)
-    hi = np.where(hi < np.inf, hi, lo)
-    lo = np.where(lo >= 1e-300, lo * (1.0 - 1e-12), 0.5 * hi)
+        la = np.log(w) + pv * np.log(u_abs)
+        fin = ev > 0
+        if not fin.all():
+            la = np.where(fin, la, -np.inf)
+            fixed = np.where(fin, 0.0, w * u_abs ** pv).sum(axis=1)
+        pos = (la > -np.inf).any(axis=1)
+        nu = np.where(pos | (fixed > 1.0), np.inf, 0.0)
+        rows = np.flatnonzero(pos & (fixed < 1.0))
+        if not rows.size:
+            return nu, width
+        if rows.size < len(u_abs):
+            u_abs, la, fixed = u_abs[rows], la[rows], fixed[rows]
+            pv, w, ev = (_rows_of(x, rows) for x in (pv, w, ev))
+        if fixed.any():  # log sum_{e>0} exp(la - log(1 - fixed) - e t) = 0
+            la = la - np.log(1.0 - fixed)[:, None]
+        t = np.max(la / ev, axis=1)
+        # after a step d the next is at most (e^+ - e^-)**2 d**2 / (8 e^-):
+        # the second derivative, the variance of e under the term weights,
+        # is at most (e^+ - e^-)**2 / 4 and the slope at least e^-
+        e_lo = ev.min(axis=-1)
+        curv = (ev.max(axis=-1) - e_lo) ** 2 / (8.0 * e_lo) * np.ones(rows.size)
+        live = np.arange(rows.size)
+        for _ in range(_MAX_NEWTON):
+            e = _rows_of(ev, live)
+            z = la[live] - e * t[live, None]
+            zmax = z.max(axis=1)
+            ez = np.exp(z - zmax[:, None])
+            s = ez.sum(axis=1)
+            step = (zmax + np.log(s)) * s / (ez * e).sum(axis=1)
+            t[live] = tl = t[live] + step
+            # a step that is not positive is rounding at the root; stop as
+            # well where the next step cannot exceed that
+            small = 4.0 * _EPS * np.maximum(1.0, np.abs(tl))
+            live = live[(step > small) & (curv[live] * step * step > small)]
+            if not live.size:
+                break
+        last = np.exp(t)
+        # the certification starts at the upper end of the Newton stopping step
+        root = np.exp(t + 4.0 * _EPS * np.maximum(1.0, np.abs(t)))
+        r, live = ev / pv, np.arange(rows.size)
+        for i in range(_MAX_GROWTH):
+            if live.size == rows.size:
+                total = _modular_scaled(u_abs, pv, w, root, r)
+            else:
+                total = _modular_scaled(u_abs[live], *(_rows_of(x, live) for x in (pv, w)),
+                                        root[live], _rows_of(r, live))
+            live = live[~(total <= 1.0)]
+            if not live.size:
+                break
+            grow = root[live]
+            root[live] = np.maximum(np.nextafter(grow, np.inf), grow * (1.0 + 2.0 ** (i - 52)))
+    # an inf root above an inf iterate is unrefined
+    nu[rows], width[rows] = root, root - np.minimum(last, _MAX)
+    return nu, width
 
-    def ok(lam, live):
-        if live.size == rows.size:
-            return _modular_scaled(u_abs, pv, w, lam, log_above) <= 1.0
-        pl, wl = (x if x.ndim < 2 else x[live] for x in (pv, w))
-        return _modular_scaled(u_abs[live], pl, wl, lam, log_above[live]) <= 1.0
 
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ends = _lockstep(ok, [_bisection(h, l, tol, _ULP_NUDGES)
-                              for h, l in zip(hi.tolist(), lo.tolist())])
-    value[rows], width[rows] = zip(*((h, h - l) for h, l in ends))
-    return value, width
+def _level_weights(u_abs: np.ndarray, pv, ev, w):
+    """The level infima nu of the rows of ``u_abs`` (``_level_roots``) and
+    the weights pi = a' / (e . a') of their terms a' = w u**p nu**(-e), zero
+    on rows whose nu is 0 or inf; so d nu / d a_i = nu pi_i / a_i, and the
+    row u / lam has d log nu / d log lam = -pi . p."""
+    nu = _level_roots(u_abs, pv, ev, w)[0]
+    pi = np.zeros(u_abs.shape)
+    rows = np.flatnonzero((nu > 0.0) & (nu < np.inf))
+    if rows.size:
+        er = _rows_of(ev, rows)
+        with np.errstate(divide="ignore"):
+            z = (np.log(_rows_of(w, rows)) + _rows_of(pv, rows) * np.log(u_abs[rows])
+                 - er * np.log(nu[rows, None]))
+        terms = np.exp(z - z.max(axis=1, keepdims=True))
+        pi[rows] = terms / (terms * er).sum(axis=1, keepdims=True)
+    return nu, pi
 
 
 def rel_sandwich_check(u, p, weight, tol: float = DEFAULT_TOL) -> dict:
@@ -375,73 +425,13 @@ class SequenceSample:
         return SequenceSample(self.k_min, self.values * factor)
 
 
-def _level_roots(u_abs: np.ndarray, pv: np.ndarray, ev: np.ndarray, w: np.ndarray):
-    """Per row of ``u_abs`` (levels x n) the level infimum
-    nu = inf{ nu > 0 : sum_i a_i nu**(-e_i) <= 1 }, a = w u**p, e = p/q (e = 0
-    for q = inf: a fixed part), and the weights pi = a' / (e . a') of the
-    terms a' = a nu**(-e); so d nu / d a_i = nu pi_i / a_i, and the row
-    u / lam has d log nu / d log lam = -pi . p.
-
-    A fixed part above one (or at one beside a term with e > 0) gives inf, no
-    such term 0.  Else t = log nu solves log sum_{e>0} exp(log a - e t) =
-    log(1 - fixed), convex and decreasing in t: Newton from the left end
-    max_i (log a_i - log(1 - fixed)) / e_i rises monotonically to the root,
-    for all rows at once and at any scale.  exp(t) is then raised by factors
-    growing from one ulp until the direct sum is at most one, so every nu is
-    a certified upper end.
-    """
-    with np.errstate(over="ignore", divide="ignore"):
-        a = w * u_abs ** pv
-        log_a = np.log(w) + pv * np.log(u_abs)
-    fin = ev > 0
-    fixed = a[:, ~fin].sum(axis=1)
-    pos = (log_a[:, fin] > -np.inf).any(axis=1)
-    nu = np.where(fixed > 1.0, np.inf, np.where(~pos, 0.0, np.where(fixed < 1.0, np.nan, np.inf)))
-    pi = np.zeros_like(a)
-    rows = np.flatnonzero(np.isnan(nu))
-    if not rows.size:
-        return nu, pi
-    a, log_a, lb = a[rows], log_a[rows], np.log(1.0 - fixed[rows])
-    la, e = log_a[:, fin], ev[fin]
-    t = np.max((la - lb[:, None]) / e, axis=1)
-    live = np.arange(rows.size)
-    for _ in range(_MAX_NEWTON):
-        z = la[live] - e * t[live, None]
-        zmax = z.max(axis=1)
-        ez = np.exp(z - zmax[:, None])
-        s = ez.sum(axis=1)
-        step = (zmax + np.log(s) - lb[live]) * s / (ez @ e)
-        t[live] += step
-        # a step that is not positive is rounding at the root
-        live = live[step > 4.0 * _EPS * np.maximum(1.0, np.abs(t[live]))]
-        if not live.size:
-            break
-    live = np.arange(rows.size)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        root = np.exp(t)
-        for i in range(_MAX_GROWTH):
-            total = np.sum(a[live] * root[live, None] ** -ev, axis=1)
-            bad = ~np.isfinite(total)  # overflow or inf * 0: the sum in log form
-            total[bad] = np.sum(np.exp(log_a[live[bad]] - ev * np.log(root[live[bad], None])),
-                                axis=1)
-            live = live[total > 1.0]
-            if not live.size:
-                break
-            root[live] *= 1.0 + 2.0 ** (i - 52)
-        nu[rows] = root
-        z = log_a - ev * np.log(root[:, None])
-        terms = np.exp(z - z.max(axis=1, keepdims=True))
-        pi[rows] = terms / (terms @ ev)[:, None]
-    return nu, pi
-
-
 def mixed_modular_lq_lp(seq: SequenceSample, p, q, weight) -> float:
     """Sequence-space semimodular: the level sum of certified per-level
     infima (``_level_roots``); inf when some level admits none."""
     w = np.asarray(weight, dtype=float)
     pv = exponent_values(p, seq.n)
-    ev = pv / exponent_values(q, seq.n, allow_inf=True)
-    return float(_level_roots(np.abs(seq.values), pv, ev, w)[0].sum())
+    qv = exponent_values(q, seq.n, allow_inf=True)
+    return float(_level_roots(np.abs(seq.values), pv, pv / qv, w)[0].sum())
 
 
 def mixed_modular_closed_form(seq: SequenceSample, p, q, weight,
@@ -455,7 +445,7 @@ def mixed_modular_closed_form(seq: SequenceSample, p, q, weight,
         raise ValueError("closed form needs max q < inf")
     total = 0.0
     for row in seq.values:
-        total += float(_luxemburg(np.abs(row)[None] ** qv, pv / qv, w, tol)[0][0])
+        total += luxemburg(np.abs(row) ** qv, pv / qv, w, tol).value
     return float(total)
 
 
@@ -485,7 +475,7 @@ def mixed_norm_lq_lp(seq: SequenceSample, p, q, weight, tol: float = DEFAULT_TOL
 
     def probe(x: float):
         """The level sum at lam = e**x and the derivative of its log in x."""
-        nu, pi = _level_roots(np.abs(seq.values * (1.0 / lam_at(x))), pv, ev, w)
+        nu, pi = _level_weights(np.abs(seq.values * (1.0 / lam_at(x))), pv, ev, w)
         total = float(nu.sum())
         with np.errstate(invalid="ignore"):
             return total, -float(nu @ (pi @ pv)) / total if 0.0 < total < np.inf else np.nan

@@ -362,6 +362,81 @@ def test_non_integral_indices_and_non_finite_values_are_malformed(tmp_path, caps
         assert field in line and "ValueError" in line, line
 
 
+_SOBOLEV_GOOD = {
+    "name": "good",
+    "space": {"kind": "grid2d", "params": {"nx": 5}},
+    "exponents": {"s": {"constant": 1.0}, "p": {"constant": 1.0}, "Q": {"constant": 2.0}},
+    "function": {"family": "coordinate", "axis": 0},
+    "checks": [{"op": "sobolev_local", "ball": {"center": 6, "radius": 0.3}}],
+}
+
+# scenarios that are malformed in a space count, an exponent index field or
+# an exponent's type, and the text their error line names
+_BAD_FIELDS = {
+    "atom_m": ({"space": {"kind": "ball_grid_with_atom", "params": {"n_dim": 1, "m": 7.5}}},
+               "ValueError: ball_grid_with_atom m must be an integer"),
+    "grid_nx": ({"space": {"kind": "grid2d", "params": {"nx": 3.7}}},
+                "ValueError: grid2d nx must be an integer"),
+    "glued_zero": ({"space": {"kind": "two_zone_glued", "params": {"n_line": 0}}},
+                   "ValueError: n_line and n_grid must be positive"),
+    "zone": ({"exponents": dict(_SOBOLEV_GOOD["exponents"], p={"formula": {
+        "type": "two_zone", "inside": 1.5, "outside": 1.0, "zone": [0.6, 1.2]}})},
+        "ValueError: exponent 'p': two_zone zone must be an integer"),
+    "axis": ({"exponents": dict(_SOBOLEV_GOOD["exponents"], p={"formula": {
+        "type": "affine", "axis": 0.5, "intercept": 1.0, "slope": 0.5}})},
+        "ValueError: exponent 'p': affine axis must be an integer"),
+    "p_list": ({"exponents": dict(_SOBOLEV_GOOD["exponents"], p={"constant": [1, 2]})},
+               "TypeError"),
+}
+
+
+def test_malformed_space_and_exponent_fields_do_not_stop_siblings(tmp_path, capsys):
+    # a non-integral space count used to fail inside its generator (m: 7.5
+    # raised "origin cell missing", a RuntimeError that ended the whole run)
+    # and exponent index fields were truncated; each is now one error line
+    # naming its field, and the sibling scenario still writes its report
+    paths = []
+    for name, (change, _) in _BAD_FIELDS.items():
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(dict(_SOBOLEV_GOOD, name=name, **change)))
+    paths.insert(1, tmp_path / "good.json")
+    paths[1].write_text(json.dumps(_SOBOLEV_GOOD))
+    out = tmp_path / "out"
+    assert run(["--out", out, "verify", *paths]) == 1
+    assert json.loads((out / "good.json").read_text())[0]["verdict"] == "pass"
+    assert sorted(p.name for p in out.iterdir()) == ["good.csv", "good.json"]
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == len(_BAD_FIELDS)
+    for (name, (_, text)), line in zip(_BAD_FIELDS.items(), err):
+        assert line.startswith("error: malformed scenario") and f"{name}.json" in line
+        assert text in line, line
+
+
+@pytest.mark.parametrize("params", ['{"nx": 3.7}', '{"nx": 4, "bogus": 1}', '{"nx": '])
+def test_space_gen_malformed_params_is_one_error_line(tmp_path, capsys, params):
+    out = tmp_path / "space.json"
+    assert run(["--out", out, "space-gen", "grid2d", params]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: space-gen grid2d"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["norm", "gradient"])
+@pytest.mark.parametrize("name", sorted(_BAD_FIELDS))
+def test_norm_and_gradient_malformed_scenario_is_one_error_line(tmp_path, capsys, command,
+                                                                name):
+    # the same errors as ``verify``: a TypeError or a generator's error used
+    # to end these commands with a traceback
+    change, text = _BAD_FIELDS[name]
+    scenario = {k: v for k, v in dict(_SOBOLEV_GOOD, **change).items() if k != "checks"}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(scenario))
+    assert run(["--out", tmp_path / "out", command, path]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and text in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cmd_necessity_unknown_family_is_one_error_line(tmp_path, capsys):
     scenario = {
         "name": "necc_family",

@@ -122,6 +122,31 @@ def test_luxemburg_underflowed_sandwich_uses_guards(u0, w0):
         assert nv.tolerance <= 1e-9 * nv.value
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_luxemburg_matrix_rows_match_single_rows(seed):
+    # row-wise exponents and weights, rows at scales 1e+-200 with zero
+    # entries, constant-exponent rows, all-zero rows and a row whose norm
+    # (1e-600) lies below the double range
+    rng = np.random.default_rng(seed)
+    rows, n = 40, 12
+    U = rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-200, 200, (rows, 1))
+    U[rng.random((rows, n)) < 0.2] = 0.0
+    U[::7] = 0.0
+    P = rng.uniform(0.3, 6.0, (rows, n))
+    P[::3] = P[::3, :1]
+    W = 10.0 ** rng.uniform(-3.0, 3.0, (rows, n))
+    U[5], P[5], W[5, 3] = 0.0, 0.5, 1e-300
+    U[5, 3] = 1.0
+    nv = luxemburg(U, P, W)
+    single = [luxemburg(u, p, w) for u, p, w in zip(U, P, W)]
+    assert np.array_equal(nv.value, [s.value for s in single])
+    assert np.array_equal(nv.tolerance, [s.tolerance for s in single])
+    assert np.all(nv.value[::7] == 0.0) and np.all(nv.tolerance[::7] == 0.0)
+    assert 0.0 < nv.value[5] == nv.tolerance[5]
+    shared = luxemburg(U, P[1], W[1])
+    assert np.array_equal(shared.value, [luxemburg(u, P[1], W[1]).value for u in U])
+
+
 @given(st.integers(-250, 250), st.sampled_from([1e-12, 1e-6]),
        st.one_of(st.just(None), st.integers(-60, 60)),
        st.one_of(st.sampled_from([0.0, 1e-310]), st.integers(-60, 60)))
@@ -193,14 +218,15 @@ def test_level_infimum_constant_ratio_closed_form(ratio):
 @settings(max_examples=100, deadline=None)
 def test_level_infimum_matches_closed_form_across_scales(n, scale, seed):
     # the level infimum of u is the Luxemburg norm of |u|**q with exponent
-    # p/q; exponent ratios from 1/10 to 10 push the sandwich ends apart
+    # p/q, here by the log-domain bisection; exponent ratios from 1/10 to 10
+    # spread the exponents of the level equation
     rng = np.random.default_rng(seed)
     u = 10.0 ** (scale + rng.uniform(-3.0, 3.0, n))
     w = rng.uniform(0.1, 2.0, n)
     p = rng.uniform(0.5, 5.0, n)
     q = rng.uniform(0.5, 5.0, n)
     got = _level_infimum(u, p, q, w)
-    exact = luxemburg(u ** q, p / q, w, 1e-12).value
+    exact = np.exp(_log_norm(u ** q, p / q, w))
     assert got == pytest.approx(exact, rel=1e-9)
 
 
