@@ -88,10 +88,10 @@ _REQUIRED = {
 }
 
 
-def _validate_checks(checks, exponents) -> None:
-    """Raise on the first check with an unknown op, a missing key or a
-    non-integral index, so a malformed scenario fails before any of its
-    checks runs."""
+def _validate_checks(checks, exponents, n: int) -> None:
+    """Raise on the first check with an unknown op, a missing key, a
+    non-integral index or a ball centre outside the space's n points, so a
+    malformed scenario fails before any of its checks runs."""
     for i, check in enumerate(checks):
         op = check["op"]
         if op not in _REQUIRED:
@@ -106,14 +106,14 @@ def _validate_checks(checks, exponents) -> None:
                    "ball.center": check.get("ball", {}).get("center")}
         for key, value in indices.items():
             if value is not None:
-                _index(value, f"check {i} ({op}): {key}")
+                _index(value, f"check {i} ({op}): {key}", n if key == "ball.center" else None)
 
 
 def _scenario_reports(scenario: dict, base_dir: str, tol: float, sigma: float,
                       epsilon: float | None):
-    _validate_checks(scenario["checks"], scenario.get("exponents", {}))
     space = _load_space(scenario["space"], base_dir)
     fields = _exponents(space, scenario.get("exponents", {}))
+    _validate_checks(scenario["checks"], scenario.get("exponents", {}), space.n)
     name = scenario.get("name", "scenario")
     reports = []
     for check in scenario["checks"]:

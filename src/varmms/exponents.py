@@ -93,13 +93,17 @@ def exponent_values(p, n: int, allow_inf: bool = False) -> np.ndarray:
     return vals
 
 
-def _index(value, field: str) -> int:
+def _index(value, field: str, size: int | None = None) -> int:
     """An index or count field of a scenario (a point, a level, a seed, an
     axis, a grid size) as an int; a non-integral number, a bool or a
-    non-number is an error rather than truncated."""
+    non-number is an error rather than truncated.  With ``size`` (the number
+    of points or of axes) it must index into that many, in [0, size), so a
+    negative index cannot wrap to the end."""
     if (isinstance(value, bool) or not isinstance(value, (int, float, np.number))
             or not float(value).is_integer()):
         raise ValueError(f"{field} must be an integer, got {value!r}")
+    if size is not None and not 0 <= value < size:
+        raise ValueError(f"{field} must lie in [0, {size}), got {value!r}")
     return int(value)
 
 
@@ -122,14 +126,15 @@ def field_from_spec(spec, n: int, name: str = "", coords=None) -> ExponentField:
     kind = formula["type"]
     if kind == "two_zone":
         vals = np.full(n, float(formula["outside"]))
-        vals[[_index(i, f"exponent {name!r}: two_zone zone") for i in formula["zone"]]] = \
+        vals[[_index(i, f"exponent {name!r}: two_zone zone", n) for i in formula["zone"]]] = \
             float(formula["inside"])
         return ExponentField(vals, name=name, allow_inf=allow_inf)
     if kind == "affine":
         if coords is None:
             raise ValueError(f"exponent {name!r}: affine formula needs a space with coordinates")
         coords = np.asarray(coords, dtype=float)
-        axis = _index(formula.get("axis", 0), f"exponent {name!r}: affine axis")
+        axis = _index(formula.get("axis", 0), f"exponent {name!r}: affine axis",
+                      coords.shape[1])
         vals = float(formula["intercept"]) + float(formula["slope"]) * coords[:, axis]
         return ExponentField(vals, name=name, allow_inf=allow_inf)
     raise ValueError(f"unknown exponent formula type {kind!r}")

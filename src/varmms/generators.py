@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 
 from .exponents import _index
-from .space import MetricMeasureSpace, ball
+from .space import MetricMeasureSpace
 
 __all__ = [
     "line_space",
@@ -156,20 +156,27 @@ def power_function(space: MetricMeasureSpace, theta: float) -> np.ndarray:
     return out
 
 
-def annular_cutoff(space: MetricMeasureSpace, center: int, r: float, j: int):
+def annular_cutoff(space: MetricMeasureSpace, center: int, r: float, j):
     """Annular test function: one inside radius (2**(-j-2) + 1/2) r, zero
     outside (2**(-j-1) + 1/2) r, linear in the distance in between.
 
-    Returns (values, support indices, Lipschitz constant 2**(j+2)/r).
+    Returns (values, support indices, Lipschitz constant 2**(j+2)/r).  An
+    array of levels j gives every level in one broadcast, a row per level:
+    (values matrix, support mask matrix, Lipschitz constants); each row is
+    the one-level call's, bit for bit.
     """
-    if j < 1:
+    levels = np.atleast_1d(j)
+    if np.any(levels < 1):
         raise ValueError("j must be a positive integer")
-    r_j = (2.0 ** (-j - 1) + 0.5) * r
-    r_next = (2.0 ** (-j - 2) + 0.5) * r
+    r_j = ((2.0 ** (-levels - 1) + 0.5) * r)[:, None]
+    r_next = ((2.0 ** (-levels - 2) + 0.5) * r)[:, None]
     d = space.dist[center]
     u = np.clip((r_j - d) / (r_j - r_next), 0.0, 1.0)
-    support = np.flatnonzero(d < r_j)
-    return u, support, 2.0 ** (j + 2) / r
+    on = d < r_j
+    lip = 2.0 ** (levels + 2) / r
+    if np.ndim(j) == 0:
+        return u[0], np.flatnonzero(on[0]), float(lip[0])
+    return u, on, lip
 
 
 def log_bump(space: MetricMeasureSpace, center: int, scale: float = 1.0) -> np.ndarray:
@@ -194,15 +201,16 @@ def _function_values(space: MetricMeasureSpace, spec: dict) -> np.ndarray:
         return vals
     family = spec["family"]
     if family == "coordinate":
-        return coordinate_function(space, _index(spec.get("axis", 0), "coordinate axis"))
+        axes = None if space.coords is None else space.coords.shape[1]
+        return coordinate_function(space, _index(spec.get("axis", 0), "coordinate axis", axes))
     if family == "power":
         return power_function(space, float(spec["theta"]))
     if family == "annular":
-        u, _, _ = annular_cutoff(space, _index(spec["center"], "annular center"),
+        u, _, _ = annular_cutoff(space, _index(spec["center"], "annular center", space.n),
                                  float(spec["r"]), _index(spec["j"], "annular j"))
         return u
     if family == "log_bump":
-        return log_bump(space, _index(spec["center"], "log_bump center"),
+        return log_bump(space, _index(spec["center"], "log_bump center", space.n),
                         float(spec.get("scale", 1.0)))
     if family == "random":
         return random_function(space, _index(spec["seed"], "random seed"),

@@ -13,12 +13,14 @@ regime of s p against Q (one ``_REGIMES`` entry per check), log-Hoelder
 exponents and lower regularity, then solves the minimal gradient on sigma*B0;
 each check adds only its own inequality.  The four necessity modes evaluate
 their test functions (annular cut-offs, or one cone for the Hoelder mode) as
-one batch: ``_cutoff_table`` builds a row per kept candidate, its family norm
-and one certificate gather for all rows, and ``_scores`` scores the rows
-together (row-wise norms, lockstep shift roots); the lower growth is read off
-one table of ball masses (``space.ball_masses``).  The scans of a necessity
-run, and those of a global check, sort the space's distance rows once
-(``space._one_table``).
+one batch: ``_cutoff_table`` builds every level's cut-off at a (centre,
+radius) in one broadcast, keeps a row per candidate with its ball as a mask
+and the ball's mass, and takes the family norms and one certificate gather
+for all rows; ``_scores`` scores the rows together (row-wise norms, and in
+the local modes one centred-norm or shift solve over the balls padded to
+the largest); the lower growth is read off one table of ball masses
+(``space.ball_masses``).  The scans of a necessity run, and those of a
+global check, sort the space's distance rows once (``space._one_table``).
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import constants as K
-from .exponents import (exponent_values, holder_exponent, log_holder_constant,
+from .exponents import (_index, exponent_values, holder_exponent, log_holder_constant,
                         sobolev_conjugate, strictly_dominates)
 from .generators import annular_cutoff, ball_grid_with_atom, power_function
 from .gradients import (_CERT_TOL, _cutoff_certificates, _cutoff_lq, _cutoff_sequence,
@@ -275,9 +277,11 @@ def _brent(a: float, b: float, xtol: float):
 def _exp_shift(u, w, k):
     """The shift c minimising the weighted mean of exp(k |u - c|), k > 0, for
     nonconstant u: the root of its slope -sum w exp(k |u - c|) sgn(u - c).
-    Rows of u, with rows of w and a column of k, give a shift per row."""
+    Rows of u, with rows of w and a column of k, give a shift per row.  A
+    zero weight is allowed: its entry adds no term."""
     V, lo, span = _unit(np.atleast_2d(u))
-    log_w = np.log(np.atleast_2d(w))
+    with np.errstate(divide="ignore"):
+        log_w = np.log(np.atleast_2d(w))
     rate = k * span
     t = _slope_root(V, lambda d, on, rows: log_w[rows] + rate[rows] * np.abs(d))
     c = lo[:, 0] + span[:, 0] * t
@@ -303,7 +307,9 @@ def inf_centered_norm(u, p, w):
     A matrix u gives a (value, c, heuristic) array per row, the slope roots
     of all rows found in lockstep; p and w are then vectors shared by the
     rows or matrices shaped like u.  Each row's result is the one it has
-    alone.
+    alone.  A zero weight is allowed: its entry adds no term, so a row
+    padded with zero-weight copies of one of its own values (and that
+    value's exponent) keeps its range, its exponent regime and its result.
     """
     u = np.asarray(u, dtype=float)
     U = np.atleast_2d(u)
@@ -321,7 +327,8 @@ def inf_centered_norm(u, p, w):
     rows = np.flatnonzero(~below)
     if rows.size:
         V, P, W = V[rows], P[rows], W[rows]
-        log_wp = np.log(W) + np.log(P)
+        with np.errstate(divide="ignore"):
+            log_wp = np.log(W) + np.log(P)
         variable = np.ptp(P, axis=1) > 0
 
         def log_terms(d, on, at):
@@ -699,9 +706,10 @@ def counterexample_run(n_dim: int, beta: float, p: float, theta: float,
 # -- necessity ----------------------------------------------------------------
 
 # A necessity run's test functions, a row per kept (x, r, j): the row's
-# centre and radius, its ball B(x, r) in the local modes (else None), the
-# cut-off u, its support mask, its Lipschitz constant and its family norm.
-_Cutoffs = namedtuple("_Cutoffs", "x r balls u support L anorm")
+# centre and radius, the mask of the points its u is read on (its ball
+# B(x, r) in the local modes, else every point) and their mass, the cut-off
+# u, its support mask, its Lipschitz constant and its family norm.
+_Cutoffs = namedtuple("_Cutoffs", "x r ball mass u support L anorm")
 
 
 def _family_norms(space, support, L, s, p, q, family: str) -> np.ndarray:
@@ -718,46 +726,51 @@ def _family_norms(space, support, L, s, p, q, family: str) -> np.ndarray:
 
 def _cutoff_table(space, centers, radii, cutoffs, s, p, q, family, shells) -> _Cutoffs:
     """The proofs' test functions as one table (``_Cutoffs``) of the rows
-    whose family norm is positive; ``cutoffs(x, base)`` yields each
-    (u, support, L) at a center and base radius.  Local runs pass the
-    centers' ``_shells`` rows: base phi(x, r), read off them, and u
+    whose family norm is positive; ``cutoffs(x, base)`` gives the rows (u,
+    support mask, L) at a center and base radius as arrays.  Local runs pass
+    the centers' ``_shells`` rows: base phi(x, r), read off them, and u
     nonconstant on B(x, r); otherwise (``shells`` None) base r, on the whole
     space.  Every kept row is certified a gradient of its u in one gather,
     after the skip rules, so a skipped candidate never raises."""
-    local = shells is not None
-    rows = []
+    local, n = shells is not None, space.n
+    balls, blocks = [], [(np.zeros((0, n)), np.zeros((0, n), dtype=bool), np.zeros(0))]
     for i, x in enumerate(centers):
         for r in radii:
             base = _phi(space, x, r, shells[0][i], shells[1][i]) if local else r
             if base <= 0:
                 continue
-            Br = ball(space, x, r) if local else None
-            on = Br.members if local else slice(None)
-            rows.extend((x, r, Br, u, support, L) for u, support, L in cutoffs(x, base)
-                        if support.size and np.ptp(u[on]) > 0)
-    xs, rs, balls, us, supports, Ls = zip(*rows) if rows else ((),) * 6
-    U = np.array(us, dtype=float).reshape(len(rows), space.n)
-    S = np.zeros(U.shape, dtype=bool)
-    for on, support in zip(S, supports):
-        on[support] = True
-    L = np.array(Ls, dtype=float)
-    anorm = _family_norms(space, S, L, s, p, q, family) if rows else np.zeros(0)
+            on = space.dist[x] < r if local else np.ones(n, dtype=bool)  # ``ball(space, x, r)``
+            balls.append((x, r, on, float(space.weight[on].sum())))
+            blocks.append(cutoffs(x, base))
+    xs, rs, ons, masses = zip(*balls) if balls else ((),) * 4
+    U, S, L = (np.concatenate(field) for field in zip(*blocks))
+    at = np.repeat(np.arange(len(balls)), [len(lip) for _, _, lip in blocks[1:]])  # row -> ball
+    on_ball = np.array(ons, dtype=bool).reshape(len(balls), n)[at]
+    # the skip rules: a row needs a support and a u nonconstant on its ball
+    live = np.flatnonzero(S.any(axis=1) & (np.where(on_ball, U, -np.inf).max(axis=1)
+                                           > np.where(on_ball, U, np.inf).min(axis=1)))
+    at, on_ball, U, S, L = (field[live] for field in (at, on_ball, U, S, L))
+    anorm = _family_norms(space, S, L, s, p, q, family) if L.size else np.zeros(0)
     keep = np.flatnonzero(anorm > 0)
     cert = _cutoff_certificates(space, S[keep], L[keep], s, U[keep])
     if np.any(cert > _CERT_TOL):
         raise RuntimeError("cut-off family is not a gradient "
                            f"(violation {cert[np.argmax(cert > _CERT_TOL)]})")
-    return _Cutoffs([xs[i] for i in keep], [rs[i] for i in keep], [balls[i] for i in keep],
-                    U[keep], S[keep], L[keep], anorm[keep])
+    at = at[keep]
+    return _Cutoffs(np.array(xs, dtype=int)[at], np.array(rs, dtype=float)[at], on_ball[keep],
+                    np.array(masses, dtype=float)[at], U[keep], S[keep], L[keep], anorm[keep])
 
 
-def _on_balls(table: _Cutoffs):
-    """The rows of a local table grouped by ball size: (rows, members), the
-    members an index matrix of a row per table row."""
-    sizes = np.array([b.members.size for b in table.balls], dtype=int)
-    for size in np.unique(sizes):
-        rows = np.flatnonzero(sizes == size)
-        yield rows, np.array([table.balls[i].members for i in rows], dtype=int).reshape(rows.size, size)
+def _ball_rows(cut: _Cutoffs, w):
+    """Each row's ball as a row of point indices, padded to the largest ball
+    with copies of the row's centre, and the weights there, zero on the
+    padding: a padded entry repeats a value and an exponent of its row and
+    adds no term."""
+    size = cut.ball.sum(axis=1)
+    idx = np.argsort(~cut.ball, axis=1, kind="stable")[:, :size.max()]
+    pad = np.arange(idx.shape[1]) >= size[:, None]
+    idx = np.where(pad, cut.x[:, None], idx)
+    return idx, np.where(pad, 0.0, w[idx])
 
 
 def _scores(space, mode: str, cut: _Cutoffs, target, Q, omega, C_MT1) -> np.ndarray:
@@ -766,31 +779,32 @@ def _scores(space, mode: str, cut: _Cutoffs, target, Q, omega, C_MT1) -> np.ndar
     norm with exponent ``target`` gamma on the whole space (global Sobolev)
     or centred on its ball over the ball factor (local Sobolev), or the
     exponential mean about its best shift (Moser), each against the family
-    norm.  Ball rows go in groups of one ball size."""
+    norm.  The ball rows of a local run go in one ``inf_centered_norm`` or
+    one ``_exp_shift`` call, padded to the largest ball (``_ball_rows``), so
+    each row keeps its ball's range, exponents and result."""
     w, anorm = space.weight, cut.anorm
     if mode == "holder":
         return holder_seminorm(cut.u, target, space) / anorm
     if mode == "sobolev_global":
         return luxemburg(cut.u, target, w).value / anorm
     scores = np.zeros(len(anorm))
+    if not scores.size:
+        return scores
+    idx, wb = _ball_rows(cut, w)
+    ub = np.take_along_axis(cut.u, idx, axis=1)
     if mode == "sobolev_local":
-        scale = np.array([(Br.measure / r ** Q[x]) ** omega
-                          for x, r, Br in zip(cut.x, cut.r, cut.balls)])
-    for rows, members in _on_balls(cut):
-        if mode == "sobolev_local":
-            keep = scale[rows] > 0  # else the row scores 0
-            rows, members = rows[keep], members[keep]
-            if rows.size:
-                num, _, _ = inf_centered_norm(np.take_along_axis(cut.u[rows], members, axis=1),
-                                              target[members], w[members])
-                scores[rows] = num / (scale[rows] * anorm[rows])
-            continue
-        ub, wb, a = np.take_along_axis(cut.u[rows], members, axis=1), w[members], anorm[rows, None]
-        c = _exp_shift(ub, wb, omega * C_MT1 / a)
-        with np.errstate(over="ignore"):  # a score past the double range reads inf
-            mean = np.exp(C_MT1 * np.abs(ub - c[:, None]) / a) ** omega
-        scores[rows] = np.sum(mean * wb, axis=1) / np.sum(wb, axis=1)
-    return scores
+        scale = (cut.mass / cut.r ** Q[cut.x]) ** omega
+        rows = np.flatnonzero(scale > 0)  # the others score 0
+        if rows.size:
+            num, _, _ = inf_centered_norm(ub[rows], target[idx[rows]], wb[rows])
+            scores[rows] = num / (scale[rows] * anorm[rows])
+        return scores
+    a = anorm[:, None]
+    c = _exp_shift(ub, wb, omega * C_MT1 / a)
+    with np.errstate(over="ignore"):  # a score past the double range reads inf
+        mean = np.exp(C_MT1 * np.abs(ub - c[:, None]) / a) ** omega
+    # a padded entry adds 0, also where its mean overflows (inf * 0 is nan)
+    return np.sum(np.where(wb > 0, mean, 0.0) * wb, axis=1) / np.sum(wb, axis=1)
 
 
 def _lower_growth(space, Q, extras: dict):
@@ -868,15 +882,16 @@ def necessity_run(space, s, p, q, gamma_or_alpha, mode: str, family: str = "M",
 
         if centers is None:
             centers = sorted({0, space.n // 2, space.n - 1})
+        centers = [_index(x, "necessity center", space.n) for x in centers]
         if radii is None:
             top = min(1.0 / sigma, space.diameter * 0.75)
             radii = [top, top / 2.0]
 
         def cutoffs(x, base):  # the annular u_j, j = 1..j_max, or one cone 1 - d/(lam r)
             if mode != "holder":
-                return (annular_cutoff(space, x, base, j) for j in range(1, j_max + 1))
+                return annular_cutoff(space, x, base, np.arange(1, j_max + 1))
             d, R = space.dist[x], lam * base
-            return [(np.clip(1.0 - d / R, 0.0, 1.0), np.flatnonzero(d < R), 1.0 / R)]
+            return np.clip(1.0 - d / R, 0.0, 1.0)[None], (d < R)[None], np.array([1.0 / R])
 
         local = mode in ("sobolev_local", "moser")
         if mode == "holder":

@@ -7,7 +7,8 @@ scenarios with ``bench/workloads.py``, runs ``varmms verify`` on each, and
 applies the same comparison, so a report that drifts past the reference
 fails here first.  At seed 7, where the gradient solvers meet their hardest
 bench models, the same check holds the verdicts, the exit codes and the
-finiteness of every value, as the benchmark does at every seed but 0.
+finiteness of every value on every workload, as the benchmark does at every
+seed but 0.
 """
 import importlib.util
 import json
@@ -43,7 +44,7 @@ def test_seed0_reports_match_bench_reference(bench_run, workload, tmp_path):
         assert bench_run.report_problems(text, ref, exact=True) == [], ref["file"]
 
 
-@pytest.mark.parametrize("workload", ["local_gradients", "global_scalar"])
+@pytest.mark.parametrize("workload", ["local_gradients", "global_scalar", "necessity_geometry"])
 def test_seed7_reports_keep_verdicts_and_finite_values(bench_run, workload, tmp_path):
     paths = bench_run.workloads.write_workload(workload, 7, str(tmp_path / "scenarios"))
     refs = bench_run.load_reference(workload)

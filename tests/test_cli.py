@@ -412,6 +412,51 @@ def test_malformed_space_and_exponent_fields_do_not_stop_siblings(tmp_path, caps
         assert text in line, line
 
 
+def _two_zone(zone):
+    return {"exponents": dict(_SOBOLEV_GOOD["exponents"], p={"formula": {
+        "type": "two_zone", "inside": 1.5, "outside": 1.0, "zone": zone}})}
+
+
+# scenarios on grid2d(5), n = 25 points in d = 2, whose point index or axis
+# lies outside [0, n) or [0, d), and the field their error line names
+_OUT_OF_RANGE = {
+    "zone_negative": (_two_zone([-1]), "exponent 'p': two_zone zone must lie in [0, 25)"),
+    "zone_past_end": (_two_zone([3, 25]), "exponent 'p': two_zone zone must lie in [0, 25)"),
+    "affine_axis": ({"exponents": dict(_SOBOLEV_GOOD["exponents"], p={"formula": {
+        "type": "affine", "axis": -1, "intercept": 1.0, "slope": 0.5}})},
+        "exponent 'p': affine axis must lie in [0, 2)"),
+    "bump_center": ({"function": {"family": "log_bump", "center": -1}},
+                    "log_bump center must lie in [0, 25)"),
+    "annular_center": ({"function": {"family": "annular", "center": 25, "r": 0.5, "j": 1}},
+                       "annular center must lie in [0, 25)"),
+    "coordinate_axis": ({"function": {"family": "coordinate", "axis": 2}},
+                        "coordinate axis must lie in [0, 2)"),
+    "ball_center": ({"checks": [{"op": "sobolev_local", "ball": {"center": -1, "radius": 0.3}}]},
+                    "check 0 (sobolev_local): ball.center must lie in [0, 25)"),
+}
+
+
+def test_out_of_range_indices_are_malformed(tmp_path, capsys):
+    # a negative point index or axis used to wrap to the end (a two_zone
+    # "zone": [-1] set the last point, a log_bump "center": -1 centred the
+    # bump there); each such scenario is now one error line naming its
+    # field, and the sibling scenario still writes its report
+    paths = [tmp_path / "good.json"]
+    paths[0].write_text(json.dumps(_SOBOLEV_GOOD))
+    for name, (change, _) in _OUT_OF_RANGE.items():
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(dict(_SOBOLEV_GOOD, name=name, **change)))
+    out = tmp_path / "out"
+    assert run(["--out", out, "verify", *paths]) == 1
+    assert json.loads((out / "good.json").read_text())[0]["verdict"] == "pass"
+    assert sorted(p.name for p in out.iterdir()) == ["good.csv", "good.json"]
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == len(_OUT_OF_RANGE)
+    for (name, (_, text)), line in zip(_OUT_OF_RANGE.items(), err):
+        assert line.startswith("error: malformed scenario") and f"{name}.json" in line
+        assert f"ValueError: {text}" in line, line
+
+
 @pytest.mark.parametrize("params", ['{"nx": 3.7}', '{"nx": 4, "bogus": 1}', '{"nx": '])
 def test_space_gen_malformed_params_is_one_error_line(tmp_path, capsys, params):
     out = tmp_path / "space.json"

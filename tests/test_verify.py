@@ -104,6 +104,74 @@ def test_inf_centered_norm_subunit_exponent_tries_data_values():
         assert val <= min(luxemburg(u - uk, p, w).value for uk in u) * (1.0 + 1e-12)
 
 
+@pytest.mark.parametrize("variable", [False, True], ids=["constant", "variable"])
+def test_zero_weight_padding_keeps_each_rows_result(variable):
+    # a necessity run pads its ball rows to the largest ball with zero-weight
+    # copies of one of their own values: each row keeps its value within a
+    # few ulps, and its shift within the root's tolerance (xtol 1e-14 of its
+    # span; the padded sums round differently, so Brent's path may move),
+    # alone or as a row of a matrix, and no warning is raised
+    rng = np.random.default_rng(28 + variable)
+    eps = np.finfo(float).eps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(40):
+            rows, n, k = 4, int(rng.integers(3, 40)), int(rng.integers(1, 30))
+            U = rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-3.0, 3.0)
+            W = rng.uniform(0.05, 2.0, (rows, n))
+            P = (rng.uniform(1.0, 4.0, (rows, n)) if variable
+                 else np.full((rows, n), rng.uniform(1.0, 4.0)))
+            copy = rng.integers(0, n, (rows, 1))
+            U2, P2 = (np.hstack([X, np.repeat(np.take_along_axis(X, copy, axis=1), k, axis=1)])
+                      for X in (U, P))
+            W2 = np.hstack([W, np.zeros((rows, k))])
+            span = np.ptp(U, axis=1)
+            rate = rng.uniform(0.5, 20.0, (rows, 1)) / span[:, None]
+            value, shift, _ = inf_centered_norm(U2, P2, W2)
+            exp_shift = _exp_shift(U2, W2, rate)
+            for r in range(rows):
+                p_row = P[r] if variable else P[r, 0]
+                v, c, heur = inf_centered_norm(U[r], p_row, W[r])
+                padded = inf_centered_norm(U2[r], P2[r] if variable else p_row, W2[r])
+                assert padded == (value[r], shift[r], heur) and not heur
+                assert abs(value[r] - v) <= 8 * eps * v
+                assert abs(shift[r] - c) <= 1e-14 * span[r]
+                e = _exp_shift(U[r], W[r], rate[r, 0])
+                assert _exp_shift(U2[r], W2[r], rate[r, 0]) == exp_shift[r]
+                assert abs(exp_shift[r] - e) <= 1e-14 * span[r]
+
+
+@pytest.mark.parametrize("mode, solver", [("sobolev_local", "inf_centered_norm"),
+                                          ("moser", "_exp_shift")])
+def test_local_necessity_run_scores_all_balls_in_one_call(grid8, monkeypatch, mode, solver):
+    # the rows of every ball size share one centred-norm or shift solve
+    n = grid8.n
+    s, p = np.full(n, 0.5), np.full(n, 1.5)
+    gamma = sobolev_conjugate(np.full(n, 2.0), s, p).values
+    calls, tables = [], []
+    solve, table = getattr(verify, solver), verify._cutoff_table
+    monkeypatch.setattr(verify, solver, lambda u, *a: calls.append(len(u)) or solve(u, *a))
+    monkeypatch.setattr(verify, "_cutoff_table", lambda *a: tables.append(table(*a)) or tables[-1])
+    rep = necessity_run(grid8, s, p, np.inf, gamma, mode=mode)
+    assert rep.verdict == "pass"
+    sizes = tables[0].ball.sum(axis=1)
+    assert len(np.unique(sizes)) > 2
+    assert calls == [sizes.size]
+
+
+def test_annular_cutoff_levels_are_the_one_level_calls(grid8):
+    # the necessity table's broadcast over levels gives the function
+    # family's one-level cut-offs, row for row, bit for bit
+    levels = np.arange(1, 6)
+    U, S, L = annular_cutoff(grid8, 27, 0.45, levels)
+    for j, u, on, lip in zip(levels, U, S, L):
+        u1, support, L1 = annular_cutoff(grid8, 27, 0.45, int(j))
+        assert np.array_equal(u, u1) and np.array_equal(np.flatnonzero(on), support)
+        assert lip == L1
+    with pytest.raises(ValueError, match="positive"):
+        annular_cutoff(grid8, 27, 0.45, np.arange(0, 3))
+
+
 def test_sobolev_local_pass_and_constant(grid8, center8):
     u = coordinate_function(grid8, 0)
     rep = check_sobolev_local(grid8, center8, 0.25, 2.0, u, 1.0, 1.0, 2.0)
@@ -543,8 +611,9 @@ def test_necessity_family_validated_and_besov_family_runs(grid8):
             assert verify._family_norms(grid8, on, np.array([L]), s, p, q, family)[0] == cut[key]
     # a family built for a smaller Lipschitz constant is no gradient of u; a
     # skipped candidate (u constant on its ball, or no support) never raises
-    def table(*cutoff):
-        return verify._cutoff_table(grid8, [27], [0.4], lambda x, base: [cutoff], s, p,
+    def table(u, support, L):
+        cutoff = (u[None], np.isin(np.arange(n), support)[None], np.array([L]))
+        return verify._cutoff_table(grid8, [27], [0.4], lambda x, base: cutoff, s, p,
                                     np.full(n, np.inf), "M", _shells(grid8, [27]))
 
     with pytest.raises(RuntimeError, match="not a gradient"):
@@ -552,6 +621,17 @@ def test_necessity_family_validated_and_besov_family_runs(grid8):
     assert len(table(np.ones(n), support, L / 100).L) == 0
     assert len(table(u, np.zeros(0, dtype=int), L / 100).L) == 0
     assert len(table(u, support, L).L) == 1
+
+
+def test_necessity_centers_must_index_points(grid8):
+    # a negative centre would wrap to the end of the distance table
+    n = grid8.n
+    s, p = np.full(n, 0.5), np.full(n, 1.5)
+    gamma = sobolev_conjugate(np.full(n, 2.0), s, p).values
+    for mode in ("sobolev_local", "sobolev_global"):
+        for bad in (-1, n):
+            with pytest.raises(ValueError, match=r"necessity center must lie in \[0, 64\)"):
+                necessity_run(grid8, s, p, np.inf, gamma, mode=mode, centers=[0, bad])
 
 
 # -- the candidate loop that necessity_run's batch replaced, as its oracle ---
@@ -562,7 +642,7 @@ def _default_radii(space, sigma=2.0):
 
 
 def _annular(space, j_max):
-    return lambda x, base: (annular_cutoff(space, x, base, j) for j in range(1, j_max + 1))
+    return lambda x, base: annular_cutoff(space, x, base, np.arange(1, j_max + 1))
 
 
 def _family_norm_reference(space, support, L, s, p, q, family, u):
@@ -583,31 +663,34 @@ def _cutoff_family_reference(space, centers, radii, cutoffs, s, p, q, family, lo
             base = phi(space, x, r) if local else r
             if base <= 0:
                 continue
-            Br = ball(space, x, r) if local else None
-            on = Br.members if local else slice(None)
-            for u, support, L in cutoffs(x, base):
-                if support.size == 0 or np.ptp(u[on]) == 0:
+            Br = ball(space, x, r) if local else ball(space, x, np.inf)
+            for u, on, L in zip(*cutoffs(x, base)):
+                support = np.flatnonzero(on)
+                if support.size == 0 or np.ptp(u[Br.members]) == 0:
                     continue
                 anorm = _family_norm_reference(space, support, L, s, p, q, family, u)
                 if anorm > 0:
-                    yield x, r, Br, u, support, L, anorm
+                    yield x, r, Br, u, on, L, anorm
 
 
 def _reference_table(space, centers, radii, cutoffs, s, p, q, family, shells):
     rows = list(_cutoff_family_reference(space, centers, radii, cutoffs, s, p, q, family,
                                          shells is not None))
-    x, r, balls, u, support, L, anorm = zip(*rows) if rows else ((),) * 7
-    on = np.zeros((len(rows), space.n), dtype=bool)
-    for row, sup in zip(on, support):
-        row[sup] = True
-    return verify._Cutoffs(list(x), list(r), list(balls), np.reshape(u, (len(rows), space.n)),
-                           on, np.array(L), np.array(anorm))
+    x, r, balls, u, on, L, anorm = zip(*rows) if rows else ((),) * 7
+    ball_on = np.zeros((len(rows), space.n), dtype=bool)
+    for row, Br in zip(ball_on, balls):
+        row[Br.members] = True
+    return verify._Cutoffs(np.array(x, dtype=int), np.array(r, dtype=float), ball_on,
+                           np.array([Br.measure for Br in balls]),
+                           np.reshape(u, (len(rows), space.n)),
+                           np.reshape(on, (len(rows), space.n)), np.array(L), np.array(anorm))
 
 
 def _reference_scores(space, mode, cut, target, Q, omega, C_MT1):
-    """Each candidate's score on its own."""
+    """Each candidate's score on its own, on its own ``Ball``."""
     w, out = space.weight, []
-    for x, r, Br, u, anorm in zip(cut.x, cut.r, cut.balls, cut.u, cut.anorm):
+    for x, r, u, anorm in zip(cut.x, cut.r, cut.u, cut.anorm):
+        Br = ball(space, x, r)
         if mode == "holder":
             out.append(holder_seminorm(u, target, space) / anorm)
         elif mode == "sobolev_global":
