@@ -165,6 +165,8 @@ def annular_cutoff(space: MetricMeasureSpace, center: int, r: float, j):
     (values matrix, support mask matrix, Lipschitz constants); each row is
     the one-level call's, bit for bit.
     """
+    if not 0 < r < np.inf:
+        raise ValueError(f"annular r must be finite and positive, got {r!r}")
     levels = np.atleast_1d(j)
     if np.any(levels < 1):
         raise ValueError("j must be a positive integer")
@@ -181,8 +183,8 @@ def annular_cutoff(space: MetricMeasureSpace, center: int, r: float, j):
 
 def log_bump(space: MetricMeasureSpace, center: int, scale: float = 1.0) -> np.ndarray:
     """Logarithmic bump around a center point (finite at the center)."""
-    if not scale > 0:
-        raise ValueError(f"log_bump scale must be positive, got {scale!r}")
+    if not 0 < scale < np.inf:
+        raise ValueError(f"log_bump scale must be finite and positive, got {scale!r}")
     d = space.dist[center]
     floor = scale / 50.0
     return np.log1p(scale / (d + floor))

@@ -8,10 +8,9 @@ lambda**(1/inf) == 1 and pointwise sup for the inner sequence norm.
 
 One routine, ``_level_roots``, solves every level equation
 sum_i w_i u_i**p_i nu**(-e_i) = 1 with a certified Newton root: e = p gives
-the Luxemburg norm, e = p/q the Besov level infima.  ``_bisection`` serves
-monotone predicates with no such equation (the lattice oracle and the
-variable-q Besov bisection in ``gradients``), and ``_lockstep`` runs row
-searches side by side (also Brent's method in ``verify``).
+the Luxemburg norm, e = p/q the Besov level infima.  ``_bisect_level``
+serves monotone predicates with no such equation (the lattice oracle and
+the variable-q Besov bisection in ``gradients``).
 """
 from __future__ import annotations
 
@@ -109,49 +108,10 @@ def _modular_scaled(u_abs, pv, w, lam, r) -> np.ndarray:
     return total
 
 
-def _lockstep(evaluate, steps) -> list:
-    """Run one search per row in lockstep and return their results.
-
-    Each of ``steps`` is a generator holding one row's state: it yields the
-    next point at which it needs its function, receives the value there,
-    and returns its result.  ``evaluate(x, rows)`` gives the values of the
-    rows ``rows`` (an index array) at their points ``x`` in one call, so the
-    rows share every evaluation while each takes exactly the steps it takes
-    alone."""
-    out = [None] * len(steps)
-    live = {}
-    for i, step in enumerate(steps):
-        try:
-            live[i] = next(step)
-        except StopIteration as stop:
-            out[i] = stop.value
-    rows = None
-    while live:
-        if len(live) == 1:  # the last row goes on alone, with no bookkeeping
-            (i, x), = live.items()
-            row = np.array([i])
-            try:
-                while True:
-                    x = steps[i].send(evaluate(np.array([x]), row).item())
-            except StopIteration as stop:
-                out[i] = stop.value
-            break
-        if rows is None or rows.size != len(live):
-            rows = np.fromiter(live, dtype=int, count=len(live))
-        values = evaluate(np.fromiter(live.values(), dtype=float, count=len(live)), rows)
-        for i, value in zip(live.copy(), values.tolist()):
-            try:
-                live[i] = steps[i].send(value)
-            except StopIteration as stop:
-                out[i] = stop.value
-                del live[i]
-    return out
-
-
-def _bisection(hi: float, lo: float, tol: float, ulp_nudges: int):
-    """Smallest level at which a monotone predicate turns true, as a
-    ``_lockstep`` step: it yields levels, receives whether the predicate
-    holds there, and returns ``(hi, lo)``.
+def _bisect_level(ok, hi: float, lo: float, tol: float, ulp_nudges: int = _ULP_NUDGES):
+    """Smallest level at which a monotone predicate turns true, by
+    bisection: ``ok(lam)`` returns ``(holds, payload)``, and the result is
+    ``(hi, lo, payload)`` with the payload of the evaluation at hi.
 
     The predicate must hold at every level above one where it holds.
     ``hi`` is raised until it holds: by ``ulp_nudges`` ulps first (rounding
@@ -160,46 +120,38 @@ def _bisection(hi: float, lo: float, tol: float, ulp_nudges: int):
     moving ``hi`` down to it; below 1e-300 the search stops with ``lo = 0``,
     also when the ``lo`` seed is already there, so that ``hi - lo`` reports
     an unrefined ``hi``.  The bracket is then bisected until
-    ``hi - lo <= tol * hi``.  ``_bisect_level`` runs it on one predicate;
-    the Luxemburg norm and the level infima take ``_level_roots`` instead.
+    ``hi - lo <= tol * hi``.  The lattice oracle and the variable-q Besov
+    bisection use it; the Luxemburg norm and the level infima take
+    ``_level_roots`` instead.
     """
-    holds = yield hi
+    payloads = {}
+
+    def holds(lam):
+        value, payloads[lam] = ok(lam)
+        return value
+
+    hi, lo = float(hi), float(lo)
+    holds_hi = holds(hi)
     for i in range(_MAX_GROWTH):
-        if holds:
+        if holds_hi:
             break
         hi = (float(np.nextafter(hi, np.inf)) if i < ulp_nudges
               else hi * 2.0 ** (i - ulp_nudges + 1))
-        holds = yield hi
+        holds_hi = holds(hi)
     for _ in range(_MAX_STEPS):
         if lo < 1e-300:
-            return hi, 0.0
-        if not (yield lo):
+            return hi, 0.0, payloads[hi]
+        if not holds(lo):
             break
         hi, lo = lo, lo * 0.5
     for _ in range(_MAX_STEPS):
         if hi - lo <= tol * hi:
             break
         mid = 0.5 * (lo + hi)
-        if (yield mid):
+        if holds(mid):
             hi = mid
         else:
             lo = mid
-    return hi, lo
-
-
-def _bisect_level(ok, hi: float, lo: float, tol: float, ulp_nudges: int = _ULP_NUDGES):
-    """``_bisection`` on one predicate ``ok(lam)`` that returns
-    ``(holds, payload)``.
-
-    Returns ``(hi, lo, payload)`` with the payload of the evaluation at hi.
-    """
-    payloads = {}
-
-    def evaluate(lam, rows):
-        holds, payloads[float(lam[0])] = ok(float(lam[0]))
-        return np.array([holds])
-
-    (hi, lo), = _lockstep(evaluate, [_bisection(float(hi), float(lo), tol, ulp_nudges)])
     return hi, lo, payloads[hi]
 
 

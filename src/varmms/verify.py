@@ -2,7 +2,7 @@
 
 Every check produces a VerificationReport: named hypothesis diagnostics,
 the two sides of the inequality, the constant used (with its provenance),
-and a verdict.  Hypothesis failures yield a not-applicable verdict, never
+and a verdict.  Hypothesis failures give a not-applicable verdict, never
 an exception, because the necessity experiments deliberately break
 hypotheses.  Constants for which no closed form exists are measured
 empirically (the ratio of the two sides) and recorded for refinement-
@@ -36,7 +36,7 @@ from .exponents import (_index, exponent_values, holder_exponent, log_holder_con
 from .generators import annular_cutoff, ball_grid_with_atom, power_function
 from .gradients import (_CERT_TOL, _cutoff_certificates, _cutoff_lq, _cutoff_sequence,
                         minimal_scalar_gradient, minimal_vector_gradient)
-from .norms import _lockstep, check_slack, holder_seminorm, luxemburg, mixed_norm_lq_lp
+from .norms import check_slack, holder_seminorm, luxemburg, mixed_norm_lq_lp
 from .regularity import _radius_powers, best_lower_constant
 from .space import (_one_table, _phi, _table, ball, ball_masses, critical_radii, estimate_doubling,
                     perfectness_resolution, uniform_perfectness)
@@ -196,82 +196,68 @@ def _unit(U):
 def _slope_root(v, log_terms):
     """The shift t in [0, 1] where the slope -sum_i sgn(d_i) exp(L_i) of a
     convex function of t changes sign, d = v - t, for each row of v (or for
-    v alone), by one lockstep ``_brentq``.  ``log_terms(d, on, rows)`` gives
-    the L_i of the rows ``rows`` of v, d their rows less their t, on the
-    entries ``on`` where d != 0; its other entries are ignored.  The terms
-    are summed relative to each row's largest, so the slope cannot overflow;
-    every row spans [0, 1], so its slope is negative at 0 and positive at 1
-    and its root is bracketed."""
+    v alone).  ``log_terms(d, on, rows)`` gives the L_i of the rows ``rows``
+    of v, d their rows less their t, on the entries ``on`` where d != 0; its
+    other entries are ignored.  The terms are summed relative to each row's
+    largest, so the slope cannot overflow; every row spans [0, 1], so its
+    slope is at most -1 at 0 and at least 1 at 1 and its root is bracketed.
+    A NaN slope raises ``ValueError``.
+
+    Each row runs Chandrupatla's method (1997) on its own Python floats: the
+    last point a, the other end b of the bracket, the previous point c,
+    their slopes, and the next point.  The first step is the secant of the
+    ends, clipped to [0.01, 0.99]; later steps take inverse quadratic
+    interpolation where Chandrupatla's test allows it, else bisection, kept
+    half a tolerance inside the bracket.  A row stops once its bracket is
+    within xtol + 4 eps |x| of its point x of smaller slope, as
+    ``scipy.optimize.brentq`` does.  Each call evaluates all live rows at
+    once, so a row takes the steps it takes alone."""
     V = np.atleast_2d(v)
+    xtol, rtol = 1e-14, 4 * float(np.finfo(float).eps)
 
     def slope(t, rows):
         d = (V if rows.size == len(V) else V[rows]) - t[:, None]
         on = d != 0
         L = np.where(on, log_terms(d, on, rows), -np.inf)
-        return -(np.sign(d) * np.exp(L - L.max(axis=1, keepdims=True))).sum(axis=1)
+        g = (-(np.sign(d) * np.exp(L - L.max(axis=1, keepdims=True))).sum(axis=1)).tolist()
+        if math.isnan(sum(g)):  # each slope sums terms in [-1, 1]: only a NaN slope sums to NaN
+            raise ValueError(f"the slope at t = {t[np.isnan(g)][0]!r} is NaN")
+        return g
 
+    m = len(V)
+    roots, live, rows = [0.0] * m, list(range(m)), np.arange(m)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = _brentq(slope, np.zeros(len(V)), np.ones(len(V)), xtol=1e-14)
-    return t if np.ndim(v) == 2 else float(t[0])
-
-
-def _brentq(f, a, b, xtol) -> np.ndarray:
-    """Roots of f in [a, b] by Brent's method, one per row, the rows in
-    lockstep (``_lockstep``): ``f(x, rows)`` gives the values of the rows
-    ``rows`` at their points x in one call."""
-    return np.array(_lockstep(f, [_brent(x, y, xtol) for x, y in zip(a, b)]), dtype=float)
-
-
-def _brent(a: float, b: float, xtol: float):
-    """A root of one row's function in [a, b] as a ``_lockstep`` step, step
-    for step as ``scipy.optimize.brentq`` at its default ``rtol`` and
-    ``maxiter`` (scipy's ``Zeros/brentq.c``), so roots match it bit for bit
-    without importing ``scipy.optimize``."""
-    rtol, maxiter = 4 * float(np.finfo(float).eps), 100
-
-    def checked(x, fx):
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x:f} is NaN; solver cannot continue.")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    fpre = checked(xpre, (yield xpre))
-    fcur = checked(xcur, (yield xcur))
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = checked(xcur, (yield xcur))
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
+        ends = slope(np.array([0.0] * m + [1.0] * m), np.concatenate((rows, rows)))
+        state = [(0.0, f0, 1.0, f1, 1.0, f1, min(max(f0 / (f0 - f1), 0.01), 0.99))
+                 for f0, f1 in zip(ends[:m], ends[m:])]
+        while live:
+            values = slope(np.array([row[6] for row in state]), rows)
+            kept, kept_state = [], []
+            for i, (a, fa, b, fb, c, fc, x), fx in zip(live, state, values):
+                if (fx < 0) == (fa < 0):
+                    c, fc = a, fa
+                else:
+                    c, fc, b, fb = b, fb, a, fa
+                a, fa = x, fx
+                xm, fm = (a, fa) if abs(fa) < abs(fb) else (b, fb)
+                tol, width = xtol + rtol * abs(xm), abs(b - a)
+                if fm == 0 or width < tol:
+                    roots[i] = xm
+                    continue
+                xi, phi = (a - b) / (c - b), (fa - fb) / (fc - fb)
+                if phi * phi < xi and (1 - phi) ** 2 < 1 - xi:  # inverse quadratic
+                    t = (fa / (fb - fa) * fc / (fb - fc)
+                         + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
+                else:
+                    t = 0.5
+                tl = 0.5 * tol / width
+                t = tl if t < tl else 1 - tl if t > 1 - tl else t  # faster than min(max())
+                kept.append(i)
+                kept_state.append((a, fa, b, fb, c, fc, a + t * (b - a)))
+            if len(kept) < len(live):
+                rows = np.array(kept, dtype=int)
+            live, state = kept, kept_state
+    return np.array(roots) if np.ndim(v) == 2 else roots[0]
 
 
 def _exp_shift(u, w, k):
@@ -305,10 +291,10 @@ def inf_centered_norm(u, p, w):
     any interval on which it contains a point.
 
     A matrix u gives a (value, c, heuristic) array per row, the slope roots
-    of all rows found in lockstep; p and w are then vectors shared by the
-    rows or matrices shaped like u.  Each row's result is the one it has
-    alone.  A zero weight is allowed: its entry adds no term, so a row
-    padded with zero-weight copies of one of its own values (and that
+    of all rows found by one ``_slope_root`` call; p and w are then vectors
+    shared by the rows or matrices shaped like u.  Each row's result is the
+    one it has alone.  A zero weight is allowed: its entry adds no term, so
+    a row padded with zero-weight copies of one of its own values (and that
     value's exponent) keeps its range, its exponent regime and its result.
     """
     u = np.asarray(u, dtype=float)
@@ -654,6 +640,11 @@ def counterexample_run(n_dim: int, beta: float, p: float, theta: float,
     at the origin diverges, so no uniform supercritical embedding constant
     can exist.
     """
+    refinements = [_index(m, "counterexample refinements") for m in refinements]
+    odd = [m | 1 for m in refinements]  # the grid an even m runs as, m + 1
+    if len(odd) < 2 or any(a >= b for a, b in zip(odd, odd[1:])):
+        raise ValueError("counterexample refinements need at least two sizes, each grid finer "
+                         f"than the last, got {refinements}")
     if not 0 < beta < n_dim:
         raise ValueError("beta must lie in (0, n_dim)")
     if not p > n_dim:
@@ -775,7 +766,7 @@ def _ball_rows(cut: _Cutoffs, w):
 
 def _scores(space, mode: str, cut: _Cutoffs, target, Q, omega, C_MT1) -> np.ndarray:
     """Each test function's ratio of the two sides of ``mode``'s embedding,
-    rows in lockstep: the Hoelder seminorm (``target`` alpha), the Lebesgue
+    all rows at once: the Hoelder seminorm (``target`` alpha), the Lebesgue
     norm with exponent ``target`` gamma on the whole space (global Sobolev)
     or centred on its ball over the ball factor (local Sobolev), or the
     exponential mean about its best shift (Moser), each against the family
@@ -843,6 +834,12 @@ def necessity_run(space, s, p, q, gamma_or_alpha, mode: str, family: str = "M",
         raise ValueError(f"unknown necessity mode {mode!r}")
     if family not in ("M", "N"):
         raise ValueError(f"unknown necessity family {family!r}; use 'M' or 'N'")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"necessity sigma must be finite and positive, got {sigma!r}")
+    if j_max < 1:
+        raise ValueError(f"necessity j_max must be at least 1, got {j_max!r}")
+    if omega is not None and not (math.isfinite(omega) and omega > 0):
+        raise ValueError(f"necessity omega must be finite and positive, got {omega!r}")
     sv = exponent_values(s, space.n)
     pv = exponent_values(p, space.n)
     qv = exponent_values(q, space.n, allow_inf=True)
@@ -909,6 +906,11 @@ def necessity_run(space, s, p, q, gamma_or_alpha, mode: str, family: str = "M",
         shells = _table(space, centers) if local else None
         b_emp = _lower_growth(space, Q, extras)
     cut = _cutoff_table(space, centers, radii, cutoffs, sv, pv, qv, family, shells)
+    if not cut.anorm.size:
+        hyp.append(Hypothesis("test_functions", False,
+                              "no cut-off has a support, a u nonconstant on its ball and a "
+                              "positive family norm"))
+        return _na_report(theorem, scenario, hyp, extras)
     c_emp = max([1.0 if mode == "moser" else 0.0,
                  *_scores(space, mode, cut, gamma, Q, omega, C_MT1).tolist()])
     s_range = dict(s_minus=float(sv.min()), s_plus=s_plus)

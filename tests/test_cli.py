@@ -1,12 +1,18 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varmms.cli import main
 
@@ -528,6 +534,136 @@ def test_malformed_later_check_fails_before_the_first_runs(tmp_path, capsys, mon
     path.write_text(json.dumps(dict(scenario, checks=scenario["checks"][:1])))
     assert run(["--out", tmp_path / "out", "verify", path]) in (0, 2)
     assert calls == [1]
+
+
+_NECESSITY_GOOD = {
+    "name": "good",
+    "space": {"kind": "grid2d", "params": {"nx": 4}},
+    "exponents": {"s": {"constant": 0.5}, "p": {"constant": 1.5}, "gamma": {"constant": 2.4},
+                  "Q": {"constant": 2.0}},
+    "checks": [{"op": "necessity", "mode": "sobolev_local"}],
+}
+_COUNTEREXAMPLE = {"op": "counterexample", "n_dim": 1, "beta": 0.5, "p": 2.0, "theta": 0.6}
+
+# scenarios whose check or function field used to crash ``verify`` or let it
+# pass with nothing compared, and the text their error line names
+_BAD_CHECK_FIELDS = {
+    "sigma_zero": ({"checks": [dict(_NECESSITY_GOOD["checks"][0], sigma=0)]},
+                   "necessity sigma must be finite and positive"),
+    "sigma_negative": ({"checks": [dict(_NECESSITY_GOOD["checks"][0], sigma=-2)]},
+                       "necessity sigma must be finite and positive"),
+    "j_max_zero": ({"checks": [dict(_NECESSITY_GOOD["checks"][0], j_max=0)]},
+                   "necessity j_max must be at least 1"),
+    "refinements_float": ({"checks": [dict(_COUNTEREXAMPLE, refinements=[7.5, 15])]},
+                          "counterexample refinements must be an integer"),
+    "refinements_one": ({"checks": [dict(_COUNTEREXAMPLE, refinements=[15])]},
+                        "counterexample refinements need at least two sizes"),
+    "refinements_same_grid": ({"checks": [dict(_COUNTEREXAMPLE, refinements=[14, 15])]},
+                              "counterexample refinements need at least two sizes"),
+    "omega_zero": ({"checks": [{"op": "necessity", "mode": "moser", "omega": 0}]},
+                   "necessity omega must be finite and positive"),
+    "omega_nan": ({"checks": [dict(_NECESSITY_GOOD["checks"][0], omega=float("nan"))]},
+                  "necessity omega must be finite and positive"),
+    "annular_r": ({"function": {"family": "annular", "center": 5, "r": -0.5, "j": 1},
+                   "checks": _SOBOLEV_GOOD["checks"]}, "annular r must be finite and positive"),
+}
+
+
+def test_malformed_check_and_function_fields_are_one_error_line(tmp_path, capsys):
+    # a necessity sigma of 0 died in 1 / sigma, refinements [7.5, 15] in
+    # "origin cell missing" and a Moser omega of 0 in 1 / omega, each a
+    # traceback that stopped the sibling scenarios; refinements [15] or
+    # [14, 15] (one grid twice) certified a divergence from no pair of
+    # grids, j_max 0, sigma -2 and omega NaN passed on no test function or
+    # no ball factor, and an annular r of -0.5 became the constant 1.  Each
+    # is now one error line naming its field; a sigma so large that every
+    # ball is its centre alone keeps no test function and is not applicable
+    paths = [tmp_path / "good.json"]
+    paths[0].write_text(json.dumps(_NECESSITY_GOOD))
+    for name, (change, _) in _BAD_CHECK_FIELDS.items():
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(dict(_NECESSITY_GOOD, name=name, **change)))
+    paths.append(tmp_path / "sigma_large.json")
+    paths[-1].write_text(json.dumps(dict(_NECESSITY_GOOD, name="sigma_large", checks=[
+        dict(_NECESSITY_GOOD["checks"][0], sigma=1e6)])))
+    out = tmp_path / "out"
+    assert run(["--out", out, "verify", *paths]) == 1
+    assert json.loads((out / "good.json").read_text())[0]["verdict"] == "pass"
+    large, = json.loads((out / "sigma_large.json").read_text())
+    assert large["verdict"] == "not_applicable"
+    assert large["hypotheses"][-1]["name"] == "test_functions"
+    assert not large["hypotheses"][-1]["holds"]
+    assert sorted(p.name for p in out.iterdir()) == ["good.csv", "good.json", "sigma_large.csv",
+                                                     "sigma_large.json"]
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == len(_BAD_CHECK_FIELDS)
+    for (name, (_, text)), line in zip(_BAD_CHECK_FIELDS.items(), err):
+        assert line.startswith("error: malformed scenario") and f"{name}.json" in line
+        assert f"ValueError: {text}" in line, line
+
+
+# the fuzzed fields: a necessity check's, a counterexample's (n_dim 1), an
+# annular or log_bump function's in a sobolev_local check, and its ball's
+_FUZZ_FIELDS = [("necessity", "sigma"), ("necessity", "j_max"), ("necessity", "omega"),
+                ("counterexample", "refinements"), ("annular", "r"), ("annular", "j"),
+                ("annular", "center"), ("log_bump", "center"), ("log_bump", "scale"),
+                ("ball", "center"), ("ball", "radius")]
+_FUZZ_POOL = [-1, 0, 1, 3, 15, 7.5, -0.5, float("nan"), float("inf"), float("-inf"), True, "x",
+              None]
+
+
+def _fuzz_scenario(kind: str, key: str, value, mode: str) -> dict:
+    """A well-formed grid2d(4) scenario with its ``kind`` field ``key`` set
+    to ``value``."""
+    if kind == "necessity":
+        return dict(_NECESSITY_GOOD, name="fuzz", checks=[{"op": "necessity", "mode": mode,
+                                                           key: value}])
+    if kind == "counterexample":
+        return dict(_NECESSITY_GOOD, name="fuzz",
+                    checks=[dict(_COUNTEREXAMPLE, refinements=value)])
+    function = ({"family": "annular", "center": 5, "r": 0.5, "j": 1} if kind != "log_bump"
+                else {"family": "log_bump", "center": 5, "scale": 0.3})
+    ball = {"center": 5, "radius": 0.3}
+    (ball if kind == "ball" else function)[key] = value
+    return dict(_NECESSITY_GOOD, name="fuzz", function=function,
+                checks=[{"op": "sobolev_local", "ball": ball}])
+
+
+def _unreadable(value, key: str) -> bool:
+    """Whether ``value`` holds a NaN, a string or (where it does not mean
+    the default) a null, which no field reads as a number."""
+    if isinstance(value, list):
+        return any(_unreadable(v, key) for v in value)
+    return (value is None and key != "omega") or isinstance(value, str) or value != value
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(field=st.sampled_from(_FUZZ_FIELDS), mode=st.sampled_from(["sobolev_local", "moser"]),
+       data=st.data())
+def test_scenario_fuzz_never_a_traceback(field, mode, data):
+    # any pool value in any fuzzed field (a list of them for refinements):
+    # never a traceback or a warning; a malformed scenario is one error
+    # line naming it and exit 1, any other writes its report; the sibling
+    # scenario always writes its own
+    kind, key = field
+    pool = st.sampled_from(_FUZZ_POOL)
+    value = data.draw(st.lists(pool, min_size=1, max_size=3) if key == "refinements" else pool)
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tmp = pathlib.Path(tmp)
+        fuzz, good = tmp / "fuzz.json", tmp / "good.json"
+        fuzz.write_text(json.dumps(_fuzz_scenario(kind, key, value, mode)))
+        good.write_text(json.dumps(_NECESSITY_GOOD))
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            rc = run(["--out", tmp / "out", "verify", fuzz, good])
+        err = stderr.getvalue().splitlines()
+        assert json.loads((tmp / "out" / "good.json").read_text())[0]["verdict"] == "pass"
+        if rc == 1:
+            assert len(err) == 1 and err[0].startswith(f"error: malformed scenario {fuzz}:"), err
+        else:
+            assert rc in (0, 2) and err == [] and (tmp / "out" / "fuzz.json").exists()
+            assert not _unreadable(value, key), (rc, value)
 
 
 def test_verify_never_imports_scipy_optimize(tmp_path):

@@ -461,41 +461,55 @@ def _slope_battery(seed):
     return v, lambda d, on, rows: log_w + (pv - 1.0) * np.log(np.abs(d))
 
 
-def test_brentq_port_matches_scipy(monkeypatch):
-    # the centring shifts use a port of scipy's brentq, so that no verify
-    # imports scipy.optimize; it must give scipy's roots
+def _brentq_slope(v, log_terms):
+    """One row's slope as ``_slope_root`` evaluates it, for scipy's brentq."""
+    def slope(t):
+        d = np.atleast_2d(v) - t
+        on = d != 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            L = np.where(on, log_terms(d, on, np.array([0])), -np.inf)
+            return float(-(np.sign(d) * np.exp(L - L.max(axis=1, keepdims=True))).sum())
+    return slope
+
+
+def test_slope_root_matches_scipy_brentq():
+    # the centring shifts run Chandrupatla's method, so that no verify
+    # imports scipy.optimize; its roots must lie within brentq's own
+    # tolerance xtol + 4 eps |t| of scipy's
     from scipy.optimize import brentq
-    port, roots, slopes = verify._brentq, [], []
+    problems = [_slope_battery(seed) for seed in range(600)]
+    ours = np.array([verify._slope_root(v, log_terms) for v, log_terms in problems])
+    theirs = np.array([brentq(_brentq_slope(*problem), 0.0, 1.0, xtol=1e-14)
+                       for problem in problems])
+    tol = 1e-14 + 4 * np.finfo(float).eps * np.abs(theirs)
+    assert np.all(np.abs(ours - theirs) <= tol), np.max(np.abs(ours - theirs) / tol)
+    assert ours.min() < 1e-12 and ours.max() > 1.0 - 1e-12
+    # all 600 problems as the rows of one call, each row padded with entries
+    # that add no term and its log terms evaluated on its own: every row
+    # takes the steps of its one-row call, bit for bit
+    width = max(len(v) for v, _ in problems)
+    V = np.zeros((len(problems), width))
+    for i, (v, _) in enumerate(problems):
+        V[i, :len(v)] = v
 
-    def both(f, a, b, xtol):
-        ours = port(f, a, b, xtol=xtol)
-        for i in range(len(a)):  # scipy on each row's own slope
-            slope = (lambda f, i: lambda t: float(f(np.array([t]), np.array([i]))[0]))(f, i)
-            slopes.append(slope)
-            roots.append((ours[i], brentq(slope, a[i], b[i], xtol=xtol)))
-        return ours
+    def padded(ids):
+        def log_terms(d, on, rows):
+            L = np.full(d.shape, -np.inf)
+            for k, r in enumerate(rows):
+                v, terms = problems[ids[r]]
+                L[k, :len(v)] = terms(d[k:k + 1, :len(v)], on[k:k + 1, :len(v)], rows[:1])
+            return L
+        return log_terms
 
-    monkeypatch.setattr(verify, "_brentq", both)
-    for seed in range(600):  # one row at a time, as inf_centered_norm and _exp_shift
-        verify._slope_root(*_slope_battery(seed))
-    assert len(roots) == 600
-    assert all(ours == theirs for ours, theirs in roots), \
-        [r for r in roots if r[0] != r[1]][:5]
-    assert min(r[0] for r in roots) < 1e-12 and max(r[0] for r in roots) > 1.0 - 1e-12
-    # all 600 problems as the rows of one lockstep call, each row's slope
-    # evaluated on its own
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lockstep = port(lambda x, rows: np.array([slopes[r](t) for t, r in zip(x, rows)]),
-                        np.zeros(600), np.ones(600), xtol=1e-14)
-    assert np.array_equal(lockstep, [theirs for _, theirs in roots])
-    # no sign change: the same error
-    errors = []
-    for solve in (lambda f: port(lambda x, rows: f(x), np.zeros(1), np.ones(1), xtol=1e-14),
-                  lambda f: brentq(f, 0.0, 1.0, xtol=1e-14)):
-        with pytest.raises(ValueError) as err:
-            solve(lambda t: t + 1.0)
-        errors.append(str(err.value))
-    assert errors[0] == errors[1]
+    together = verify._slope_root(V, padded(range(len(V))))
+    alone = [verify._slope_root(V[i], padded([i])) for i in range(len(V))]
+    assert np.array_equal(together, alone)
+    # a NaN slope, at the ends or at the first step inside (t = 1/2), is an error
+    for log_terms in (lambda d, on, rows: np.full(d.shape, np.nan),
+                      lambda d, on, rows: np.where(np.abs(d.sum(axis=1, keepdims=True)) < 0.9,
+                                                   np.nan, 0.0)):
+        with pytest.raises(ValueError, match="NaN"):
+            verify._slope_root(np.array([0.0, 0.5, 1.0]), log_terms)
 
 
 def test_necessity_atom_flagging(grid8):
